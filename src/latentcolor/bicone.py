@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensorio
-from .colorspace import HslColor
+from .colorspace import HslColor, canonical_hsl
 from .subspace import SubspaceModel, project
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
 
 HUE_LABELS = ("red", "yellow", "green", "cyan", "blue", "magenta")
 HUE_DEGREES = (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
+_THETA_EDGES = np.array(HUE_DEGREES + (360.0,))  # hue at both ends of each segment
 ANCHOR_LABELS = HUE_LABELS + ("black", "white")
 
 # decode conventions for degenerate regions
@@ -126,12 +127,17 @@ def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSe
         if float(np.linalg.norm(v)) < 1e-9:
             raise ValueError(f"degenerate anchor: {HUE_LABELS[i]} probe has no chroma")
         pts[i] = (v @ e1, v @ e2)
-    # consecutive anchors must wind counterclockwise around the axis
-    for i in range(6):
-        j = (i + 1) % 6
-        if pts[i, 0] * pts[j, 1] - pts[i, 1] * pts[j, 0] <= 0:
-            raise ValueError("hue anchors are not in strict counterclockwise order")
-    angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)  # angles[0] == 0 exactly
+    # consecutive anchors must turn counterclockwise around the axis ...
+    nxt = np.roll(pts, -1, axis=0)
+    if np.any(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0):
+        raise ValueError("hue anchors are not in strict counterclockwise order")
+    angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
+    # e1 is the red chroma direction, so red sits at angle 0 exactly; its
+    # computed angle can round to 2 pi when pts[0, 1] is a tiny negative
+    angles[0] = 0.0
+    # ... and go round it once, or hue lookup by angle has no meaning
+    if not (np.all(np.diff(angles) > 0.0) and angles[5] < 2.0 * math.pi):
+        raise ValueError("hue anchors wind around the achromatic axis more than once")
 
     return AnchorSet(
         hue_anchors=hue,
@@ -185,86 +191,92 @@ def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel)
     return _assemble(hue, proj["black"], proj["white"])
 
 
-def _locate_segment(a: AnchorSet, q: np.ndarray) -> tuple[int, float]:
-    """Segment index and chord parameter of the ray through chroma point q.
-
-    Segments are half-open in angle, [theta_k, theta_k+1), with the wrap
-    segment covering magenta back to red. The chord parameter alpha is the
-    position along the straight line between the two anchor points where
-    the ray from the origin through q crosses it.
-    """
-    ang = math.atan2(q[1], q[0]) % (2.0 * math.pi)
-    pts = a.chroma_points
-    angles = a.chroma_angles
-    k = 5
-    for i in range(5):
-        if angles[i] <= ang < angles[i + 1]:
-            k = i
-            break
-    j = (k + 1) % 6
-    cross_k = pts[k, 0] * q[1] - pts[k, 1] * q[0]
-    cross_j = pts[j, 0] * q[1] - pts[j, 1] * q[0]
-    denom = cross_k - cross_j
-    if denom <= 0:
-        raise ValueError("anchor polygon does not enclose the chroma direction")
-    alpha = cross_k / denom
-    return k, min(max(alpha, 0.0), 1.0)
+def _dot3(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # written out so that a row's result does not depend on the batch size
+    return rows[:, 0] * v[0] + rows[:, 1] * v[1] + rows[:, 2] * v[2]
 
 
-def decode_raw(c: np.ndarray, anchors: AnchorSet) -> tuple[float, float, float]:
+def _rows(x: np.ndarray, what: str) -> np.ndarray:
+    if x.ndim not in (1, 2) or x.shape[-1] != 3:
+        raise ValueError(f"expected a 3-vector or an (n, 3) block of {what}, got shape {x.shape}")
+    return x.reshape(-1, 3)
+
+
+def decode_raw(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     """Decode subspace coordinates to (hue, saturation, lightness), unclamped.
 
-    Lightness is the projection onto the achromatic axis and may leave
-    [0, 1] for points beyond the apexes; saturation likewise may exceed 1
-    outside the bicone. Hue defaults to 0 for near-zero chroma, and
-    saturation to 0 where the bicone factor vanishes.
+    c is one 3-vector or an (n, 3) block; the result has the same shape,
+    one (h, s, l) per row. Lightness is the projection onto the
+    achromatic axis and may leave [0, 1] for points beyond the apexes;
+    saturation likewise may exceed 1 outside the bicone. Hue defaults to
+    0 for near-zero chroma, and saturation to 0 where the bicone factor
+    vanishes.
+
+    A chroma point's segment is the half-open angle interval
+    [theta_k, theta_k+1) that holds its angle, the wrap segment covering
+    magenta back to red. Its chord parameter alpha is the position along
+    the straight line between the segment's two anchor points where the
+    ray from the origin through the point crosses it.
     """
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != (3,):
-        raise ValueError(f"expected a 3-vector of subspace coordinates, got shape {c.shape}")
-    rel = c - anchors.black
-    axis = anchors.axis
-    l = float(rel @ axis) / float(axis @ axis)
-    chroma3 = rel - l * axis
-    q = np.array([chroma3 @ anchors.e1, chroma3 @ anchors.e2])
-    radius = float(np.hypot(q[0], q[1]))
+    a = anchors
+    rel = _rows(c, "subspace coordinates") - a.black
+    l = _dot3(rel, a.axis) / float(a.axis @ a.axis)
+    chroma3 = rel - l[:, None] * a.axis
+    q0 = _dot3(chroma3, a.e1)
+    q1 = _dot3(chroma3, a.e2)
+    radius = np.hypot(q0, q1)
+    chromatic = ~(radius < _MIN_CHROMA)
 
-    if radius < _MIN_CHROMA:
-        return 0.0, 0.0, l
-
-    k, alpha = _locate_segment(anchors, q)
-    th0 = anchors.thetas[k]
-    th1 = anchors.thetas[k + 1] if k < 5 else 360.0
-    h = (th0 + alpha * (th1 - th0)) % 360.0
-
-    bicone = 1.0 - abs(2.0 * l - 1.0)
-    if bicone < _MIN_BICONE:
-        return h, 0.0, l
-
-    pts = anchors.chroma_points
-    chord = pts[k] + alpha * (pts[(k + 1) % 6] - pts[k])
-    boundary = float(np.hypot(chord[0], chord[1]))
-    s = radius / (boundary * bicone)
-    return h, s, l
-
-
-def decode(c: np.ndarray, anchors: AnchorSet) -> HslColor:
-    """Decode subspace coordinates to an HslColor, clamping s and l to [0, 1]."""
-    h, s, l = decode_raw(c, anchors)
-    return HslColor(h, s, l)
+    ang = np.arctan2(q1, q0) % (2.0 * math.pi)
+    k = np.searchsorted(a.chroma_angles, ang, side="right") - 1
+    j = (k + 1) % 6
+    pts = a.chroma_points
+    cross_k = pts[k, 0] * q1 - pts[k, 1] * q0
+    cross_j = pts[j, 0] * q1 - pts[j, 1] * q0
+    denom = cross_k - cross_j
+    if np.any(chromatic & (denom <= 0)):
+        raise ValueError("anchor polygon does not enclose the chroma direction")
+    bicone = 1.0 - np.abs(2.0 * l - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # achromatic rows are replaced below
+        alpha = np.minimum(np.maximum(cross_k / denom, 0.0), 1.0)
+        h = (_THETA_EDGES[k] + alpha * (_THETA_EDGES[k + 1] - _THETA_EDGES[k])) % 360.0
+        chord = pts[k] + alpha[:, None] * (pts[j] - pts[k])
+        s = radius / (np.hypot(chord[:, 0], chord[:, 1]) * bicone)
+    s = np.where(bicone < _MIN_BICONE, 0.0, s)
+    hsl = np.stack([np.where(chromatic, h, 0.0), np.where(chromatic, s, 0.0), l], axis=1)
+    return hsl.reshape(c.shape)
 
 
-def encode(y: HslColor, anchors: AnchorSet) -> np.ndarray:
-    """Map an HslColor to subspace coordinates; exact inverse of decode.
+def decode(c: np.ndarray, anchors: AnchorSet):
+    """Decode subspace coordinates, wrapping hue and clamping s and l to [0, 1].
 
-    The chroma direction and radius come from the anchor polygon point at
-    the hue's chord parameter, scaled by saturation and the bicone factor.
+    One 3-vector gives an HslColor; an (n, 3) block gives an (n, 3) array
+    of the same canonical (h, s, l) values.
     """
-    k = min(int(y.h // 60.0), 5)
-    alpha = (y.h - HUE_DEGREES[k]) / 60.0
+    hsl = canonical_hsl(decode_raw(c, anchors))
+    return HslColor(*hsl.tolist()) if hsl.ndim == 1 else hsl
+
+
+def encode(y, anchors: AnchorSet) -> np.ndarray:
+    """Map colors to subspace coordinates; exact inverse of decode.
+
+    y is an HslColor, giving a 3-vector, or an (n, 3) array of (h, s, l)
+    rows, giving an (n, 3) block. Hue wraps mod 360; s and l are used as
+    given. The chroma direction and radius come from the anchor polygon
+    point at the hue's chord parameter, scaled by saturation and the
+    bicone factor.
+    """
+    hsl = np.array([y.h, y.s, y.l]) if isinstance(y, HslColor) else np.asarray(y, dtype=np.float64)
+    rows = _rows(hsl, "(h, s, l) colors")
+    h = rows[:, 0] % 360.0
+    if not np.all(np.isfinite(h)):
+        raise ValueError("cannot encode a non-finite hue")
+    k = np.minimum(h // 60.0, 5.0).astype(np.intp)
+    alpha = (h - _THETA_EDGES[k]) / 60.0
     pts = anchors.chroma_points
-    chord = pts[k] + alpha * (pts[(k + 1) % 6] - pts[k])
-    bicone = 1.0 - abs(2.0 * y.l - 1.0)
-    scale = y.s * bicone
-    chroma3 = scale * (chord[0] * anchors.e1 + chord[1] * anchors.e2)
-    return anchors.black + y.l * anchors.axis + chroma3
+    chord = pts[k] + alpha[:, None] * (pts[(k + 1) % 6] - pts[k])
+    l = rows[:, 2:]
+    scale = rows[:, 1:2] * (1.0 - np.abs(2.0 * l - 1.0))
+    chroma3 = scale * (chord[:, :1] * anchors.e1 + chord[:, 1:] * anchors.e2)
+    return (anchors.black + l * anchors.axis + chroma3).reshape(hsl.shape)

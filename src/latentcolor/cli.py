@@ -16,14 +16,21 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .bicone import ANCHOR_LABELS, AnchorSet, build_anchors
+from .bicone import ANCHOR_LABELS, AnchorSet, build_anchors, decode
 from .colorspace import HslColor, ciede2000, hsl_error, hsl_to_rgb, parse_hex, rgb_to_hsl, srgb_to_lab
 from .intervene import MODES, PatchMask, Schedule, apply_intervention, load_mask
-from .observe import ColorGrid, grid_de00_mean_pixel, grid_de00_per_pixel, masked_mean_color, observe, render_ppm
-from .subspace import SubspaceModel, average_patches, fit_pca
-from .timestats import StatsTable, builtin_flux_stats, fit_stats
+from .observe import (
+    ColorGrid,
+    grid_de00_mean_pixel,
+    grid_de00_per_pixel,
+    masked_mean_color,
+    mean_color,
+    observe,
+    render_ppm,
+)
+from .subspace import SubspaceModel, average_patches, fit_pca, project
+from .timestats import StatsTable, builtin_flux_stats, fit_stats, normalize
 from .toyflow import AttractorField, ToyEmbedder, generate, initial_noise, solid_attractor
-from .subspace import project
 
 BUILTIN_STATS = "flux-builtin"
 
@@ -45,11 +52,17 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return h, w
 
 
-def _default_grid(L: int) -> tuple[int, int]:
-    side = math.isqrt(L)
-    if side * side != L:
-        raise ValueError(f"{L} patches is not square; pass --grid HxW")
-    return side, side
+def _grid_dims(spec: str | None, L: int) -> tuple[int, int]:
+    """The --grid dims, or a square grid when none is given; either must cover the L patches."""
+    if not spec:
+        side = math.isqrt(L)
+        if side * side != L:
+            raise ValueError(f"{L} patches is not square; pass --grid HxW")
+        return side, side
+    h, w = _parse_grid(spec)
+    if h * w != L:
+        raise ValueError(f"grid {h}x{w} does not cover {L} patches")
+    return h, w
 
 
 def _parse_target(args) -> HslColor:
@@ -63,8 +76,7 @@ def _parse_target(args) -> HslColor:
     return rgb_to_hsl(parse_hex(args.target))
 
 
-def _report_line(tag: str, grid: ColorGrid, mask: PatchMask, target: HslColor) -> str:
-    got = masked_mean_color(grid, mask)
+def _report_line(tag: str, got: HslColor, target: HslColor) -> str:
     de = ciede2000(srgb_to_lab(hsl_to_rgb(got)), srgb_to_lab(hsl_to_rgb(target)))
     err = hsl_error(got, target)
     return (
@@ -103,7 +115,7 @@ def cmd_observe(args) -> int:
     model = SubspaceModel.load(args.model)
     anchors = AnchorSet.load(args.anchors)
     stats = _load_stats(args.stats)
-    dims = _parse_grid(args.grid) if args.grid else _default_grid(z.shape[0])
+    dims = _grid_dims(args.grid, z.shape[0])
     grid = observe(z, args.t, model, anchors, stats, dims)
     wrote = []
     if args.out_json:
@@ -126,15 +138,15 @@ def cmd_intervene(args) -> int:
     target = _parse_target(args)
     mask = load_mask(args.mask) if args.mask else PatchMask.full(z.shape[0])
     sched = Schedule(T=args.sched_t if args.sched_t is not None else stats.T)
-    dims = _parse_grid(args.grid) if args.grid else _default_grid(z.shape[0])
+    _grid_dims(args.grid, z.shape[0])  # the report needs none, but a bad --grid is still an error
 
     out = apply_intervention(z, args.t, target, mask, model, anchors, stats, sched, args.mode)
     tensorio.write_latents(args.out, out)
 
-    before = observe(z, args.t, model, anchors, stats, dims)
-    after = observe(out, args.t, model, anchors, stats, dims)
-    print(_report_line("before", before, mask, target))
-    print(_report_line("after", after, mask, target))
+    rows = mask.indices
+    for tag, latent in (("before", z), ("after", out)):
+        got = mean_color(decode(normalize(project(latent[rows], model), args.t, stats), anchors))
+        print(_report_line(tag, got, target))
     print(f"wrote {args.out}")
     return 0
 
@@ -169,7 +181,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     pred = ColorGrid.load(args.pred)
     ref = ColorGrid.load(args.ref)
-    mask = load_mask(args.mask) if args.mask else PatchMask.full(len(pred.cells))
+    mask = load_mask(args.mask) if args.mask else PatchMask.full(pred.height * pred.width)
     mean_pred = masked_mean_color(pred, mask)
     mean_ref = masked_mean_color(ref, mask)
     err = hsl_error(mean_pred, mean_ref)

@@ -1,14 +1,21 @@
-"""Scalar color types and conversions: sRGB, HSL, CIELAB, CIEDE2000.
+"""Color types and conversions: sRGB, HSL, CIELAB, CIEDE2000.
 
 Hue is in degrees and wraps to [0, 360); saturation, lightness, and RGB
 channels live in [0, 1]. Lab uses the D65 white point with the 2 degree
 observer, matching the sRGB primaries.
+
+Each conversion exists twice. The scalar functions take one color
+dataclass and are the reference. The ``*_array`` kernels at the end take
+float arrays whose last axis holds one color, such as an (n, 3) block or
+an (H, W, 3) grid, and repeat the scalar arithmetic elementwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "RgbColor",
@@ -27,6 +34,12 @@ __all__ = [
     "hsl_error",
     "signed_hue_delta",
     "circular_mean_hue",
+    "canonical_hsl",
+    "hsl_to_rgb_array",
+    "srgb_to_linear_array",
+    "linear_rgb_to_lab_array",
+    "srgb_to_lab_array",
+    "ciede2000_array",
 ]
 
 
@@ -309,3 +322,137 @@ def circular_mean_hue(hues) -> float:
         return 0.0
     h = math.degrees(math.atan2(sy, sx)) % 360.0
     return 0.0 if h == 360.0 else h  # tiny negative angles round up to 360.0
+
+
+# ---------------------------------------------------------------------------
+# Array kernels
+# ---------------------------------------------------------------------------
+# canonical_hsl and hsl_to_rgb_array use only + - * / %, abs and
+# comparisons, so they match their scalar counterparts bit for bit.
+# numpy's vectorized pow, atan2, hypot and exp may differ from the C
+# library's in the last bits, so the Lab and CIEDE2000 kernels match to
+# rounding error instead.
+
+# hsl_to_rgb's sextants: which of (chroma, x, 0) feeds r, g and b
+_SEXTANT_EDGES = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+_SEXTANT_CHANNELS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [2, 1, 0], [1, 2, 0], [0, 2, 1]])
+
+
+def _clamp01_array(x: np.ndarray) -> np.ndarray:
+    # keeps NaN and -0.0 as _clamp01 does
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
+
+def canonical_hsl(hsl) -> np.ndarray:
+    """What HslColor does to each (h, s, l): wrap hue mod 360, clamp s and l to [0, 1]."""
+    hsl = np.asarray(hsl, dtype=np.float64)
+    h = hsl[..., 0] % 360.0
+    h = np.where(h == 360.0, 0.0, h)  # tiny negative hues round up to 360.0
+    return np.stack([h, _clamp01_array(hsl[..., 1]), _clamp01_array(hsl[..., 2])], axis=-1)
+
+
+def hsl_to_rgb_array(hsl) -> np.ndarray:
+    """hsl_to_rgb over canonical (h, s, l) rows; RGB is clamped to [0, 1]."""
+    hsl = np.asarray(hsl, dtype=np.float64)
+    h, s, l = hsl[..., 0], hsl[..., 1], hsl[..., 2]
+    chroma = (1.0 - np.abs(2.0 * l - 1.0)) * s
+    hp = h / 60.0
+    x = chroma * (1.0 - np.abs(hp % 2.0 - 1.0))
+    m = l - chroma / 2.0
+    sextant = np.searchsorted(_SEXTANT_EDGES, hp, side="right")
+    shifted = (chroma + m, x + m, m)  # chroma, x or 0, plus m
+    rgb = np.empty(hsl.shape)
+    for c in range(3):
+        pick = _SEXTANT_CHANNELS[:, c].take(sextant)
+        rgb[..., c] = np.where(pick == 0, shifted[0], np.where(pick == 1, shifted[1], shifted[2]))
+    return np.clip(rgb, 0.0, 1.0, out=rgb)
+
+
+def _power_where(base, exponent: float, cond, otherwise) -> np.ndarray:
+    # base ** exponent where cond holds, else otherwise; pow runs only where needed
+    out = np.asarray(otherwise)  # a fresh temporary; 0-d when the inputs are
+    np.power(base, exponent, out=out, where=cond)
+    return out
+
+
+def srgb_to_linear_array(rgb) -> np.ndarray:
+    """srgb_channel_to_linear on every channel."""
+    x = np.asarray(rgb, dtype=np.float64)
+    return _power_where((x + 0.055) / 1.055, 2.4, x > 0.04045, x / 12.92)
+
+
+def linear_rgb_to_lab_array(lin) -> np.ndarray:
+    """linear_rgb_to_lab over (r, g, b) rows of linear RGB."""
+    lin = np.asarray(lin, dtype=np.float64)
+    r, g, b = lin[..., 0], lin[..., 1], lin[..., 2]
+    f = []
+    for m, w in zip(_M_XYZ, _WHITE):
+        t = (m[0] * r + m[1] * g + m[2] * b) / w
+        f.append(_power_where(t, 1.0 / 3.0, t > 216.0 / 24389.0, (24389.0 / 27.0 * t + 16.0) / 116.0))
+    fx, fy, fz = f
+    return np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)], axis=-1)
+
+
+def srgb_to_lab_array(rgb) -> np.ndarray:
+    """srgb_to_lab over (r, g, b) rows of nonlinear sRGB."""
+    return linear_rgb_to_lab_array(srgb_to_linear_array(rgb))
+
+
+def _lab_hue_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.where((a == 0.0) & (b == 0.0), 0.0, np.degrees(np.arctan2(b, a)) % 360.0)
+
+
+def ciede2000_array(x, y) -> np.ndarray:
+    """ciede2000 between broadcast rows of (L, a, b), term by term."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    L1, a1, b1 = x[..., 0], x[..., 1], x[..., 2]
+    L2, a2, b2 = y[..., 0], y[..., 1], y[..., 2]
+    c_bar = (np.hypot(a1, b1) + np.hypot(a2, b2)) / 2.0
+    c7 = c_bar ** 7
+    g = 0.5 * (1.0 - np.sqrt(c7 / (c7 + 25.0 ** 7)))
+    a1p = (1.0 + g) * a1
+    a2p = (1.0 + g) * a2
+    c1p = np.hypot(a1p, b1)
+    c2p = np.hypot(a2p, b2)
+    h1p = _lab_hue_array(a1p, b1)
+    h2p = _lab_hue_array(a2p, b2)
+    achromatic = c1p * c2p == 0.0
+
+    dLp = L2 - L1
+    dCp = c2p - c1p
+    dhp = h2p - h1p
+    dhp = np.where(dhp > 180.0, dhp - 360.0, np.where(dhp < -180.0, dhp + 360.0, dhp))
+    dhp = np.where(achromatic, 0.0, dhp)
+    dHp = 2.0 * np.sqrt(c1p * c2p) * np.sin(np.radians(dhp) / 2.0)
+
+    Lbp = (L1 + L2) / 2.0
+    Cbp = (c1p + c2p) / 2.0
+    hsum = h1p + h2p
+    hbp = np.where(
+        np.abs(h1p - h2p) <= 180.0,
+        hsum / 2.0,
+        np.where(hsum < 360.0, (hsum + 360.0) / 2.0, (hsum - 360.0) / 2.0),
+    )
+    hbp = np.where(achromatic, hsum, hbp)
+
+    t = (
+        1.0
+        - 0.17 * np.cos(np.radians(hbp - 30.0))
+        + 0.24 * np.cos(np.radians(2.0 * hbp))
+        + 0.32 * np.cos(np.radians(3.0 * hbp + 6.0))
+        - 0.20 * np.cos(np.radians(4.0 * hbp - 63.0))
+    )
+    l50 = (Lbp - 50.0) ** 2
+    sL = 1.0 + 0.015 * l50 / np.sqrt(20.0 + l50)
+    sC = 1.0 + 0.045 * Cbp
+    sH = 1.0 + 0.015 * Cbp * t
+    d_theta = 30.0 * np.exp(-(((hbp - 275.0) / 25.0) ** 2))
+    cbp7 = Cbp ** 7
+    rC = 2.0 * np.sqrt(cbp7 / (cbp7 + 25.0 ** 7))
+    rT = -rC * np.sin(np.radians(2.0 * d_theta))
+
+    tL = dLp / sL
+    tC = dCp / sC
+    tH = dHp / sH
+    return np.sqrt(tL * tL + tC * tC + tH * tH + rT * tC * tH)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensorio
 from .bicone import AnchorSet, decode, encode
-from .colorspace import HslColor, circular_mean_hue, signed_hue_delta
+from .colorspace import HslColor, canonical_hsl, circular_mean_hue, signed_hue_delta
 from .subspace import SubspaceModel, project
 from .timestats import StatsTable, denormalize, normalize
 
@@ -160,16 +160,12 @@ def type2(coords: np.ndarray, target: HslColor, anchors: AnchorSet) -> np.ndarra
     mean hue to the target hue; saturation and lightness shifts are
     arithmetic, with each patch clamped to [0, 1] after shifting.
     """
-    coords = _check_block(coords)
-    decoded = [decode(c, anchors) for c in coords]
-    mean_h = circular_mean_hue([y.h for y in decoded])
-    mean_s = float(np.mean([y.s for y in decoded]))
-    mean_l = float(np.mean([y.l for y in decoded]))
-    dh = signed_hue_delta(target.h, mean_h)
-    ds = target.s - mean_s
-    dl = target.l - mean_l
-    shifted = [HslColor(y.h + dh, y.s + ds, y.l + dl) for y in decoded]
-    return np.array([encode(y, anchors) for y in shifted])
+    decoded = decode(_check_block(coords), anchors)
+    h, s, l = decoded.T
+    dh = signed_hue_delta(target.h, circular_mean_hue(h.tolist()))
+    ds = target.s - float(np.mean(s))
+    dl = target.l - float(np.mean(l))
+    return encode(canonical_hsl(decoded + np.array([dh, ds, dl])), anchors)
 
 
 def interpolated(

@@ -9,22 +9,21 @@ mixes, not how gamma-encoded bytes do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensorio
 from .bicone import AnchorSet, decode
 from .colorspace import (
     HslColor,
-    ciede2000,
-    hsl_to_rgb,
-    linear_channel_to_srgb,
-    linear_rgb_to_lab,
-    rgb_to_hsl,
-    srgb_channel_to_linear,
-    srgb_to_lab,
     RgbColor,
+    canonical_hsl,
+    ciede2000_array,
+    hsl_to_rgb_array,
+    linear_channel_to_srgb,
+    linear_rgb_to_lab_array,
+    rgb_to_hsl,
+    srgb_to_lab_array,
+    srgb_to_linear_array,
 )
 from .intervene import PatchMask
 from .subspace import SubspaceModel, project
@@ -35,45 +34,85 @@ __all__ = [
     "observe",
     "grid_de00_per_pixel",
     "grid_de00_mean_pixel",
+    "mean_color",
     "masked_mean_color",
     "render_ppm",
 ]
 
 
-@dataclass(frozen=True)
 class ColorGrid:
-    """Immutable height x width grid of HslColor cells, row-major."""
+    """Immutable height x width grid of colors, row-major.
 
-    height: int
-    width: int
-    cells: tuple[HslColor, ...]
+    One read-only (height, width, 3) float array, ``hsl``, holds every
+    cell's (h, s, l) in the canonical form HslColor gives them.
+    """
 
-    def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"bad grid dims {self.height}x{self.width}")
-        cells = tuple(self.cells)
-        if len(cells) != self.height * self.width:
-            raise ValueError(f"{self.height}x{self.width} grid needs {self.height * self.width} cells, got {len(cells)}")
-        object.__setattr__(self, "cells", cells)
+    __slots__ = ("hsl",)
+
+    def __init__(self, height: int, width: int, cells) -> None:
+        """Grid of height * width HslColor cells given in row-major order."""
+        cells = tuple(cells)
+        if height < 1 or width < 1:
+            raise ValueError(f"bad grid dims {height}x{width}")
+        if len(cells) != height * width:
+            raise ValueError(f"{height}x{width} grid needs {height * width} cells, got {len(cells)}")
+        self._set(np.array([(c.h, c.s, c.l) for c in cells], dtype=np.float64).reshape(height, width, 3))
+
+    def _set(self, hsl: np.ndarray) -> None:
+        if hsl.ndim != 3 or hsl.shape[2] != 3:
+            raise ValueError(f"expected a (height, width, 3) array of colors, got shape {hsl.shape}")
+        if hsl.shape[0] < 1 or hsl.shape[1] < 1:
+            raise ValueError(f"bad grid dims {hsl.shape[0]}x{hsl.shape[1]}")
+        hsl = canonical_hsl(hsl)
+        hsl.flags.writeable = False
+        self.hsl = hsl
+
+    @classmethod
+    def from_hsl(cls, hsl) -> "ColorGrid":
+        """Grid over a (height, width, 3) array of (h, s, l), wrapped and clamped as HslColor does."""
+        grid = cls.__new__(cls)
+        grid._set(np.asarray(hsl, dtype=np.float64))
+        return grid
 
     @classmethod
     def solid(cls, color: HslColor, height: int, width: int) -> "ColorGrid":
-        return cls(height, width, (color,) * (height * width))
+        return cls.from_hsl(np.broadcast_to([color.h, color.s, color.l], (height, width, 3)))
+
+    @property
+    def height(self) -> int:
+        return self.hsl.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.hsl.shape[1]
+
+    @property
+    def cells(self) -> tuple[HslColor, ...]:
+        """The cells as HslColor, row-major."""
+        return tuple(HslColor(h, s, l) for h, s, l in self.hsl.reshape(-1, 3).tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ColorGrid):
+            return NotImplemented
+        return np.array_equal(self.hsl, other.hsl)
+
+    def __repr__(self) -> str:
+        return f"ColorGrid({self.height}x{self.width})"
 
     def to_json_dict(self) -> dict:
         return {
             "height": self.height,
             "width": self.width,
-            "cells": [[c.h, c.s, c.l] for c in self.cells],
+            "cells": self.hsl.reshape(-1, 3).tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ColorGrid":
-        return cls(
-            height=int(obj["height"]),
-            width=int(obj["width"]),
-            cells=tuple(HslColor(*c) for c in obj["cells"]),
-        )
+        height, width = int(obj["height"]), int(obj["width"])
+        cells = np.asarray(obj["cells"], dtype=np.float64)
+        if height < 1 or width < 1 or cells.shape != (height * width, 3):
+            raise ValueError(f"{height}x{width} grid needs {height * width} (h, s, l) cells, got shape {cells.shape}")
+        return cls.from_hsl(cells.reshape(height, width, 3))
 
     def save(self, path) -> None:
         tensorio.write_json(path, self.to_json_dict())
@@ -103,7 +142,7 @@ def observe(
     if height * width != z.shape[0]:
         raise ValueError(f"grid {height}x{width} does not cover {z.shape[0]} patches")
     hat = normalize(project(z, model), t, stats)
-    return ColorGrid(height, width, tuple(decode(c, anchors) for c in hat))
+    return ColorGrid.from_hsl(decode(hat, anchors).reshape(height, width, 3))
 
 
 def _check_same_dims(a: ColorGrid, b: ColorGrid) -> None:
@@ -114,42 +153,36 @@ def _check_same_dims(a: ColorGrid, b: ColorGrid) -> None:
 def grid_de00_per_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     """Mean over cells of the CIEDE2000 difference."""
     _check_same_dims(pred, ref)
-    total = 0.0
-    for p, r in zip(pred.cells, ref.cells):
-        total += ciede2000(srgb_to_lab(hsl_to_rgb(p)), srgb_to_lab(hsl_to_rgb(r)))
-    return total / len(pred.cells)
+    lab_p = srgb_to_lab_array(hsl_to_rgb_array(pred.hsl))
+    lab_r = srgb_to_lab_array(hsl_to_rgb_array(ref.hsl))
+    return float(np.mean(ciede2000_array(lab_p, lab_r)))
 
 
-def _mean_linear_rgb(cells) -> tuple[float, float, float]:
-    acc = np.zeros(3)
-    for c in cells:
-        rgb = hsl_to_rgb(c)
-        acc += (
-            srgb_channel_to_linear(rgb.r),
-            srgb_channel_to_linear(rgb.g),
-            srgb_channel_to_linear(rgb.b),
-        )
-    acc /= len(cells)
-    return float(acc[0]), float(acc[1]), float(acc[2])
+def _mean_linear_rgb(hsl: np.ndarray) -> np.ndarray:
+    return srgb_to_linear_array(hsl_to_rgb_array(hsl.reshape(-1, 3))).mean(axis=0)
 
 
 def grid_de00_mean_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     """CIEDE2000 between the grids' average colors (averaged in linear RGB)."""
     _check_same_dims(pred, ref)
-    lab_p = linear_rgb_to_lab(*_mean_linear_rgb(pred.cells))
-    lab_r = linear_rgb_to_lab(*_mean_linear_rgb(ref.cells))
-    return ciede2000(lab_p, lab_r)
+    lab_p = linear_rgb_to_lab_array(_mean_linear_rgb(pred.hsl))
+    lab_r = linear_rgb_to_lab_array(_mean_linear_rgb(ref.hsl))
+    return float(ciede2000_array(lab_p, lab_r))
+
+
+def mean_color(hsl: np.ndarray) -> HslColor:
+    """Average color of a nonempty (n, 3) block of (h, s, l) rows, mixed in linear RGB."""
+    lin = _mean_linear_rgb(hsl)
+    return rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin.tolist())))
 
 
 def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> HslColor:
     """Average color of the masked cells, mixed in linear RGB."""
-    if mask.L != len(grid.cells):
-        raise ValueError(f"mask is for L = {mask.L} cells, grid has {len(grid.cells)}")
+    if mask.L != grid.height * grid.width:
+        raise ValueError(f"mask is for L = {mask.L} cells, grid has {grid.height * grid.width}")
     if not mask.selected:
         raise ValueError("empty mask: no cells to average")
-    picked = [grid.cells[i] for i in sorted(mask.selected)]
-    lin = _mean_linear_rgb(picked)
-    return rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin)))
+    return mean_color(grid.hsl.reshape(-1, 3)[mask.indices])
 
 
 def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
@@ -159,14 +192,7 @@ def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
     """
     if cell_px < 1:
         raise ValueError("cell_px must be >= 1")
-    w = grid.width * cell_px
-    h = grid.height * cell_px
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    rows = bytearray()
-    for gy in range(grid.height):
-        row = bytearray()
-        for gx in range(grid.width):
-            px = bytes(hsl_to_rgb(grid.cells[gy * grid.width + gx]).to_8bit())
-            row += px * cell_px
-        rows += bytes(row) * cell_px
-    return header + bytes(rows)
+    rgb8 = np.rint(hsl_to_rgb_array(grid.hsl) * 255.0).astype(np.uint8)
+    pixels = np.repeat(np.repeat(rgb8, cell_px, axis=0), cell_px, axis=1)
+    header = f"P6\n{grid.width * cell_px} {grid.height * cell_px}\n255\n".encode("ascii")
+    return header + pixels.tobytes()

@@ -116,14 +116,17 @@ class ToyEmbedder:
         return self.lift.shape[0]
 
 
-def embed_hsl(y: HslColor, e: ToyEmbedder) -> np.ndarray:
-    """Latent d-vector of a single color."""
-    return e.offset + e.lift @ encode(y, e.anchors)
+def embed_hsl(y, e: ToyEmbedder) -> np.ndarray:
+    """Latent of colors: a d-vector for one HslColor, (n, d) for an (n, 3) array of (h, s, l)."""
+    c = encode(y, e.anchors)
+    # written out over the three coordinates so that a color's latent does
+    # not depend on how many colors are embedded with it
+    return e.offset + sum(c[..., i, None] * e.lift[:, i] for i in range(3))
 
 
 def embed_image(pixels: ColorGrid, e: ToyEmbedder) -> np.ndarray:
     """(L, d) latent tensor of a color grid, one patch per cell."""
-    return np.stack([embed_hsl(c, e) for c in pixels.cells])
+    return embed_hsl(pixels.hsl.reshape(-1, 3), e)
 
 
 def toy_decode(z: np.ndarray, e: ToyEmbedder) -> HslColor:
@@ -166,7 +169,7 @@ def make_probe_set(e: ToyEmbedder, lattice_side: int = 8) -> ProbeSet:
         for j in range(n):
             for k in range(n):
                 colors.append(hsv_to_hsl(360.0 * i / n, (j + 0.5) / n, (k + 0.5) / n))
-    lattice = np.stack([embed_hsl(c, e) for c in colors])
+    lattice = embed_hsl(np.array([(c.h, c.s, c.l) for c in colors]), e)
     return ProbeSet(labeled=labeled, lattice=lattice, lattice_colors=tuple(colors))
 
 

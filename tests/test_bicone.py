@@ -6,7 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentcolor import AnchorSet, build_anchors, decode, decode_raw, encode, regular_anchors
+from latentcolor import (
+    AnchorSet,
+    ToyEmbedder,
+    build_anchors,
+    builtin_flux_stats,
+    decode,
+    decode_raw,
+    embed_hsl,
+    encode,
+    fit_pca,
+    make_probe_set,
+    observe,
+    regular_anchors,
+    toy_decode,
+)
 from latentcolor.bicone import ANCHOR_LABELS, HUE_DEGREES, HUE_LABELS
 from latentcolor.colorspace import HslColor, signed_hue_delta
 
@@ -68,6 +82,58 @@ def test_misordered_hue_anchors_rejected(probe_set, model):
     probes["yellow"], probes["green"] = probes["green"], probes["yellow"]
     with pytest.raises(ValueError, match="counterclockwise"):
         build_anchors(probes, model)
+
+
+def hexagon_json(degrees) -> dict:
+    """Anchor file with hue anchors at the given angles on a radius-30 circle."""
+    return {
+        "hue_anchors": [
+            {"label": lbl, "theta": th, "coords": [30.0, 30.0 * math.cos(math.radians(d)), 30.0 * math.sin(math.radians(d))]}
+            for lbl, th, d in zip(HUE_LABELS, HUE_DEGREES, degrees)
+        ],
+        "black": [0.0, 0.0, 0.0],
+        "white": [60.0, 0.0, 0.0],
+    }
+
+
+def test_anchor_polygon_winding_twice_rejected():
+    # every consecutive pair turns counterclockwise, but the polygon goes round twice
+    with pytest.raises(ValueError, match="more than once"):
+        AnchorSet.from_json_dict(hexagon_json([0.0, 120.0, 240.0, 360.0, 480.0, 600.0]))
+    ok = AnchorSet.from_json_dict(hexagon_json(HUE_DEGREES))
+    assert np.all(np.diff(ok.chroma_angles) > 0)
+
+
+def test_red_anchor_angle_is_exactly_zero():
+    # red's second chroma coordinate comes out as a rounding-level negative
+    # here, which must not put red at angle 2 pi
+    obj = hexagon_json(HUE_DEGREES)
+    obj["hue_anchors"][0]["coords"] = [30.4, 29.6, 1.9]
+    a = AnchorSet.from_json_dict(obj)
+    assert a.chroma_angles[0] == 0.0
+    for h in (1.0, 30.0, 59.0):
+        back = decode(encode(HslColor(h, 0.7, 0.5), a), a)
+        assert abs(signed_hue_delta(back.h, h)) < 1e-9
+        assert back.s == pytest.approx(0.7, abs=1e-9)
+
+
+def test_fitted_anchors_decode_red_yellow_segment_on_seed_5():
+    """The d = 64 toy world of seed 5 fits a red anchor whose second chroma
+    coordinate rounds below zero; observe at the final step must still
+    match the toy ground truth across the red-yellow segment."""
+    e = ToyEmbedder.create(seed=5, d=64)
+    probes = make_probe_set(e)
+    model = fit_pca(probes.lattice, k=3, orientation=probes.labeled)
+    a = build_anchors(probes.labeled, model)
+    colors = [HslColor(h, 0.6, 0.45) for h in np.linspace(1.0, 59.0, 24)]
+    z = np.stack([embed_hsl(y, e) for y in colors])
+    stats = builtin_flux_stats()
+    grid = observe(z, stats.T, model, a, stats, (4, 6))
+    truth = [toy_decode(row, e) for row in z]
+    for got, want, planted in zip(grid.cells, truth, colors):
+        for ref in (want, planted):
+            assert abs(signed_hue_delta(got.h, ref.h)) < 1e-6
+            assert abs(got.s - ref.s) < 1e-6 and abs(got.l - ref.l) < 1e-6
 
 
 # ---------------------------------------------------------------------------

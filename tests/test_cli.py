@@ -14,7 +14,8 @@ from latentcolor import (
     read_latents,
     write_latents,
 )
-from latentcolor.cli import main
+from latentcolor import AnchorSet, SubspaceModel, StatsTable, load_mask, masked_mean_color, observe
+from latentcolor.cli import _report_line, main
 from latentcolor.colorspace import HslColor, parse_hex, rgb_to_hsl, signed_hue_delta
 from latentcolor.tensorio import read_json
 from latentcolor.toyflow import probe_colors
@@ -363,3 +364,57 @@ def test_stats_with_single_trajectory_exits_2(ws, capsys):
     )
     assert code == 2
     assert "at least 2" in capsys.readouterr().err
+
+
+def test_observe_rejects_anchors_winding_twice(ws, tmp_path, capsys):
+    obj = read_json(ws["anchors"])
+    coords = {e["label"]: e["coords"] for e in obj["hue_anchors"]}
+    # hue anchors at red, green, blue, red, green, blue: each step still
+    # turns counterclockwise, but the hexagon goes round the axis twice
+    for entry, src in zip(obj["hue_anchors"], ["red", "green", "blue"] * 2):
+        entry["coords"] = coords[src]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code = main(
+        [
+            "observe", str(ws["root"] / "run-red" / "t010.lt"),
+            "--t", "10",
+            "--model", str(ws["model"]),
+            "--anchors", str(bad),
+            "--stats", str(ws["stats"]),
+            "--out-json", str(tmp_path / "g.json"),
+        ]
+    )
+    assert code == 2
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_intervene_report_matches_full_grid_observation(ws, tmp_path, capsys):
+    mask_path = tmp_path / "mask.json"
+    PatchMask(L=64, selected=frozenset(range(5, 64, 3))).save(mask_path)
+    latent = ws["root"] / "run-red" / "t012.lt"
+    out_path = tmp_path / "steered.lt"
+    code = main(
+        [
+            "intervene", str(latent),
+            "--t", "12",
+            "--target", BLUE_HEX,
+            "--mask", str(mask_path),
+            "--model", str(ws["model"]),
+            "--anchors", str(ws["anchors"]),
+            "--stats", str(ws["stats"]),
+            "--out", str(out_path),
+        ]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    model = SubspaceModel.load(ws["model"])
+    anchors = AnchorSet.load(ws["anchors"])
+    stats = StatsTable.load(ws["stats"])
+    mask = load_mask(mask_path)
+    target = rgb_to_hsl(parse_hex(BLUE_HEX))
+    want = [
+        _report_line(tag, masked_mean_color(observe(read_latents(path), 12, model, anchors, stats, (8, 8)), mask), target)
+        for tag, path in (("before", latent), ("after", out_path))
+    ]
+    assert lines[:2] == want
