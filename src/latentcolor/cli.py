@@ -138,15 +138,15 @@ def cmd_intervene(args) -> int:
     target = _parse_target(args)
     mask = load_mask(args.mask) if args.mask else PatchMask.full(z.shape[0])
     sched = Schedule(T=args.sched_t if args.sched_t is not None else stats.T)
-    _grid_dims(args.grid, z.shape[0])  # the report needs none, but a bad --grid is still an error
 
     out = apply_intervention(z, args.t, target, mask, model, anchors, stats, sched, args.mode)
     tensorio.write_latents(args.out, out)
 
     rows = mask.indices
-    for tag, latent in (("before", z), ("after", out)):
-        got = mean_color(decode(normalize(project(latent[rows], model), args.t, stats), anchors))
-        print(_report_line(tag, got, target))
+    # one decode for both blocks; each is projected on its own, as matmul's rounding depends on the row count
+    hsl = decode(np.concatenate([normalize(project(x[rows], model), args.t, stats) for x in (z, out)]), anchors)
+    for tag, block in (("before", hsl[: len(rows)]), ("after", hsl[len(rows) :])):
+        print(_report_line(tag, mean_color(block), target))
     print(f"wrote {args.out}")
     return 0
 
@@ -209,72 +209,87 @@ def cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("fit", "observe", "intervene", "simulate", "stats", "eval")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a command name, only that subcommand's parser is built."""
     p = argparse.ArgumentParser(prog="latentcolor", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+    # A one-command parser's usage must still list every command, as the full one's does.
+    # The full parser keeps no metavar: one would change its "required" and "invalid choice" errors.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    wanted = COMMANDS if command is None else (command,)
 
-    f = sub.add_parser("fit", help="fit the subspace model and anchors from probe latents")
-    f.add_argument("probes", help="directory of .lt files; must include red.lt .. white.lt")
-    f.add_argument("--model-out", default="model.json")
-    f.add_argument("--anchors-out", default="anchors.json")
-    f.set_defaults(fn=cmd_fit)
+    if "fit" in wanted:
+        f = sub.add_parser("fit", help="fit the subspace model and anchors from probe latents")
+        f.add_argument("probes", help="directory of .lt files; must include red.lt .. white.lt")
+        f.add_argument("--model-out", default="model.json")
+        f.add_argument("--anchors-out", default="anchors.json")
+        f.set_defaults(fn=cmd_fit)
 
-    o = sub.add_parser("observe", help="decode a latent into a color grid")
-    o.add_argument("latent")
-    o.add_argument("--t", type=int, required=True)
-    o.add_argument("--model", required=True)
-    o.add_argument("--anchors", required=True)
-    o.add_argument("--stats", default=BUILTIN_STATS, help=f"stats JSON path or '{BUILTIN_STATS}'")
-    o.add_argument("--grid", help="HxW patch grid (default: square)")
-    o.add_argument("--out-json")
-    o.add_argument("--out-ppm")
-    o.add_argument("--cell-px", type=int, default=1)
-    o.set_defaults(fn=cmd_observe)
+    if "observe" in wanted:
+        o = sub.add_parser("observe", help="decode a latent into a color grid")
+        o.add_argument("latent")
+        o.add_argument("--t", type=int, required=True)
+        o.add_argument("--model", required=True)
+        o.add_argument("--anchors", required=True)
+        o.add_argument("--stats", default=BUILTIN_STATS, help=f"stats JSON path or '{BUILTIN_STATS}'")
+        o.add_argument("--grid", help="HxW patch grid (default: square)")
+        o.add_argument("--out-json")
+        o.add_argument("--out-ppm")
+        o.add_argument("--cell-px", type=int, default=1)
+        o.set_defaults(fn=cmd_observe)
 
-    i = sub.add_parser("intervene", help="steer masked patches toward a target color")
-    i.add_argument("latent")
-    i.add_argument("--t", type=int, required=True)
-    i.add_argument("--target", help="target color as #RRGGBB")
-    i.add_argument("--target-hsl", help="target color as h,s,l")
-    i.add_argument("--mode", choices=MODES, default="interp")
-    i.add_argument("--mask", help="mask file (JSON or PGM); default all patches")
-    i.add_argument("--model", required=True)
-    i.add_argument("--anchors", required=True)
-    i.add_argument("--stats", default=BUILTIN_STATS)
-    i.add_argument("--sched-t", type=int, help="schedule horizon (default: stats T)")
-    i.add_argument("--grid", help="HxW patch grid for the report (default: square)")
-    i.add_argument("--out", required=True)
-    i.set_defaults(fn=cmd_intervene)
+    if "intervene" in wanted:
+        i = sub.add_parser("intervene", help="steer masked patches toward a target color")
+        i.add_argument("latent")
+        i.add_argument("--t", type=int, required=True)
+        i.add_argument("--target", help="target color as #RRGGBB")
+        i.add_argument("--target-hsl", help="target color as h,s,l")
+        i.add_argument("--mode", choices=MODES, default="interp")
+        i.add_argument("--mask", help="mask file (JSON or PGM); default all patches")
+        i.add_argument("--model", required=True)
+        i.add_argument("--anchors", required=True)
+        i.add_argument("--stats", default=BUILTIN_STATS)
+        i.add_argument("--sched-t", type=int, help="schedule horizon (default: stats T)")
+        i.add_argument("--out", required=True)
+        i.set_defaults(fn=cmd_intervene)
 
-    s = sub.add_parser("simulate", help="run the toy flow toward solid-color attractors")
-    s.add_argument("--out", required=True, help="output trajectory directory")
-    s.add_argument("--colors", required=True, help="comma-separated #RRGGBB attractor colors")
-    s.add_argument("--T", type=int, default=50)
-    s.add_argument("--seed", type=int, default=0, help="noise seed for z0")
-    s.add_argument("--toy-seed", type=int, default=0, help="embedder seed")
-    s.add_argument("--dim", type=int, default=16)
-    s.add_argument("--grid", default="8x8")
-    s.set_defaults(fn=cmd_simulate)
+    if "simulate" in wanted:
+        s = sub.add_parser("simulate", help="run the toy flow toward solid-color attractors")
+        s.add_argument("--out", required=True, help="output trajectory directory")
+        s.add_argument("--colors", required=True, help="comma-separated #RRGGBB attractor colors")
+        s.add_argument("--T", type=int, default=50)
+        s.add_argument("--seed", type=int, default=0, help="noise seed for z0")
+        s.add_argument("--toy-seed", type=int, default=0, help="embedder seed")
+        s.add_argument("--dim", type=int, default=16)
+        s.add_argument("--grid", default="8x8")
+        s.set_defaults(fn=cmd_simulate)
 
-    st = sub.add_parser("stats", help="fit per-timestep statistics from trajectories")
-    st.add_argument("manifests", nargs="+", help="trajectory manifest.json paths")
-    st.add_argument("--model", required=True)
-    st.add_argument("--out", default="stats.json")
-    st.set_defaults(fn=cmd_stats)
+    if "stats" in wanted:
+        st = sub.add_parser("stats", help="fit per-timestep statistics from trajectories")
+        st.add_argument("manifests", nargs="+", help="trajectory manifest.json paths")
+        st.add_argument("--model", required=True)
+        st.add_argument("--out", default="stats.json")
+        st.set_defaults(fn=cmd_stats)
 
-    ev = sub.add_parser("eval", help="compare two color grids")
-    ev.add_argument("pred")
-    ev.add_argument("ref")
-    ev.add_argument("--mask")
-    ev.add_argument("--out", default="metrics.json")
-    ev.set_defaults(fn=cmd_eval)
+    if "eval" in wanted:
+        ev = sub.add_parser("eval", help="compare two color grids")
+        ev.add_argument("pred")
+        ev.add_argument("ref")
+        ev.add_argument("--mask")
+        ev.add_argument("--out", default="metrics.json")
+        ev.set_defaults(fn=cmd_eval)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # build only the named command's parser: all six cost more than an 8x8 command's colour work
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError) as e:

@@ -204,9 +204,12 @@ def _lab_f(t: float) -> float:
 
 
 def linear_rgb_to_lab(r: float, g: float, b: float) -> LabColor:
-    """Convert linear RGB (D65) to CIELAB."""
+    """Convert linear RGB (D65) to CIELAB; a grey (r = g = b) has a* = b* = 0 exactly."""
     xyz = tuple(m[0] * r + m[1] * g + m[2] * b for m in _M_XYZ)
     fx, fy, fz = (_lab_f(c / w) for c, w in zip(xyz, _WHITE))
+    if r == g == b:
+        # the formula leaves rounding noise in a* and b*, which CIEDE2000's hue terms amplify
+        return LabColor(116.0 * fy - 16.0, 0.0, 0.0)
     return LabColor(116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz))
 
 
@@ -382,7 +385,7 @@ def srgb_to_linear_array(rgb) -> np.ndarray:
 
 
 def linear_rgb_to_lab_array(lin) -> np.ndarray:
-    """linear_rgb_to_lab over (r, g, b) rows of linear RGB."""
+    """linear_rgb_to_lab over (r, g, b) rows of linear RGB; greys get a* = b* = 0 exactly."""
     lin = np.asarray(lin, dtype=np.float64)
     r, g, b = lin[..., 0], lin[..., 1], lin[..., 2]
     f = []
@@ -390,7 +393,10 @@ def linear_rgb_to_lab_array(lin) -> np.ndarray:
         t = (m[0] * r + m[1] * g + m[2] * b) / w
         f.append(_power_where(t, 1.0 / 3.0, t > 216.0 / 24389.0, (24389.0 / 27.0 * t + 16.0) / 116.0))
     fx, fy, fz = f
-    return np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)], axis=-1)
+    grey = (r == g) & (g == b)  # a* = b* = 0, as in linear_rgb_to_lab
+    return np.stack(
+        [116.0 * fy - 16.0, np.where(grey, 0.0, 500.0 * (fx - fy)), np.where(grey, 0.0, 200.0 * (fy - fz))], axis=-1
+    )
 
 
 def srgb_to_lab_array(rgb) -> np.ndarray:

@@ -1,6 +1,10 @@
 """End-to-end command-line workflows on a temporary workspace."""
 
+import contextlib
+import io
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from latentcolor import (
     write_latents,
 )
 from latentcolor import AnchorSet, SubspaceModel, StatsTable, load_mask, masked_mean_color, observe
-from latentcolor.cli import _report_line, main
+from latentcolor.cli import COMMANDS, _report_line, build_parser, main
 from latentcolor.colorspace import HslColor, parse_hex, rgb_to_hsl, signed_hue_delta
 from latentcolor.tensorio import read_json
 from latentcolor.toyflow import probe_colors
@@ -322,6 +326,28 @@ def test_observe_nonsquare_needs_grid_flag(ws, tmp_path, capsys):
     assert "not square" in capsys.readouterr().err
 
 
+def test_intervene_nonsquare_latent_needs_no_grid(ws, tmp_path, capsys):
+    run = tmp_path / "run-rect"
+    assert main(["simulate", "--out", str(run), "--colors", RED_HEX, "--T", "3", "--grid", "2x3"]) == 0
+    out_path = tmp_path / "steered.lt"
+    argv = [
+        "intervene", str(run / "t003.lt"),
+        "--t", "3",
+        "--target", BLUE_HEX,
+        "--model", str(ws["model"]),
+        "--anchors", str(ws["anchors"]),
+        "--stats", str(ws["stats"]),
+        "--out", str(out_path),
+    ]
+    assert main(argv) == 0
+    assert read_latents(out_path).shape == (6, 16)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--grid", "2x3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --grid 2x3" in capsys.readouterr().err
+
+
 def test_intervene_bad_hex_exits_2(ws, tmp_path, capsys):
     code = main(
         [
@@ -418,3 +444,48 @@ def test_intervene_report_matches_full_grid_observation(ws, tmp_path, capsys):
         for tag, path in (("before", latent), ("after", out_path))
     ]
     assert lines[:2] == want
+
+
+# ---------------------------------------------------------------------------
+# parser: help, usage and error text
+# ---------------------------------------------------------------------------
+
+REQUIRED = ["x.lt", "--t", "1", "--model", "m.json", "--anchors", "a.json"]
+
+
+def _run_captured(fn, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_info:
+            fn(argv)
+    return out.getvalue(), err.getvalue(), exit_info.value.code
+
+
+@pytest.mark.parametrize("columns", ["100", "60"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["render"],
+        *([command, "-h"] for command in COMMANDS),
+        ["observe", "x.lt"],
+        ["intervene", *REQUIRED, "--mode", "bogus", "--out", "y.lt"],
+        ["observe", "x.lt", "--t", "one", "--model", "m.json", "--anchors", "a.json"],
+        ["observe", *REQUIRED, "extra"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-args",
+)
+def test_main_prints_the_full_parsers_help_and_errors(argv, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    want = _run_captured(build_parser().parse_args, argv)
+    assert _run_captured(main, argv) == want
+    assert want[2] in (0, 2)
+
+
+def test_python_m_latentcolor_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["latentcolor", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("latentcolor", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: latentcolor [-h]")

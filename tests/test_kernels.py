@@ -123,6 +123,15 @@ def test_srgb_to_lab_array_matches_scalar(rows):
     np.testing.assert_allclose(linear_rgb_to_lab_array(lin), want, rtol=TOL, atol=TOL)
 
 
+@given(unit)
+def test_lab_of_an_exact_grey_has_zero_a_and_b(v):
+    for lab in (srgb_to_lab(RgbColor(v, v, v)), linear_rgb_to_lab(v, v, v)):
+        assert (lab.a, lab.b) == (0.0, 0.0)
+    rows = [(v, v, v), (v, v, v)]
+    assert not srgb_to_lab_array(rows)[:, 1:].any()
+    assert not linear_rgb_to_lab_array(rows)[:, 1:].any()
+
+
 @given(st.lists(st.tuples(st.one_of(lab, blue_lab()), st.one_of(lab, blue_lab())), min_size=1, max_size=16))
 def test_ciede2000_array_matches_scalar(pairs):
     pairs = pairs + [((50.0, 0.0, 0.0), (50.0, -0.0, 0.0)), ((40.0, 0.0, -30.0), (40.0, 0.0, -30.0))]
@@ -319,16 +328,19 @@ def test_grid_metrics_match_per_cell_reference(case):
 
 @given(grids())
 def test_grid_metrics_with_grey_cells_match_per_cell_reference(case):
-    # The Lab a and b of a grey are rounding noise (up to ~6e-14) rather
-    # than 0, and CIEDE2000's hue terms turn noise in a near-zero chroma
-    # into differences up to ~2e-6 (measured) when pow and cbrt round
-    # differently; chromatic cells stay at 1e-12 (test above).
+    # Exact greys have a* = b* = 0 on both paths, so they match like
+    # chromatic cells. A near-grey cell (s or 1 - l a few ulps above 0)
+    # has a true chroma near 1e-14, and CIEDE2000's sqrt(C1 * C2) and
+    # hue terms turn the last-bit differences between numpy's and the C
+    # library's pow into de00 differences up to ~4e-6 (measured on
+    # 100k targeted pairs, 1.7e-4 of them above 1e-6). Hypothesis draws
+    # such cells rarely: the worst over 60k examples was 1.7e-7.
     (h, w), a, b = case
     pred = ColorGrid(h, w, [HslColor(*c) for c in a])
     ref = ColorGrid(h, w, [HslColor(*c) for c in b])
     per_pixel, mean_pixel = reference_metrics(pred, ref)
-    assert grid_de00_per_pixel(pred, ref) == pytest.approx(per_pixel, abs=1e-5)
-    assert grid_de00_mean_pixel(pred, ref) == pytest.approx(mean_pixel, abs=1e-5)
+    assert grid_de00_per_pixel(pred, ref) == pytest.approx(per_pixel, abs=1e-6)
+    assert grid_de00_mean_pixel(pred, ref) == pytest.approx(mean_pixel, abs=1e-6)
 
 
 @given(grids())
