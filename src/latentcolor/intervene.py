@@ -131,9 +131,12 @@ def load_mask(path) -> PatchMask:
         return _mask_from_pgm(raw, path)
     try:
         obj = json.loads(raw.decode("utf-8"))
-        return PatchMask(L=int(obj["L"]), selected=frozenset(obj["selected"]))
+        L, selected = obj["L"], list(obj["selected"])
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise ValueError(f"{path}: not a JSON or PGM mask: {e}") from e
+    if not all(type(v) is int for v in (L, *selected)):  # no floats, and no bools (an int subclass)
+        raise ValueError(f"{path}: mask L and selected indices must be integers")
+    return PatchMask(L=L, selected=frozenset(selected))
 
 
 # ---------------------------------------------------------------------------

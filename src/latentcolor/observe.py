@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensorio
-from .bicone import AnchorSet, decode
+from .bicone import AnchorSet, decode_raw
 from .colorspace import (
     HslColor,
     RgbColor,
@@ -22,7 +22,6 @@ from .colorspace import (
     linear_channel_to_srgb,
     linear_rgb_to_lab_array,
     rgb_to_hsl,
-    srgb_to_lab_array,
     srgb_to_linear_array,
 )
 from .intervene import PatchMask
@@ -40,14 +39,21 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class ColorGrid:
     """Immutable height x width grid of colors, row-major.
 
     One read-only (height, width, 3) float array, ``hsl``, holds every
-    cell's (h, s, l) in the canonical form HslColor gives them.
+    cell's (h, s, l) in the canonical form HslColor gives them. The
+    cells' sRGB, linear RGB and Lab arrays are worked out on first use
+    and kept, read-only, for every later metric and render of the grid.
     """
 
-    __slots__ = ("hsl",)
+    __slots__ = ("hsl", "_rgb_cache", "_linear_cache", "_lab_cache")
 
     def __init__(self, height: int, width: int, cells) -> None:
         """Grid of height * width HslColor cells given in row-major order."""
@@ -63,9 +69,8 @@ class ColorGrid:
             raise ValueError(f"expected a (height, width, 3) array of colors, got shape {hsl.shape}")
         if hsl.shape[0] < 1 or hsl.shape[1] < 1:
             raise ValueError(f"bad grid dims {hsl.shape[0]}x{hsl.shape[1]}")
-        hsl = canonical_hsl(hsl)
-        hsl.flags.writeable = False
-        self.hsl = hsl
+        self.hsl = _read_only(canonical_hsl(hsl))
+        self._rgb_cache = self._linear_cache = self._lab_cache = None
 
     @classmethod
     def from_hsl(cls, hsl) -> "ColorGrid":
@@ -85,6 +90,24 @@ class ColorGrid:
     @property
     def width(self) -> int:
         return self.hsl.shape[1]
+
+    @property
+    def _rgb(self) -> np.ndarray:
+        if self._rgb_cache is None:
+            self._rgb_cache = _read_only(hsl_to_rgb_array(self.hsl))
+        return self._rgb_cache
+
+    @property
+    def _linear(self) -> np.ndarray:
+        if self._linear_cache is None:
+            self._linear_cache = _read_only(srgb_to_linear_array(self._rgb))
+        return self._linear_cache
+
+    @property
+    def _lab(self) -> np.ndarray:
+        if self._lab_cache is None:
+            self._lab_cache = _read_only(linear_rgb_to_lab_array(self._linear))
+        return self._lab_cache
 
     @property
     def cells(self) -> tuple[HslColor, ...]:
@@ -142,7 +165,7 @@ def observe(
     if height * width != z.shape[0]:
         raise ValueError(f"grid {height}x{width} does not cover {z.shape[0]} patches")
     hat = normalize(project(z, model), t, stats)
-    return ColorGrid.from_hsl(decode(hat, anchors).reshape(height, width, 3))
+    return ColorGrid.from_hsl(decode_raw(hat, anchors).reshape(height, width, 3))
 
 
 def _check_same_dims(a: ColorGrid, b: ColorGrid) -> None:
@@ -153,27 +176,28 @@ def _check_same_dims(a: ColorGrid, b: ColorGrid) -> None:
 def grid_de00_per_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     """Mean over cells of the CIEDE2000 difference."""
     _check_same_dims(pred, ref)
-    lab_p = srgb_to_lab_array(hsl_to_rgb_array(pred.hsl))
-    lab_r = srgb_to_lab_array(hsl_to_rgb_array(ref.hsl))
-    return float(np.mean(ciede2000_array(lab_p, lab_r)))
+    return float(np.mean(ciede2000_array(pred._lab, ref._lab)))
 
 
-def _mean_linear_rgb(hsl: np.ndarray) -> np.ndarray:
-    return srgb_to_linear_array(hsl_to_rgb_array(hsl.reshape(-1, 3))).mean(axis=0)
+def _mean_linear_rgb(grid: ColorGrid) -> np.ndarray:
+    return grid._linear.reshape(-1, 3).mean(axis=0)
 
 
 def grid_de00_mean_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     """CIEDE2000 between the grids' average colors (averaged in linear RGB)."""
     _check_same_dims(pred, ref)
-    lab_p = linear_rgb_to_lab_array(_mean_linear_rgb(pred.hsl))
-    lab_r = linear_rgb_to_lab_array(_mean_linear_rgb(ref.hsl))
+    lab_p = linear_rgb_to_lab_array(_mean_linear_rgb(pred))
+    lab_r = linear_rgb_to_lab_array(_mean_linear_rgb(ref))
     return float(ciede2000_array(lab_p, lab_r))
+
+
+def _hsl_of_linear(lin: np.ndarray) -> HslColor:
+    return rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin.tolist())))
 
 
 def mean_color(hsl: np.ndarray) -> HslColor:
     """Average color of a nonempty (n, 3) block of (h, s, l) rows, mixed in linear RGB."""
-    lin = _mean_linear_rgb(hsl)
-    return rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin.tolist())))
+    return _hsl_of_linear(srgb_to_linear_array(hsl_to_rgb_array(hsl.reshape(-1, 3))).mean(axis=0))
 
 
 def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> HslColor:
@@ -182,7 +206,7 @@ def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> HslColor:
         raise ValueError(f"mask is for L = {mask.L} cells, grid has {grid.height * grid.width}")
     if not mask.selected:
         raise ValueError("empty mask: no cells to average")
-    return mean_color(grid.hsl.reshape(-1, 3)[mask.indices])
+    return _hsl_of_linear(grid._linear.reshape(-1, 3)[mask.indices].mean(axis=0))
 
 
 def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
@@ -192,7 +216,7 @@ def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
     """
     if cell_px < 1:
         raise ValueError("cell_px must be >= 1")
-    rgb8 = np.rint(hsl_to_rgb_array(grid.hsl) * 255.0).astype(np.uint8)
+    rgb8 = np.rint(grid._rgb * 255.0).astype(np.uint8)
     pixels = np.repeat(np.repeat(rgb8, cell_px, axis=0), cell_px, axis=1)
     header = f"P6\n{grid.width * cell_px} {grid.height * cell_px}\n255\n".encode("ascii")
     return header + pixels.tobytes()

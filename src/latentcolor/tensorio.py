@@ -51,13 +51,22 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    """Serialize obj as deterministic JSON (sorted keys, fixed separators)."""
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n")
+    """Serialize obj as deterministic JSON (sorted keys, fixed separators); NaN and infinities are refused."""
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    atomic_write_text(path, text + "\n")
 
 
 def read_json(path):
+    """Parse a JSON file, refusing the non-standard NaN, Infinity and -Infinity constants."""
+
+    def refuse(name: str):
+        raise ValueError(f"{path}: non-finite number {name} is not valid JSON")
+
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        return json.load(f, parse_constant=refuse)
 
 
 def _check_latents(arr: np.ndarray) -> np.ndarray:

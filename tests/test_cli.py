@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import math
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latentcolor
 from latentcolor import (
     ColorGrid,
     PatchMask,
@@ -415,6 +420,68 @@ def test_observe_rejects_anchors_winding_twice(ws, tmp_path, capsys):
     assert "more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config", ["model", "anchors"])
+def test_observe_rejects_non_finite_config_json(ws, tmp_path, capsys, config, value):
+    obj = read_json(ws[config])
+    if config == "model":
+        obj["mean"][0] = value
+    else:
+        obj["hue_anchors"][2]["coords"][0] = value
+    bad = tmp_path / f"{config}.json"
+    bad.write_text(json.dumps(obj))  # json.dumps writes NaN and Infinity as bare constants
+    paths = {"model": ws["model"], "anchors": ws["anchors"], config: bad}
+    out = tmp_path / "g.json"
+    code = main(
+        [
+            "observe", str(ws["root"] / "run-red" / "t010.lt"),
+            "--t", "10",
+            "--model", str(paths["model"]),
+            "--anchors", str(paths["anchors"]),
+            "--stats", str(ws["stats"]),
+            "--out-json", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_eval_rejects_non_finite_cells(tmp_path, capsys, value):
+    grid = ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 2, 2)
+    ref_path, bad, out = tmp_path / "ref.json", tmp_path / "pred.json", tmp_path / "metrics.json"
+    grid.save(ref_path)
+    obj = grid.to_json_dict()
+    obj["cells"][1][2] = value
+    bad.write_text(json.dumps(obj))
+    assert main(["eval", str(bad), str(ref_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        {"L": 4, "selected": [0.9, 1.5, True]},
+        {"L": 4.0, "selected": [1]},
+        {"L": True, "selected": [0]},
+        {"L": 4, "selected": ["1"]},
+    ],
+    ids=["float-and-bool-indices", "float-L", "bool-L", "string-index"],
+)
+def test_eval_rejects_non_integer_json_mask(tmp_path, capsys, mask):
+    grid = ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 2, 2)
+    grid_path, mask_path, out = tmp_path / "g.json", tmp_path / "mask.json", tmp_path / "metrics.json"
+    grid.save(grid_path)
+    mask_path.write_text(json.dumps(mask))
+    assert main(["eval", str(grid_path), str(grid_path), "--mask", str(mask_path), "--out", str(out)]) == 2
+    assert "must be integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_intervene_report_matches_full_grid_observation(ws, tmp_path, capsys):
     mask_path = tmp_path / "mask.json"
     PatchMask(L=64, selected=frozenset(range(5, 64, 3))).save(mask_path)
@@ -489,3 +556,24 @@ def test_python_m_latentcolor_runs_the_cli(monkeypatch, capsys):
         runpy.run_module("latentcolor", run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: latentcolor [-h]")
+
+
+# ---------------------------------------------------------------------------
+# the toy demo script
+# ---------------------------------------------------------------------------
+
+def test_toy_pipeline_script_reruns_byte_identical(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_toy_pipeline.py"
+    src = str(Path(latentcolor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for run in ("a", "b"):
+        work = tmp_path / run
+        proc = subprocess.run(
+            [sys.executable, str(script), "--workdir", str(work), "--seed", "3", "--toy-seed", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.relative_to(work): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()})
+    assert Path("metrics-mid.json") in outputs[0] and Path("steered.ppm") in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -270,6 +270,8 @@ def test_observe_matches_per_patch_reference(palette_runs, model, anchors, toy_s
         want = hsl_rows(HslColor(*reference_decode_raw(c, anchors)) for c in hat)
         grid = observe(frames[t], t, model, anchors, toy_stats, (8, 8))
         assert_hsl_close(grid.hsl, want)
+        # canonical_hsl runs once in observe; a second pass would change no bit
+        assert grid.hsl.tobytes() == ColorGrid.from_hsl(decode(hat, anchors).reshape(8, 8, 3)).hsl.tobytes()
 
 
 def test_type2_matches_per_patch_reference(anchors):
@@ -365,6 +367,74 @@ def test_render_ppm_matches_per_cell_reference(case, cell_px):
         row = b"".join(bytes(hsl_to_rgb(grid.cells[gy * w + gx]).to_8bit()) * cell_px for gx in range(w))
         rows += row * cell_px
     assert render_ppm(grid, cell_px) == f"P6\n{w * cell_px} {h * cell_px}\n255\n".encode() + bytes(rows)
+
+
+def bits(x):
+    """x with every float spelled out exactly (float.hex), for bitwise comparison."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, HslColor):
+        return tuple(v.hex() for v in (x.h, x.s, x.l))
+    return x
+
+
+def uncached_outputs(pred: ColorGrid, ref: ColorGrid, picked: list[int]) -> dict:
+    """What the grid functions return, composed afresh from the kernels on the hsl arrays."""
+
+    def lab(g):
+        return srgb_to_lab_array(hsl_to_rgb_array(g.hsl))
+
+    def mean_linear(g, rows):
+        return srgb_to_linear_array(hsl_to_rgb_array(g.hsl.reshape(-1, 3)[rows])).mean(axis=0)
+
+    def hsl_of_linear(lin):
+        return rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin.tolist())))
+
+    def mean_lab(g):
+        return linear_rgb_to_lab_array(mean_linear(g, slice(None)))
+
+    def ppm(k):
+        rgb8 = np.rint(hsl_to_rgb_array(pred.hsl) * 255.0).astype(np.uint8)
+        pixels = np.repeat(np.repeat(rgb8, k, axis=0), k, axis=1)
+        return f"P6\n{pred.width * k} {pred.height * k}\n255\n".encode() + pixels.tobytes()
+
+    return {
+        "per_pixel": float(np.mean(ciede2000_array(lab(pred), lab(ref)))),
+        "mean_pixel": float(ciede2000_array(mean_lab(pred), mean_lab(ref))),
+        "masked_pred": hsl_of_linear(mean_linear(pred, picked)),
+        "masked_ref": hsl_of_linear(mean_linear(ref, picked)),
+        **{f"ppm{k}": ppm(k) for k in (1, 2, 3)},
+    }
+
+
+@given(grids(), st.data())
+def test_cached_conversions_match_fresh_kernels_bitwise(case, data):
+    # A grid converts its cells to sRGB, linear RGB and Lab once and
+    # keeps the arrays; every function must return what the kernels give
+    # afresh, whatever the order of calls and however often.
+    (h, w), a, b = case
+    picked = sorted(data.draw(st.sets(st.integers(0, h * w - 1), min_size=1), label="mask"))
+
+    def grid(cells):
+        return ColorGrid(h, w, [HslColor(*c) for c in cells])
+
+    want = uncached_outputs(grid(a), grid(b), picked)
+    pred, ref = grid(a), grid(b)
+    mask = PatchMask(h * w, frozenset(picked))
+    calls = {
+        "per_pixel": lambda: grid_de00_per_pixel(pred, ref),
+        "mean_pixel": lambda: grid_de00_mean_pixel(pred, ref),
+        "masked_pred": lambda: masked_mean_color(pred, mask),
+        "masked_ref": lambda: masked_mean_color(ref, mask),
+        **{f"ppm{k}": (lambda k=k: render_ppm(pred, k)) for k in (1, 2, 3)},
+    }
+    order = data.draw(st.permutations(sorted(calls)), label="order")
+    for name in order + order:  # the second round reads filled caches
+        assert bits(calls[name]()) == bits(want[name]), name
+    for g in (pred, ref):
+        for cached in (g._rgb, g._linear, g._lab):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0, 0] = 0.5
 
 
 # A fixed grid with achromatic cells, hue 0 and just below 360, and

@@ -102,3 +102,14 @@ def test_write_json_is_canonical(tmp_path):
     text = path.read_text()
     assert text == '{\n "a": [\n  1.5,\n  2\n ],\n "b": 1\n}\n'
     assert read_json(path) == {"a": [1.5, 2], "b": 1}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_refuses_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="x.json"):
+        write_json(path, {"a": [1.0, value]})
+    assert not path.exists()
+    path.write_text(json.dumps({"a": [1.0, value]}))  # bare NaN / Infinity / -Infinity
+    with pytest.raises(ValueError, match="non-finite"):
+        read_json(path)
