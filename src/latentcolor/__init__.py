@@ -24,7 +24,6 @@ from .bicone import AnchorSet, build_anchors, decode, decode_raw, encode, regula
 from .timestats import StatsTable, builtin_flux_stats, denormalize, fit_stats, normalize
 from .intervene import (
     PatchMask,
-    Schedule,
     apply_intervention,
     gamma,
     interpolated,

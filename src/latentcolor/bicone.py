@@ -47,7 +47,7 @@ _MIN_CHROMA = 1e-9   # below this chroma norm the hue defaults to 0
 
 
 @dataclass(frozen=True)
-class AnchorSet:
+class AnchorSet(tensorio.JsonRecord):
     """Projected anchor geometry with its derived achromatic frame.
 
     hue_anchors: (6, 3) subspace coordinates ordered red, yellow, green,
@@ -84,19 +84,8 @@ class AnchorSet:
         missing = [l for l in HUE_LABELS if l not in entries]
         if missing:
             raise ValueError(f"anchor file missing hue labels: {missing}")
-        hue = np.array([entries[l]["coords"] for l in HUE_LABELS], dtype=np.float64)
-        return _assemble(
-            hue,
-            np.asarray(obj["black"], dtype=np.float64),
-            np.asarray(obj["white"], dtype=np.float64),
-        )
-
-    def save(self, path) -> None:
-        tensorio.write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path) -> "AnchorSet":
-        return cls.from_json_dict(tensorio.read_json(path))
+        hue = tensorio.float_array([entries[l]["coords"] for l in HUE_LABELS])
+        return _assemble(hue, tensorio.float_array(obj["black"]), tensorio.float_array(obj["white"]))
 
 
 def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSet:

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensorio
 from .bicone import ANCHOR_LABELS, AnchorSet, build_anchors, decode
 from .colorspace import HslColor, ciede2000, hsl_error, hsl_to_rgb, parse_hex, rgb_to_hsl, srgb_to_lab
-from .intervene import MODES, PatchMask, Schedule, apply_intervention, load_mask
+from .intervene import MODES, PatchMask, apply_intervention, load_mask
 from .observe import (
     ColorGrid,
     grid_de00_mean_pixel,
@@ -137,9 +137,8 @@ def cmd_intervene(args) -> int:
     stats = _load_stats(args.stats)
     target = _parse_target(args)
     mask = load_mask(args.mask) if args.mask else PatchMask.full(z.shape[0])
-    sched = Schedule(T=args.sched_t if args.sched_t is not None else stats.T)
 
-    out = apply_intervention(z, args.t, target, mask, model, anchors, stats, sched, args.mode)
+    out = apply_intervention(z, args.t, target, mask, model, anchors, stats, args.mode)
     tensorio.write_latents(args.out, out)
 
     rows = mask.indices
@@ -252,7 +251,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         i.add_argument("--model", required=True)
         i.add_argument("--anchors", required=True)
         i.add_argument("--stats", default=BUILTIN_STATS)
-        i.add_argument("--sched-t", type=int, help="schedule horizon (default: stats T)")
         i.add_argument("--out", required=True)
         i.set_defaults(fn=cmd_intervene)
 

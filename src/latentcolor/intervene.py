@@ -12,7 +12,6 @@ denormalize back, and inject, touching only the masked patches.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,6 @@ from .subspace import SubspaceModel, project
 from .timestats import StatsTable, denormalize, normalize
 
 __all__ = [
-    "Schedule",
     "PatchMask",
     "gamma",
     "type1",
@@ -37,29 +35,17 @@ __all__ = [
 MODES = ("type1", "type2", "interp")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Blend schedule over timesteps 0..T; only the linear ramp is defined."""
-
-    T: int
-    kind: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.T < 1:
-            raise ValueError(f"schedule needs T >= 1, got {self.T}")
-        if self.kind != "linear":
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-
-def gamma(t: int, sched: Schedule) -> float:
-    """Blend weight of the mean-shift edit: 1 at t = 0, 0 at t = T."""
-    if not 0 <= t <= sched.T:
-        raise ValueError(f"timestep {t} outside schedule range 0..{sched.T}")
-    return 1.0 - t / sched.T
+def gamma(t: int, T: int) -> float:
+    """Blend weight of the mean-shift edit over timesteps 0..T: 1 at t = 0, falling linearly to 0 at t = T."""
+    if T < 1:
+        raise ValueError(f"blend horizon needs T >= 1, got {T}")
+    if not 0 <= t <= T:
+        raise ValueError(f"timestep {t} outside blend range 0..{T}")
+    return 1.0 - t / T
 
 
 @dataclass(frozen=True)
-class PatchMask:
+class PatchMask(tensorio.JsonRecord):
     """Selected patch indices of an L-patch tensor."""
 
     L: int
@@ -84,8 +70,12 @@ class PatchMask:
     def to_json_dict(self) -> dict:
         return {"L": self.L, "selected": sorted(self.selected)}
 
-    def save(self, path) -> None:
-        tensorio.write_json(path, self.to_json_dict())
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "PatchMask":
+        L, selected = obj["L"], list(obj["selected"])
+        if not all(type(v) is int for v in (L, *selected)):  # no floats, and no bools (an int subclass)
+            raise ValueError("mask L and selected indices must be integers")
+        return cls(L=L, selected=frozenset(selected))
 
 
 def _mask_from_pgm(raw: bytes, path) -> PatchMask:
@@ -126,17 +116,9 @@ def _mask_from_pgm(raw: bytes, path) -> PatchMask:
 def load_mask(path) -> PatchMask:
     """Load a mask from JSON ({"L", "selected"}) or binary PGM (nonzero = selected)."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw.startswith(b"P5"):
-        return _mask_from_pgm(raw, path)
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-        L, selected = obj["L"], list(obj["selected"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ValueError(f"{path}: not a JSON or PGM mask: {e}") from e
-    if not all(type(v) is int for v in (L, *selected)):  # no floats, and no bools (an int subclass)
-        raise ValueError(f"{path}: mask L and selected indices must be integers")
-    return PatchMask(L=L, selected=frozenset(selected))
+        if f.read(2) == b"P5":
+            return _mask_from_pgm(b"P5" + f.read(), path)
+    return PatchMask.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +158,14 @@ def interpolated(
     target: HslColor,
     anchors: AnchorSet,
     t: int,
-    sched: Schedule,
+    T: int,
 ) -> np.ndarray:
-    """Blend the two edits with weight gamma(t) on the mean shift.
+    """Blend the two edits with weight gamma(t, T) on the mean shift.
 
     At the endpoints the pure edit is returned unchanged, so gamma 1 and
     gamma 0 match type1 and type2 bit for bit.
     """
-    g = gamma(t, sched)
+    g = gamma(t, T)
     if g == 1.0:
         return type1(coords, target, anchors)
     if g == 0.0:
@@ -203,13 +185,13 @@ def apply_intervention(
     model: SubspaceModel,
     anchors: AnchorSet,
     stats: StatsTable,
-    sched: Schedule | None = None,
     mode: str = "interp",
 ) -> np.ndarray:
     """Steer the masked patches of z toward the target color at timestep t.
 
     Unmasked patches are returned bitwise unchanged, and the orthogonal
     complement of every patch is preserved. mask = None edits all patches.
+    The interp blend runs over the stats table's horizon 0..stats.T.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
@@ -222,8 +204,6 @@ def apply_intervention(
         raise ValueError(f"mask is for L = {mask.L} patches, tensor has {z.shape[0]}")
     if not mask.selected:
         raise ValueError("empty mask: nothing to intervene on")
-    if sched is None:
-        sched = Schedule(T=stats.T)
 
     rows = mask.indices
     sub = project(z[rows], model)
@@ -233,7 +213,7 @@ def apply_intervention(
     elif mode == "type2":
         edited = type2(hat, target, anchors)
     else:
-        edited = interpolated(hat, target, anchors, t, sched)
+        edited = interpolated(hat, target, anchors, t, stats.T)
     new_coords = denormalize(edited, t, stats)
 
     out = z.copy()

@@ -44,7 +44,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ColorGrid:
+class ColorGrid(tensorio.JsonRecord):
     """Immutable height x width grid of colors, row-major.
 
     One read-only (height, width, 3) float array, ``hsl``, holds every
@@ -131,18 +131,13 @@ class ColorGrid:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ColorGrid":
-        height, width = int(obj["height"]), int(obj["width"])
-        cells = np.asarray(obj["cells"], dtype=np.float64)
+        height, width = obj["height"], obj["width"]
+        if not (type(height) is int and type(width) is int):  # no floats, and no bools (an int subclass)
+            raise ValueError("grid height and width must be integers")
+        cells = tensorio.float_array(obj["cells"])
         if height < 1 or width < 1 or cells.shape != (height * width, 3):
             raise ValueError(f"{height}x{width} grid needs {height * width} (h, s, l) cells, got shape {cells.shape}")
         return cls.from_hsl(cells.reshape(height, width, 3))
-
-    def save(self, path) -> None:
-        tensorio.write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path) -> "ColorGrid":
-        return cls.from_json_dict(tensorio.read_json(path))
 
 
 def observe(

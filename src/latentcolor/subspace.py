@@ -20,7 +20,7 @@ __all__ = ["SubspaceModel", "average_patches", "fit_pca", "project", "inject"]
 
 
 @dataclass(frozen=True)
-class SubspaceModel:
+class SubspaceModel(tensorio.JsonRecord):
     """Centered orthonormal basis of the color subspace.
 
     mean: (d,) centering vector.
@@ -63,19 +63,11 @@ class SubspaceModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SubspaceModel":
-        cols = np.asarray(obj["basis_columns"], dtype=np.float64)
         return cls(
-            mean=np.asarray(obj["mean"], dtype=np.float64),
-            basis=cols.T,
-            explained=tuple(obj["explained"]),
+            mean=tensorio.float_array(obj["mean"]),
+            basis=tensorio.float_array(obj["basis_columns"]).T,
+            explained=tuple(tensorio.float_array(obj["explained"])),
         )
-
-    def save(self, path) -> None:
-        tensorio.write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path) -> "SubspaceModel":
-        return cls.from_json_dict(tensorio.read_json(path))
 
 
 def average_patches(z: np.ndarray) -> np.ndarray:

@@ -5,13 +5,17 @@ A latent tensor file is a single JSON header line
 little-endian float32 values in row-major order. A trajectory is a
 directory of such files plus a ``manifest.json`` listing the timesteps.
 
-All writers go through a temp-file-plus-rename so partially written
-outputs are never observed.
+Every JSON file is written by write_json and read by read_json; the
+records kept one per file (model, anchors, stats, grid, mask) share
+JsonRecord's save and load, so a malformed file of any kind raises one
+ValueError that names the file. All writers go through a
+temp-file-plus-rename so partially written outputs are never observed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -20,9 +24,10 @@ import numpy as np
 
 __all__ = [
     "atomic_write_bytes",
-    "atomic_write_text",
     "write_json",
     "read_json",
+    "JsonRecord",
+    "float_array",
     "write_latents",
     "read_latents",
     "save_trajectory",
@@ -46,27 +51,64 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def write_json(path, obj) -> None:
     """Serialize obj as deterministic JSON (sorted keys, fixed separators); NaN and infinities are refused."""
     try:
         text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
-    atomic_write_text(path, text + "\n")
+    atomic_write_bytes(path, (text + "\n").encode("utf-8"))
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} overflows a float")
+    return value
 
 
 def read_json(path):
-    """Parse a JSON file, refusing the non-standard NaN, Infinity and -Infinity constants."""
+    """Parse a JSON file, refusing NaN, Infinity, -Infinity and float literals that overflow."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f, parse_constant=_refuse_constant, parse_float=_finite_float)
+    except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {e}") from e
 
-    def refuse(name: str):
-        raise ValueError(f"{path}: non-finite number {name} is not valid JSON")
 
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f, parse_constant=refuse)
+def _read_record(path, convert, what: str):
+    """Parse a JSON file and convert the object; a conversion error becomes a ValueError naming the file and what."""
+    obj = read_json(path)
+    try:
+        return convert(obj)
+    except (KeyError, TypeError, IndexError, OverflowError, ValueError) as e:
+        detail = e if isinstance(e, ValueError) else f"{type(e).__name__}: {e}"
+        raise ValueError(f"{path}: bad {what}: {detail}") from e
+
+
+def float_array(values) -> np.ndarray:
+    """Nested JSON number lists as a float64 array; null (which numpy reads as NaN) and non-finite values are refused."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("expected finite numbers, found null or a non-finite value")
+    return arr
+
+
+class JsonRecord:
+    """A record kept as one JSON file: subclasses define to_json_dict and the classmethod from_json_dict."""
+
+    __slots__ = ()
+
+    def save(self, path) -> None:
+        write_json(path, self.to_json_dict())
+
+    @classmethod
+    def load(cls, path):
+        return _read_record(path, cls.from_json_dict, cls.__name__)
 
 
 def _check_latents(arr: np.ndarray) -> np.ndarray:
@@ -106,7 +148,7 @@ def read_latents(path) -> np.ndarray:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(v, int) and v > 0 for v in dims)
+        or not all(type(v) is int and v > 0 for v in dims)
     ):
         raise ValueError(f"{path}: bad dims {dims!r}")
     L, d = dims
@@ -145,20 +187,17 @@ def save_trajectory(dirpath, traj: np.ndarray) -> Path:
 def load_trajectory(manifest_path) -> np.ndarray:
     """Read a trajectory manifest back into a (T+1, L, d) array."""
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path)
-    try:
-        T = manifest["T"]
-        steps = manifest["steps"]
-    except (TypeError, KeyError) as e:
-        raise ValueError(f"{manifest_path}: malformed manifest") from e
-    if not isinstance(T, int) or T < 0 or len(steps) != T + 1:
-        raise ValueError(f"{manifest_path}: manifest lists {len(steps)} steps for T={T}")
-    by_t = {}
-    for step in steps:
-        by_t[step["t"]] = manifest_path.parent / step["file"]
-    if sorted(by_t) != list(range(T + 1)):
-        raise ValueError(f"{manifest_path}: timesteps not contiguous from 0 to {T}")
-    frames = [read_latents(by_t[t]) for t in range(T + 1)]
+
+    def step_files(manifest) -> list[Path]:
+        T, steps = manifest["T"], manifest["steps"]
+        if type(T) is not int or T < 0 or len(steps) != T + 1:
+            raise ValueError(f"{len(steps)} steps listed for T={T}")
+        by_t = {step["t"]: manifest_path.parent / step["file"] for step in steps}
+        if sorted(by_t) != list(range(T + 1)):
+            raise ValueError(f"timesteps not contiguous from 0 to {T}")
+        return [by_t[t] for t in range(T + 1)]
+
+    frames = [read_latents(f) for f in _read_record(manifest_path, step_files, "manifest")]
     shapes = {f.shape for f in frames}
     if len(shapes) != 1:
         raise ValueError(f"{manifest_path}: mixed tensor shapes {sorted(shapes)}")

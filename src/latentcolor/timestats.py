@@ -31,7 +31,7 @@ _MIN_SCALE = 1e-12
 
 
 @dataclass(frozen=True)
-class StatsTable:
+class StatsTable(tensorio.JsonRecord):
     """Rows of (alpha_t, beta_t), contiguous from t = 0 to t = T.
 
     beta must be strictly positive for every t >= 1. t = 0 may be
@@ -77,6 +77,8 @@ class StatsTable:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StatsTable":
         rows = obj["rows"]
+        if not all(type(r["t"]) is int for r in rows):  # no floats, and no bools (an int subclass)
+            raise ValueError("stats row t must be an integer")
         order = sorted(r["t"] for r in rows)
         if order != list(range(len(rows))):
             raise ValueError("stats rows are not contiguous from t = 0")
@@ -84,13 +86,6 @@ class StatsTable:
         alpha = np.array([by_t[t]["alpha"] for t in range(len(rows))], dtype=np.float64)
         beta = np.array([by_t[t]["beta"] for t in range(len(rows))], dtype=np.float64)
         return cls(alpha=alpha, beta=beta)
-
-    def save(self, path) -> None:
-        tensorio.write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path) -> "StatsTable":
-        return cls.from_json_dict(tensorio.read_json(path))
 
 
 # ---------------------------------------------------------------------------

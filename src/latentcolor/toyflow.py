@@ -239,7 +239,6 @@ def _denoise(z: np.ndarray, field: AttractorField) -> np.ndarray:
 def generate(
     z0: np.ndarray,
     field: AttractorField,
-    T: int | None = None,
     edit: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Integrate the flow from noise to an attractor; returns (T+1, L, d).
@@ -250,10 +249,7 @@ def generate(
     (z, t) before each step and its output becomes the recorded state,
     so interventions alter the rest of the trajectory.
     """
-    if T is None:
-        T = field.T
-    elif T != field.T:
-        raise ValueError(f"T = {T} conflicts with field T = {field.T}")
+    T = field.T
     z = np.asarray(z0, dtype=np.float64)
     if z.shape != field.attractors[0].shape:
         raise ValueError(f"z0 shape {z.shape} does not match attractors {field.attractors[0].shape}")

@@ -14,7 +14,6 @@ from latentcolor import (
     AttractorField,
     ColorGrid,
     PatchMask,
-    Schedule,
     apply_intervention,
     builtin_flux_stats,
     decode,
@@ -139,11 +138,10 @@ def test_c4_intervention_exactness(anchors):
     out2 = type2(block, target, anchors)
     t2_err = float(np.max(np.abs(out2 - encode(target, anchors))))
 
-    sched = Schedule(T=T)
     bitwise = np.array_equal(
-        interpolated(coords, target, anchors, 0, sched), type1(coords, target, anchors)
+        interpolated(coords, target, anchors, 0, T), type1(coords, target, anchors)
     ) and np.array_equal(
-        interpolated(coords, target, anchors, T, sched), type2(coords, target, anchors)
+        interpolated(coords, target, anchors, T, T), type2(coords, target, anchors)
     )
 
     ok = mean_err <= 1e-12 and diffs_exact and t2_err <= 1e-9 and bitwise

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -479,6 +480,65 @@ def test_eval_rejects_non_integer_json_mask(tmp_path, capsys, mask):
     mask_path.write_text(json.dumps(mask))
     assert main(["eval", str(grid_path), str(grid_path), "--mask", str(mask_path), "--out", str(out)]) == 2
     assert "must be integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _with_step(manifest, i, step):
+    steps = list(manifest["steps"])
+    steps[i] = step
+    return {**manifest, "steps": steps}
+
+
+# (file kind, edit of its parsed JSON; a str result is written as is)
+MALFORMED = {
+    "model-explained-5": ("model", lambda o: {**o, "explained": 5}),
+    "model-explained-null": ("model", lambda o: {**o, "explained": None}),
+    "model-list": ("model", lambda o: [o]),
+    "model-null-mean": ("model", lambda o: {**o, "mean": [None, *o["mean"][1:]]}),
+    "anchors-hue-anchors-5": ("anchors", lambda o: {**o, "hue_anchors": 5}),
+    "anchors-null-black": ("anchors", lambda o: {**o, "black": [None, *o["black"][1:]]}),
+    "stats-rows-5": ("stats", lambda o: {**o, "rows": 5}),
+    "stats-string-t": ("stats", lambda o: {"rows": [{**r, "t": "3"} if r["t"] == 3 else r for r in o["rows"]]}),
+    "grid-list": ("grid", lambda o: [o]),
+    "grid-truncated": ("grid", lambda o: json.dumps(o)[:-10]),
+    "grid-deeply-nested": ("grid", lambda o: "[" * 100000 + "]" * 100000),
+    "grid-float-height": ("grid", lambda o: {**o, "height": 8.9}),
+    "grid-bool-height": ("grid", lambda o: {**o, "height": True, "width": 64}),
+    "grid-overflowing-float": ("grid", lambda o: json.dumps(o).replace("0.5", "1e999", 1)),
+    "grid-400-digit-int": ("grid", lambda o: {**o, "cells": [[0.0, 1.0, 10**399], *o["cells"][1:]]}),
+    "grid-string-nan": ("grid", lambda o: {**o, "cells": [["nan", 1.0, 0.5], *o["cells"][1:]]}),
+    "manifest-step-5": ("manifest", lambda o: _with_step(o, 1, 5)),
+    "manifest-steps-5": ("manifest", lambda o: {**o, "steps": 5}),
+    "manifest-file-3": ("manifest", lambda o: _with_step(o, 1, {**o["steps"][1], "file": 3})),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_record_file_exits_2_naming_it(ws, tmp_path, capsys, case):
+    kind, mangle = MALFORMED[case]
+    run = tmp_path / "run"
+    shutil.copytree(ws["root"] / "run-red", run)  # a manifest's step files sit beside it
+    grid = tmp_path / "grid.json"
+    ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 8, 8).save(grid)
+    files = {"model": ws["model"], "anchors": ws["anchors"], "stats": ws["stats"], "grid": grid}
+    files["manifest"] = run / "manifest.json"
+    bad = run / "bad.json"
+    edited = mangle(read_json(files[kind]))
+    bad.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    files[kind] = bad
+    out = tmp_path / "out.json"
+    if kind == "grid":
+        argv = ["eval", str(bad), str(bad), "--out", str(out)]
+    elif kind == "manifest":
+        argv = ["stats", str(bad), str(ws["root"] / "run-blue" / "manifest.json"), "--model", str(ws["model"])]
+        argv += ["--out", str(out)]
+    else:
+        argv = ["observe", str(ws["root"] / "run-red" / "t010.lt"), "--t", "10", "--out-json", str(out)]
+        argv += [f"--{k}={files[k]}" for k in ("model", "anchors", "stats")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err and "internal error" not in err
     assert not out.exists()
 
 

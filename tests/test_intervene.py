@@ -5,7 +5,6 @@ import pytest
 
 from latentcolor import (
     PatchMask,
-    Schedule,
     apply_intervention,
     decode,
     encode,
@@ -32,25 +31,22 @@ def random_block(anchors, n=12, seed=31):
 
 
 # ---------------------------------------------------------------------------
-# schedule
+# blend weight
 # ---------------------------------------------------------------------------
 
 def test_gamma_is_linear_in_t():
-    sched = Schedule(T=50)
-    assert gamma(0, sched) == 1.0
-    assert gamma(50, sched) == 0.0
-    assert gamma(25, sched) == pytest.approx(0.5)
+    assert gamma(0, 50) == 1.0
+    assert gamma(50, 50) == 0.0
+    assert gamma(25, 50) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        gamma(51, sched)
+        gamma(51, 50)
     with pytest.raises(ValueError):
-        gamma(-1, sched)
+        gamma(-1, 50)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule(T=0)
-    with pytest.raises(ValueError):
-        Schedule(T=10, kind="cosine")
+    with pytest.raises(ValueError, match="T >= 1"):
+        gamma(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +179,13 @@ def test_type2_preserves_relative_lightness(anchors):
 
 def test_interpolated_endpoints_are_bitwise(anchors):
     coords = random_block(anchors)
-    sched = Schedule(T=40)
-    assert np.array_equal(interpolated(coords, TARGET, anchors, 0, sched), type1(coords, TARGET, anchors))
-    assert np.array_equal(interpolated(coords, TARGET, anchors, 40, sched), type2(coords, TARGET, anchors))
+    assert np.array_equal(interpolated(coords, TARGET, anchors, 0, 40), type1(coords, TARGET, anchors))
+    assert np.array_equal(interpolated(coords, TARGET, anchors, 40, 40), type2(coords, TARGET, anchors))
 
 
 def test_interpolated_midpoint_blends(anchors):
     coords = random_block(anchors)
-    sched = Schedule(T=40)
-    blend = interpolated(coords, TARGET, anchors, 20, sched)
+    blend = interpolated(coords, TARGET, anchors, 20, 40)
     expected = 0.5 * type1(coords, TARGET, anchors) + 0.5 * type2(coords, TARGET, anchors)
     assert np.allclose(blend, expected, atol=0)
 

@@ -466,6 +466,7 @@ def test_grid_from_hsl_equals_grid_from_cells():
     colors = [HslColor(*c) for c in PINNED_CELLS]
     grid = ColorGrid(3, 4, colors)
     assert grid.hsl.shape == (3, 4, 3)
+    assert not hasattr(grid, "__dict__")  # slots only, also through the JsonRecord base
     assert ColorGrid.from_hsl(hsl_rows(colors).reshape(3, 4, 3)) == grid
     assert grid.cells == tuple(colors)
     with pytest.raises(ValueError):

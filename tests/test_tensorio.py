@@ -44,6 +44,7 @@ def test_rewrite_is_byte_identical(tmp_path):
         lambda h, p: (json.dumps({"dims": [2, 4], "dtype": "f64le"}).encode(), p),
         lambda h, p: (json.dumps({"dims": [2], "dtype": "f32le"}).encode(), p),
         lambda h, p: (json.dumps({"dims": [2, 0], "dtype": "f32le"}).encode(), p),
+        lambda h, p: (json.dumps({"dims": [True, 8], "dtype": "f32le"}).encode(), p),  # 1 x 8 fits the payload
         lambda h, p: (h, p[:-1]),
         lambda h, p: (h, p + b"\x00"),
     ],

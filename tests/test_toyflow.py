@@ -207,13 +207,6 @@ def test_generate_follows_interpolation_path(embedder):
         assert np.allclose(traj[t], sample_path(att, z0, t, 10), atol=1e-9)
 
 
-def test_generate_rejects_conflicting_horizon(embedder):
-    att = solid_attractor(RED, embedder, (2, 2))
-    field = AttractorField(attractors=(att,), T=5, embedder=embedder)
-    with pytest.raises(ValueError, match="conflicts"):
-        generate(initial_noise(4, embedder.dim, seed=68), field, T=6)
-
-
 def test_generate_converges_to_nearer_attractor(embedder):
     a = solid_attractor(RED, embedder, (2, 2))
     b = solid_attractor(CYAN, embedder, (2, 2))
