@@ -19,7 +19,7 @@ from .colorspace import (
     rgb_to_hsl,
     srgb_to_lab,
 )
-from .subspace import SubspaceModel, average_patches, fit_pca, inject, project
+from .subspace import SubspaceModel, average_patches, fit_pca, project
 from .bicone import AnchorSet, build_anchors, decode, decode_raw, encode, regular_anchors
 from .timestats import StatsTable, builtin_flux_stats, denormalize, fit_stats, normalize
 from .intervene import (

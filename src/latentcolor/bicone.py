@@ -38,7 +38,7 @@ __all__ = [
 
 HUE_LABELS = ("red", "yellow", "green", "cyan", "blue", "magenta")
 HUE_DEGREES = (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
-_THETA_EDGES = np.array(HUE_DEGREES + (360.0,))  # hue at both ends of each segment
+_NEXT_ANCHOR = np.array([1, 2, 3, 4, 5, 0])
 ANCHOR_LABELS = HUE_LABELS + ("black", "white")
 
 # decode conventions for degenerate regions
@@ -217,23 +217,28 @@ def decode_raw(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     radius = np.hypot(q0, q1)
     chromatic = ~(radius < _MIN_CHROMA)
 
-    ang = np.arctan2(q1, q0) % (2.0 * math.pi)
-    k = np.searchsorted(a.chroma_angles, ang, side="right") - 1
-    j = (k + 1) % 6
-    pts = a.chroma_points
-    cross_k = pts[k, 0] * q1 - pts[k, 1] * q0
-    cross_j = pts[j, 0] * q1 - pts[j, 1] * q0
+    ang = np.arctan2(q1, q0)
+    ang += (2.0 * math.pi) * (ang < 0.0)  # what % 2 pi gives on atan2's range, bit for bit
+    k = np.zeros(ang.shape, dtype=np.int8)  # segment: how many of angles 1..5 ang has passed
+    for edge in a.chroma_angles[1:]:
+        k += (ang >= edge).view(np.int8)
+    k = k.astype(np.intp)
+    # one coordinate at a time: gathering (x, y) rows costs several times more
+    x, y, j = a.chroma_points[:, 0], a.chroma_points[:, 1], _NEXT_ANCHOR.take(k)
+    kx, ky, jx, jy = x.take(k), y.take(k), x.take(j), y.take(j)
+    cross_k = kx * q1 - ky * q0
+    cross_j = jx * q1 - jy * q0
     denom = cross_k - cross_j
     if np.any(chromatic & (denom <= 0)):
         raise ValueError("anchor polygon does not enclose the chroma direction")
     bicone = 1.0 - np.abs(2.0 * l - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # achromatic rows are replaced below
         alpha = np.minimum(np.maximum(cross_k / denom, 0.0), 1.0)
-        h = (_THETA_EDGES[k] + alpha * (_THETA_EDGES[k + 1] - _THETA_EDGES[k])) % 360.0
-        chord = pts[k] + alpha[:, None] * (pts[j] - pts[k])
-        s = radius / (np.hypot(chord[:, 0], chord[:, 1]) * bicone)
+        h = 60.0 * k + alpha * 60.0  # in [0, 360]; hue 360 is 0
+        chord = np.hypot(kx + alpha * (jx - kx), ky + alpha * (jy - ky))
+        s = radius / (chord * bicone)
     s = np.where(bicone < _MIN_BICONE, 0.0, s)
-    hsl = np.stack([np.where(chromatic, h, 0.0), np.where(chromatic, s, 0.0), l], axis=1)
+    hsl = np.stack([np.where(chromatic & (h < 360.0), h, 0.0), np.where(chromatic, s, 0.0), l], axis=1)
     return hsl.reshape(c.shape)
 
 
@@ -262,7 +267,7 @@ def encode(y, anchors: AnchorSet) -> np.ndarray:
     if not np.all(np.isfinite(h)):
         raise ValueError("cannot encode a non-finite hue")
     k = np.minimum(h // 60.0, 5.0).astype(np.intp)
-    alpha = (h - _THETA_EDGES[k]) / 60.0
+    alpha = (h - 60.0 * k) / 60.0
     pts = anchors.chroma_points
     chord = pts[k] + alpha[:, None] * (pts[(k + 1) % 6] - pts[k])
     l = rows[:, 2:]

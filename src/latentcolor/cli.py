@@ -29,7 +29,7 @@ from .observe import (
     render_ppm,
 )
 from .subspace import SubspaceModel, average_patches, fit_pca, project
-from .timestats import StatsTable, builtin_flux_stats, fit_stats, normalize
+from .timestats import StatsTable, _chart, builtin_flux_stats, fit_stats
 from .toyflow import AttractorField, ToyEmbedder, generate, initial_noise, solid_attractor
 
 BUILTIN_STATS = "flux-builtin"
@@ -142,8 +142,8 @@ def cmd_intervene(args) -> int:
     tensorio.write_latents(args.out, out)
 
     rows = mask.indices
-    # one decode for both blocks; each is projected on its own, as matmul's rounding depends on the row count
-    hsl = decode(np.concatenate([normalize(project(x[rows], model), args.t, stats) for x in (z, out)]), anchors)
+    # one decode for both blocks; each is charted on its own, as matmul's rounding depends on the row count
+    hsl = decode(np.concatenate([_chart(x[rows], model, args.t, stats)[0] for x in (z, out)]), anchors)
     for tag, block in (("before", hsl[: len(rows)]), ("after", hsl[len(rows) :])):
         print(_report_line(tag, mean_color(block), target))
     print(f"wrote {args.out}")

@@ -7,7 +7,8 @@ observer, matching the sRGB primaries.
 Each conversion exists twice. The scalar functions take one color
 dataclass and are the reference. The ``*_array`` kernels at the end take
 float arrays whose last axis holds one color, such as an (n, 3) block or
-an (H, W, 3) grid, and repeat the scalar arithmetic elementwise.
+an (H, W, 3) grid, and give the scalar results elementwise, bit for bit
+or to rounding error (see the comment above them).
 """
 
 from __future__ import annotations
@@ -330,14 +331,17 @@ def circular_mean_hue(hues) -> float:
 # ---------------------------------------------------------------------------
 # Array kernels
 # ---------------------------------------------------------------------------
-# canonical_hsl and hsl_to_rgb_array use only + - * / %, abs and
-# comparisons, so they match their scalar counterparts bit for bit.
-# numpy's vectorized pow, atan2, hypot and exp may differ from the C
-# library's in the last bits, so the Lab and CIEDE2000 kernels match to
-# rounding error instead.
+# canonical_hsl, hsl_to_rgb_array and bicone's decode_raw use + - * /,
+# floor, abs and comparisons, and match the scalar code bit for bit.
+# numpy's float % and searchsorted cost several plain ufuncs each, so
+# they give way to what yields the same bits on the known input range:
+# x + 360 * (x < 0) on atan2's output, hp - 2 floor(hp / 2) for hp % 2,
+# a count of passed edges for searchsorted. The Lab and CIEDE2000
+# kernels match to rounding error: numpy's pow, atan2 and exp may differ
+# from the C library's in the last bits, and ciede2000_array takes
+# sqrt(a a + b b) for hypot and products for powers.
 
 # hsl_to_rgb's sextants: which of (chroma, x, 0) feeds r, g and b
-_SEXTANT_EDGES = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 _SEXTANT_CHANNELS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [2, 1, 0], [1, 2, 0], [0, 2, 1]])
 
 
@@ -349,7 +353,8 @@ def _clamp01_array(x: np.ndarray) -> np.ndarray:
 def canonical_hsl(hsl) -> np.ndarray:
     """What HslColor does to each (h, s, l): wrap hue mod 360, clamp s and l to [0, 1]."""
     hsl = np.asarray(hsl, dtype=np.float64)
-    h = hsl[..., 0] % 360.0
+    h = hsl[..., 0].copy()
+    np.remainder(h, 360.0, out=h, where=~((h > 0.0) & (h < 360.0)))  # zeros too: -0.0 % 360.0 is +0.0
     h = np.where(h == 360.0, 0.0, h)  # tiny negative hues round up to 360.0
     return np.stack([h, _clamp01_array(hsl[..., 1]), _clamp01_array(hsl[..., 2])], axis=-1)
 
@@ -360,9 +365,9 @@ def hsl_to_rgb_array(hsl) -> np.ndarray:
     h, s, l = hsl[..., 0], hsl[..., 1], hsl[..., 2]
     chroma = (1.0 - np.abs(2.0 * l - 1.0)) * s
     hp = h / 60.0
-    x = chroma * (1.0 - np.abs(hp % 2.0 - 1.0))
+    x = chroma * (1.0 - np.abs(hp - 2.0 * np.floor(hp / 2.0) - 1.0))
     m = l - chroma / 2.0
-    sextant = np.searchsorted(_SEXTANT_EDGES, hp, side="right")
+    sextant = np.fmax(np.fmin(hp, 5.0), 0.0).astype(np.intp)  # NaN gives 5, as hsl_to_rgb's else does
     shifted = (chroma + m, x + m, m)  # chroma, x or 0, plus m
     rgb = np.empty(hsl.shape)
     for c in range(3):
@@ -405,22 +410,43 @@ def srgb_to_lab_array(rgb) -> np.ndarray:
 
 
 def _lab_hue_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where((a == 0.0) & (b == 0.0), 0.0, np.degrees(np.arctan2(b, a)) % 360.0)
+    h = np.degrees(np.arctan2(b, a))
+    h += 360.0 * (h < 0.0)  # what % 360 gives on atan2's range, bit for bit
+    return np.where((a == 0.0) & (b == 0.0), 0.0, h)
+
+
+# CIEDE2000's T = 1 - 0.17 cos(h - 30) + 0.24 cos(2h) + 0.32 cos(3h + 6) - 0.20 cos(4h - 63) sums
+# a_k cos(kh) + b_k sin(kh), k = 1..4, with a_k = w cos(phi), b_k = -w sin(phi). With c = cos h, the
+# multiple-angle identities give cos(kh) = c, 2c^2 - 1, 4c^3 - 3c, 8c^4 - 8c^2 + 1 and
+# sin(kh) / sin(h) = 1, 2c, 4c^2 - 1, 8c^3 - 4c, so T = P(c) + sin(h) Q(c): one cos, one sin.
+_A, _B = zip(*((w * math.cos(math.radians(p)), -w * math.sin(math.radians(p)))
+               for w, p in ((-0.17, -30.0), (0.24, 0.0), (0.32, 6.0), (-0.20, -63.0))))
+_T_COS = (1.0 - _A[1] + _A[3], _A[0] - 3.0 * _A[2], 2.0 * _A[1] - 8.0 * _A[3], 4.0 * _A[2], 8.0 * _A[3])
+_T_SIN = (_B[0] - _B[2], 2.0 * _B[1] - 4.0 * _B[3], 4.0 * _B[2], 8.0 * _B[3])
+
+
+def _ciede_t(hbp: np.ndarray) -> np.ndarray:
+    """CIEDE2000's T term at mean hue hbp in degrees."""
+    rad = np.radians(hbp)
+    c, a, b = np.cos(rad), _T_COS, _T_SIN
+    p = (((a[4] * c + a[3]) * c + a[2]) * c + a[1]) * c + a[0]
+    q = ((b[3] * c + b[2]) * c + b[1]) * c + b[0]
+    return p + np.sin(rad) * q
 
 
 def ciede2000_array(x, y) -> np.ndarray:
-    """ciede2000 between broadcast rows of (L, a, b), term by term."""
+    """ciede2000 between broadcast rows of (L, a, b), to rounding error."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     L1, a1, b1 = x[..., 0], x[..., 1], x[..., 2]
     L2, a2, b2 = y[..., 0], y[..., 1], y[..., 2]
-    c_bar = (np.hypot(a1, b1) + np.hypot(a2, b2)) / 2.0
-    c7 = c_bar ** 7
+    c_bar = (np.sqrt(a1 * a1 + b1 * b1) + np.sqrt(a2 * a2 + b2 * b2)) / 2.0
+    c7 = (c_bar * c_bar * c_bar) ** 2 * c_bar  # ** 2 is a square, ** 7 a slow pow
     g = 0.5 * (1.0 - np.sqrt(c7 / (c7 + 25.0 ** 7)))
     a1p = (1.0 + g) * a1
     a2p = (1.0 + g) * a2
-    c1p = np.hypot(a1p, b1)
-    c2p = np.hypot(a2p, b2)
+    c1p = np.sqrt(a1p * a1p + b1 * b1)
+    c2p = np.sqrt(a2p * a2p + b2 * b2)
     h1p = _lab_hue_array(a1p, b1)
     h2p = _lab_hue_array(a2p, b2)
     achromatic = c1p * c2p == 0.0
@@ -442,19 +468,12 @@ def ciede2000_array(x, y) -> np.ndarray:
     )
     hbp = np.where(achromatic, hsum, hbp)
 
-    t = (
-        1.0
-        - 0.17 * np.cos(np.radians(hbp - 30.0))
-        + 0.24 * np.cos(np.radians(2.0 * hbp))
-        + 0.32 * np.cos(np.radians(3.0 * hbp + 6.0))
-        - 0.20 * np.cos(np.radians(4.0 * hbp - 63.0))
-    )
     l50 = (Lbp - 50.0) ** 2
     sL = 1.0 + 0.015 * l50 / np.sqrt(20.0 + l50)
     sC = 1.0 + 0.045 * Cbp
-    sH = 1.0 + 0.015 * Cbp * t
+    sH = 1.0 + 0.015 * Cbp * _ciede_t(hbp)
     d_theta = 30.0 * np.exp(-(((hbp - 275.0) / 25.0) ** 2))
-    cbp7 = Cbp ** 7
+    cbp7 = (Cbp * Cbp * Cbp) ** 2 * Cbp
     rC = 2.0 * np.sqrt(cbp7 / (cbp7 + 25.0 ** 7))
     rT = -rC * np.sin(np.radians(2.0 * d_theta))
 

@@ -6,12 +6,13 @@ through decoded HSL values with a common hue rotation. A scheduled blend
 of the two trades the first's exactness against the second's per-patch
 saturation and lightness control as generation progresses.
 
-The full pipeline is project, normalize to the final timestep, edit,
-denormalize back, and inject, touching only the masked patches.
+The full pipeline charts the masked patches at the final timestep (project
+and normalize in one affine map), edits them, and writes the change back.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from . import tensorio
 from .bicone import AnchorSet, decode, encode
 from .colorspace import HslColor, canonical_hsl, circular_mean_hue, signed_hue_delta
-from .subspace import SubspaceModel, project
-from .timestats import StatsTable, denormalize, normalize
+from .subspace import SubspaceModel
+from .timestats import StatsTable, _chart
 
 __all__ = [
     "PatchMask",
@@ -75,6 +76,9 @@ class PatchMask(tensorio.JsonRecord):
         L, selected = obj["L"], list(obj["selected"])
         if not all(type(v) is int for v in (L, *selected)):  # no floats, and no bools (an int subclass)
             raise ValueError("mask L and selected indices must be integers")
+        repeated = sorted(i for i, n in Counter(selected).items() if n > 1)  # a set would hide them
+        if repeated:
+            raise ValueError(f"mask lists patch indices more than once: {repeated}")
         return cls(L=L, selected=frozenset(selected))
 
 
@@ -206,16 +210,15 @@ def apply_intervention(
         raise ValueError("empty mask: nothing to intervene on")
 
     rows = mask.indices
-    sub = project(z[rows], model)
-    hat = normalize(sub, t, stats)
+    hat, gain = _chart(z[rows], model, t, stats)
     if mode == "type1":
         edited = type1(hat, target, anchors)
     elif mode == "type2":
         edited = type2(hat, target, anchors)
     else:
         edited = interpolated(hat, target, anchors, t, stats.T)
-    new_coords = denormalize(edited, t, stats)
 
+    # denormalize(edited) - denormalize(hat), back in the d-dim latent space
     out = z.copy()
-    out[rows] = z[rows] + (new_coords - sub) @ model.basis.T
+    out[rows] = z[rows] + ((edited - hat) / gain) @ model.basis.T
     return out

@@ -25,8 +25,8 @@ from .colorspace import (
     srgb_to_linear_array,
 )
 from .intervene import PatchMask
-from .subspace import SubspaceModel, project
-from .timestats import StatsTable, normalize
+from .subspace import SubspaceModel
+from .timestats import StatsTable, _chart
 
 __all__ = [
     "ColorGrid",
@@ -49,11 +49,11 @@ class ColorGrid(tensorio.JsonRecord):
 
     One read-only (height, width, 3) float array, ``hsl``, holds every
     cell's (h, s, l) in the canonical form HslColor gives them. The
-    cells' sRGB, linear RGB and Lab arrays are worked out on first use
-    and kept, read-only, for every later metric and render of the grid.
+    cells' sRGB, linear RGB and Lab arrays, and the Lab of their mean
+    linear RGB, are worked out on first use and kept, read-only.
     """
 
-    __slots__ = ("hsl", "_rgb_cache", "_linear_cache", "_lab_cache")
+    __slots__ = ("hsl", "_rgb_cache", "_linear_cache", "_lab_cache", "_mean_lab_cache")
 
     def __init__(self, height: int, width: int, cells) -> None:
         """Grid of height * width HslColor cells given in row-major order."""
@@ -70,7 +70,7 @@ class ColorGrid(tensorio.JsonRecord):
         if hsl.shape[0] < 1 or hsl.shape[1] < 1:
             raise ValueError(f"bad grid dims {hsl.shape[0]}x{hsl.shape[1]}")
         self.hsl = _read_only(canonical_hsl(hsl))
-        self._rgb_cache = self._linear_cache = self._lab_cache = None
+        self._rgb_cache = self._linear_cache = self._lab_cache = self._mean_lab_cache = None
 
     @classmethod
     def from_hsl(cls, hsl) -> "ColorGrid":
@@ -108,6 +108,12 @@ class ColorGrid(tensorio.JsonRecord):
         if self._lab_cache is None:
             self._lab_cache = _read_only(linear_rgb_to_lab_array(self._linear))
         return self._lab_cache
+
+    @property
+    def _mean_lab(self) -> np.ndarray:
+        if self._mean_lab_cache is None:
+            self._mean_lab_cache = _read_only(linear_rgb_to_lab_array(self._linear.reshape(-1, 3).mean(axis=0)))
+        return self._mean_lab_cache
 
     @property
     def cells(self) -> tuple[HslColor, ...]:
@@ -159,7 +165,7 @@ def observe(
     height, width = grid_dims
     if height * width != z.shape[0]:
         raise ValueError(f"grid {height}x{width} does not cover {z.shape[0]} patches")
-    hat = normalize(project(z, model), t, stats)
+    hat, _ = _chart(z, model, t, stats)
     return ColorGrid.from_hsl(decode_raw(hat, anchors).reshape(height, width, 3))
 
 
@@ -174,16 +180,10 @@ def grid_de00_per_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     return float(np.mean(ciede2000_array(pred._lab, ref._lab)))
 
 
-def _mean_linear_rgb(grid: ColorGrid) -> np.ndarray:
-    return grid._linear.reshape(-1, 3).mean(axis=0)
-
-
 def grid_de00_mean_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     """CIEDE2000 between the grids' average colors (averaged in linear RGB)."""
     _check_same_dims(pred, ref)
-    lab_p = linear_rgb_to_lab_array(_mean_linear_rgb(pred))
-    lab_r = linear_rgb_to_lab_array(_mean_linear_rgb(ref))
-    return float(ciede2000_array(lab_p, lab_r))
+    return float(ciede2000_array(pred._mean_lab, ref._mean_lab))
 
 
 def _hsl_of_linear(lin: np.ndarray) -> HslColor:

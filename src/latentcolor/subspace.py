@@ -2,9 +2,8 @@
 
 A set of per-image averaged latent vectors is centered and decomposed
 with population-normalized PCA; the top three components span the
-subspace in which color lives. Projection and injection move latents
-between the full d-dimensional space and subspace coordinates while
-leaving the orthogonal complement untouched.
+subspace in which color lives. Projection maps latents from the full
+d-dimensional space to subspace coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import tensorio
 
-__all__ = ["SubspaceModel", "average_patches", "fit_pca", "project", "inject"]
+__all__ = ["SubspaceModel", "average_patches", "fit_pca", "project"]
 
 
 @dataclass(frozen=True)
@@ -180,17 +179,3 @@ def project(z: np.ndarray, model: SubspaceModel) -> np.ndarray:
         raise ValueError(f"latent dim {z.shape[-1]} does not match model dim {model.dim}")
     return (z - model.mean) @ model.basis
 
-
-def inject(z: np.ndarray, coords: np.ndarray, model: SubspaceModel) -> np.ndarray:
-    """Replace the subspace component of z with the given coordinates.
-
-    The orthogonal complement of each patch is preserved:
-    z' = z + (coords - project(z)) @ basis.T
-    """
-    z = np.asarray(z, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
-    if z.shape[-1] != model.dim:
-        raise ValueError(f"latent dim {z.shape[-1]} does not match model dim {model.dim}")
-    if coords.shape != z.shape[:-1] + (model.k,):
-        raise ValueError(f"coords shape {coords.shape} does not match latents {z.shape}")
-    return z + (coords - project(z, model)) @ model.basis.T

@@ -14,6 +14,7 @@ temp-file-plus-rename so partially written outputs are never observed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -91,10 +92,16 @@ def _read_record(path, convert, what: str):
 
 
 def float_array(values) -> np.ndarray:
-    """Nested JSON number lists as a float64 array; null (which numpy reads as NaN) and non-finite values are refused."""
-    arr = np.asarray(values, dtype=np.float64)
+    """Nested JSON number lists as a float64 array; null, strings, booleans and non-finite values are refused."""
+    arr = np.asarray(values, dtype=np.float64)  # reads null as NaN, "1" as 1.0 and true as 1.0
+    leaves = values if arr.ndim else (values,)
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    found = sorted("null" if t is type(None) else t.__name__ for t in set(map(type, leaves)) - {int, float})
+    if found:  # bool counts as its own type here, not as int
+        raise ValueError(f"expected numbers, found {', '.join(found)}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("expected finite numbers, found null or a non-finite value")
+        raise ValueError("expected finite numbers, found a non-finite value")
     return arr
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
+from .subspace import SubspaceModel
 
 __all__ = ["StatsTable", "builtin_flux_stats", "fit_stats", "normalize", "denormalize"]
 
@@ -83,8 +84,8 @@ class StatsTable(tensorio.JsonRecord):
         if order != list(range(len(rows))):
             raise ValueError("stats rows are not contiguous from t = 0")
         by_t = {r["t"]: r for r in rows}
-        alpha = np.array([by_t[t]["alpha"] for t in range(len(rows))], dtype=np.float64)
-        beta = np.array([by_t[t]["beta"] for t in range(len(rows))], dtype=np.float64)
+        alpha = tensorio.float_array([by_t[t]["alpha"] for t in range(len(rows))])
+        beta = tensorio.float_array([by_t[t]["beta"] for t in range(len(rows))])
         return cls(alpha=alpha, beta=beta)
 
 
@@ -234,6 +235,21 @@ def _check_t(stats: StatsTable, t: int) -> tuple[np.ndarray, np.ndarray]:
     if np.any(beta_t <= _MIN_SCALE):
         raise ValueError(f"degenerate scale at t = {t}")
     return alpha_t, beta_t
+
+
+def _chart(z: np.ndarray, model: SubspaceModel, t: int, stats: StatsTable) -> tuple[np.ndarray, np.ndarray]:
+    """normalize(project(z, model), t, stats) as one affine map z @ W_t + b_t, and its gain beta_T / beta_t.
+
+    W_t = basis * gain is (d, 3), so no (L, d) temporary z - mean is built as in project; the
+    coordinates differ from the two steps' by rounding only.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape[-1] != model.dim:
+        raise ValueError(f"latent dim {z.shape[-1]} does not match model dim {model.dim}")
+    alpha_t, beta_t = _check_t(stats, t)
+    alpha_T, beta_T = stats.row(stats.T)
+    gain = beta_T / beta_t
+    return z @ (model.basis * gain) + (alpha_T - (model.mean @ model.basis + alpha_t) * gain), gain
 
 
 def normalize(coords: np.ndarray, t: int, stats: StatsTable) -> np.ndarray:

@@ -483,6 +483,17 @@ def test_eval_rejects_non_integer_json_mask(tmp_path, capsys, mask):
     assert not out.exists()
 
 
+def test_eval_rejects_json_mask_repeating_an_index(tmp_path, capsys):
+    grid = ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 2, 2)
+    grid_path, mask_path, out = tmp_path / "g.json", tmp_path / "dup.json", tmp_path / "metrics.json"
+    grid.save(grid_path)
+    mask_path.write_text(json.dumps({"L": 4, "selected": [1, 1, 2]}))
+    assert main(["eval", str(grid_path), str(grid_path), "--mask", str(mask_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(mask_path) in err and "more than once: [1]" in err
+    assert not out.exists()
+
+
 def _with_step(manifest, i, step):
     steps = list(manifest["steps"])
     steps[i] = step
@@ -507,6 +518,11 @@ MALFORMED = {
     "grid-overflowing-float": ("grid", lambda o: json.dumps(o).replace("0.5", "1e999", 1)),
     "grid-400-digit-int": ("grid", lambda o: {**o, "cells": [[0.0, 1.0, 10**399], *o["cells"][1:]]}),
     "grid-string-nan": ("grid", lambda o: {**o, "cells": [["nan", 1.0, 0.5], *o["cells"][1:]]}),
+    "grid-string-and-bool-cell": ("grid", lambda o: {**o, "cells": [["0", True, "0.5"], *o["cells"][1:]]}),
+    "grid-bool-among-floats": ("grid", lambda o: {**o, "cells": [[0.0, True, 0.5], *o["cells"][1:]]}),
+    "model-string-mean": ("model", lambda o: {**o, "mean": [str(o["mean"][0]), *o["mean"][1:]]}),
+    "anchors-bool-white": ("anchors", lambda o: {**o, "white": [False, *o["white"][1:]]}),
+    "stats-string-beta": ("stats", lambda o: {"rows": [{**r, "beta": [str(v) for v in r["beta"]]} for r in o["rows"]]}),
     "manifest-step-5": ("manifest", lambda o: _with_step(o, 1, 5)),
     "manifest-steps-5": ("manifest", lambda o: {**o, "steps": 5}),
     "manifest-file-3": ("manifest", lambda o: _with_step(o, 1, {**o["steps"][1], "file": 3})),

@@ -15,8 +15,9 @@ from latentcolor import (
     type1,
     type2,
 )
+from latentcolor import intervene
 from latentcolor.colorspace import HslColor, signed_hue_delta
-from latentcolor.timestats import normalize
+from latentcolor.timestats import _chart, normalize
 
 TARGET = HslColor(210.0, 0.7, 0.45)
 
@@ -230,6 +231,31 @@ def test_apply_intervention_type1_hits_target_mean(scene):
     out = apply_intervention(z, 30, TARGET, None, model, anchors, stats, mode="type1")
     hat = normalize(project(out, model), 30, stats)
     assert np.allclose(hat.mean(axis=0), encode(TARGET, anchors), atol=1e-9)
+
+
+@pytest.mark.parametrize("mode, edit", [("type1", "type1"), ("type2", "type2"), ("interp", "interpolated")])
+def test_apply_intervention_write_back_roundtrip(scene, mode, edit, monkeypatch):
+    # charting the output gives back the edited coordinates ...
+    z, model, anchors, stats = scene
+    mask = PatchMask(L=16, selected=frozenset({0, 5, 6, 9, 15}))
+    rows = mask.indices
+    for t in (1, 30, stats.T):
+        hat, gain = _chart(z[rows], model, t, stats)
+        horizon = (t, stats.T) if mode == "interp" else ()
+        edited = getattr(intervene, edit)(hat, TARGET, anchors, *horizon)
+        out = apply_intervention(z, t, TARGET, mask, model, anchors, stats, mode=mode)
+        np.testing.assert_allclose(_chart(out[rows], model, t, stats)[0], edited, rtol=0.0, atol=1e-12 * gain.max())
+    # ... and an edit that moves nothing writes back nothing, bit for bit
+    monkeypatch.setattr(intervene, edit, lambda coords, *args: coords)
+    assert np.array_equal(apply_intervention(z, 30, TARGET, mask, model, anchors, stats, mode=mode), z)
+
+
+@pytest.mark.parametrize("mode", ["type1", "type2", "interp"])
+def test_apply_intervention_moves_only_within_span(scene, mode):
+    z, model, anchors, stats = scene
+    delta = apply_intervention(z, 30, TARGET, None, model, anchors, stats, mode=mode) - z
+    # delta must be expressible in the basis: projecting loses nothing
+    np.testing.assert_allclose(delta, (delta @ model.basis) @ model.basis.T, rtol=0.0, atol=1e-12)
 
 
 def test_apply_intervention_none_mask_edits_all(scene):

@@ -9,6 +9,7 @@ CIEDE2000, decode), or where sums run in another order (grid means), the
 tolerance is 1e-12, with hue compared circularly.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -26,6 +27,7 @@ from latentcolor import (
     grid_de00_per_pixel,
     masked_mean_color,
     observe,
+    regular_anchors,
     render_ppm,
     type2,
 )
@@ -48,9 +50,10 @@ from latentcolor.colorspace import (
     srgb_to_lab,
     srgb_to_lab_array,
     srgb_to_linear_array,
+    _ciede_t,
 )
 from latentcolor.subspace import project
-from latentcolor.timestats import normalize
+from latentcolor.timestats import _chart, normalize
 from test_colorspace import CIEDE2000_PAIRS
 
 TOL = 1e-12
@@ -271,7 +274,8 @@ def test_observe_matches_per_patch_reference(palette_runs, model, anchors, toy_s
         grid = observe(frames[t], t, model, anchors, toy_stats, (8, 8))
         assert_hsl_close(grid.hsl, want)
         # canonical_hsl runs once in observe; a second pass would change no bit
-        assert grid.hsl.tobytes() == ColorGrid.from_hsl(decode(hat, anchors).reshape(8, 8, 3)).hsl.tobytes()
+        charted, _ = _chart(frames[t], model, t, toy_stats)
+        assert grid.hsl.tobytes() == ColorGrid.from_hsl(decode(charted, anchors).reshape(8, 8, 3)).hsl.tobytes()
 
 
 def test_type2_matches_per_patch_reference(anchors):
@@ -494,3 +498,138 @@ def test_grid_json_rejects_malformed_cells(obj):
     with pytest.raises(ValueError):
         ColorGrid.from_json_dict(obj)
 
+
+# ---------------------------------------------------------------------------
+# the kernels against the % and searchsorted formulas they replaced
+# ---------------------------------------------------------------------------
+
+def modulo_canonical_hsl(hsl) -> np.ndarray:
+    hsl = np.asarray(hsl, dtype=np.float64)
+    h = hsl[..., 0] % 360.0
+    h = np.where(h == 360.0, 0.0, h)
+    s, l = (np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x)) for x in (hsl[..., 1], hsl[..., 2]))
+    return np.stack([h, s, l], axis=-1)
+
+
+def modulo_hsl_to_rgb_array(hsl) -> np.ndarray:
+    hsl = np.asarray(hsl, dtype=np.float64)
+    h, s, l = hsl[..., 0], hsl[..., 1], hsl[..., 2]
+    chroma = (1.0 - np.abs(2.0 * l - 1.0)) * s
+    hp = h / 60.0
+    x = chroma * (1.0 - np.abs(hp % 2.0 - 1.0))
+    m = l - chroma / 2.0
+    sextant = np.searchsorted(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), hp, side="right")
+    channels = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [2, 1, 0], [1, 2, 0], [0, 2, 1]])
+    shifted = (chroma + m, x + m, m)
+    rgb = np.empty(hsl.shape)
+    for c in range(3):
+        pick = channels[:, c].take(sextant)
+        rgb[..., c] = np.where(pick == 0, shifted[0], np.where(pick == 1, shifted[1], shifted[2]))
+    return np.clip(rgb, 0.0, 1.0)
+
+
+def modulo_decode_raw(c, a) -> np.ndarray:
+    c = np.asarray(c, dtype=np.float64).reshape(-1, 3)
+    dot3 = lambda rows, v: rows[:, 0] * v[0] + rows[:, 1] * v[1] + rows[:, 2] * v[2]
+    rel = c - a.black
+    l = dot3(rel, a.axis) / float(a.axis @ a.axis)
+    chroma3 = rel - l[:, None] * a.axis
+    q0, q1 = dot3(chroma3, a.e1), dot3(chroma3, a.e2)
+    radius = np.hypot(q0, q1)
+    chromatic = ~(radius < 1e-9)
+    ang = np.arctan2(q1, q0) % (2.0 * math.pi)
+    k = np.searchsorted(a.chroma_angles, ang, side="right") - 1
+    j = (k + 1) % 6
+    edges = np.array([0.0, 60.0, 120.0, 180.0, 240.0, 300.0, 360.0])
+    pts = a.chroma_points
+    cross_k = pts[k, 0] * q1 - pts[k, 1] * q0
+    cross_j = pts[j, 0] * q1 - pts[j, 1] * q0
+    bicone = 1.0 - np.abs(2.0 * l - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.minimum(np.maximum(cross_k / (cross_k - cross_j), 0.0), 1.0)
+        h = (edges[k] + alpha * (edges[k + 1] - edges[k])) % 360.0
+        chord = pts[k] + alpha[:, None] * (pts[j] - pts[k])
+        s = radius / (np.hypot(chord[:, 0], chord[:, 1]) * bicone)
+    s = np.where(bicone < 1e-6, 0.0, s)
+    return np.stack([np.where(chromatic, h, 0.0), np.where(chromatic, s, 0.0), l], axis=1)
+
+
+def assert_same_bits(got, want) -> None:
+    assert [float.hex(v) for v in np.ravel(got).tolist()] == [float.hex(v) for v in np.ravel(want).tolist()]
+
+
+EDGE_HUES = [
+    -0.0, 0.0, -1e-300, -5e-324, 5e-324, 1e-300, BELOW_360, 360.0, -360.0, 720.0, -60.0, 1e20, -1e20,
+    *(60.0 * k for k in range(1, 6)),
+    *(math.nextafter(60.0 * k, 0.0) for k in range(1, 7)),
+    *(math.nextafter(60.0 * k, 360.0) for k in range(0, 6)),
+]
+
+
+@given(raw_rows)
+def test_canonical_hsl_is_modulo_formula_bitwise(rows):
+    rows = np.array(rows + [(h, -0.0, 1.5) for h in EDGE_HUES]).reshape(-1, 3)
+    assert_same_bits(canonical_hsl(rows), modulo_canonical_hsl(rows))
+    assert_same_bits(canonical_hsl(rows.reshape(-1, 1, 3)), modulo_canonical_hsl(rows.reshape(-1, 1, 3)))
+
+
+@given(canonical_rows)
+def test_hsl_to_rgb_array_is_modulo_formula_bitwise(rows):
+    edges = [(h, s, l) for h in EDGE_HUES for s, l in ((1.0, 0.5), (0.3, 0.8))]
+    rows = canonical_hsl(np.array(rows + edges))
+    assert_same_bits(hsl_to_rgb_array(rows), modulo_hsl_to_rgb_array(rows))
+
+
+def edge_anchor_sets(anchors):
+    """The fitted anchors, and regular ones whose chroma coordinates decode_raw recovers exactly."""
+    regular = regular_anchors(1.0, 1.0)
+    # e2 with signed zeros, so a chroma point (x, -0.0) gives q1 = -0.0 and atan2(-0.0, x) = -0.0
+    signed = dataclasses.replace(regular, e2=np.array([-0.0, -0.0, 1.0]))
+    return anchors, regular, signed
+
+
+@pytest.mark.parametrize("which", range(3), ids=["fitted", "regular", "signed-zero e2"])
+def test_decode_raw_is_modulo_formula_bitwise(anchors, which):
+    a = edge_anchor_sets(anchors)[which]
+    rng = np.random.default_rng(61)
+    mid = a.black + 0.5 * a.axis
+    on_points = [np.array([mid[0], x, y]) for x, y in a.chroma_points] if which else []
+    special = [
+        *rng.normal(mid, 2.0, (2000, 3)),
+        *a.hue_anchors,  # angles at (or an ulp off) each chroma_angles entry
+        *on_points,  # chroma exactly at each anchor point: the angle is the entry itself
+        np.array([mid[0], 0.3, -0.0]),  # atan2(-0.0, 0.3)
+        np.array([mid[0], 0.3, -1e-300]),  # just below hue 0: rounds to 2 pi, hue 360, then 0
+        a.hue_anchors[0] - 1e-7 * a.e2,
+        a.black, a.white, a.black - 0.2 * a.axis,
+    ]
+    assert_same_bits(decode_raw(np.array(special), a), modulo_decode_raw(np.array(special), a))
+    for c in special[-7:]:
+        assert_same_bits(decode_raw(c, a), modulo_decode_raw(c, a))
+
+
+def test_decode_raw_edge_inputs_hit_the_edges(anchors):
+    _, regular, signed = edge_anchor_sets(anchors)
+    mid = regular.black[0] + 0.5 * regular.axis[0]
+    # chroma at each anchor point gives that anchor's hue exactly
+    on_points = np.array([[mid, x, y] for x, y in regular.chroma_points])
+    assert np.array_equal(decode_raw(on_points, regular)[:, 0], [0.0, 60.0, 120.0, 180.0, 240.0, 300.0])
+    for a in (regular, signed):
+        assert_same_bits(decode_raw(np.array([mid, 0.3, -0.0]), a)[0], 0.0)
+        assert_same_bits(decode_raw(np.array([mid, 0.3, -1e-300]), a)[0], 0.0)
+
+
+def four_cosine_t(h: np.ndarray) -> np.ndarray:
+    return (
+        1.0
+        - 0.17 * np.cos(np.radians(h - 30.0))
+        + 0.24 * np.cos(np.radians(2.0 * h))
+        + 0.32 * np.cos(np.radians(3.0 * h + 6.0))
+        - 0.20 * np.cos(np.radians(4.0 * h - 63.0))
+    )
+
+
+def test_ciede2000_t_term_is_four_cosine_form():
+    # the mean hue lies in [0, 360), or [0, 720) as the sum of two hues when one is achromatic
+    h = np.concatenate([np.linspace(0.0, 720.0, 720001), np.arange(0.0, 720.0, 0.5), [BELOW_360, -0.0]])
+    np.testing.assert_allclose(_ciede_t(h), four_cosine_t(h), rtol=0.0, atol=1e-12)

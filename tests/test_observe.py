@@ -1,5 +1,7 @@
 """Grid observation, color metrics, and PPM rendering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from latentcolor import (
     encode,
     grid_de00_mean_pixel,
     grid_de00_per_pixel,
-    inject,
     masked_mean_color,
     observe,
+    project,
     render_ppm,
 )
 from latentcolor.colorspace import (
@@ -69,7 +71,8 @@ def test_observe_recovers_planted_colors(embedder, model, anchors, toy_stats):
     ]
     t = 35
     coords_T = np.array([encode(y, anchors) for y in colors])
-    z = inject(rng.standard_normal((12, embedder.dim)), denormalize(coords_T, t, toy_stats), model)
+    z0 = rng.standard_normal((12, embedder.dim))
+    z = z0 + (denormalize(coords_T, t, toy_stats) - project(z0, model)) @ model.basis.T
     grid = observe(z, t, model, anchors, toy_stats, (3, 4))
     assert (grid.height, grid.width) == (3, 4)
     for got, want in zip(grid.cells, colors):
@@ -177,3 +180,17 @@ def test_render_ppm_row_major_order():
 def test_render_ppm_rejects_bad_cell_px():
     with pytest.raises(ValueError):
         render_ppm(ColorGrid.solid(RED, 1, 1), cell_px=0)
+
+
+# sha256 over render_ppm(observe(...)) of every palette run at t = 1..T, in
+# sorted name order: the affine chart must give the bytes that project
+# followed by normalize gives
+PALETTE_PPM_SHA256 = "f958a7ffb4287f50779fc9894e983b23032168474eb32bbd8d8d607f759b7c04"
+
+
+def test_observed_ppm_bytes_are_pinned(palette_runs, model, anchors, toy_stats):
+    digest = hashlib.sha256()
+    for name in sorted(palette_runs):
+        for t in range(1, toy_stats.T + 1):
+            digest.update(render_ppm(observe(palette_runs[name][t], t, model, anchors, toy_stats, (8, 8))))
+    assert digest.hexdigest() == PALETTE_PPM_SHA256

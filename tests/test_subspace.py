@@ -1,9 +1,9 @@
-"""Principal-component fitting, projection, and injection."""
+"""Principal-component fitting and projection."""
 
 import numpy as np
 import pytest
 
-from latentcolor import SubspaceModel, average_patches, fit_pca, inject, project
+from latentcolor import SubspaceModel, average_patches, fit_pca, project
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,23 +75,6 @@ def test_orientation_probes_fix_signs(probe_set, model):
     assert white[0] > black[0]
     assert red[1] > 0.0
     assert yellow[2] > 0.0
-
-
-def test_project_inject_roundtrip(model):
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal((12, model.dim))
-    assert np.array_equal(inject(z, project(z, model), model), z)
-    coords = rng.standard_normal((12, 3))
-    assert np.allclose(project(inject(z, coords, model), model), coords, atol=1e-12)
-
-
-def test_inject_moves_only_within_span(model):
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal((4, model.dim))
-    coords = rng.standard_normal((4, 3))
-    delta = inject(z, coords, model) - z
-    # delta must be expressible in the basis: projecting loses nothing
-    assert np.allclose(delta, (delta @ model.basis) @ model.basis.T, atol=1e-12)
 
 
 def test_project_accepts_single_vectors(model):

@@ -1,12 +1,14 @@
-"""Per-timestep statistics: the builtin table, fitting, normalization."""
+"""Per-timestep statistics: the builtin table, fitting, normalization, the affine chart."""
 
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from latentcolor import StatsTable, builtin_flux_stats, denormalize, fit_stats, normalize
+from latentcolor import SubspaceModel, StatsTable, builtin_flux_stats, denormalize, fit_stats, normalize, project
+from latentcolor.timestats import _chart
 
 BUILTIN_SHA256 = "dd40bdd6045df10aea43fe4823833f445bea414675b9b200386337767568ce2e"
 
@@ -159,3 +161,33 @@ def test_table_validation():
         StatsTable(alpha=np.zeros((3, 3)), beta=zero_later)
     with pytest.raises(ValueError):
         StatsTable(alpha=np.zeros((1, 3)), beta=np.ones((1, 3)))  # needs T >= 1
+
+
+# ---------------------------------------------------------------------------
+# the affine chart: project and normalize as one map
+# ---------------------------------------------------------------------------
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 24), st.integers(1, 8))
+def test_chart_is_project_then_normalize(seed, d, T):
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, 3)))
+    model = SubspaceModel(mean=rng.uniform(-5.0, 5.0, d), basis=basis, explained=(0.5, 0.3, 0.2))
+    stats = StatsTable(alpha=rng.uniform(-5.0, 5.0, (T + 1, 3)), beta=rng.uniform(0.05, 5.0, (T + 1, 3)))
+    z = rng.uniform(-5.0, 5.0, (int(rng.integers(1, 40)), d))
+    for t in range(1, T + 1):
+        hat, gain = _chart(z, model, t, stats)
+        assert np.array_equal(gain, stats.beta[T] / stats.beta[t])
+        want = normalize(project(z, model), t, stats)
+        np.testing.assert_allclose(hat, want, rtol=0.0, atol=1e-13 * gain.max())
+        np.testing.assert_allclose(_chart(z[0], model, t, stats)[0], want[0], rtol=0.0, atol=1e-13 * gain.max())
+
+
+def test_chart_keeps_the_checks(toy_stats, model):
+    z = np.zeros((4, model.dim))
+    with pytest.raises(ValueError, match="latent dim"):
+        _chart(np.zeros((4, model.dim + 1)), model, 10, toy_stats)
+    with pytest.raises(ValueError, match="degenerate scale"):
+        _chart(z, model, 0, toy_stats)
+    for t in (-1, toy_stats.T + 1, 2.0):
+        with pytest.raises(ValueError, match="outside table range"):
+            _chart(z, model, t, toy_stats)
