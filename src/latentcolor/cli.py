@@ -17,7 +17,18 @@ import numpy as np
 
 from . import tensorio
 from .bicone import ANCHOR_LABELS, AnchorSet, build_anchors, decode
-from .colorspace import HslColor, ciede2000, hsl_error, hsl_to_rgb, parse_hex, rgb_to_hsl, srgb_to_lab
+from .colorspace import (
+    HslColor,
+    ciede2000_array,
+    hsl_to_rgb_array,
+    linear_rgb_to_lab_array,
+    linear_to_srgb_array,
+    parse_hex,
+    rgb_to_hsl,
+    rgb_to_hsl_array,
+    signed_hue_delta,
+    srgb_to_lab_array,
+)
 from .intervene import MODES, PatchMask, apply_intervention, load_mask
 from .observe import (
     ColorGrid,
@@ -67,22 +78,40 @@ def _grid_dims(spec: str | None, L: int) -> tuple[int, int]:
 
 def _parse_target(args) -> HslColor:
     if args.target_hsl is not None:
-        parts = args.target_hsl.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected h,s,l for --target-hsl, got {args.target_hsl!r}")
-        return HslColor(*(float(p) for p in parts))
+        try:
+            hsl = [float(p) for p in args.target_hsl.split(",")]
+        except ValueError:
+            hsl = []
+        if len(hsl) != 3 or not all(map(math.isfinite, hsl)):
+            raise ValueError(f"expected three finite numbers h,s,l for --target-hsl, got {args.target_hsl!r}")
+        return HslColor(*hsl)
     if args.target is None:
         raise ValueError("one of --target or --target-hsl is required")
     return rgb_to_hsl(parse_hex(args.target))
 
 
-def _report_line(tag: str, got: HslColor, target: HslColor) -> str:
-    de = ciede2000(srgb_to_lab(hsl_to_rgb(got)), srgb_to_lab(hsl_to_rgb(target)))
-    err = hsl_error(got, target)
-    return (
-        f"{tag}: masked mean vs target  de00 {de:.4f}  "
-        f"dh {err.dh:.2f} deg  ds {100.0 * err.ds:.2f}%  dl {100.0 * err.dl:.2f}%"
-    )
+def _shown_hsl(lin: np.ndarray) -> np.ndarray:
+    """(h, s, l) of linear RGB rows as they are displayed: sRGB-encoded and clamped."""
+    return rgb_to_hsl_array(linear_to_srgb_array(lin))
+
+
+def _hsl_error(got, want) -> tuple[float, float, float]:
+    """Circular hue distance in degrees, and the absolute s and l gaps, between two (h, s, l)."""
+    return abs(signed_hue_delta(got[0], want[0])), abs(got[1] - want[1]), abs(got[2] - want[2])
+
+
+def _report_lines(lins: np.ndarray, target: HslColor) -> list[str]:
+    """The masked means before and after the edit, (2, 3) linear RGB, against the target."""
+    want = [target.h, target.s, target.l]
+    des = ciede2000_array(linear_rgb_to_lab_array(lins), srgb_to_lab_array(hsl_to_rgb_array(want)))
+    lines = []
+    for tag, de, got in zip(("before", "after"), des.tolist(), _shown_hsl(lins).tolist()):
+        dh, ds, dl = _hsl_error(got, want)
+        lines.append(
+            f"{tag}: masked mean vs target  de00 {de:.4f}  "
+            f"dh {dh:.2f} deg  ds {100.0 * ds:.2f}%  dl {100.0 * dl:.2f}%"
+        )
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +173,7 @@ def cmd_intervene(args) -> int:
     rows = mask.indices
     # one decode for both blocks; each is charted on its own, as matmul's rounding depends on the row count
     hsl = decode(np.concatenate([_chart(x[rows], model, args.t, stats)[0] for x in (z, out)]), anchors)
-    for tag, block in (("before", hsl[: len(rows)]), ("after", hsl[len(rows) :])):
-        print(_report_line(tag, mean_color(block), target))
+    print("\n".join(_report_lines(np.stack([mean_color(block) for block in np.split(hsl, 2)]), target)))
     print(f"wrote {args.out}")
     return 0
 
@@ -181,19 +209,20 @@ def cmd_eval(args) -> int:
     pred = ColorGrid.load(args.pred)
     ref = ColorGrid.load(args.ref)
     mask = load_mask(args.mask) if args.mask else PatchMask.full(pred.height * pred.width)
-    mean_pred = masked_mean_color(pred, mask)
-    mean_ref = masked_mean_color(ref, mask)
-    err = hsl_error(mean_pred, mean_ref)
+    # the masked means stay in linear RGB for de00, as grid_de00_mean_pixel's do
+    lins = [masked_mean_color(grid, mask) for grid in (pred, ref)]
+    pred_hsl, ref_hsl = _shown_hsl(np.stack(lins)).tolist()
+    dh, ds, dl = _hsl_error(pred_hsl, ref_hsl)
     metrics = {
         "de00_per_pixel": grid_de00_per_pixel(pred, ref),
         "de00_mean_pixel": grid_de00_mean_pixel(pred, ref),
         "masked_mean": {
-            "pred_hsl": [mean_pred.h, mean_pred.s, mean_pred.l],
-            "ref_hsl": [mean_ref.h, mean_ref.s, mean_ref.l],
-            "de00": ciede2000(srgb_to_lab(hsl_to_rgb(mean_pred)), srgb_to_lab(hsl_to_rgb(mean_ref))),
-            "dh_degrees": err.dh,
-            "ds_percent": 100.0 * err.ds,
-            "dl_percent": 100.0 * err.dl,
+            "pred_hsl": pred_hsl,
+            "ref_hsl": ref_hsl,
+            "de00": float(ciede2000_array(*(linear_rgb_to_lab_array(lin) for lin in lins))),
+            "dh_degrees": dh,
+            "ds_percent": 100.0 * ds,
+            "dl_percent": 100.0 * dl,
         },
     }
     tensorio.write_json(args.out, metrics)

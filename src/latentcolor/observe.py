@@ -4,7 +4,8 @@ An observation decodes every patch of a latent at timestep t through the
 normalization map and arranges the colors in the patch grid. Metrics
 compare two grids either cell by cell or through their average color;
 averaging always happens in linear RGB so that it matches how light
-mixes, not how gamma-encoded bytes do.
+mixes, not how gamma-encoded bytes do. An average color stays in linear
+RGB, and its Lab is taken from there, not from a displayed HSL value.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ from . import tensorio
 from .bicone import AnchorSet, decode_raw
 from .colorspace import (
     HslColor,
-    RgbColor,
     canonical_hsl,
     ciede2000_array,
     hsl_to_rgb_array,
-    linear_channel_to_srgb,
     linear_rgb_to_lab_array,
-    rgb_to_hsl,
     srgb_to_linear_array,
 )
 from .intervene import PatchMask
@@ -186,22 +184,18 @@ def grid_de00_mean_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     return float(ciede2000_array(pred._mean_lab, ref._mean_lab))
 
 
-def _hsl_of_linear(lin: np.ndarray) -> HslColor:
-    return rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin.tolist())))
+def mean_color(hsl: np.ndarray) -> np.ndarray:
+    """Average color of a nonempty (n, 3) block of (h, s, l) rows, as linear RGB."""
+    return srgb_to_linear_array(hsl_to_rgb_array(hsl.reshape(-1, 3))).mean(axis=0)
 
 
-def mean_color(hsl: np.ndarray) -> HslColor:
-    """Average color of a nonempty (n, 3) block of (h, s, l) rows, mixed in linear RGB."""
-    return _hsl_of_linear(srgb_to_linear_array(hsl_to_rgb_array(hsl.reshape(-1, 3))).mean(axis=0))
-
-
-def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> HslColor:
-    """Average color of the masked cells, mixed in linear RGB."""
+def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> np.ndarray:
+    """Average color of the masked cells, as linear RGB."""
     if mask.L != grid.height * grid.width:
         raise ValueError(f"mask is for L = {mask.L} cells, grid has {grid.height * grid.width}")
     if not mask.selected:
         raise ValueError("empty mask: no cells to average")
-    return _hsl_of_linear(grid._linear.reshape(-1, 3)[mask.indices].mean(axis=0))
+    return grid._linear.reshape(-1, 3)[mask.indices].mean(axis=0)
 
 
 def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .bicone import AnchorSet, HUE_DEGREES, HUE_LABELS, decode, encode, regular_anchors
-from .colorspace import HslColor, hsv_to_hsl, parse_hex, rgb_to_hsl
+from .colorspace import HslColor, canonical_hsl, parse_hex, rgb_to_hsl
 from .observe import ColorGrid
 
 __all__ = [
@@ -154,6 +154,15 @@ def probe_colors() -> dict[str, HslColor]:
     return out
 
 
+def _hsv_to_hsl(hsv: np.ndarray) -> np.ndarray:
+    """Canonical (h, s, l) rows of (h, s, v) rows."""
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    l = v * (1.0 - s / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # black and white have no saturation
+        sl = np.where((l <= 0.0) | (l >= 1.0), 0.0, (v - l) / np.minimum(l, 1.0 - l))
+    return canonical_hsl(np.stack([h, sl, l], axis=-1))
+
+
 def make_probe_set(e: ToyEmbedder, lattice_side: int = 8) -> ProbeSet:
     """Labeled probes plus lattice_side**3 uniform HSV lattice latents.
 
@@ -163,14 +172,11 @@ def make_probe_set(e: ToyEmbedder, lattice_side: int = 8) -> ProbeSet:
     if lattice_side < 2:
         raise ValueError("lattice_side must be >= 2")
     labeled = {k: embed_hsl(c, e) for k, c in probe_colors().items()}
-    colors = []
     n = lattice_side
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                colors.append(hsv_to_hsl(360.0 * i / n, (j + 0.5) / n, (k + 0.5) / n))
-    lattice = embed_hsl(np.array([(c.h, c.s, c.l) for c in colors]), e)
-    return ProbeSet(labeled=labeled, lattice=lattice, lattice_colors=tuple(colors))
+    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    hsl = _hsv_to_hsl(np.stack([360.0 * i / n, (j + 0.5) / n, (k + 0.5) / n], axis=-1).reshape(-1, 3))
+    colors = tuple(HslColor(*c) for c in hsl.tolist())
+    return ProbeSet(labeled=labeled, lattice=embed_hsl(hsl, e), lattice_colors=colors)
 
 
 # ---------------------------------------------------------------------------

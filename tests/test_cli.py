@@ -25,7 +25,7 @@ from latentcolor import (
     write_latents,
 )
 from latentcolor import AnchorSet, SubspaceModel, StatsTable, load_mask, masked_mean_color, observe
-from latentcolor.cli import COMMANDS, _report_line, build_parser, main
+from latentcolor.cli import COMMANDS, _report_lines, build_parser, main
 from latentcolor.colorspace import HslColor, parse_hex, rgb_to_hsl, signed_hue_delta
 from latentcolor.tensorio import read_json
 from latentcolor.toyflow import probe_colors
@@ -225,6 +225,30 @@ def test_eval_reports_metrics(ws, tmp_path):
     }
 
 
+def test_eval_without_mask_scores_the_mean_as_de00_mean_pixel(ws, tmp_path):
+    # the masked mean over every cell is the grid mean, and its de00 comes from the same arithmetic
+    def observed(name, t):
+        path = tmp_path / f"{name}{t}.json"
+        argv = [
+            "observe", str(ws["root"] / f"run-{name}" / f"t{t:03d}.lt"),
+            "--t", str(t),
+            "--model", str(ws["model"]),
+            "--anchors", str(ws["anchors"]),
+            "--stats", str(ws["stats"]),
+            "--out-json", str(path),
+        ]
+        assert main(argv) == 0
+        return str(path)
+
+    ref = observed("blue", 20)
+    metrics_path = tmp_path / "metrics.json"
+    for t in (1, 4, 10):
+        assert main(["eval", observed("red", t), ref, "--out", str(metrics_path)]) == 0
+        metrics = read_json(metrics_path)
+        assert metrics["de00_mean_pixel"] > 10.0
+        assert metrics["masked_mean"]["de00"].hex() == metrics["de00_mean_pixel"].hex()
+
+
 def test_eval_with_mask(ws, tmp_path):
     pred = ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 2, 2)
     cells = (HslColor(0.0, 1.0, 0.5),) * 2 + (HslColor(120.0, 1.0, 0.5),) * 2
@@ -368,6 +392,34 @@ def test_intervene_bad_hex_exits_2(ws, tmp_path, capsys):
     )
     assert code == 2
     assert "hex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["type1", "type2"])
+@pytest.mark.parametrize("hsl", ["0,nan,0.5", "nan,0.5,0.5", "0,0.5,-inf", "0,0.5", "0,x,0.5"])
+def test_intervene_refuses_a_bad_target_hsl_up_front(ws, tmp_path, capsys, mode, hsl):
+    out = tmp_path / "x.lt"
+    code = main(
+        [
+            "intervene", str(ws["root"] / "run-red" / "t010.lt"),
+            "--t", "10",
+            "--target-hsl", hsl,
+            "--mode", mode,
+            "--model", str(ws["model"]),
+            "--anchors", str(ws["anchors"]),
+            "--stats", str(ws["stats"]),
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "finite numbers h,s,l for --target-hsl" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_doubled_hash(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--colors", "##FF0000", "--T", "2"]) == 2
+    assert "expected 6 hex digits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_intervene_requires_a_target(ws, tmp_path, capsys):
@@ -582,11 +634,9 @@ def test_intervene_report_matches_full_grid_observation(ws, tmp_path, capsys):
     stats = StatsTable.load(ws["stats"])
     mask = load_mask(mask_path)
     target = rgb_to_hsl(parse_hex(BLUE_HEX))
-    want = [
-        _report_line(tag, masked_mean_color(observe(read_latents(path), 12, model, anchors, stats, (8, 8)), mask), target)
-        for tag, path in (("before", latent), ("after", out_path))
-    ]
-    assert lines[:2] == want
+    means = [masked_mean_color(observe(read_latents(path), 12, model, anchors, stats, (8, 8)), mask) for path in (latent, out_path)]
+    assert lines[:2] == _report_lines(np.stack(means), target)
+    assert [line.split(":")[0] for line in lines[:2]] == ["before", "after"]
 
 
 # ---------------------------------------------------------------------------

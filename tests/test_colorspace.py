@@ -1,29 +1,31 @@
-"""Scalar color conversions checked against published reference data
-and the stdlib colorsys module."""
+"""Color conversions checked against published reference data and the
+stdlib colorsys module."""
 
 import colorsys
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from latentcolor.cli import _hsl_error
 from latentcolor.colorspace import (
     HslColor,
     LabColor,
     RgbColor,
     ciede2000,
     circular_mean_hue,
-    hsl_error,
-    hsl_to_rgb,
-    hsv_to_hsl,
-    linear_channel_to_srgb,
-    linear_rgb_to_lab,
+    hsl_to_rgb_array,
+    linear_rgb_to_lab_array,
+    linear_to_srgb_array,
     parse_hex,
     rgb_to_hsl,
+    rgb_to_hsl_array,
     signed_hue_delta,
-    srgb_channel_to_linear,
-    srgb_to_lab,
+    srgb_to_lab_array,
+    srgb_to_linear_array,
 )
+from latentcolor.toyflow import _hsv_to_hsl
 
 # Standard CIEDE2000 verification set: Lab pair and expected difference,
 # published to 4 decimals.
@@ -81,6 +83,29 @@ def hues_equal(a: float, b: float, tol: float) -> bool:
     return abs(signed_hue_delta(a, b)) <= tol
 
 
+# the kernels on one color, to meet the per-color oracles below
+def hsl_to_rgb(c: HslColor) -> RgbColor:
+    return RgbColor(*hsl_to_rgb_array((c.h, c.s, c.l)).tolist())
+
+
+def to_8bit_via_hsl(rgb8) -> list[tuple[int, int, int]]:
+    """8-bit sRGB rows sent to HSL and back, as 8-bit rows."""
+    back = hsl_to_rgb_array(rgb_to_hsl_array(np.array(rgb8) / 255.0))
+    return [RgbColor(*c).to_8bit() for c in back.reshape(-1, 3).tolist()]
+
+
+def srgb_to_lab(c: RgbColor) -> LabColor:
+    return LabColor(*srgb_to_lab_array((c.r, c.g, c.b)).tolist())
+
+
+def to_linear(x: float) -> float:
+    return float(srgb_to_linear_array(x))
+
+
+def to_srgb(x: float) -> float:
+    return float(linear_to_srgb_array(x))
+
+
 # ---------------------------------------------------------------------------
 # dataclasses and hex parsing
 # ---------------------------------------------------------------------------
@@ -103,7 +128,7 @@ def test_parse_hex():
     assert parse_hex("ffffff").to_8bit() == (255, 255, 255)
 
 
-@pytest.mark.parametrize("bad", ["", "#fff", "12345", "1234567", "gg0000", "#12 456"])
+@pytest.mark.parametrize("bad", ["", "#fff", "12345", "1234567", "gg0000", "#12 456", "##FF0000"])
 def test_parse_hex_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_hex(bad)
@@ -157,7 +182,7 @@ def test_hsl_to_rgb_matches_colorsys(h, s, l):
 
 @given(hue, unit, unit)
 def test_hsv_to_hsl_matches_colorsys(h, s, v):
-    got = hsl_to_rgb(hsv_to_hsl(h, s, v))
+    got = hsl_to_rgb(HslColor(*_hsv_to_hsl(np.array([h, s, v])).tolist()))
     r, g, b = colorsys.hsv_to_rgb(h / 360.0, s, v)
     assert (got.r, got.g, got.b) == pytest.approx((r, g, b), abs=1e-10)
 
@@ -166,23 +191,19 @@ def test_hsv_to_hsl_matches_colorsys(h, s, v):
 def test_hsl_roundtrip_preserves_8bit_rgb(r, g, b):
     c = RgbColor.from_8bit(r, g, b)
     assert hsl_to_rgb(rgb_to_hsl(c)).to_8bit() == (r, g, b)
+    assert to_8bit_via_hsl([r, g, b]) == [(r, g, b)]
 
 
 def test_hsl_roundtrip_preserves_8bit_rgb_lattice():
     # deterministic sweep on a stride-17 cube plus the grey diagonal
-    for r in range(0, 256, 17):
-        for g in range(0, 256, 17):
-            for b in range(0, 256, 17):
-                c = RgbColor.from_8bit(r, g, b)
-                assert hsl_to_rgb(rgb_to_hsl(c)).to_8bit() == (r, g, b)
-    for v in range(256):
-        c = RgbColor.from_8bit(v, v, v)
-        assert hsl_to_rgb(rgb_to_hsl(c)).to_8bit() == (v, v, v)
+    rows = [(r, g, b) for r in range(0, 256, 17) for g in range(0, 256, 17) for b in range(0, 256, 17)]
+    rows += [(v, v, v) for v in range(256)]
+    assert to_8bit_via_hsl(rows) == rows
 
 
 @given(hue, st.floats(0.01, 1.0), st.floats(0.01, 0.99))
 def test_chromatic_hsl_roundtrip(h, s, l):
-    back = rgb_to_hsl(hsl_to_rgb(HslColor(h, s, l)))
+    back = HslColor(*rgb_to_hsl_array(hsl_to_rgb_array((h, s, l))).tolist())
     assert hues_equal(back.h, h, 1e-9)
     assert back.s == pytest.approx(s, abs=1e-9)
     assert back.l == pytest.approx(l, abs=1e-12)
@@ -217,26 +238,26 @@ def test_srgb_transfer_roundtrip(x):
     # hair-thin window at its branch seam (measured 2.96e-8 and 2.33e-9);
     # everywhere else the functions invert each other to rounding error.
     tol = 1e-7 if 0.04044 < x < 0.04046 else 1e-12
-    assert linear_channel_to_srgb(srgb_channel_to_linear(x)) == pytest.approx(x, abs=tol)
+    assert to_srgb(to_linear(x)) == pytest.approx(x, abs=tol)
     tol = 1e-8 if 0.0031307 < x < 0.0031309 else 1e-12
-    assert srgb_channel_to_linear(linear_channel_to_srgb(x)) == pytest.approx(x, abs=tol)
+    assert to_linear(to_srgb(x)) == pytest.approx(x, abs=tol)
 
 
 def test_srgb_transfer_seam_roundtrip_gap_is_bounded():
     x = 0.04045
-    assert linear_channel_to_srgb(srgb_channel_to_linear(x)) == pytest.approx(x, abs=1e-7)
+    assert to_srgb(to_linear(x)) == pytest.approx(x, abs=1e-7)
 
 
 def test_srgb_transfer_is_monotone():
-    xs = [i / 1000.0 for i in range(1001)]
-    ys = [srgb_channel_to_linear(x) for x in xs]
-    assert all(b > a for a, b in zip(ys, ys[1:]))
+    xs = np.arange(1001) / 1000.0
+    for ys in (srgb_to_linear_array(xs), linear_to_srgb_array(xs)):
+        assert np.all(np.diff(ys) > 0.0)
 
 
 def test_lab_of_grey_is_neutral():
-    lab = linear_rgb_to_lab(0.2, 0.2, 0.2)
-    assert lab.a == pytest.approx(0.0, abs=1e-9)
-    assert lab.b == pytest.approx(0.0, abs=1e-9)
+    _, a, b = linear_rgb_to_lab_array((0.2, 0.2, 0.2))
+    assert a == pytest.approx(0.0, abs=1e-9)
+    assert b == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("x,y,expected", CIEDE2000_PAIRS)
@@ -285,10 +306,10 @@ def test_signed_hue_delta_values():
 
 
 def test_hsl_error_uses_circular_hue_distance():
-    e = hsl_error(HslColor(5.0, 0.2, 0.8), HslColor(355.0, 0.5, 0.5))
-    assert e.dh == pytest.approx(10.0)
-    assert e.ds == pytest.approx(0.3)
-    assert e.dl == pytest.approx(0.3, abs=1e-12)
+    dh, ds, dl = _hsl_error((5.0, 0.2, 0.8), (355.0, 0.5, 0.5))
+    assert dh == pytest.approx(10.0)
+    assert ds == pytest.approx(0.3)
+    assert dl == pytest.approx(0.3, abs=1e-12)
 
 
 def test_circular_mean_hue_wraps():

@@ -1,8 +1,8 @@
 """Array kernels checked against the per-color reference.
 
-The reference is the scalar code: the colorspace functions that take one
-color dataclass, and below, the per-vector bicone decode and the
-per-cell grid loops that the array code replaced. Where a kernel does the
+The reference is the scalar code: the per-color conversions in
+colorref.py, and below, the per-vector bicone decode and the per-cell
+grid loops that the array code replaced. Where a kernel does the
 reference's arithmetic elementwise it must match bit for bit. Where numpy's
 vectorized pow, atan2, hypot or exp stand in for the C library's (Lab,
 CIEDE2000, decode), or where sums run in another order (grid means), the
@@ -36,24 +36,28 @@ from latentcolor.colorspace import (
     LabColor,
     RgbColor,
     canonical_hsl,
-    ciede2000,
     ciede2000_array,
     circular_mean_hue,
-    hsl_to_rgb,
     hsl_to_rgb_array,
-    linear_channel_to_srgb,
-    linear_rgb_to_lab,
     linear_rgb_to_lab_array,
-    rgb_to_hsl,
+    linear_to_srgb_array,
+    rgb_to_hsl_array,
     signed_hue_delta,
-    srgb_channel_to_linear,
-    srgb_to_lab,
     srgb_to_lab_array,
     srgb_to_linear_array,
     _ciede_t,
 )
 from latentcolor.subspace import project
 from latentcolor.timestats import _chart, normalize
+from colorref import (
+    ciede2000,
+    hsl_to_rgb,
+    linear_channel_to_srgb,
+    linear_rgb_to_lab,
+    rgb_to_hsl,
+    srgb_channel_to_linear,
+    srgb_to_lab,
+)
 from test_colorspace import CIEDE2000_PAIRS
 
 TOL = 1e-12
@@ -113,6 +117,40 @@ def test_hsl_to_rgb_array_keeps_leading_axes():
     grid = np.array([[[0.0, 1.0, 0.5], [120.0, 1.0, 0.5]], [[240.0, 1.0, 0.5], [0.0, 0.0, 1.0]]])
     assert np.array_equal(hsl_to_rgb_array(grid), [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [1, 1, 1]]])
     assert np.array_equal(hsl_to_rgb_array(grid[0, 0]), [1.0, 0.0, 0.0])
+
+
+channel = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from([-0.0, 0.0, 0.5, 1.0, -1e-300, 5e-324, math.nextafter(0.5, 0.0), math.nextafter(1.0, 2.0)]),
+)
+
+
+@given(st.lists(st.tuples(channel, channel, channel), min_size=1, max_size=16))
+def test_rgb_to_hsl_array_is_reference_bitwise(rows):
+    # every row also as a grey and with two channels sharing the maximum (or minimum) in each position
+    rows = rows + [v for a, b, c in rows for v in ((a, a, a), (a, a, c), (a, c, a), (c, a, a), (b, -0.0, 0.0))]
+    want = hsl_rows(rgb_to_hsl(RgbColor(*r)) for r in rows)
+    assert_same_bits(rgb_to_hsl_array(rows), want)
+    assert_same_bits(rgb_to_hsl_array(rows[0]), want[0])
+
+
+def test_rgb_to_hsl_array_is_reference_bitwise_on_8bit_colors():
+    greys = [(v, v, v) for v in range(256)]
+    cube = [(r, g, b) for r in range(0, 256, 17) for g in range(0, 256, 17) for b in range(0, 256, 17)]
+    rows = (np.array(greys + cube + np.random.default_rng(3).integers(0, 256, (20000, 3)).tolist()) / 255.0).tolist()
+    assert_same_bits(rgb_to_hsl_array(rows), hsl_rows(rgb_to_hsl(RgbColor(*r)) for r in rows))
+    assert rgb_to_hsl_array(np.reshape(rows[:12], (3, 4, 3))).shape == (3, 4, 3)
+
+
+SRGB_SEAM = 0.0031308
+
+
+@given(st.lists(st.one_of(st.floats(-0.1, 1.5), st.sampled_from([0.0, -0.0, 1.0])), min_size=1, max_size=16))
+def test_linear_to_srgb_array_matches_reference(xs):
+    xs = xs + [SRGB_SEAM, math.nextafter(SRGB_SEAM, 0.0), math.nextafter(SRGB_SEAM, 1.0)]
+    want = [linear_channel_to_srgb(x) for x in xs]
+    np.testing.assert_allclose(linear_to_srgb_array(xs), want, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(linear_to_srgb_array(np.reshape(xs[-3:], (1, 3))), [want[-3:]], rtol=0.0, atol=1e-15)
 
 
 @given(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=16))
@@ -356,9 +394,11 @@ def test_mean_color_matches_per_cell_reference(case):
     picked = list(range(0, h * w, 2))
     got = masked_mean_color(grid, PatchMask(h * w, frozenset(picked)))
     lin = reference_mean_linear_rgb([grid.cells[i] for i in picked])
+    np.testing.assert_allclose(got, lin, rtol=0, atol=TOL)
+    # as displayed, compared in RGB: the hue of a near-grey mean is ill-conditioned
+    shown = HslColor(*rgb_to_hsl_array(linear_to_srgb_array(got)).tolist())
     want = rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin)))
-    # compared in RGB: the hue of a near-grey mean is ill-conditioned
-    got_rgb, want_rgb = hsl_to_rgb(got), hsl_to_rgb(want)
+    got_rgb, want_rgb = hsl_to_rgb(shown), hsl_to_rgb(want)
     np.testing.assert_allclose((got_rgb.r, got_rgb.g, got_rgb.b), (want_rgb.r, want_rgb.g, want_rgb.b), rtol=0, atol=TOL)
 
 
@@ -377,8 +417,8 @@ def bits(x):
     """x with every float spelled out exactly (float.hex), for bitwise comparison."""
     if isinstance(x, float):
         return x.hex()
-    if isinstance(x, HslColor):
-        return tuple(v.hex() for v in (x.h, x.s, x.l))
+    if isinstance(x, np.ndarray):
+        return x.shape, tuple(v.hex() for v in x.ravel().tolist())
     return x
 
 
@@ -391,9 +431,6 @@ def uncached_outputs(pred: ColorGrid, ref: ColorGrid, picked: list[int]) -> dict
     def mean_linear(g, rows):
         return srgb_to_linear_array(hsl_to_rgb_array(g.hsl.reshape(-1, 3)[rows])).mean(axis=0)
 
-    def hsl_of_linear(lin):
-        return rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin.tolist())))
-
     def mean_lab(g):
         return linear_rgb_to_lab_array(mean_linear(g, slice(None)))
 
@@ -405,8 +442,8 @@ def uncached_outputs(pred: ColorGrid, ref: ColorGrid, picked: list[int]) -> dict
     return {
         "per_pixel": float(np.mean(ciede2000_array(lab(pred), lab(ref)))),
         "mean_pixel": float(ciede2000_array(mean_lab(pred), mean_lab(ref))),
-        "masked_pred": hsl_of_linear(mean_linear(pred, picked)),
-        "masked_ref": hsl_of_linear(mean_linear(ref, picked)),
+        "masked_pred": mean_linear(pred, picked),
+        "masked_ref": mean_linear(ref, picked),
         **{f"ppm{k}": ppm(k) for k in (1, 2, 3)},
     }
 

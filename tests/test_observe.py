@@ -16,19 +16,17 @@ from latentcolor import (
     project,
     render_ppm,
 )
-from latentcolor.colorspace import (
-    HslColor,
-    RgbColor,
+from latentcolor.colorspace import HslColor, RgbColor, linear_to_srgb_array, rgb_to_hsl_array, signed_hue_delta
+from latentcolor.timestats import denormalize
+from colorref import (
     ciede2000,
     hsl_to_rgb,
     linear_channel_to_srgb,
     linear_rgb_to_lab,
     rgb_to_hsl,
-    signed_hue_delta,
     srgb_channel_to_linear,
     srgb_to_lab,
 )
-from latentcolor.timestats import denormalize
 
 RED = HslColor(0.0, 1.0, 0.5)
 GREEN = HslColor(120.0, 1.0, 0.5)
@@ -142,7 +140,9 @@ def test_masked_mean_color_oracle():
         tuple(srgb_channel_to_linear(v) for v in (0.0, 1.0, 0.0)),
     ]
     mix = np.mean(lin, axis=0)
+    np.testing.assert_allclose(got, mix, rtol=0.0, atol=1e-12)  # the mean stays in linear RGB
     want = rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in mix)))
+    got = HslColor(*rgb_to_hsl_array(linear_to_srgb_array(got)).tolist())  # as displayed
     assert abs(signed_hue_delta(got.h, want.h)) < 1e-9
     assert got.s == pytest.approx(want.s, abs=1e-12)
     assert got.l == pytest.approx(want.l, abs=1e-12)

@@ -18,7 +18,7 @@ from latentcolor import (
     toy_decode,
 )
 from latentcolor.bicone import ANCHOR_LABELS, HUE_DEGREES, HUE_LABELS
-from latentcolor.colorspace import HslColor, rgb_to_hsl, signed_hue_delta
+from latentcolor.colorspace import HslColor, signed_hue_delta
 from latentcolor.toyflow import (
     AXIS_LENGTH,
     CHROMA_RADIUS,
@@ -27,6 +27,7 @@ from latentcolor.toyflow import (
     palette_color,
     probe_colors,
 )
+from colorref import hsv_to_hsl, rgb_to_hsl
 
 WHITE = HslColor(0.0, 0.0, 1.0)
 GREY = HslColor(0.0, 0.0, 0.5)
@@ -115,6 +116,16 @@ def test_make_probe_set_is_deterministic(embedder):
     assert len(a.lattice_colors) == 512
     assert np.array_equal(a.lattice, b.lattice)
     assert set(a.labeled) == set(ANCHOR_LABELS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_probe_lattice_is_hsv_reference_bitwise(embedder, n):
+    # one array pass gives the per-color loop's colors and latents, so no fitted toy model moves
+    want = [hsv_to_hsl(360.0 * i / n, (j + 0.5) / n, (k + 0.5) / n) for i in range(n) for j in range(n) for k in range(n)]
+    probes = make_probe_set(embedder, n)
+    hexes = lambda colors: [v.hex() for c in colors for v in (c.h, c.s, c.l)]
+    assert hexes(probes.lattice_colors) == hexes(want)
+    assert probes.lattice.tobytes() == embed_hsl(np.array([(c.h, c.s, c.l) for c in want]), embedder).tobytes()
 
 
 def test_lattice_spans_the_full_gamut(probe_set):
