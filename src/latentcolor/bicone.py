@@ -180,9 +180,9 @@ def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel)
     return _assemble(hue, proj["black"], proj["white"])
 
 
-def _dot3(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _dot3(cols, v: np.ndarray) -> np.ndarray:
     # written out so that a row's result does not depend on the batch size
-    return rows[:, 0] * v[0] + rows[:, 1] * v[1] + rows[:, 2] * v[2]
+    return cols[0] * v[0] + cols[1] * v[1] + cols[2] * v[2]
 
 
 def _rows(x: np.ndarray, what: str) -> np.ndarray:
@@ -209,9 +209,11 @@ def decode_raw(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     """
     c = np.asarray(c, dtype=np.float64)
     a = anchors
-    rel = _rows(c, "subspace coordinates") - a.black
+    rows = _rows(c, "subspace coordinates")
+    # the frame one column at a time: an (n, 3) op with a (3,) vector runs n inner loops of length 3
+    rel = [rows[:, i] - a.black[i] for i in range(3)]
     l = _dot3(rel, a.axis) / float(a.axis @ a.axis)
-    chroma3 = rel - l[:, None] * a.axis
+    chroma3 = [rel[i] - l * a.axis[i] for i in range(3)]
     q0 = _dot3(chroma3, a.e1)
     q1 = _dot3(chroma3, a.e2)
     radius = np.hypot(q0, q1)
@@ -223,9 +225,10 @@ def decode_raw(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     for edge in a.chroma_angles[1:]:
         k += (ang >= edge).view(np.int8)
     k = k.astype(np.intp)
-    # one coordinate at a time: gathering (x, y) rows costs several times more
-    x, y, j = a.chroma_points[:, 0], a.chroma_points[:, 1], _NEXT_ANCHOR.take(k)
-    kx, ky, jx, jy = x.take(k), y.take(k), x.take(j), y.take(j)
+    # one coordinate at a time: gathering (x, y) rows costs several times more; the next
+    # anchor's coordinates come from the rotated table, not by a second gather through k + 1
+    x, y = a.chroma_points[:, 0], a.chroma_points[:, 1]
+    kx, ky, jx, jy = x.take(k), y.take(k), x[_NEXT_ANCHOR].take(k), y[_NEXT_ANCHOR].take(k)
     cross_k = kx * q1 - ky * q0
     cross_j = jx * q1 - jy * q0
     denom = cross_k - cross_j
@@ -237,8 +240,10 @@ def decode_raw(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
         h = 60.0 * k + alpha * 60.0  # in [0, 360]; hue 360 is 0
         chord = np.hypot(kx + alpha * (jx - kx), ky + alpha * (jy - ky))
         s = radius / (chord * bicone)
-    s = np.where(bicone < _MIN_BICONE, 0.0, s)
-    hsl = np.stack([np.where(chromatic & (h < 360.0), h, 0.0), np.where(chromatic, s, 0.0), l], axis=1)
+    hsl = np.zeros((len(l), 3))
+    np.copyto(hsl[:, 0], h, where=chromatic & (h < 360.0))
+    np.copyto(hsl[:, 1], s, where=chromatic & ~(bicone < _MIN_BICONE))
+    hsl[:, 2] = l
     return hsl.reshape(c.shape)
 
 

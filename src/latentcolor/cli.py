@@ -84,6 +84,8 @@ def _parse_target(args) -> HslColor:
             hsl = []
         if len(hsl) != 3 or not all(map(math.isfinite, hsl)):
             raise ValueError(f"expected three finite numbers h,s,l for --target-hsl, got {args.target_hsl!r}")
+        if not (0.0 <= hsl[1] <= 1.0 and 0.0 <= hsl[2] <= 1.0):  # HslColor would clamp them silently
+            raise ValueError(f"expected s and l in [0, 1] for --target-hsl, got {args.target_hsl!r}")
         return HslColor(*hsl)
     if args.target is None:
         raise ValueError("one of --target or --target-hsl is required")
@@ -160,11 +162,11 @@ def cmd_observe(args) -> int:
 
 
 def cmd_intervene(args) -> int:
+    target = _parse_target(args)
     z = tensorio.read_latents(args.latent)
     model = SubspaceModel.load(args.model)
     anchors = AnchorSet.load(args.anchors)
     stats = _load_stats(args.stats)
-    target = _parse_target(args)
     mask = load_mask(args.mask) if args.mask else PatchMask.full(z.shape[0])
 
     out = apply_intervention(z, args.t, target, mask, model, anchors, stats, args.mode)
@@ -274,7 +276,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         i.add_argument("latent")
         i.add_argument("--t", type=int, required=True)
         i.add_argument("--target", help="target color as #RRGGBB")
-        i.add_argument("--target-hsl", help="target color as h,s,l")
+        i.add_argument("--target-hsl", help="target color as h,s,l; s and l in [0, 1], h in degrees, wrapped mod 360")
         i.add_argument("--mode", choices=MODES, default="interp")
         i.add_argument("--mask", help="mask file (JSON or PGM); default all patches")
         i.add_argument("--model", required=True)

@@ -139,15 +139,22 @@ def circular_mean_hue(hues) -> float:
 # ---------------------------------------------------------------------------
 # Array kernels
 # ---------------------------------------------------------------------------
-# The per-color versions in tests/colorref.py are the reference. The HSL
-# kernels (and bicone's decode_raw) use + - * /, floor, abs and comparisons
-# and match it bit for bit: numpy's float % and searchsorted cost several
-# plain ufuncs each, so they give way to what yields the same bits on the
-# known input range, x + c * (x < 0) for x % c with x > -c, hp - 2 floor(hp / 2)
-# for hp % 2, a count of passed edges for searchsorted. The transfer, Lab
-# and CIEDE2000 kernels match to rounding error: numpy's pow, atan2 and exp
-# may differ from the C library's in the last bits, and ciede2000_array
-# takes sqrt(a a + b b) for hypot and products for powers.
+# The per-color versions in tests/colorref.py are the reference. On a 64x64
+# grid a kernel costs what its numpy passes over the rows cost, so:
+# - The HSL kernels (and bicone's decode_raw) use + - * /, floor, abs,
+#   comparisons and gathers, and match the reference bit for bit. numpy's
+#   float % and searchsorted cost several plain ufuncs each, so they give
+#   way to what yields the same bits on the known input range: x + c * (x < 0)
+#   for x % c with x > -c, hp - 2 floor(hp / 2) for hp % 2, a count of
+#   passed edges for searchsorted, one flat take for the sextant's channels.
+# - The transfer, Lab and CIEDE2000 kernels match to 1e-12: numpy's pow,
+#   cbrt, atan2, tan and exp may differ from the C library's in the last
+#   bits. Lab takes cbrt for t ** (1/3); ciede2000_array takes sqrt(a a + b b)
+#   for hypot, products for powers and radians for degrees, and each sine
+#   and cosine from a half-angle tangent, as numpy's sin and cos run as
+#   scalar loops several times slower than its tan.
+# - An (n, 3) op with a (3,) vector, or an axis-0 reduction, runs n inner
+#   loops of length 3, so the kernels work one contiguous channel at a time.
 
 # IEC 61966-2-1 sRGB to XYZ (D65) matrix rows.
 _M_XYZ = (
@@ -160,6 +167,13 @@ _WHITE = tuple(sum(row) for row in _M_XYZ)
 
 # hsl_to_rgb_array's sextants: which of (chroma, x, 0) feeds r, g and b
 _SEXTANT_CHANNELS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [2, 1, 0], [1, 2, 0], [0, 2, 1]])
+
+
+def _channels(colors) -> np.ndarray:
+    # the last axis first, each channel contiguous: numpy's SIMD loops for atan2, tan and the like
+    # fall back to scalar code on a strided column
+    colors = np.asarray(colors, dtype=np.float64)
+    return colors.reshape(-1, colors.shape[-1]).T.copy().reshape(colors.shape[-1:] + colors.shape[:-1])
 
 
 def _clamp01_array(x: np.ndarray) -> np.ndarray:
@@ -184,13 +198,15 @@ def hsl_to_rgb_array(hsl) -> np.ndarray:
     hp = h / 60.0
     x = chroma * (1.0 - np.abs(hp - 2.0 * np.floor(hp / 2.0) - 1.0))
     m = l - chroma / 2.0
-    sextant = np.fmax(np.fmin(hp, 5.0), 0.0).astype(np.intp)  # NaN gives 5, the last sextant
-    shifted = (chroma + m, x + m, m)  # chroma, x or 0, plus m
-    rgb = np.empty(hsl.shape)
-    for c in range(3):
-        pick = _SEXTANT_CHANNELS[:, c].take(sextant)
-        rgb[..., c] = np.where(pick == 0, shifted[0], np.where(pick == 1, shifted[1], shifted[2]))
-    return np.clip(rgb, 0.0, 1.0, out=rgb)
+    sextant = np.fmax(np.fmin(hp, 5.0), 0.0).astype(np.intp).reshape(-1)  # NaN gives 5, the last sextant
+    # each channel takes chroma, x or 0, plus m, by one flat take over the three candidate planes
+    n = sextant.size
+    planes = np.stack([chroma + m, x + m, m]).reshape(-1)
+    at = np.arange(n)
+    rgb = np.empty((n, 3))
+    for c, offsets in enumerate(_SEXTANT_CHANNELS.T * n):
+        rgb[:, c] = planes.take(offsets.take(sextant) + at)
+    return np.clip(rgb, 0.0, 1.0, out=rgb).reshape(hsl.shape)
 
 
 def rgb_to_hsl_array(rgb) -> np.ndarray:
@@ -214,41 +230,41 @@ def rgb_to_hsl_array(rgb) -> np.ndarray:
     return np.stack([h, np.where(grey, 0.0, _clamp01_array(s)), l], axis=-1)
 
 
-def _power_where(base, exponent: float, cond, otherwise) -> np.ndarray:
-    # base ** exponent where cond holds, else otherwise; pow runs only where needed
+def _ufunc_where(ufunc, args, cond, otherwise) -> np.ndarray:
+    # ufunc(*args) where cond holds, else otherwise; the ufunc runs only where needed
     out = np.asarray(otherwise)  # a fresh temporary; 0-d when the inputs are
-    np.power(base, exponent, out=out, where=cond)
+    ufunc(*args, out=out, where=cond)
     return out
 
 
 def srgb_to_linear_array(rgb) -> np.ndarray:
     """Undo the sRGB transfer function on every channel."""
     x = np.asarray(rgb, dtype=np.float64)
-    return _power_where((x + 0.055) / 1.055, 2.4, x > 0.04045, x / 12.92)
+    return _ufunc_where(np.power, ((x + 0.055) / 1.055, 2.4), x > 0.04045, x / 12.92)
 
 
 def linear_to_srgb_array(lin) -> np.ndarray:
     """Apply the sRGB transfer function to every linear channel."""
     x = np.asarray(lin, dtype=np.float64)
     above = x > 0.0031308
-    y = _power_where(x, 1.0 / 2.4, above, 12.92 * x)
+    y = _ufunc_where(np.power, (x, 1.0 / 2.4), above, 12.92 * x)
     return np.where(above, 1.055 * y - 0.055, y)
 
 
 def linear_rgb_to_lab_array(lin) -> np.ndarray:
     """CIELAB of (r, g, b) rows of linear RGB (D65); greys get a* = b* = 0 exactly."""
-    lin = np.asarray(lin, dtype=np.float64)
-    r, g, b = lin[..., 0], lin[..., 1], lin[..., 2]
-    f = []
-    for m, w in zip(_M_XYZ, _WHITE):
-        t = (m[0] * r + m[1] * g + m[2] * b) / w
-        # CIE 1976 cube-root segment with the linear toe below (6/29)^3
-        f.append(_power_where(t, 1.0 / 3.0, t > 216.0 / 24389.0, (24389.0 / 27.0 * t + 16.0) / 116.0))
-    fx, fy, fz = f
-    grey = (r == g) & (g == b)  # the formula leaves rounding noise, which CIEDE2000's hue terms amplify
-    return np.stack(
-        [116.0 * fy - 16.0, np.where(grey, 0.0, 500.0 * (fx - fy)), np.where(grey, 0.0, 200.0 * (fy - fz))], axis=-1
+    r, g, b = _channels(lin)
+    fx, fy, fz = (  # CIE 1976 cube-root segment with the linear toe below (6/29)^3
+        _ufunc_where(np.cbrt, (t,), t > 216.0 / 24389.0, (24389.0 / 27.0 * t + 16.0) / 116.0)
+        for t in ((m[0] * r + m[1] * g + m[2] * b) / w for m, w in zip(_M_XYZ, _WHITE))
     )
+    lab = np.empty(r.shape + (3,))
+    lab[..., 0] = 116.0 * fy - 16.0
+    lab[..., 1] = 500.0 * (fx - fy)
+    lab[..., 2] = 200.0 * (fy - fz)
+    # the formula leaves rounding noise in a grey's a* and b*, which CIEDE2000's hue terms amplify
+    lab[(r == g) & (g == b), 1:] = 0.0
+    return lab
 
 
 def srgb_to_lab_array(rgb) -> np.ndarray:
@@ -256,29 +272,28 @@ def srgb_to_lab_array(rgb) -> np.ndarray:
     return linear_rgb_to_lab_array(srgb_to_linear_array(rgb))
 
 
-def _lab_hue_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    h = np.degrees(np.arctan2(b, a))
-    h += 360.0 * (h < 0.0)  # what % 360 gives on atan2's range, bit for bit
-    return np.where((a == 0.0) & (b == 0.0), 0.0, h)
-
-
 # CIEDE2000's T = 1 - 0.17 cos(h - 30) + 0.24 cos(2h) + 0.32 cos(3h + 6) - 0.20 cos(4h - 63) sums
 # a_k cos(kh) + b_k sin(kh), k = 1..4, with a_k = w cos(phi), b_k = -w sin(phi). With c = cos h, the
 # multiple-angle identities give cos(kh) = c, 2c^2 - 1, 4c^3 - 3c, 8c^4 - 8c^2 + 1 and
-# sin(kh) / sin(h) = 1, 2c, 4c^2 - 1, 8c^3 - 4c, so T = P(c) + sin(h) Q(c): one cos, one sin.
+# sin(kh) / sin(h) = 1, 2c, 4c^2 - 1, 8c^3 - 4c, so T = P(c) + sin(h) Q(c).
 _A, _B = zip(*((w * math.cos(math.radians(p)), -w * math.sin(math.radians(p)))
                for w, p in ((-0.17, -30.0), (0.24, 0.0), (0.32, 6.0), (-0.20, -63.0))))
 _T_COS = (1.0 - _A[1] + _A[3], _A[0] - 3.0 * _A[2], 2.0 * _A[1] - 8.0 * _A[3], 4.0 * _A[2], 8.0 * _A[3])
 _T_SIN = (_B[0] - _B[2], 2.0 * _B[1] - 4.0 * _B[3], 4.0 * _B[2], 8.0 * _B[3])
+# the blue-region rotation's Gaussian in hue: centre 275 degrees, width 25 degrees
+_ROT_CENTRE, _ROT_WIDTH = math.radians(275.0), math.radians(25.0)
+_TAU = 2.0 * math.pi
 
 
 def _ciede_t(hbp: np.ndarray) -> np.ndarray:
-    """CIEDE2000's T term at mean hue hbp in degrees."""
-    rad = np.radians(hbp)
-    c, a, b = np.cos(rad), _T_COS, _T_SIN
+    """CIEDE2000's T term at mean hue hbp in radians."""
+    u = np.tan(hbp / 2.0)  # cos h = (1 - u^2) / (1 + u^2), sin h = 2u / (1 + u^2)
+    uu = u * u
+    w = 1.0 / (1.0 + uu)
+    c, a, b = (1.0 - uu) * w, _T_COS, _T_SIN
     p = (((a[4] * c + a[3]) * c + a[2]) * c + a[1]) * c + a[0]
     q = ((b[3] * c + b[2]) * c + b[1]) * c + b[0]
-    return p + np.sin(rad) * q
+    return p + (2.0 * u * w) * q
 
 
 def ciede2000_array(x, y) -> np.ndarray:
@@ -286,48 +301,42 @@ def ciede2000_array(x, y) -> np.ndarray:
 
     Matches the published verification dataset to 1e-4.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    L1, a1, b1 = x[..., 0], x[..., 1], x[..., 2]
-    L2, a2, b2 = y[..., 0], y[..., 1], y[..., 2]
-    c_bar = (np.sqrt(a1 * a1 + b1 * b1) + np.sqrt(a2 * a2 + b2 * b2)) / 2.0
+    L1, a1, b1 = _channels(x)
+    L2, a2, b2 = _channels(y)
+    bb1, bb2 = b1 * b1, b2 * b2
+    c_bar = (np.sqrt(a1 * a1 + bb1) + np.sqrt(a2 * a2 + bb2)) / 2.0
     c7 = (c_bar * c_bar * c_bar) ** 2 * c_bar  # ** 2 is a square, ** 7 a slow pow
-    g = 0.5 * (1.0 - np.sqrt(c7 / (c7 + 25.0 ** 7)))
-    a1p = (1.0 + g) * a1
-    a2p = (1.0 + g) * a2
-    c1p = np.sqrt(a1p * a1p + b1 * b1)
-    c2p = np.sqrt(a2p * a2p + b2 * b2)
-    h1p = _lab_hue_array(a1p, b1)
-    h2p = _lab_hue_array(a2p, b2)
-    achromatic = c1p * c2p == 0.0
-
-    dLp = L2 - L1
-    dCp = c2p - c1p
+    g1 = 1.5 - 0.5 * np.sqrt(c7 / (c7 + 25.0 ** 7))  # 1 + G
+    a1p = g1 * a1
+    a2p = g1 * a2
+    c1p = np.sqrt(a1p * a1p + bb1)
+    c2p = np.sqrt(a2p * a2p + bb2)
+    h1p, h2p = np.arctan2(b1, a1p), np.arctan2(b2, a2p)  # hues in radians, moved into [0, 2 pi]
+    h1p += _TAU * (h1p < 0.0)
+    h2p += _TAU * (h2p < 0.0)
+    # Where a color has no chroma, dH' is 0. The mean hue, set to h1' + h2' there, then has no
+    # effect: it enters only through S_H and R_T, and both scale dH'. So no hue needs its own case.
     dhp = h2p - h1p
-    dhp = np.where(dhp > 180.0, dhp - 360.0, np.where(dhp < -180.0, dhp + 360.0, dhp))
-    dhp = np.where(achromatic, 0.0, dhp)
-    dHp = 2.0 * np.sqrt(c1p * c2p) * np.sin(np.radians(dhp) / 2.0)
+    hsum = h1p + h2p
+    # Hues more than pi apart differ and average across hue 0. Antiparallel chroma vectors lie
+    # exactly pi apart, where atan2's last bit would pick the side: they take the plain branch.
+    far = (np.abs(dhp) > np.pi) & ((a1p * b2 - b1 * a2p != 0.0) | (a1p * a2p + b1 * b2 >= 0.0))
+    v = np.tan(dhp / 4.0)  # sin(dhp / 2) = 2v / (1 + v^2); wrapping dhp by 2 pi flips its sign
+    dHp = np.where(far, -4.0, 4.0) * np.sqrt(c1p * c2p) * v / (1.0 + v * v)
+    hbp = (hsum + far * np.where(hsum < _TAU, _TAU, -_TAU)) / 2.0
 
     Lbp = (L1 + L2) / 2.0
     Cbp = (c1p + c2p) / 2.0
-    hsum = h1p + h2p
-    hbp = np.where(
-        np.abs(h1p - h2p) <= 180.0,
-        hsum / 2.0,
-        np.where(hsum < 360.0, (hsum + 360.0) / 2.0, (hsum - 360.0) / 2.0),
-    )
-    hbp = np.where(achromatic, hsum, hbp)
-
     l50 = (Lbp - 50.0) ** 2
     sL = 1.0 + 0.015 * l50 / np.sqrt(20.0 + l50)
     sC = 1.0 + 0.045 * Cbp
     sH = 1.0 + 0.015 * Cbp * _ciede_t(hbp)
-    d_theta = 30.0 * np.exp(-(((hbp - 275.0) / 25.0) ** 2))
+    # rT = -rC sin(2 d_theta) with d_theta = 30 degrees exp(-((hbp - 275) / 25)^2), from w = tan(d_theta)
+    w = np.tan(math.pi / 6.0 * np.exp(-(((hbp - _ROT_CENTRE) / _ROT_WIDTH) ** 2)))
     cbp7 = (Cbp * Cbp * Cbp) ** 2 * Cbp
-    rC = 2.0 * np.sqrt(cbp7 / (cbp7 + 25.0 ** 7))
-    rT = -rC * np.sin(np.radians(2.0 * d_theta))
+    rT = -4.0 * np.sqrt(cbp7 / (cbp7 + 25.0 ** 7)) * w / (1.0 + w * w)
 
-    tL = dLp / sL
-    tC = dCp / sC
+    tL = (L2 - L1) / sL
+    tC = (c2p - c1p) / sC
     tH = dHp / sH
-    return np.sqrt(tL * tL + tC * tC + tH * tH + rT * tC * tH)
+    return np.sqrt(tL * tL + tC * tC + (tH + rT * tC) * tH)

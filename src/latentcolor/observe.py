@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+def _mean_rows(rows: np.ndarray) -> np.ndarray:
+    # rows.mean(axis=0) bit for bit: that runs one inner loop of length 3 per row, while a running
+    # sum per column adds the same terms in the same order at a fraction of the cost
+    return np.array([np.add.accumulate(rows[:, i])[-1] for i in range(3)]) / len(rows)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -110,7 +116,7 @@ class ColorGrid(tensorio.JsonRecord):
     @property
     def _mean_lab(self) -> np.ndarray:
         if self._mean_lab_cache is None:
-            self._mean_lab_cache = _read_only(linear_rgb_to_lab_array(self._linear.reshape(-1, 3).mean(axis=0)))
+            self._mean_lab_cache = _read_only(linear_rgb_to_lab_array(_mean_rows(self._linear.reshape(-1, 3))))
         return self._mean_lab_cache
 
     @property
@@ -186,7 +192,7 @@ def grid_de00_mean_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
 
 def mean_color(hsl: np.ndarray) -> np.ndarray:
     """Average color of a nonempty (n, 3) block of (h, s, l) rows, as linear RGB."""
-    return srgb_to_linear_array(hsl_to_rgb_array(hsl.reshape(-1, 3))).mean(axis=0)
+    return _mean_rows(srgb_to_linear_array(hsl_to_rgb_array(hsl.reshape(-1, 3))))
 
 
 def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> np.ndarray:
@@ -195,7 +201,7 @@ def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> np.ndarray:
         raise ValueError(f"mask is for L = {mask.L} cells, grid has {grid.height * grid.width}")
     if not mask.selected:
         raise ValueError("empty mask: no cells to average")
-    return grid._linear.reshape(-1, 3)[mask.indices].mean(axis=0)
+    return _mean_rows(grid._linear.reshape(-1, 3)[mask.indices])
 
 
 def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,10 @@ _HEADER_DTYPE = "f32le"
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write bytes to path via a temp file and rename."""
+    """Write bytes to path via a temp file and rename; the file's mode is what the umask gives."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")  # 64 random bits: a name no other file has
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mkstemp would make it 0600, whatever the umask
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

@@ -249,7 +249,11 @@ def _chart(z: np.ndarray, model: SubspaceModel, t: int, stats: StatsTable) -> tu
     alpha_t, beta_t = _check_t(stats, t)
     alpha_T, beta_T = stats.row(stats.T)
     gain = beta_T / beta_t
-    return z @ (model.basis * gain) + (alpha_T - (model.mean @ model.basis + alpha_t) * gain), gain
+    hat = z @ (model.basis * gain)
+    # b_t added one column at a time: an (L, 3) + (3,) add runs L inner loops of length 3
+    for i, b in enumerate(alpha_T - (model.mean @ model.basis + alpha_t) * gain):
+        hat[..., i] += b
+    return hat, gain
 
 
 def normalize(coords: np.ndarray, t: int, stats: StatsTable) -> np.ndarray:

@@ -149,16 +149,20 @@ def ciede2000(x: LabColor, y: LabColor) -> float:
     h1p = hue_of(a1p, x.b)
     h2p = hue_of(a2p, y.b)
 
+    # Antiparallel chroma vectors (exactly complementary hues) lie exactly 180 degrees apart, where
+    # the last bit of atan2 would pick the branch: they take the |dh'| <= 180 one.
+    antiparallel = a1p * y.b - x.b * a2p == 0.0 and a1p * a2p + x.b * y.b < 0.0
     dLp = y.L - x.L
     dCp = c2p - c1p
     if c1p * c2p == 0.0:
         dhp = 0.0
     else:
         dhp = h2p - h1p
-        if dhp > 180.0:
-            dhp -= 360.0
-        elif dhp < -180.0:
-            dhp += 360.0
+        if not antiparallel:
+            if dhp > 180.0:
+                dhp -= 360.0
+            elif dhp < -180.0:
+                dhp += 360.0
     dHp = 2.0 * math.sqrt(c1p * c2p) * math.sin(math.radians(dhp) / 2.0)
 
     Lbp = (x.L + y.L) / 2.0
@@ -167,7 +171,7 @@ def ciede2000(x: LabColor, y: LabColor) -> float:
         hbp = h1p + h2p
     else:
         hsum = h1p + h2p
-        if abs(h1p - h2p) <= 180.0:
+        if antiparallel or abs(h1p - h2p) <= 180.0:
             hbp = hsum / 2.0
         elif hsum < 360.0:
             hbp = (hsum + 360.0) / 2.0

@@ -184,21 +184,22 @@ def test_intervene_edits_only_masked_patches(ws, tmp_path, capsys):
 
 
 def test_intervene_accepts_hsl_target(ws, tmp_path):
-    out_path = tmp_path / "steered.lt"
-    code = main(
-        [
-            "intervene", str(ws["root"] / "run-red" / "t010.lt"),
-            "--t", "10",
-            "--target-hsl", "210,0.7,0.45",
-            "--mode", "type1",
-            "--model", str(ws["model"]),
-            "--anchors", str(ws["anchors"]),
-            "--stats", str(ws["stats"]),
-            "--out", str(out_path),
-        ]
-    )
-    assert code == 0
-    assert out_path.exists()
+    # the hue wraps mod 360, so 570 steers as 210 does
+    for hsl, name in (("210,0.7,0.45", "steered.lt"), ("570,0.7,0.45", "wrapped.lt")):
+        code = main(
+            [
+                "intervene", str(ws["root"] / "run-red" / "t010.lt"),
+                "--t", "10",
+                "--target-hsl", hsl,
+                "--mode", "type1",
+                "--model", str(ws["model"]),
+                "--anchors", str(ws["anchors"]),
+                "--stats", str(ws["stats"]),
+                "--out", str(tmp_path / name),
+            ]
+        )
+        assert code == 0
+    assert (tmp_path / "steered.lt").read_bytes() == (tmp_path / "wrapped.lt").read_bytes()
 
 
 def test_eval_reports_metrics(ws, tmp_path):
@@ -395,7 +396,10 @@ def test_intervene_bad_hex_exits_2(ws, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["type1", "type2"])
-@pytest.mark.parametrize("hsl", ["0,nan,0.5", "nan,0.5,0.5", "0,0.5,-inf", "0,0.5", "0,x,0.5"])
+@pytest.mark.parametrize(
+    "hsl",
+    ["0,nan,0.5", "nan,0.5,0.5", "0,0.5,-inf", "0,0.5", "0,x,0.5", "40,2,0.5", "40,0.5,-0.1", "40,1.0000001,0.5"],
+)
 def test_intervene_refuses_a_bad_target_hsl_up_front(ws, tmp_path, capsys, mode, hsl):
     out = tmp_path / "x.lt"
     code = main(
@@ -411,7 +415,8 @@ def test_intervene_refuses_a_bad_target_hsl_up_front(ws, tmp_path, capsys, mode,
         ]
     )
     assert code == 2
-    assert "finite numbers h,s,l for --target-hsl" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "for --target-hsl" in err and hsl in err
     assert not out.exists()
 
 

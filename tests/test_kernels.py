@@ -47,6 +47,7 @@ from latentcolor.colorspace import (
     srgb_to_linear_array,
     _ciede_t,
 )
+from latentcolor.observe import mean_color
 from latentcolor.subspace import project
 from latentcolor.timestats import _chart, normalize
 from colorref import (
@@ -175,11 +176,52 @@ def test_lab_of_an_exact_grey_has_zero_a_and_b(v):
 
 @given(st.lists(st.tuples(st.one_of(lab, blue_lab()), st.one_of(lab, blue_lab())), min_size=1, max_size=16))
 def test_ciede2000_array_matches_scalar(pairs):
-    pairs = pairs + [((50.0, 0.0, 0.0), (50.0, -0.0, 0.0)), ((40.0, 0.0, -30.0), (40.0, 0.0, -30.0))]
+    # each first color also against its exact complement, whose hue lies exactly 180 degrees away
+    complements = [(x, (y[0], -x[1], -x[2])) for x, y in pairs]
+    pairs = pairs + complements + [((50.0, 0.0, 0.0), (50.0, -0.0, 0.0)), ((40.0, 0.0, -30.0), (40.0, 0.0, -30.0))]
     x = np.array([p[0] for p in pairs])
     y = np.array([p[1] for p in pairs])
     want = [ciede2000(LabColor(*a), LabColor(*b)) for a, b in pairs]
     np.testing.assert_allclose(ciede2000_array(x, y), want, rtol=TOL, atol=TOL)
+
+
+def reference_hue_sum(x, y) -> float:
+    """h1' + h2' in degrees, as colorref.ciede2000 works them out."""
+    c_bar = (math.hypot(x[1], x[2]) + math.hypot(y[1], y[2])) / 2.0
+    g = 0.5 * (1.0 - math.sqrt(c_bar ** 7 / (c_bar ** 7 + 25.0 ** 7)))
+    h1, h2 = (math.degrees(math.atan2(c[2], (1.0 + g) * c[1])) % 360.0 for c in (x, y))
+    return h1 + h2
+
+
+def test_ciede2000_array_edge_families_match_scalar():
+    rng = np.random.default_rng(83)
+    n = 400
+    chromatic = np.column_stack([rng.uniform(0.0, 100.0, n), rng.uniform(-120.0, 120.0, (n, 2))])
+    other_L = rng.uniform(0.0, 100.0, n)
+    # no chroma, with every sign of zero: atan2(+-0, -0.0) is +-pi, which must not reach the mean hue
+    zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+    grey = np.array([(L, *zeros[i % 4]) for i, L in enumerate(other_L)])
+    # conjugate hues h and 360 - h at twice the chroma: the reference's hue sum is exactly 360
+    conjugate = np.column_stack([other_L, 2.0 * chromatic[:, 1], -2.0 * chromatic[:, 2]])
+    assert all(reference_hue_sum(x, y) == 360.0 for x, y in zip(chromatic.tolist(), conjugate.tolist()))
+    # antiparallel at twice the chroma: exactly complementary without being a negation
+    antiparallel = np.column_stack([other_L, -2.0 * chromatic[:, 1], -2.0 * chromatic[:, 2]])
+    hue = rng.uniform(np.radians(230.0), np.radians(320.0), (2, n))
+    chroma = rng.uniform(0.0, 120.0, (2, n))
+    blue = [np.column_stack([rng.uniform(0.0, 100.0, n), c * np.cos(h), c * np.sin(h)]) for h, c in zip(hue, chroma)]
+    for x, y in [(grey, chromatic), (chromatic, grey), (grey, grey[::-1]), (chromatic, conjugate),
+                 (conjugate, chromatic), (chromatic, antiparallel), tuple(blue), (blue[0], chromatic)]:
+        want = [ciede2000(LabColor(*a), LabColor(*b)) for a, b in zip(x.tolist(), y.tolist())]
+        np.testing.assert_allclose(ciede2000_array(x, y), want, rtol=TOL, atol=TOL)
+
+
+def test_lab_array_matches_scalar_at_the_cube_root_toe():
+    # a grey of v gives t = v exactly in each channel; the toe is t = (6/29)^3 = 216/24389
+    toe = 216.0 / 24389.0
+    near = [math.nextafter(toe, 0.0), toe, math.nextafter(toe, 1.0)]
+    rows = [(v, v, v) for v in near] + [(v, toe, 1.0 - v) for v in near] + [(toe, v, toe) for v in near]
+    want = np.array([(c.L, c.a, c.b) for c in (linear_rgb_to_lab(*r) for r in rows)])
+    np.testing.assert_allclose(linear_rgb_to_lab_array(rows), want, rtol=TOL, atol=TOL)
 
 
 def test_ciede2000_array_reference_pairs():
@@ -400,6 +442,18 @@ def test_mean_color_matches_per_cell_reference(case):
     want = rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin)))
     got_rgb, want_rgb = hsl_to_rgb(shown), hsl_to_rgb(want)
     np.testing.assert_allclose((got_rgb.r, got_rgb.g, got_rgb.b), (want_rgb.r, want_rgb.g, want_rgb.b), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 2), (3, 5), (8, 8), (64, 64)])
+def test_grid_means_are_the_axis0_mean_bitwise(h, w):
+    # the running sums per column add what mean(axis=0) adds, in the same order
+    rng = np.random.default_rng(h * 100 + w)
+    for _ in range(20):
+        hsl = np.column_stack([rng.uniform(0.0, 360.0, h * w), rng.uniform(0.0, 1.0, (h * w, 2)) ** 3.0])
+        grid = ColorGrid.from_hsl(hsl.reshape(h, w, 3))
+        want = srgb_to_linear_array(hsl_to_rgb_array(hsl)).mean(axis=0)
+        assert_same_bits(masked_mean_color(grid, PatchMask.full(h * w)), want)
+        assert_same_bits(mean_color(hsl), want)
 
 
 @given(grids(), st.integers(1, 3))
@@ -667,6 +721,9 @@ def four_cosine_t(h: np.ndarray) -> np.ndarray:
 
 
 def test_ciede2000_t_term_is_four_cosine_form():
-    # the mean hue lies in [0, 360), or [0, 720) as the sum of two hues when one is achromatic
-    h = np.concatenate([np.linspace(0.0, 720.0, 720001), np.arange(0.0, 720.0, 0.5), [BELOW_360, -0.0]])
-    np.testing.assert_allclose(_ciede_t(h), four_cosine_t(h), rtol=0.0, atol=1e-12)
+    # the mean hue lies in [0, 360), or [0, 720) as the sum of two hues when one is achromatic;
+    # at 180 and 540 degrees the half-angle tangent _ciede_t works from is about 1.6e16
+    h = np.concatenate([np.linspace(0.0, 720.0, 720001), np.arange(0.0, 720.0, 0.5), [BELOW_360, -0.0, 180.0, 540.0]])
+    rad = np.radians(h)
+    assert np.abs(np.tan(rad[-2:] / 2.0)).min() > 1e15
+    np.testing.assert_allclose(_ciede_t(rad), four_cosine_t(h), rtol=0.0, atol=1e-12)

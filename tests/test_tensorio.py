@@ -1,12 +1,14 @@
 """Binary latent files, trajectory directories, and canonical JSON."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from latentcolor import load_trajectory, read_latents, save_trajectory, write_latents
-from latentcolor.tensorio import read_json, write_json
+from latentcolor import load_trajectory, read_latents, save_trajectory, tensorio, write_latents
+from latentcolor.tensorio import atomic_write_bytes, read_json, write_json
 
 
 def test_latents_roundtrip_is_float32_exact(tmp_path):
@@ -114,3 +116,31 @@ def test_json_refuses_non_finite_numbers(tmp_path, value):
     path.write_text(json.dumps({"a": [1.0, value]}))  # bare NaN / Infinity / -Infinity
     with pytest.raises(ValueError, match="non-finite"):
         read_json(path)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_the_mode_the_umask_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_json(tmp_path / "a.json", {"a": 1})
+        write_latents(tmp_path / "z.lt", np.zeros((2, 3)))
+        atomic_write_bytes(tmp_path / "a.json", b"{}\n")  # replacing a file gives the new one the mode too
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "z.lt"]
+    for name in ("a.json", "z.lt"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "x.bin"
+    with pytest.raises(TypeError):
+        atomic_write_bytes(target, "not bytes")  # fails while writing the temp file
+
+    def refuse(src, dst):
+        raise PermissionError("rename refused")
+
+    monkeypatch.setattr(tensorio.os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        atomic_write_bytes(target, b"data")  # fails at the rename
+    assert list(tmp_path.iterdir()) == []
