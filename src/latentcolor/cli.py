@@ -125,13 +125,12 @@ def cmd_fit(args) -> int:
     files = sorted(probe_dir.glob("*.lt"))
     if not files:
         raise ValueError(f"no .lt latent files found in {probe_dir}")
-    by_name = {f.stem: f for f in files}
-    missing = [l for l in ANCHOR_LABELS if l not in by_name]
+    means = {f.stem: average_patches(tensorio.read_latents(f)) for f in files}
+    missing = [l for l in ANCHOR_LABELS if l not in means]
     if missing:
         raise ValueError(f"probe directory lacks labeled files: {missing}")
-    samples = np.stack([average_patches(tensorio.read_latents(f)) for f in files])
-    labeled = {l: average_patches(tensorio.read_latents(by_name[l])) for l in ANCHOR_LABELS}
-    model = fit_pca(samples, k=3, orientation=labeled)
+    labeled = {l: means[l] for l in ANCHOR_LABELS}
+    model = fit_pca(np.stack(list(means.values())), orientation=labeled)
     anchors = build_anchors(labeled, model)
     model.save(args.model_out)
     anchors.save(args.anchors_out)

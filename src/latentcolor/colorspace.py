@@ -318,9 +318,10 @@ def ciede2000_array(x, y) -> np.ndarray:
     # effect: it enters only through S_H and R_T, and both scale dH'. So no hue needs its own case.
     dhp = h2p - h1p
     hsum = h1p + h2p
-    # Hues more than pi apart differ and average across hue 0. Antiparallel chroma vectors lie
-    # exactly pi apart, where atan2's last bit would pick the side: they take the plain branch.
-    far = (np.abs(dhp) > np.pi) & ((a1p * b2 - b1 * a2p != 0.0) | (a1p * a2p + b1 * b2 >= 0.0))
+    # dh' wraps by 2 pi, and the mean hue crosses hue 0, where dh' turns against a1 b2 - b1 a2. Near pi
+    # atan2's last bits cannot tell the side, while that sign has the same bits in any implementation.
+    # Antiparallel chroma (cross product 0) takes the plain branch; |dh'| <= pi / 2 never wraps.
+    far = (np.abs(dhp) > np.pi / 2.0) & (dhp * (a1 * b2 - b1 * a2) < 0.0)
     v = np.tan(dhp / 4.0)  # sin(dhp / 2) = 2v / (1 + v^2); wrapping dhp by 2 pi flips its sign
     dHp = np.where(far, -4.0, 4.0) * np.sqrt(c1p * c2p) * v / (1.0 + v * v)
     hbp = (hsum + far * np.where(hsum < _TAU, _TAU, -_TAU)) / 2.0

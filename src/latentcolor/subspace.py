@@ -1,9 +1,9 @@
 """Discovery of the 3-D color subspace of a patch-latent space.
 
-A set of per-image averaged latent vectors is centered and decomposed
-with population-normalized PCA; the top three components span the
-subspace in which color lives. Projection maps latents from the full
-d-dimensional space to subspace coordinates.
+A set of per-image averaged latent vectors is centered; the top three
+eigenvectors of their population covariance span the subspace in which
+color lives. Projection maps latents from the full d-dimensional space
+to subspace coordinates.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ class SubspaceModel(tensorio.JsonRecord):
     """Centered orthonormal basis of the color subspace.
 
     mean: (d,) centering vector.
-    basis: (d, k) with orthonormal columns, ordered by decreasing variance.
-    explained: per-component fraction of total variance.
+    basis: (d, 3) with orthonormal columns, ordered by decreasing variance.
+    explained: the three components' fractions of total variance.
     """
 
     mean: np.ndarray
@@ -34,13 +34,12 @@ class SubspaceModel(tensorio.JsonRecord):
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64)
         basis = np.asarray(self.basis, dtype=np.float64)
-        if mean.ndim != 1 or basis.ndim != 2 or basis.shape[0] != mean.shape[0]:
-            raise ValueError(f"inconsistent shapes: mean {mean.shape}, basis {basis.shape}")
-        gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-9):
+        if mean.ndim != 1 or basis.shape != (mean.shape[0], 3):
+            raise ValueError(f"expected a (d,) mean and a (d, 3) basis, got {mean.shape} and {basis.shape}")
+        if not np.allclose(basis.T @ basis, np.eye(3), atol=1e-9):
             raise ValueError("basis columns are not orthonormal")
-        if len(self.explained) != basis.shape[1]:
-            raise ValueError("one explained ratio per basis column required")
+        if len(self.explained) != 3:
+            raise ValueError(f"expected 3 explained ratios, got {len(self.explained)}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "explained", tuple(float(v) for v in self.explained))
@@ -49,14 +48,10 @@ class SubspaceModel(tensorio.JsonRecord):
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.basis.shape[1]
-
     def to_json_dict(self) -> dict:
         return {
             "mean": self.mean.tolist(),
-            "basis_columns": [self.basis[:, j].tolist() for j in range(self.k)],
+            "basis_columns": self.basis.T.tolist(),
             "explained": list(self.explained),
         }
 
@@ -77,33 +72,6 @@ def average_patches(z: np.ndarray) -> np.ndarray:
     return z.mean(axis=0)
 
 
-def _top_components(samples: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Eigenpairs of the population covariance, largest first.
-
-    Uses the N x N Gram matrix when there are fewer samples than dims.
-    Returns (mean, eigenvalues (k,), eigenvectors (d, k), total variance).
-    """
-    n, d = samples.shape
-    mean = samples.mean(axis=0)
-    x = samples - mean
-    total = float(np.sum(x * x)) / n
-    if n < d:
-        gram = (x @ x.T) / n
-        vals, vecs = np.linalg.eigh(gram)
-        order = np.argsort(-vals, kind="stable")[:k]
-        vals = vals[order]
-        if np.any(vals <= 0):
-            raise ValueError("degenerate input: fewer than k directions of variance")
-        comps = x.T @ vecs[:, order] / np.sqrt(n * vals)
-    else:
-        cov = (x.T @ x) / n
-        vals_all, vecs_all = np.linalg.eigh(cov)
-        order = np.argsort(-vals_all, kind="stable")[:k]
-        vals = vals_all[order]
-        comps = vecs_all[:, order]
-    return mean, vals, comps, total
-
-
 def _orient(basis: np.ndarray, mean: np.ndarray, orientation: Mapping[str, np.ndarray]) -> np.ndarray:
     """Fix component signs from labeled probe latents.
 
@@ -122,7 +90,7 @@ def _orient(basis: np.ndarray, mean: np.ndarray, orientation: Mapping[str, np.nd
     if coords["red"][1] < 0:
         basis[:, 1] = -basis[:, 1]
         coords["yellow"][1] = -coords["yellow"][1]
-    if basis.shape[1] > 2 and coords["yellow"][2] < 0:
+    if coords["yellow"][2] < 0:
         basis[:, 2] = -basis[:, 2]
     return basis
 
@@ -144,29 +112,31 @@ def fit_pca(
 ) -> SubspaceModel:
     """Fit the color subspace from per-image averaged latents.
 
-    samples: (N, d) with N >= k + 1. Covariance is population-normalized
-    (divide by N). When orientation probes are given, component signs are
+    samples: (N, d) with N >= 4 and d >= 3. The basis is the top three
+    eigenvectors of the population covariance (divided by N), whatever N is.
+    k must be 3. When orientation probes are given, component signs are
     canonicalized against them; otherwise a deterministic sign rule is used.
     """
+    if k != 3:
+        raise ValueError(f"the color subspace has 3 components, got k={k}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError(f"expected (N, d) samples, got shape {samples.shape}")
     n, d = samples.shape
-    if k < 1 or k > d:
-        raise ValueError(f"k={k} out of range for d={d}")
-    if n < k + 1:
-        raise ValueError(f"need at least {k + 1} samples, got {n}")
+    if n < 4 or d < 3:
+        raise ValueError(f"need at least 4 samples of at least 3 dims, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples contain non-finite values")
-    mean, vals, comps, total = _top_components(samples, k)
+    mean = samples.mean(axis=0)
+    x = samples - mean
+    total = float(np.sum(x * x)) / n
     if total <= 1e-12:
         raise ValueError("degenerate input: samples have zero variance")
-    if orientation is not None and k == 3:
-        comps = _orient(comps, mean, orientation)
-    else:
-        comps = _default_orient(comps)
-    explained = tuple(float(v) / total for v in vals)
-    return SubspaceModel(mean=mean, basis=comps, explained=explained)
+    vals, vecs = np.linalg.eigh((x.T @ x) / n)
+    top = np.argsort(-vals, kind="stable")[:3]
+    basis = vecs[:, top]
+    basis = _default_orient(basis) if orientation is None else _orient(basis, mean, orientation)
+    return SubspaceModel(mean=mean, basis=basis, explained=tuple(float(v) / total for v in vals[top]))
 
 
 def project(z: np.ndarray, model: SubspaceModel) -> np.ndarray:

@@ -196,17 +196,20 @@ def load_trajectory(manifest_path) -> np.ndarray:
     """Read a trajectory manifest back into a (T+1, L, d) array."""
     manifest_path = Path(manifest_path)
 
-    def step_files(manifest) -> list[Path]:
-        T, steps = manifest["T"], manifest["steps"]
+    def step_files(manifest) -> tuple[list[Path], tuple[int, int]]:
+        T, steps, dims = manifest["T"], manifest["steps"], manifest["dims"]
         if type(T) is not int or T < 0 or len(steps) != T + 1:
             raise ValueError(f"{len(steps)} steps listed for T={T}")
+        if type(dims) is not list or [type(v) for v in dims] != [int, int]:
+            raise ValueError(f"bad dims {dims!r}")
         by_t = {step["t"]: manifest_path.parent / step["file"] for step in steps}
-        if sorted(by_t) != list(range(T + 1)):
-            raise ValueError(f"timesteps not contiguous from 0 to {T}")
-        return [by_t[t] for t in range(T + 1)]
+        if sorted(by_t) != list(range(T + 1)) or {type(t) for t in by_t} != {int}:  # 1.0 and True equal 1
+            raise ValueError(f"timesteps not the integers 0 to {T}")
+        return [by_t[t] for t in range(T + 1)], tuple(dims)
 
-    frames = [read_latents(f) for f in _read_record(manifest_path, step_files, "manifest")]
+    files, dims = _read_record(manifest_path, step_files, "manifest")
+    frames = [read_latents(f) for f in files]
     shapes = {f.shape for f in frames}
-    if len(shapes) != 1:
-        raise ValueError(f"{manifest_path}: mixed tensor shapes {sorted(shapes)}")
+    if shapes != {dims}:
+        raise ValueError(f"{manifest_path}: dims {list(dims)}, but the step files hold {sorted(shapes)}")
     return np.stack(frames)

@@ -149,20 +149,20 @@ def ciede2000(x: LabColor, y: LabColor) -> float:
     h1p = hue_of(a1p, x.b)
     h2p = hue_of(a2p, y.b)
 
-    # Antiparallel chroma vectors (exactly complementary hues) lie exactly 180 degrees apart, where
-    # the last bit of atan2 would pick the branch: they take the |dh'| <= 180 one.
-    antiparallel = a1p * y.b - x.b * a2p == 0.0 and a1p * a2p + x.b * y.b < 0.0
+    # Near 180 degrees apart the last bits of atan2 would pick the branch, so the sign of the
+    # unprimed cross product does: dh' wraps where it turns against it (Sharma's |dh'| > 180
+    # elsewhere). Antiparallel chroma vectors (exactly complementary hues, cross product 0) take
+    # the |dh'| <= 180 branch.
     dLp = y.L - x.L
     dCp = c2p - c1p
+    far = False
     if c1p * c2p == 0.0:
         dhp = 0.0
     else:
         dhp = h2p - h1p
-        if not antiparallel:
-            if dhp > 180.0:
-                dhp -= 360.0
-            elif dhp < -180.0:
-                dhp += 360.0
+        far = abs(dhp) > 90.0 and dhp * (x.a * y.b - x.b * y.a) < 0.0
+        if far:
+            dhp -= math.copysign(360.0, dhp)
     dHp = 2.0 * math.sqrt(c1p * c2p) * math.sin(math.radians(dhp) / 2.0)
 
     Lbp = (x.L + y.L) / 2.0
@@ -171,7 +171,7 @@ def ciede2000(x: LabColor, y: LabColor) -> float:
         hbp = h1p + h2p
     else:
         hsum = h1p + h2p
-        if antiparallel or abs(h1p - h2p) <= 180.0:
+        if not far:
             hbp = hsum / 2.0
         elif hsum < 360.0:
             hbp = (hsum + 360.0) / 2.0

@@ -557,6 +557,14 @@ def _with_step(manifest, i, step):
     return {**manifest, "steps": steps}
 
 
+def _with_fourth_column(model):
+    # e_0 less its part in the span: a fourth column orthonormal to the other three
+    cols = np.array(model["basis_columns"])
+    extra = np.eye(cols.shape[1])[0] - cols.T @ cols[:, 0]
+    columns = [*model["basis_columns"], (extra / np.linalg.norm(extra)).tolist()]
+    return {**model, "basis_columns": columns, "explained": [*model["explained"], 0.0]}
+
+
 # (file kind, edit of its parsed JSON; a str result is written as is)
 MALFORMED = {
     "model-explained-5": ("model", lambda o: {**o, "explained": 5}),
@@ -583,6 +591,11 @@ MALFORMED = {
     "manifest-step-5": ("manifest", lambda o: _with_step(o, 1, 5)),
     "manifest-steps-5": ("manifest", lambda o: {**o, "steps": 5}),
     "manifest-file-3": ("manifest", lambda o: _with_step(o, 1, {**o["steps"][1], "file": 3})),
+    "model-one-column": ("model", lambda o: {**o, "basis_columns": o["basis_columns"][:1], "explained": o["explained"][:1]}),
+    "model-four-columns": ("model", _with_fourth_column),
+    "manifest-float-t": ("manifest", lambda o: _with_step(o, 1, {**o["steps"][1], "t": 1.0})),
+    "manifest-bool-t": ("manifest", lambda o: _with_step(o, 1, {**o["steps"][1], "t": True})),
+    "manifest-wrong-dims": ("manifest", lambda o: {**o, "dims": [99, 99]}),
 }
 
 

@@ -209,8 +209,13 @@ def test_ciede2000_array_edge_families_match_scalar():
     hue = rng.uniform(np.radians(230.0), np.radians(320.0), (2, n))
     chroma = rng.uniform(0.0, 120.0, (2, n))
     blue = [np.column_stack([rng.uniform(0.0, 100.0, n), c * np.cos(h), c * np.sin(h)]) for h, c in zip(hue, chroma)]
+    # nearly antiparallel: the rounded products -k a and -k b leave the chroma a few ulps off
+    # antiparallel, too close for atan2 to tell on which side
+    k = rng.uniform(0.1, 3.0, n)
+    near_antiparallel = np.column_stack([other_L, -k * chromatic[:, 1], -k * chromatic[:, 2]])
     for x, y in [(grey, chromatic), (chromatic, grey), (grey, grey[::-1]), (chromatic, conjugate),
-                 (conjugate, chromatic), (chromatic, antiparallel), tuple(blue), (blue[0], chromatic)]:
+                 (conjugate, chromatic), (chromatic, antiparallel), tuple(blue), (blue[0], chromatic),
+                 (chromatic, near_antiparallel), (near_antiparallel, chromatic)]:
         want = [ciede2000(LabColor(*a), LabColor(*b)) for a, b in zip(x.tolist(), y.tolist())]
         np.testing.assert_allclose(ciede2000_array(x, y), want, rtol=TOL, atol=TOL)
 

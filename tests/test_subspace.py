@@ -20,10 +20,17 @@ def test_average_patches_matches_mean():
         average_patches(np.zeros(6))
 
 
-def test_line_data_concentrates_on_first_component():
+@pytest.mark.parametrize(
+    "direction, n",
+    [
+        (np.array([3.0, -4.0, 12.0]) / 13.0, 200),
+        (np.array([1.0, 2.0, 2.0, 4.0, 0.0, 2.0, 2.0, 4.0]) / 7.0, 5),  # fewer samples than dims
+    ],
+    ids=["N200-d3", "N5-d8"],
+)
+def test_line_data_concentrates_on_first_component(direction, n):
     rng = np.random.default_rng(1)
-    direction = np.array([3.0, -4.0, 12.0]) / 13.0
-    samples = np.outer(rng.standard_normal(200), direction) + 5.0
+    samples = np.outer(rng.standard_normal(n), direction) + 5.0
     model = fit_pca(samples, k=3)
     assert model.explained[0] == pytest.approx(1.0, abs=1e-12)
     assert abs(model.explained[1]) <= 1e-12
@@ -44,7 +51,8 @@ def test_explained_ratios_match_eig_oracle(probe_set, model):
 
 
 def test_gram_path_agrees_with_covariance_path(embedder):
-    # fewer samples than dimensions forces the Gram-matrix branch
+    # fewer samples than dimensions: the covariance is rank-deficient, and its eigendecomposition
+    # must still find the planted span that four copies of the samples give
     rng = np.random.default_rng(2)
     coords = rng.standard_normal((8, 3)) * np.array([5.0, 3.0, 1.0])
     samples = embedder.offset + coords @ embedder.lift.T
@@ -90,6 +98,12 @@ def test_fit_rejects_degenerate_input():
         fit_pca(np.zeros((3, 8)), k=3)
     with pytest.raises(ValueError, match="zero variance"):
         fit_pca(np.ones((10, 8)), k=3)
+
+
+def test_fit_refuses_any_k_but_3(probe_set):
+    for k in (2, 4):
+        with pytest.raises(ValueError, match="3 components"):
+            fit_pca(probe_set.lattice, k=k)
 
 
 def test_fit_requires_orientation_probes_when_given(probe_set):
