@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensorio
-from .colorspace import HslColor, canonical_hsl
+from .colorspace import HslColor, _from_planes, _to_planes, canonical_hsl
 from .subspace import SubspaceModel, project
 
 __all__ = [
@@ -208,12 +208,15 @@ def decode_raw(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     ray from the origin through the point crosses it.
     """
     c = np.asarray(c, dtype=np.float64)
+    return _from_planes(_decode_planes(_to_planes(_rows(c, "subspace coordinates")), anchors)).reshape(c.shape)
+
+
+def _decode_planes(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
+    """decode_raw on (3, n) planes of subspace coordinates: (3, n) planes of (h, s, l), h in [0, 360)."""
     a = anchors
-    rows = _rows(c, "subspace coordinates")
-    # the frame one column at a time: an (n, 3) op with a (3,) vector runs n inner loops of length 3
-    rel = [rows[:, i] - a.black[i] for i in range(3)]
+    rel = c - a.black[:, None]
     l = _dot3(rel, a.axis) / float(a.axis @ a.axis)
-    chroma3 = [rel[i] - l * a.axis[i] for i in range(3)]
+    chroma3 = rel - l * a.axis[:, None]
     q0 = _dot3(chroma3, a.e1)
     q1 = _dot3(chroma3, a.e2)
     radius = np.hypot(q0, q1)
@@ -240,11 +243,11 @@ def decode_raw(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
         h = 60.0 * k + alpha * 60.0  # in [0, 360]; hue 360 is 0
         chord = np.hypot(kx + alpha * (jx - kx), ky + alpha * (jy - ky))
         s = radius / (chord * bicone)
-    hsl = np.zeros((len(l), 3))
-    np.copyto(hsl[:, 0], h, where=chromatic & (h < 360.0))
-    np.copyto(hsl[:, 1], s, where=chromatic & ~(bicone < _MIN_BICONE))
-    hsl[:, 2] = l
-    return hsl.reshape(c.shape)
+    hsl = np.zeros((3, len(l)))
+    np.copyto(hsl[0], h, where=chromatic & (h < 360.0))
+    np.copyto(hsl[1], s, where=chromatic & ~(bicone < _MIN_BICONE))
+    hsl[2] = l
+    return hsl
 
 
 def decode(c: np.ndarray, anchors: AnchorSet):

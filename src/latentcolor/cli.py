@@ -64,16 +64,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _grid_dims(spec: str | None, L: int) -> tuple[int, int]:
-    """The --grid dims, or a square grid when none is given; either must cover the L patches."""
+    """The --grid dims, or a square grid of the L patches when none is given."""
     if not spec:
         side = math.isqrt(L)
         if side * side != L:
             raise ValueError(f"{L} patches is not square; pass --grid HxW")
         return side, side
-    h, w = _parse_grid(spec)
-    if h * w != L:
-        raise ValueError(f"grid {h}x{w} does not cover {L} patches")
-    return h, w
+    return _parse_grid(spec)
 
 
 def _parse_target(args) -> HslColor:
@@ -141,22 +138,22 @@ def cmd_fit(args) -> int:
 
 
 def cmd_observe(args) -> int:
+    if not (args.out_json or args.out_ppm):
+        raise ValueError("nothing to do: pass --out-json and/or --out-ppm")
+    if args.cell_px < 1:
+        raise ValueError(f"--cell-px must be at least 1, got {args.cell_px}")
     z = tensorio.read_latents(args.latent)
     model = SubspaceModel.load(args.model)
     anchors = AnchorSet.load(args.anchors)
     stats = _load_stats(args.stats)
     dims = _grid_dims(args.grid, z.shape[0])
     grid = observe(z, args.t, model, anchors, stats, dims)
-    wrote = []
     if args.out_json:
         grid.save(args.out_json)
-        wrote.append(args.out_json)
     if args.out_ppm:
         tensorio.atomic_write_bytes(args.out_ppm, render_ppm(grid, args.cell_px))
-        wrote.append(args.out_ppm)
-    if not wrote:
-        raise ValueError("nothing to do: pass --out-json and/or --out-ppm")
-    print(f"observed {dims[0]}x{dims[1]} grid at t={args.t}; wrote {', '.join(wrote)}")
+    wrote = ", ".join(path for path in (args.out_json, args.out_ppm) if path)
+    print(f"observed {dims[0]}x{dims[1]} grid at t={args.t}; wrote {wrote}")
     return 0
 
 

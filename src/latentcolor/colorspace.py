@@ -153,8 +153,11 @@ def circular_mean_hue(hues) -> float:
 #   for hypot, products for powers and radians for degrees, and each sine
 #   and cosine from a half-angle tangent, as numpy's sin and cos run as
 #   scalar loops several times slower than its tan.
-# - An (n, 3) op with a (3,) vector, or an axis-0 reduction, runs n inner
-#   loops of length 3, so the kernels work one contiguous channel at a time.
+# - An (n, 3) op with a (3,) vector runs n inner loops of length 3, and
+#   numpy's SIMD loops for atan2, tan and the like fall back to scalar code on
+#   a strided column. So the kernels compute on contiguous (3, ...) channel
+#   planes, as the read path (observe) keeps its colors; a public *_array
+#   function splits the last axis of its (..., 3) colors and restacks.
 
 # IEC 61966-2-1 sRGB to XYZ (D65) matrix rows.
 _M_XYZ = (
@@ -169,11 +172,14 @@ _WHITE = tuple(sum(row) for row in _M_XYZ)
 _SEXTANT_CHANNELS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [2, 1, 0], [1, 2, 0], [0, 2, 1]])
 
 
-def _channels(colors) -> np.ndarray:
-    # the last axis first, each channel contiguous: numpy's SIMD loops for atan2, tan and the like
-    # fall back to scalar code on a strided column
-    colors = np.asarray(colors, dtype=np.float64)
-    return colors.reshape(-1, colors.shape[-1]).T.copy().reshape(colors.shape[-1:] + colors.shape[:-1])
+def _to_planes(colors) -> np.ndarray:
+    """(..., 3) colors as contiguous (3, ...) channel planes."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(colors, dtype=np.float64), -1, 0))
+
+
+def _from_planes(planes: np.ndarray) -> np.ndarray:
+    """(3, ...) channel planes restacked as contiguous (..., 3) colors."""
+    return np.moveaxis(planes, 0, -1).copy()
 
 
 def _clamp01_array(x: np.ndarray) -> np.ndarray:
@@ -181,32 +187,38 @@ def _clamp01_array(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
 
 
+def _canonical(hsl: np.ndarray) -> np.ndarray:
+    """canonical_hsl on (3, ...) planes."""
+    out = hsl.copy()
+    h = out[:1]  # a view also when hsl holds one color
+    np.remainder(h, 360.0, out=h, where=~((h > 0.0) & (h < 360.0)))  # zeros too: -0.0 % 360.0 is +0.0
+    h[h == 360.0] = 0.0  # tiny negative hues round up to 360.0
+    out[1:] = _clamp01_array(out[1:])
+    return out
+
+
 def canonical_hsl(hsl) -> np.ndarray:
     """What HslColor does to each (h, s, l): wrap hue mod 360, clamp s and l to [0, 1]."""
-    hsl = np.asarray(hsl, dtype=np.float64)
-    h = hsl[..., 0].copy()
-    np.remainder(h, 360.0, out=h, where=~((h > 0.0) & (h < 360.0)))  # zeros too: -0.0 % 360.0 is +0.0
-    h = np.where(h == 360.0, 0.0, h)  # tiny negative hues round up to 360.0
-    return np.stack([h, _clamp01_array(hsl[..., 1]), _clamp01_array(hsl[..., 2])], axis=-1)
+    return _from_planes(_canonical(_to_planes(hsl)))
 
 
-def hsl_to_rgb_array(hsl) -> np.ndarray:
-    """sRGB of canonical (h, s, l) rows in the hexcone model; RGB is clamped to [0, 1]."""
-    hsl = np.asarray(hsl, dtype=np.float64)
-    h, s, l = hsl[..., 0], hsl[..., 1], hsl[..., 2]
+def _hsl_to_rgb(hsl: np.ndarray) -> np.ndarray:
+    """hsl_to_rgb_array on (3, ...) planes."""
+    h, s, l = hsl
     chroma = (1.0 - np.abs(2.0 * l - 1.0)) * s
     hp = h / 60.0
     x = chroma * (1.0 - np.abs(hp - 2.0 * np.floor(hp / 2.0) - 1.0))
     m = l - chroma / 2.0
     sextant = np.fmax(np.fmin(hp, 5.0), 0.0).astype(np.intp).reshape(-1)  # NaN gives 5, the last sextant
     # each channel takes chroma, x or 0, plus m, by one flat take over the three candidate planes
-    n = sextant.size
-    planes = np.stack([chroma + m, x + m, m]).reshape(-1)
-    at = np.arange(n)
-    rgb = np.empty((n, 3))
-    for c, offsets in enumerate(_SEXTANT_CHANNELS.T * n):
-        rgb[:, c] = planes.take(offsets.take(sextant) + at)
-    return np.clip(rgb, 0.0, 1.0, out=rgb).reshape(hsl.shape)
+    picks = (_SEXTANT_CHANNELS.T * sextant.size).take(sextant, axis=1) + np.arange(sextant.size)
+    rgb = np.stack([chroma + m, x + m, m]).take(picks).reshape(hsl.shape)
+    return np.clip(rgb, 0.0, 1.0, out=rgb)
+
+
+def hsl_to_rgb_array(hsl) -> np.ndarray:
+    """sRGB of canonical (h, s, l) rows in the hexcone model; RGB is clamped to [0, 1]."""
+    return _from_planes(_hsl_to_rgb(_to_planes(hsl)))
 
 
 def rgb_to_hsl_array(rgb) -> np.ndarray:
@@ -251,20 +263,25 @@ def linear_to_srgb_array(lin) -> np.ndarray:
     return np.where(above, 1.055 * y - 0.055, y)
 
 
-def linear_rgb_to_lab_array(lin) -> np.ndarray:
-    """CIELAB of (r, g, b) rows of linear RGB (D65); greys get a* = b* = 0 exactly."""
-    r, g, b = _channels(lin)
+def _linear_to_lab(lin: np.ndarray) -> np.ndarray:
+    """linear_rgb_to_lab_array on (3, ...) planes."""
+    r, g, b = lin
     fx, fy, fz = (  # CIE 1976 cube-root segment with the linear toe below (6/29)^3
         _ufunc_where(np.cbrt, (t,), t > 216.0 / 24389.0, (24389.0 / 27.0 * t + 16.0) / 116.0)
         for t in ((m[0] * r + m[1] * g + m[2] * b) / w for m, w in zip(_M_XYZ, _WHITE))
     )
-    lab = np.empty(r.shape + (3,))
-    lab[..., 0] = 116.0 * fy - 16.0
-    lab[..., 1] = 500.0 * (fx - fy)
-    lab[..., 2] = 200.0 * (fy - fz)
+    lab = np.empty(lin.shape)
+    lab[0] = 116.0 * fy - 16.0
+    lab[1] = 500.0 * (fx - fy)
+    lab[2] = 200.0 * (fy - fz)
     # the formula leaves rounding noise in a grey's a* and b*, which CIEDE2000's hue terms amplify
-    lab[(r == g) & (g == b), 1:] = 0.0
+    np.copyto(lab[1:], 0.0, where=(r == g) & (g == b))
     return lab
+
+
+def linear_rgb_to_lab_array(lin) -> np.ndarray:
+    """CIELAB of (r, g, b) rows of linear RGB (D65); greys get a* = b* = 0 exactly."""
+    return _from_planes(_linear_to_lab(_to_planes(lin)))
 
 
 def srgb_to_lab_array(rgb) -> np.ndarray:
@@ -301,8 +318,13 @@ def ciede2000_array(x, y) -> np.ndarray:
 
     Matches the published verification dataset to 1e-4.
     """
-    L1, a1, b1 = _channels(x)
-    L2, a2, b2 = _channels(y)
+    return _ciede2000(_to_planes(x), _to_planes(y))
+
+
+def _ciede2000(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ciede2000_array between broadcast (3, ...) planes of (L, a, b)."""
+    L1, a1, b1 = x
+    L2, a2, b2 = y
     bb1, bb2 = b1 * b1, b2 * b2
     c_bar = (np.sqrt(a1 * a1 + bb1) + np.sqrt(a2 * a2 + bb2)) / 2.0
     c7 = (c_bar * c_bar * c_bar) ** 2 * c_bar  # ** 2 is a square, ** 7 a slow pow

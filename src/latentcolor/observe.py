@@ -13,14 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensorio
-from .bicone import AnchorSet, decode_raw
+from .bicone import AnchorSet, _decode_planes
 from .colorspace import (
     HslColor,
-    canonical_hsl,
-    ciede2000_array,
-    hsl_to_rgb_array,
-    linear_rgb_to_lab_array,
+    _canonical,
+    _ciede2000,
+    _hsl_to_rgb,
+    _linear_to_lab,
     srgb_to_linear_array,
+    _to_planes,
 )
 from .intervene import PatchMask
 from .subspace import SubspaceModel
@@ -37,10 +38,10 @@ __all__ = [
 ]
 
 
-def _mean_rows(rows: np.ndarray) -> np.ndarray:
-    # rows.mean(axis=0) bit for bit: that runs one inner loop of length 3 per row, while a running
-    # sum per column adds the same terms in the same order at a fraction of the cost
-    return np.array([np.add.accumulate(rows[:, i])[-1] for i in range(3)]) / len(rows)
+def _mean_planes(planes: np.ndarray) -> np.ndarray:
+    # the (n, 3) rows' mean(axis=0) bit for bit: that runs one inner loop of length 3 per row, while a
+    # running sum along each (3, n) plane adds the same terms in the same order at a fraction of the cost
+    return np.add.accumulate(planes, axis=-1)[..., -1] / planes.shape[-1]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -51,13 +52,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class ColorGrid(tensorio.JsonRecord):
     """Immutable height x width grid of colors, row-major.
 
-    One read-only (height, width, 3) float array, ``hsl``, holds every
-    cell's (h, s, l) in the canonical form HslColor gives them. The
-    cells' sRGB, linear RGB and Lab arrays, and the Lab of their mean
-    linear RGB, are worked out on first use and kept, read-only.
+    One read-only (3, height, width) block holds the cells' h, s and l
+    planes, canonical as HslColor makes them; ``hsl`` is its read-only
+    (height, width, 3) view. The sRGB, linear RGB and Lab planes are made
+    on first use and kept, read-only; the linear and Lab blocks end in one
+    more column, the cells' mean color. The grid also keeps its last
+    comparison: the CIEDE2000 of each cell and of the mean against one ref.
     """
 
-    __slots__ = ("hsl", "_rgb_cache", "_linear_cache", "_lab_cache", "_mean_lab_cache")
+    __slots__ = ("_block", "hsl", "_rgb_cache", "_blocks_cache", "_compared")
 
     def __init__(self, height: int, width: int, cells) -> None:
         """Grid of height * width HslColor cells given in row-major order."""
@@ -66,22 +69,22 @@ class ColorGrid(tensorio.JsonRecord):
             raise ValueError(f"bad grid dims {height}x{width}")
         if len(cells) != height * width:
             raise ValueError(f"{height}x{width} grid needs {height * width} cells, got {len(cells)}")
-        self._set(np.array([(c.h, c.s, c.l) for c in cells], dtype=np.float64).reshape(height, width, 3))
+        self._set(_canonical(_to_planes(np.array([(c.h, c.s, c.l) for c in cells]).reshape(height, width, 3))))
 
-    def _set(self, hsl: np.ndarray) -> None:
-        if hsl.ndim != 3 or hsl.shape[2] != 3:
-            raise ValueError(f"expected a (height, width, 3) array of colors, got shape {hsl.shape}")
-        if hsl.shape[0] < 1 or hsl.shape[1] < 1:
-            raise ValueError(f"bad grid dims {hsl.shape[0]}x{hsl.shape[1]}")
-        self.hsl = _read_only(canonical_hsl(hsl))
-        self._rgb_cache = self._linear_cache = self._lab_cache = self._mean_lab_cache = None
+    def _set(self, planes: np.ndarray) -> "ColorGrid":
+        # takes over (3, height, width) canonical planes
+        self._block = _read_only(planes)
+        self.hsl = planes.transpose(1, 2, 0)
+        self._rgb_cache = self._blocks_cache = self._compared = None
+        return self
 
     @classmethod
     def from_hsl(cls, hsl) -> "ColorGrid":
         """Grid over a (height, width, 3) array of (h, s, l), wrapped and clamped as HslColor does."""
-        grid = cls.__new__(cls)
-        grid._set(np.asarray(hsl, dtype=np.float64))
-        return grid
+        hsl = np.asarray(hsl, dtype=np.float64)
+        if hsl.ndim != 3 or hsl.shape[2] != 3 or 0 in hsl.shape:
+            raise ValueError(f"expected a nonempty (height, width, 3) array of colors, got shape {hsl.shape}")
+        return cls.__new__(cls)._set(_canonical(_to_planes(hsl)))
 
     @classmethod
     def solid(cls, color: HslColor, height: int, width: int) -> "ColorGrid":
@@ -89,35 +92,32 @@ class ColorGrid(tensorio.JsonRecord):
 
     @property
     def height(self) -> int:
-        return self.hsl.shape[0]
+        return self._block.shape[1]
 
     @property
     def width(self) -> int:
-        return self.hsl.shape[1]
+        return self._block.shape[2]
 
     @property
     def _rgb(self) -> np.ndarray:
         if self._rgb_cache is None:
-            self._rgb_cache = _read_only(hsl_to_rgb_array(self.hsl))
+            self._rgb_cache = _read_only(_hsl_to_rgb(self._block))
         return self._rgb_cache
 
     @property
-    def _linear(self) -> np.ndarray:
-        if self._linear_cache is None:
-            self._linear_cache = _read_only(srgb_to_linear_array(self._rgb))
-        return self._linear_cache
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        # (3, n + 1) linear RGB and Lab: the n cells, then their mean color, averaged in linear RGB
+        if self._blocks_cache is None:
+            n = self._block[0].size
+            lin = np.empty((3, n + 1))
+            lin[:, :n] = srgb_to_linear_array(self._rgb.reshape(3, n))
+            lin[:, n] = _mean_planes(lin[:, :n])
+            self._blocks_cache = _read_only(lin), _read_only(_linear_to_lab(lin))
+        return self._blocks_cache
 
-    @property
-    def _lab(self) -> np.ndarray:
-        if self._lab_cache is None:
-            self._lab_cache = _read_only(linear_rgb_to_lab_array(self._linear))
-        return self._lab_cache
-
-    @property
-    def _mean_lab(self) -> np.ndarray:
-        if self._mean_lab_cache is None:
-            self._mean_lab_cache = _read_only(linear_rgb_to_lab_array(_mean_rows(self._linear.reshape(-1, 3))))
-        return self._mean_lab_cache
+    # the cells' columns of those blocks, as (3, height, width) planes
+    _linear = property(lambda self: self._blocks[0][:, :-1].reshape(self._block.shape))
+    _lab = property(lambda self: self._blocks[1][:, :-1].reshape(self._block.shape))
 
     @property
     def cells(self) -> tuple[HslColor, ...]:
@@ -127,7 +127,7 @@ class ColorGrid(tensorio.JsonRecord):
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColorGrid):
             return NotImplemented
-        return np.array_equal(self.hsl, other.hsl)
+        return np.array_equal(self._block, other._block)
 
     def __repr__(self) -> str:
         return f"ColorGrid({self.height}x{self.width})"
@@ -170,29 +170,35 @@ def observe(
     if height * width != z.shape[0]:
         raise ValueError(f"grid {height}x{width} does not cover {z.shape[0]} patches")
     hat, _ = _chart(z, model, t, stats)
-    return ColorGrid.from_hsl(decode_raw(hat, anchors).reshape(height, width, 3))
+    hsl = _decode_planes(_to_planes(hat), anchors).reshape(3, height, width)
+    sl = hsl[1:]  # the hue is canonical already; s and l clamp in place, as in HslColor
+    np.copyto(sl, 0.0, where=sl < 0.0)
+    np.copyto(sl, 1.0, where=sl > 1.0)
+    return ColorGrid.__new__(ColorGrid)._set(hsl)
 
 
-def _check_same_dims(a: ColorGrid, b: ColorGrid) -> None:
-    if (a.height, a.width) != (b.height, b.width):
-        raise ValueError(f"grid dims differ: {a.height}x{a.width} vs {b.height}x{b.width}")
+def _de00(pred: ColorGrid, ref: ColorGrid) -> np.ndarray:
+    """CIEDE2000 of each cell, then of the mean colors, in one call; pred keeps it for this ref."""
+    if (pred.height, pred.width) != (ref.height, ref.width):
+        raise ValueError(f"grid dims differ: {pred.height}x{pred.width} vs {ref.height}x{ref.width}")
+    if pred._compared is None or pred._compared[0] is not ref:
+        pred._compared = (ref, _read_only(_ciede2000(pred._blocks[1], ref._blocks[1])))
+    return pred._compared[1]
 
 
 def grid_de00_per_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     """Mean over cells of the CIEDE2000 difference."""
-    _check_same_dims(pred, ref)
-    return float(np.mean(ciede2000_array(pred._lab, ref._lab)))
+    return float(np.mean(_de00(pred, ref)[:-1]))
 
 
 def grid_de00_mean_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
     """CIEDE2000 between the grids' average colors (averaged in linear RGB)."""
-    _check_same_dims(pred, ref)
-    return float(ciede2000_array(pred._mean_lab, ref._mean_lab))
+    return float(_de00(pred, ref)[-1])
 
 
 def mean_color(hsl: np.ndarray) -> np.ndarray:
     """Average color of a nonempty (n, 3) block of (h, s, l) rows, as linear RGB."""
-    return _mean_rows(srgb_to_linear_array(hsl_to_rgb_array(hsl.reshape(-1, 3))))
+    return _mean_planes(srgb_to_linear_array(_hsl_to_rgb(_to_planes(hsl.reshape(-1, 3)))))
 
 
 def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> np.ndarray:
@@ -201,7 +207,7 @@ def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> np.ndarray:
         raise ValueError(f"mask is for L = {mask.L} cells, grid has {grid.height * grid.width}")
     if not mask.selected:
         raise ValueError("empty mask: no cells to average")
-    return _mean_rows(grid._linear.reshape(-1, 3)[mask.indices])
+    return _mean_planes(grid._blocks[0].take(mask.indices, axis=1))
 
 
 def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
@@ -211,7 +217,8 @@ def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
     """
     if cell_px < 1:
         raise ValueError("cell_px must be >= 1")
-    rgb8 = np.rint(grid._rgb * 255.0).astype(np.uint8)
-    pixels = np.repeat(np.repeat(rgb8, cell_px, axis=0), cell_px, axis=1)
+    pixels = np.rint(grid._rgb * 255.0).astype(np.uint8).transpose(1, 2, 0)
+    if cell_px > 1:
+        pixels = np.repeat(np.repeat(pixels, cell_px, axis=0), cell_px, axis=1)
     header = f"P6\n{grid.width * cell_px} {grid.height * cell_px}\n255\n".encode("ascii")
     return header + pixels.tobytes()

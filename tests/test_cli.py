@@ -331,6 +331,41 @@ def test_observe_without_outputs_exits_2(ws, capsys):
     assert "nothing to do" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell_px", ["0", "-3"])
+def test_observe_refuses_cell_px_below_1_before_writing(ws, tmp_path, capsys, cell_px):
+    out_json, out_ppm = tmp_path / "o.json", tmp_path / "o.ppm"
+    code = main(
+        [
+            "observe", str(ws["root"] / "run-red" / "t010.lt"),
+            "--t", "10",
+            "--model", str(ws["model"]),
+            "--anchors", str(ws["anchors"]),
+            "--stats", str(ws["stats"]),
+            "--out-json", str(out_json),
+            "--out-ppm", str(out_ppm),
+            "--cell-px", cell_px,
+        ]
+    )
+    assert code == 2
+    assert "--cell-px" in capsys.readouterr().err
+    assert not out_json.exists() and not out_ppm.exists()
+
+
+def test_observe_without_outputs_exits_2_before_reading(tmp_path, capsys):
+    # none of the input files exists: "nothing to do" must come before any of them is read
+    code = main(
+        [
+            "observe", str(tmp_path / "missing.lt"),
+            "--t", "10",
+            "--model", str(tmp_path / "missing-model.json"),
+            "--anchors", str(tmp_path / "missing-anchors.json"),
+        ]
+    )
+    assert code == 2
+    assert "nothing to do" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_observe_nonsquare_needs_grid_flag(ws, tmp_path, capsys):
     run = tmp_path / "run-rect"
     code = main(

@@ -537,6 +537,52 @@ def test_cached_conversions_match_fresh_kernels_bitwise(case, data):
                 cached[0, 0, 0] = 0.5
 
 
+def fixed_grid(rng, h: int, w: int) -> ColorGrid:
+    """A seeded h x w grid: an exact grey and a hue just below 360, then random cells with s and l skewed toward 0."""
+    hsl = np.column_stack([rng.uniform(0.0, 360.0, h * w), rng.uniform(0.0, 1.0, (h * w, 2)) ** 3.0])
+    hsl[: min(2, h * w)] = [(0.0, 0.0, 0.5), (BELOW_360, 1.0, 0.5)][: h * w]
+    return ColorGrid.from_hsl(hsl.reshape(h, w, 3))
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 3), (3, 3), (8, 8), (64, 64)])
+def test_cached_conversions_match_fresh_kernels_bitwise_at_fixed_sizes(h, w):
+    # As test_cached_conversions_match_fresh_kernels_bitwise, at sizes its grids (at most 4x4) never
+    # reach: one-cell kernel calls, SIMD tails, and a 64x64 grid whose blocks hold 4096 + 1 columns.
+    rng = np.random.default_rng(h * 100 + w)
+    pred, ref = fixed_grid(rng, h, w), fixed_grid(rng, h, w)
+    picked = sorted(rng.choice(h * w, size=max(1, h * w // 2), replace=False).tolist())
+    want = uncached_outputs(pred, ref, picked)
+    mask = PatchMask(h * w, frozenset(picked))
+    calls = {
+        "per_pixel": lambda: grid_de00_per_pixel(pred, ref),
+        "mean_pixel": lambda: grid_de00_mean_pixel(pred, ref),
+        "masked_pred": lambda: masked_mean_color(pred, mask),
+        "masked_ref": lambda: masked_mean_color(ref, mask),
+        **{f"ppm{k}": (lambda k=k: render_ppm(pred, k)) for k in (1, 2, 3)},
+    }
+    order = sorted(calls)
+    for name in order + order[::-1]:  # the second round reads filled caches
+        assert bits(calls[name]()) == bits(want[name]), name
+
+
+def test_comparison_slot_follows_the_ref_object():
+    # A grid keeps the CIEDE2000 against its last ref only. Switching refs, alternating the two
+    # metrics, swapping roles, and a ref equal to A that is another object must each give what the
+    # kernels give afresh.
+    rng = np.random.default_rng(11)
+    pred, a, b = (fixed_grid(rng, 3, 4) for _ in range(3))
+    twin = ColorGrid.from_hsl(a.hsl)
+    assert twin == a and twin is not a
+    metrics = {"per_pixel": grid_de00_per_pixel, "mean_pixel": grid_de00_mean_pixel}
+    for name in metrics:  # a slot that ignored its ref would be seen
+        assert uncached_outputs(pred, a, [0])[name] != uncached_outputs(pred, b, [0])[name]
+    pairs = [(pred, a), (pred, b), (pred, a), (a, pred), (pred, twin), (pred, b), (twin, pred), (pred, a), (a, b)]
+    for i, (p, r) in enumerate(pairs):
+        want = uncached_outputs(p, r, [0])
+        for name in sorted(metrics, reverse=i % 2 == 1):
+            assert bits(metrics[name](p, r)) == bits(want[name]), (i, name)
+
+
 # A fixed grid with achromatic cells, hue 0 and just below 360, and
 # lightness near 1, and the digests of what the per-cell implementation
 # (commit 58f291a) wrote for it.
@@ -713,6 +759,27 @@ def test_decode_raw_edge_inputs_hit_the_edges(anchors):
     for a in (regular, signed):
         assert_same_bits(decode_raw(np.array([mid, 0.3, -0.0]), a)[0], 0.0)
         assert_same_bits(decode_raw(np.array([mid, 0.3, -1e-300]), a)[0], 0.0)
+
+
+@pytest.mark.parametrize("which", range(3), ids=["fitted", "regular", "signed-zero e2"])
+def test_decode_raw_hue_needs_no_wrap(anchors, which):
+    # observe clamps only s and l of decode_raw's output: its hue must be canonical already, so
+    # canonical_hsl leaves it bit for bit. The inputs are those of test_decode_raw_is_modulo_formula_bitwise.
+    a = edge_anchor_sets(anchors)[which]
+    rng = np.random.default_rng(61)
+    mid = a.black + 0.5 * a.axis
+    special = [
+        *rng.normal(mid, 2.0, (2000, 3)),
+        *a.hue_anchors,
+        *([np.array([mid[0], x, y]) for x, y in a.chroma_points] if which else []),
+        np.array([mid[0], 0.3, -0.0]),
+        np.array([mid[0], 0.3, -1e-300]),
+        a.hue_anchors[0] - 1e-7 * a.e2,
+        a.black, a.white, a.black - 0.2 * a.axis,
+    ]
+    raw = decode_raw(np.array(special), a)
+    assert_same_bits(canonical_hsl(raw)[..., 0], raw[..., 0])
+    assert np.all((raw[..., 0] >= 0.0) & (raw[..., 0] < 360.0)) and not np.any(np.signbit(raw[..., 0]))
 
 
 def four_cosine_t(h: np.ndarray) -> np.ndarray:
