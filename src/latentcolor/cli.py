@@ -9,33 +9,37 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import tensorio
-from .bicone import ANCHOR_LABELS, AnchorSet, build_anchors, decode
+from .bicone import ANCHOR_LABELS, AnchorSet, _decode_planes, build_anchors
 from .colorspace import (
     HslColor,
-    ciede2000_array,
-    hsl_to_rgb_array,
-    linear_rgb_to_lab_array,
+    _canonical,
+    _ciede2000,
+    _hsl_to_rgb,
+    _linear_to_lab,
+    _to_planes,
     linear_to_srgb_array,
     parse_hex,
     rgb_to_hsl,
     rgb_to_hsl_array,
     signed_hue_delta,
-    srgb_to_lab_array,
+    srgb_to_linear_array,
 )
 from .intervene import MODES, PatchMask, apply_intervention, load_mask
 from .observe import (
     ColorGrid,
+    _mean_planes,
     grid_de00_mean_pixel,
     grid_de00_per_pixel,
     masked_mean_color,
-    mean_color,
     observe,
     render_ppm,
 )
@@ -99,10 +103,25 @@ def _hsl_error(got, want) -> tuple[float, float, float]:
     return abs(signed_hue_delta(got[0], want[0])), abs(got[1] - want[1]), abs(got[2] - want[2])
 
 
+def _de00_to_last(lin: np.ndarray) -> np.ndarray:
+    """CIEDE2000 of each column of (3, k + 1) linear RGB planes against the last, from one Lab call."""
+    lab = _linear_to_lab(lin)
+    return _ciede2000(lab[:, :-1], lab[:, -1:])
+
+
+def _half_means(hat: np.ndarray, anchors: AnchorSet) -> np.ndarray:
+    """mean_color of the decoded first and second halves of (2n, 3) normalized coordinates, as (2, 3) linear RGB.
+
+    One decode and one conversion cover both halves; each half's mean is its own running sum, as in mean_color.
+    """
+    lin = srgb_to_linear_array(_hsl_to_rgb(_canonical(_decode_planes(_to_planes(hat), anchors))))
+    return _mean_planes(lin.reshape(3, 2, -1)).T.copy()
+
+
 def _report_lines(lins: np.ndarray, target: HslColor) -> list[str]:
     """The masked means before and after the edit, (2, 3) linear RGB, against the target."""
     want = [target.h, target.s, target.l]
-    des = ciede2000_array(linear_rgb_to_lab_array(lins), srgb_to_lab_array(hsl_to_rgb_array(want)))
+    des = _de00_to_last(np.column_stack([lins.T, srgb_to_linear_array(_hsl_to_rgb(np.array(want)))]))
     lines = []
     for tag, de, got in zip(("before", "after"), des.tolist(), _shown_hsl(lins).tolist()):
         dh, ds, dl = _hsl_error(got, want)
@@ -142,6 +161,11 @@ def cmd_observe(args) -> int:
         raise ValueError("nothing to do: pass --out-json and/or --out-ppm")
     if args.cell_px < 1:
         raise ValueError(f"--cell-px must be at least 1, got {args.cell_px}")
+    # a write replaces a directory entry, so the two outputs collide only as one name in one directory
+    out_json, out_ppm = args.out_json, args.out_ppm
+    if out_json and out_ppm and os.path.basename(out_json) == os.path.basename(out_ppm):
+        if os.path.realpath(os.path.dirname(out_json)) == os.path.realpath(os.path.dirname(out_ppm)):
+            raise ValueError(f"--out-json and --out-ppm name the same file: {out_ppm}")
     z = tensorio.read_latents(args.latent)
     model = SubspaceModel.load(args.model)
     anchors = AnchorSet.load(args.anchors)
@@ -169,9 +193,9 @@ def cmd_intervene(args) -> int:
     tensorio.write_latents(args.out, out)
 
     rows = mask.indices
-    # one decode for both blocks; each is charted on its own, as matmul's rounding depends on the row count
-    hsl = decode(np.concatenate([_chart(x[rows], model, args.t, stats)[0] for x in (z, out)]), anchors)
-    print("\n".join(_report_lines(np.stack([mean_color(block) for block in np.split(hsl, 2)]), target)))
+    # each block is charted on its own, as matmul's rounding depends on the row count
+    hat = np.concatenate([_chart(x[rows], model, args.t, stats)[0] for x in (z, out)])
+    print("\n".join(_report_lines(_half_means(hat, anchors), target)))
     print(f"wrote {args.out}")
     return 0
 
@@ -217,7 +241,7 @@ def cmd_eval(args) -> int:
         "masked_mean": {
             "pred_hsl": pred_hsl,
             "ref_hsl": ref_hsl,
-            "de00": float(ciede2000_array(*(linear_rgb_to_lab_array(lin) for lin in lins))),
+            "de00": float(_de00_to_last(np.stack(lins, axis=1))[0]),
             "dh_degrees": dh,
             "ds_percent": 100.0 * ds,
             "dl_percent": 100.0 * dl,
@@ -252,7 +276,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         f.add_argument("probes", help="directory of .lt files; must include red.lt .. white.lt")
         f.add_argument("--model-out", default="model.json")
         f.add_argument("--anchors-out", default="anchors.json")
-        f.set_defaults(fn=cmd_fit)
 
     if "observe" in wanted:
         o = sub.add_parser("observe", help="decode a latent into a color grid")
@@ -265,7 +288,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         o.add_argument("--out-json")
         o.add_argument("--out-ppm")
         o.add_argument("--cell-px", type=int, default=1)
-        o.set_defaults(fn=cmd_observe)
 
     if "intervene" in wanted:
         i = sub.add_parser("intervene", help="steer masked patches toward a target color")
@@ -279,7 +301,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         i.add_argument("--anchors", required=True)
         i.add_argument("--stats", default=BUILTIN_STATS)
         i.add_argument("--out", required=True)
-        i.set_defaults(fn=cmd_intervene)
 
     if "simulate" in wanted:
         s = sub.add_parser("simulate", help="run the toy flow toward solid-color attractors")
@@ -290,14 +311,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         s.add_argument("--toy-seed", type=int, default=0, help="embedder seed")
         s.add_argument("--dim", type=int, default=16)
         s.add_argument("--grid", default="8x8")
-        s.set_defaults(fn=cmd_simulate)
 
     if "stats" in wanted:
         st = sub.add_parser("stats", help="fit per-timestep statistics from trajectories")
         st.add_argument("manifests", nargs="+", help="trajectory manifest.json paths")
         st.add_argument("--model", required=True)
         st.add_argument("--out", default="stats.json")
-        st.set_defaults(fn=cmd_stats)
 
     if "eval" in wanted:
         ev = sub.add_parser("eval", help="compare two color grids")
@@ -305,18 +324,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ev.add_argument("ref")
         ev.add_argument("--mask")
         ev.add_argument("--out", default="metrics.json")
-        ev.set_defaults(fn=cmd_eval)
 
     return p
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    # main's parsers, one per command per process: parsing leaves a parser as it was, and help and usage
+    # are formatted when printed, so COLUMNS applies on each call
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # build only the named command's parser: all six cost more than an 8x8 command's colour work
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parser(command).parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a rebound cmd_* takes effect
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -172,14 +172,17 @@ _WHITE = tuple(sum(row) for row in _M_XYZ)
 _SEXTANT_CHANNELS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [2, 1, 0], [1, 2, 0], [0, 2, 1]])
 
 
+# The adapters move axes by a plain transpose: np.moveaxis gives the same layout at several times
+# the per-call cost, which a report on a few colours pays on every kernel call.
 def _to_planes(colors) -> np.ndarray:
     """(..., 3) colors as contiguous (3, ...) channel planes."""
-    return np.ascontiguousarray(np.moveaxis(np.asarray(colors, dtype=np.float64), -1, 0))
+    a = np.asarray(colors, dtype=np.float64)
+    return np.ascontiguousarray(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
 
 
 def _from_planes(planes: np.ndarray) -> np.ndarray:
     """(3, ...) channel planes restacked as contiguous (..., 3) colors."""
-    return np.moveaxis(planes, 0, -1).copy()
+    return planes.transpose(*range(1, planes.ndim), 0).copy()
 
 
 def _clamp01_array(x: np.ndarray) -> np.ndarray:

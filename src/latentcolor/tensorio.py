@@ -42,15 +42,21 @@ def atomic_write_bytes(path, data: bytes) -> None:
     """Write bytes to path via a temp file and rename; the file's mode is what the umask gives."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")  # 64 random bits: a name no other file has
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mkstemp would make it 0600, whatever the umask
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # mkstemp would make it 0600, whatever the umask
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        if e.errno is None:  # not from the OS, so it names no file
+            raise
+        raise type(e)(e.errno, e.strerror, str(path)) from e  # the file asked for, not the temp file
 
 
 def write_json(path, obj) -> None:

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on a temporary workspace."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -10,9 +11,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latentcolor
 from latentcolor import (
@@ -25,10 +28,24 @@ from latentcolor import (
     write_latents,
 )
 from latentcolor import AnchorSet, SubspaceModel, StatsTable, load_mask, masked_mean_color, observe
+from latentcolor import apply_intervention, cli, decode
 from latentcolor.cli import COMMANDS, _report_lines, build_parser, main
-from latentcolor.colorspace import HslColor, parse_hex, rgb_to_hsl, signed_hue_delta
+from latentcolor.colorspace import (
+    HslColor,
+    ciede2000_array,
+    hsl_to_rgb_array,
+    linear_rgb_to_lab_array,
+    parse_hex,
+    rgb_to_hsl,
+    signed_hue_delta,
+    srgb_to_lab_array,
+)
+from latentcolor.intervene import MODES
+from latentcolor.observe import mean_color
 from latentcolor.tensorio import read_json
+from latentcolor.timestats import _chart
 from latentcolor.toyflow import probe_colors
+from test_kernels import hue, unit
 
 RED_HEX = "#D81511"
 BLUE_HEX = "#1190D8"
@@ -366,6 +383,55 @@ def test_observe_without_outputs_exits_2_before_reading(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("ppm", ["o.out", "./o.out", "sub/../o.out", "link/o.out"])
+def test_observe_refuses_one_file_for_both_outputs_before_reading(tmp_path, capsys, monkeypatch, ppm):
+    # the JSON would be written, then overwritten by the PPM; none of the input files exists
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+    code = main(
+        [
+            "observe", "missing.lt",
+            "--t", "10",
+            "--model", "missing-model.json",
+            "--anchors", "missing-anchors.json",
+            "--out-json", "o.out",
+            "--out-ppm", ppm,
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --out-json and --out-ppm name the same file: {ppm}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
+
+
+def test_observe_replaces_a_symlinked_output_instead_of_writing_through_it(ws, tmp_path):
+    # --out-ppm names a link to the JSON output: the write replaces the link, and the JSON stays
+    (tmp_path / "o.ppm").symlink_to(tmp_path / "o.json")
+    code = main(
+        [
+            "observe", str(ws["root"] / "run-red" / "t010.lt"),
+            "--t", "10",
+            "--model", str(ws["model"]),
+            "--anchors", str(ws["anchors"]),
+            "--stats", str(ws["stats"]),
+            "--out-json", str(tmp_path / "o.json"),
+            "--out-ppm", str(tmp_path / "o.ppm"),
+        ]
+    )
+    assert code == 0
+    assert not (tmp_path / "o.ppm").is_symlink() and (tmp_path / "o.ppm").read_bytes().startswith(b"P6\n8 8\n")
+    assert ColorGrid.load(tmp_path / "o.json").height == 8
+
+
+def test_failed_write_names_the_requested_file(tmp_path, capsys):
+    grid = tmp_path / "g.json"
+    ColorGrid.solid(HslColor(10.0, 0.5, 0.5), 2, 2).save(grid)
+    out = tmp_path / "missing" / "m.json"
+    assert main(["eval", str(grid), str(grid), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+    assert list(tmp_path.iterdir()) == [grid]
+
+
 def test_observe_nonsquare_needs_grid_flag(ws, tmp_path, capsys):
     run = tmp_path / "run-rect"
     code = main(
@@ -692,6 +758,64 @@ def test_intervene_report_matches_full_grid_observation(ws, tmp_path, capsys):
     assert [line.split(":")[0] for line in lines[:2]] == ["before", "after"]
 
 
+@pytest.fixture(scope="module")
+def ws_world(ws):
+    return SubspaceModel.load(ws["model"]), AnchorSet.load(ws["anchors"]), StatsTable.load(ws["stats"])
+
+
+one_or_more_patches = st.one_of(st.builds(lambda i: {i}, st.integers(0, 63)), st.sets(st.integers(0, 63), min_size=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    target=st.builds(HslColor, hue, unit, unit),
+    t=st.integers(0, 20),
+    mode=st.sampled_from(MODES),
+    selected=one_or_more_patches,
+    run=st.sampled_from(["run-red", "run-blue"]),
+)
+def test_intervene_report_is_the_per_block_computation_bitwise(ws, ws_world, target, t, mode, selected, run):
+    # The report decodes both charted blocks in one pass and takes both de00 values from one Lab call with
+    # the target as a third column; each mean and each de00 must have the bits of its own computation.
+    model, anchors, stats = ws_world
+    z = read_latents(ws["root"] / run / f"t{t:03d}.lt")
+    mask = PatchMask(L=64, selected=frozenset(selected))
+    out = apply_intervention(z, t, target, mask, model, anchors, stats, mode)
+    hats = [_chart(x[mask.indices], model, t, stats)[0] for x in (z, out)]
+    want_lins = np.stack([mean_color(decode(hat, anchors)) for hat in hats])
+    target_lab = srgb_to_lab_array(hsl_to_rgb_array([target.h, target.s, target.l]))
+    want_des = np.array([float(ciede2000_array(linear_rgb_to_lab_array(lin), target_lab)) for lin in want_lins])
+
+    lins = cli._half_means(np.concatenate(hats), anchors)
+    assert lins.shape == (2, 3) and lins.tobytes() == want_lins.tobytes()
+    des = []
+    de00_to_last = cli._de00_to_last
+    with mock.patch.object(cli, "_de00_to_last", lambda lin: des.append(de00_to_last(lin)) or des[-1]):
+        lines = _report_lines(lins, target)
+    assert len(des) == 1 and des[0].tobytes() == want_des.tobytes()
+    assert [line.split("de00 ")[1].split()[0] for line in lines] == [f"{de:.4f}" for de in want_des]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), selected=one_or_more_patches)
+def test_eval_masked_mean_de00_is_the_per_grid_computation_bitwise(ws, seed, selected):
+    rng = np.random.default_rng(seed)
+    work = ws["root"] / "eval-bitwise"
+    work.mkdir(exist_ok=True)
+    paths = [work / "pred.json", work / "ref.json"]
+    grids = []
+    for path in paths:
+        s = np.where(rng.random((8, 8)) < 0.25, 0.0, rng.random((8, 8)))  # a quarter of the cells grey
+        grids.append(ColorGrid.from_hsl(np.stack([rng.uniform(0.0, 360.0, (8, 8)), s, rng.random((8, 8))], axis=-1)))
+        grids[-1].save(path)
+    mask = PatchMask(L=64, selected=frozenset(selected))
+    mask.save(work / "mask.json")
+    argv = ["eval", *map(str, paths), "--mask", str(work / "mask.json"), "--out", str(work / "metrics.json")]
+    assert main(argv) == 0
+    want = float(ciede2000_array(*(linear_rgb_to_lab_array(masked_mean_color(g, mask)) for g in grids)))
+    assert read_json(work / "metrics.json")["masked_mean"]["de00"].hex() == want.hex()
+
+
 # ---------------------------------------------------------------------------
 # parser: help, usage and error text
 # ---------------------------------------------------------------------------
@@ -727,6 +851,46 @@ def test_main_prints_the_full_parsers_help_and_errors(argv, columns, monkeypatch
     want = _run_captured(build_parser().parse_args, argv)
     assert _run_captured(main, argv) == want
     assert want[2] in (0, 2)
+
+
+def test_main_keeps_one_parser_per_command_that_acts_as_a_fresh_one(ws, tmp_path, monkeypatch):
+    cli._parser.cache_clear()
+    bad = ["observe", "x.lt", "--t", "one", "--model", "m.json", "--anchors", "a.json"]
+    assert _run_captured(main, bad) == _run_captured(build_parser().parse_args, bad)
+
+    out = tmp_path / "o.json"
+    good = [
+        "observe", str(ws["root"] / "run-red" / "t012.lt"), "--t", "12",
+        "--model", str(ws["model"]), "--anchors", str(ws["anchors"]), "--stats", str(ws["stats"]),
+        "--out-json", str(out),
+    ]
+    runs = []
+    for run in (lambda: main(good), lambda: cli.cmd_observe(build_parser().parse_args(good))):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run() == 0
+        runs.append((printed.getvalue(), out.read_bytes()))
+        out.unlink()
+    assert runs[0] == runs[1]
+
+    helps = []
+    for columns in ("100", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.append(_run_captured(build_parser().parse_args, ["observe", "-h"]))
+        assert _run_captured(main, ["observe", "-h"]) == helps[-1]
+    assert helps[0] != helps[1]  # the width reached the cached parser's help
+    assert cli._parser.cache_info().misses == 1  # one observe parser served all four calls
+    assert build_parser() is not build_parser() and build_parser("eval") is not build_parser("eval")
+
+
+def test_main_dispatches_to_the_current_command_function(tmp_path, monkeypatch):
+    grid = tmp_path / "g.json"
+    ColorGrid.solid(HslColor(10.0, 0.5, 0.5), 2, 2).save(grid)
+    argv = ["eval", str(grid), str(grid), "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 0  # the eval parser is built and kept
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.pred) or 7)
+    assert main(argv) == 7 and seen == [str(grid)]
 
 
 def test_python_m_latentcolor_runs_the_cli(monkeypatch, capsys):

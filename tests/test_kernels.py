@@ -46,6 +46,8 @@ from latentcolor.colorspace import (
     srgb_to_lab_array,
     srgb_to_linear_array,
     _ciede_t,
+    _from_planes,
+    _to_planes,
 )
 from latentcolor.observe import mean_color
 from latentcolor.subspace import project
@@ -799,3 +801,35 @@ def test_ciede2000_t_term_is_four_cosine_form():
     rad = np.radians(h)
     assert np.abs(np.tan(rad[-2:] / 2.0)).min() > 1e15
     np.testing.assert_allclose(_ciede_t(rad), four_cosine_t(h), rtol=0.0, atol=1e-12)
+
+
+def moveaxis_to_planes(colors) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(np.asarray(colors, dtype=np.float64), -1, 0))
+
+
+def moveaxis_from_planes(planes) -> np.ndarray:
+    return np.moveaxis(planes, 0, -1).copy()
+
+
+def strided_views(a: np.ndarray, axis: int) -> list[np.ndarray]:
+    """a itself, then views of other arrays that hold a's values: every other entry, reversed, Fortran order."""
+    step = (slice(None),) * (axis % a.ndim)
+    return [a, np.repeat(a, 2, axis=axis)[step + (slice(None, None, 2),)], np.flip(np.flip(a, axis).copy(), axis),
+            np.asfortranarray(a)]
+
+
+any_float = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, math.nan, -math.nan]))
+
+
+@given(st.sampled_from([(3,), (1, 3), (5, 3), (2, 4, 3), (1, 1, 3)]), st.data())
+def test_plane_adapters_are_moveaxis_bitwise(shape, data):
+    colors = np.array(data.draw(st.lists(any_float, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    for view in strided_views(colors, 0):
+        planes = _to_planes(view)
+        assert planes.flags.c_contiguous and planes.shape == (3, *shape[:-1])
+        assert planes.tobytes() == moveaxis_to_planes(view).tobytes()
+        for p in strided_views(planes, -1):  # the restack reads any layout
+            back = _from_planes(p)
+            assert back.flags.c_contiguous and back.tobytes() == moveaxis_from_planes(p).tobytes()
+            assert back.tobytes() == np.ascontiguousarray(colors).tobytes()  # the round trip, bit for bit
+    assert _to_planes(colors.tolist()).tobytes() == moveaxis_to_planes(colors).tobytes()

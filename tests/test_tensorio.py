@@ -144,3 +144,18 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(PermissionError):
         atomic_write_bytes(target, b"data")  # fails at the rename
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["missing directory", "directory in the way"])
+def test_failed_write_names_the_requested_path(tmp_path, case):
+    # the error must name the file asked for, never the temp file beside it
+    target = tmp_path / "missing" / "x.bin" if case == "missing directory" else tmp_path / "x.bin"
+    if case == "directory in the way":
+        target.mkdir()
+    with pytest.raises(OSError) as info:
+        atomic_write_bytes(target, b"data")
+    e = info.value
+    assert type(e) is (FileNotFoundError if case == "missing directory" else IsADirectoryError)
+    assert str(e) == f"[Errno {e.errno}] {os.strerror(e.errno)}: '{target}'"
+    assert [p.name for p in tmp_path.iterdir()] == ([] if case == "missing directory" else ["x.bin"])
+    assert not target.is_file() and (case == "missing directory" or list(target.iterdir()) == [])
