@@ -18,14 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensorio
-from .bicone import ANCHOR_LABELS, AnchorSet, _decode_planes, build_anchors
+from .bicone import ANCHOR_LABELS, AnchorSet, build_anchors, decode
 from .colorspace import (
     HslColor,
-    _canonical,
-    _ciede2000,
-    _hsl_to_rgb,
-    _linear_to_lab,
-    _to_planes,
+    ciede2000_array,
+    hsl_to_rgb_array,
+    linear_rgb_to_lab_array,
     linear_to_srgb_array,
     parse_hex,
     rgb_to_hsl,
@@ -36,10 +34,10 @@ from .colorspace import (
 from .intervene import MODES, PatchMask, apply_intervention, load_mask
 from .observe import (
     ColorGrid,
-    _mean_planes,
     grid_de00_mean_pixel,
     grid_de00_per_pixel,
     masked_mean_color,
+    mean_color,
     observe,
     render_ppm,
 )
@@ -103,25 +101,12 @@ def _hsl_error(got, want) -> tuple[float, float, float]:
     return abs(signed_hue_delta(got[0], want[0])), abs(got[1] - want[1]), abs(got[2] - want[2])
 
 
-def _de00_to_last(lin: np.ndarray) -> np.ndarray:
-    """CIEDE2000 of each column of (3, k + 1) linear RGB planes against the last, from one Lab call."""
-    lab = _linear_to_lab(lin)
-    return _ciede2000(lab[:, :-1], lab[:, -1:])
-
-
-def _half_means(hat: np.ndarray, anchors: AnchorSet) -> np.ndarray:
-    """mean_color of the decoded first and second halves of (2n, 3) normalized coordinates, as (2, 3) linear RGB.
-
-    One decode and one conversion cover both halves; each half's mean is its own running sum, as in mean_color.
-    """
-    lin = srgb_to_linear_array(_hsl_to_rgb(_canonical(_decode_planes(_to_planes(hat), anchors))))
-    return _mean_planes(lin.reshape(3, 2, -1)).T.copy()
-
-
 def _report_lines(lins: np.ndarray, target: HslColor) -> list[str]:
     """The masked means before and after the edit, (2, 3) linear RGB, against the target."""
     want = [target.h, target.s, target.l]
-    des = _de00_to_last(np.column_stack([lins.T, srgb_to_linear_array(_hsl_to_rgb(np.array(want)))]))
+    # the target's linear RGB rides along as a third row: one Lab call covers all three colours
+    lab = linear_rgb_to_lab_array(np.vstack([lins, srgb_to_linear_array(hsl_to_rgb_array(want))]))
+    des = ciede2000_array(lab[:2], lab[2])
     lines = []
     for tag, de, got in zip(("before", "after"), des.tolist(), _shown_hsl(lins).tolist()):
         dh, ds, dl = _hsl_error(got, want)
@@ -193,9 +178,9 @@ def cmd_intervene(args) -> int:
     tensorio.write_latents(args.out, out)
 
     rows = mask.indices
-    # each block is charted on its own, as matmul's rounding depends on the row count
-    hat = np.concatenate([_chart(x[rows], model, args.t, stats)[0] for x in (z, out)])
-    print("\n".join(_report_lines(_half_means(hat, anchors), target)))
+    # one decode for both blocks; each is charted on its own, as matmul's rounding depends on the row count
+    hsl = decode(np.concatenate([_chart(x[rows], model, args.t, stats)[0] for x in (z, out)]), anchors)
+    print("\n".join(_report_lines(mean_color(hsl.reshape(2, -1, 3)), target)))
     print(f"wrote {args.out}")
     return 0
 
@@ -241,7 +226,7 @@ def cmd_eval(args) -> int:
         "masked_mean": {
             "pred_hsl": pred_hsl,
             "ref_hsl": ref_hsl,
-            "de00": float(_de00_to_last(np.stack(lins, axis=1))[0]),
+            "de00": float(ciede2000_array(*linear_rgb_to_lab_array(np.stack(lins)))),
             "dh_degrees": dh,
             "ds_percent": 100.0 * ds,
             "dl_percent": 100.0 * dl,

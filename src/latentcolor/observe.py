@@ -21,6 +21,7 @@ from .colorspace import (
     _hsl_to_rgb,
     _linear_to_lab,
     srgb_to_linear_array,
+    _from_planes,
     _to_planes,
 )
 from .intervene import PatchMask
@@ -197,8 +198,11 @@ def grid_de00_mean_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
 
 
 def mean_color(hsl: np.ndarray) -> np.ndarray:
-    """Average color of a nonempty (n, 3) block of (h, s, l) rows, as linear RGB."""
-    return _mean_planes(srgb_to_linear_array(_hsl_to_rgb(_to_planes(hsl.reshape(-1, 3)))))
+    """Average color of a nonempty (n, 3) block of (h, s, l) rows, as linear RGB.
+
+    A (k, n, 3) stack of blocks gives the (k, 3) means, each with the bits of its own block's mean.
+    """
+    return _from_planes(_mean_planes(srgb_to_linear_array(_hsl_to_rgb(_to_planes(hsl)))))
 
 
 def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> np.ndarray:

@@ -38,25 +38,35 @@ __all__ = [
 _HEADER_DTYPE = "f32le"
 
 
+def _for_path(e: BaseException, path: Path) -> BaseException:
+    """An OS error on a temp file, restated for the file asked for; any other error as it is."""
+    if not isinstance(e, OSError) or e.errno is None:  # an OSError not from the OS names no file
+        return e
+    restated = type(e)(e.errno, e.strerror, str(path))
+    restated.__cause__ = e
+    return restated
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write bytes to path via a temp file and rename; the file's mode is what the umask gives."""
+    """Write bytes to path via a temp file and rename; the file's mode is what the umask gives.
+
+    A failure to open, write or rename names path, not the temp file; the temp file is removed.
+    """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")  # 64 random bits: a name no other file has
     try:
-        # mkstemp would make it 0600, whatever the umask
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mkstemp would make it 0600, whatever the umask
     except OSError as e:
-        if e.errno is None:  # not from the OS, so it names no file
-            raise
-        raise type(e)(e.errno, e.strerror, str(path)) from e  # the file asked for, not the temp file
+        raise _for_path(e, path)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException as e:
+        error = _for_path(e, path)
+        if os.path.exists(tmp):
+            os.unlink(tmp)  # an error here goes out as it is: it names the temp file left behind
+        raise error
 
 
 def write_json(path, obj) -> None:

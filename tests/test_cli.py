@@ -776,9 +776,10 @@ one_or_more_patches = st.one_of(st.builds(lambda i: {i}, st.integers(0, 63)), st
 )
 def test_intervene_report_is_the_per_block_computation_bitwise(ws, ws_world, target, t, mode, selected, run):
     # The report decodes both charted blocks in one pass and takes both de00 values from one Lab call with
-    # the target as a third column; each mean and each de00 must have the bits of its own computation.
+    # the target as a third row; each mean and each de00 must have the bits of its own computation.
     model, anchors, stats = ws_world
-    z = read_latents(ws["root"] / run / f"t{t:03d}.lt")
+    latent = ws["root"] / run / f"t{t:03d}.lt"
+    z = read_latents(latent)
     mask = PatchMask(L=64, selected=frozenset(selected))
     out = apply_intervention(z, t, target, mask, model, anchors, stats, mode)
     hats = [_chart(x[mask.indices], model, t, stats)[0] for x in (z, out)]
@@ -786,13 +787,24 @@ def test_intervene_report_is_the_per_block_computation_bitwise(ws, ws_world, tar
     target_lab = srgb_to_lab_array(hsl_to_rgb_array([target.h, target.s, target.l]))
     want_des = np.array([float(ciede2000_array(linear_rgb_to_lab_array(lin), target_lab)) for lin in want_lins])
 
-    lins = cli._half_means(np.concatenate(hats), anchors)
-    assert lins.shape == (2, 3) and lins.tobytes() == want_lins.tobytes()
-    des = []
-    de00_to_last = cli._de00_to_last
-    with mock.patch.object(cli, "_de00_to_last", lambda lin: des.append(de00_to_last(lin)) or des[-1]):
-        lines = _report_lines(lins, target)
+    work = ws["root"] / "report-bitwise"
+    work.mkdir(exist_ok=True)
+    mask.save(work / "mask.json")
+    argv = [
+        "intervene", str(latent), "--t", str(t), "--target-hsl", f"{target.h!r},{target.s!r},{target.l!r}",
+        "--mode", mode, "--mask", str(work / "mask.json"), "--model", str(ws["model"]),
+        "--anchors", str(ws["anchors"]), "--stats", str(ws["stats"]), "--out", str(work / "out.lt"),
+    ]
+    lins, des = [], []
+    report_lines, ciede2000 = cli._report_lines, cli.ciede2000_array
+    printed = io.StringIO()
+    with mock.patch.object(cli, "_report_lines", lambda m, tgt: lins.append(m) or report_lines(m, tgt)), \
+            mock.patch.object(cli, "ciede2000_array", lambda x, y: des.append(ciede2000(x, y)) or des[-1]), \
+            contextlib.redirect_stdout(printed):
+        assert main(argv) == 0
+    assert len(lins) == 1 and lins[0].shape == (2, 3) and lins[0].tobytes() == want_lins.tobytes()
     assert len(des) == 1 and des[0].tobytes() == want_des.tobytes()
+    lines = printed.getvalue().splitlines()[:2]
     assert [line.split("de00 ")[1].split()[0] for line in lines] == [f"{de:.4f}" for de in want_des]
 
 

@@ -461,6 +461,8 @@ def test_grid_means_are_the_axis0_mean_bitwise(h, w):
         want = srgb_to_linear_array(hsl_to_rgb_array(hsl)).mean(axis=0)
         assert_same_bits(masked_mean_color(grid, PatchMask.full(h * w)), want)
         assert_same_bits(mean_color(hsl), want)
+        blocks = np.stack([hsl, hsl[::-1], hsl ** 0.5])  # a stack of blocks: each mean has its own block's bits
+        assert_same_bits(mean_color(blocks), np.stack([mean_color(block) for block in blocks]))
 
 
 @given(grids(), st.integers(1, 3))

@@ -159,3 +159,23 @@ def test_failed_write_names_the_requested_path(tmp_path, case):
     assert str(e) == f"[Errno {e.errno}] {os.strerror(e.errno)}: '{target}'"
     assert [p.name for p in tmp_path.iterdir()] == ([] if case == "missing directory" else ["x.bin"])
     assert not target.is_file() and (case == "missing directory" or list(target.iterdir()) == [])
+
+
+def test_a_temp_file_that_cannot_be_removed_is_named(tmp_path, monkeypatch):
+    # the rename fails and so does the cleanup: the cleanup's error names the temp file it left behind
+    target = tmp_path / "x.bin"
+
+    def refuse(src, dst):
+        raise PermissionError(13, "rename refused", str(src))
+
+    def keep(p):
+        raise PermissionError(13, "unlink refused", str(p))
+
+    monkeypatch.setattr(tensorio.os, "replace", refuse)
+    monkeypatch.setattr(tensorio.os, "unlink", keep)
+    with pytest.raises(PermissionError) as info:
+        atomic_write_bytes(target, b"data")
+    [left] = tmp_path.iterdir()
+    assert left.name.startswith("x.bin.") and info.value.filename == str(left)
+    assert info.value.strerror == "unlink refused"
+    assert info.value.__context__.strerror == "rename refused"  # raised while handling the rename's failure
