@@ -155,8 +155,8 @@ def write_latents(path, arr: np.ndarray) -> None:
     atomic_write_bytes(path, payload)
 
 
-def read_latents(path) -> np.ndarray:
-    """Read a latent tensor file, validating header and payload length."""
+def _read_payload(path) -> np.ndarray:
+    """The (L, d) float32 payload of a latent tensor file, its header and payload length validated."""
     with open(path, "rb") as f:
         raw = f.read()
     nl = raw.find(b"\n")
@@ -179,8 +179,12 @@ def read_latents(path) -> np.ndarray:
     body = raw[nl + 1:]
     if len(body) != L * d * 4:
         raise ValueError(f"{path}: expected {L * d * 4} payload bytes, found {len(body)}")
-    arr = np.frombuffer(body, dtype="<f4").reshape(L, d).astype(np.float64)
-    return _check_latents(arr)
+    return np.frombuffer(body, dtype="<f4").reshape(L, d)
+
+
+def read_latents(path) -> np.ndarray:
+    """Read a latent tensor file, validating header and payload length."""
+    return _check_latents(_read_payload(path).astype(np.float64))
 
 
 def save_trajectory(dirpath, traj: np.ndarray) -> Path:
@@ -224,8 +228,12 @@ def load_trajectory(manifest_path) -> np.ndarray:
         return [by_t[t] for t in range(T + 1)], tuple(dims)
 
     files, dims = _read_record(manifest_path, step_files, "manifest")
-    frames = [read_latents(f) for f in files]
-    shapes = {f.shape for f in frames}
-    if shapes != {dims}:
-        raise ValueError(f"{manifest_path}: dims {list(dims)}, but the step files hold {sorted(shapes)}")
-    return np.stack(frames)
+    for t, path in enumerate(files):
+        frame = _read_payload(path)
+        if frame.shape != dims:
+            raise ValueError(f"{manifest_path}: dims {list(dims)}, but {path} holds {list(frame.shape)}")
+        if t == 0:  # sized by a step file that matched dims, so a manifest alone allocates nothing
+            traj = np.empty((len(files),) + dims)
+        traj[t] = frame  # float32 to float64 in place: one copy of the trajectory, not a list and a stack
+        _check_latents(traj[t])
+    return traj

@@ -229,17 +229,20 @@ def sample_path(z1: np.ndarray, z0: np.ndarray, t: int, T: int) -> np.ndarray:
     return (1.0 - tau) * z0 + tau * z1
 
 
+def _chart(z: np.ndarray, field: AttractorField) -> np.ndarray:
+    """(L, 3) subspace-plane coordinates of an (L, d) tensor."""
+    return (z - field.embedder.offset) @ field.embedder.lift
+
+
+def _nearest(z: np.ndarray, field: AttractorField, charts: list[np.ndarray]) -> int:
+    """nearest_attractor given the attractors' charts; the first of equal distances wins."""
+    coords = _chart(z, field)
+    return int(np.argmin([float(np.sum((c - coords) ** 2)) for c in charts]))
+
+
 def nearest_attractor(z: np.ndarray, field: AttractorField) -> int:
     """Index of the attractor closest to z in aggregate subspace distance."""
-    q = field.embedder.lift
-    mu = field.embedder.offset
-    coords = (z - mu) @ q
-    dists = [float(np.sum(((a - mu) @ q - coords) ** 2)) for a in field.attractors]
-    return int(np.argmin(dists))
-
-
-def _denoise(z: np.ndarray, field: AttractorField) -> np.ndarray:
-    return field.attractors[nearest_attractor(z, field)]
+    return _nearest(z, field, [_chart(a, field) for a in field.attractors])
 
 
 def generate(
@@ -252,21 +255,34 @@ def generate(
     Step k moves 1/(T - k) of the way toward the denoised target, which
     is Euler integration of the interpolation-path velocity and lands on
     the target exactly at k = T - 1. An optional edit callback receives
-    (z, t) before each step and its output becomes the recorded state,
-    so interventions alter the rest of the trajectory.
+    a copy of z and t before each step; its output, of z's shape, becomes
+    the recorded state, so interventions alter the rest of the trajectory.
     """
     T = field.T
-    z = np.asarray(z0, dtype=np.float64)
-    if z.shape != field.attractors[0].shape:
-        raise ValueError(f"z0 shape {z.shape} does not match attractors {field.attractors[0].shape}")
-    z = z.copy()
-    frames = np.empty((T + 1,) + z.shape)
+    z0 = np.asarray(z0, dtype=np.float64)
+    shape = field.attractors[0].shape
+    if z0.shape != shape:
+        raise ValueError(f"z0 shape {z0.shape} does not match attractors {shape}")
+    try:
+        frames = np.empty((T + 1,) + shape)
+    except MemoryError as e:
+        raise ValueError(f"a trajectory of (T+1, L, d) = {(T + 1,) + shape} float64 is too large to allocate") from e
+    frames[0] = z0
+    # the attractors are charted once; with one attractor there is nothing to choose
+    charts = [_chart(a, field) for a in field.attractors] if len(field.attractors) > 1 else None
     for k in range(T + 1):
+        z = frames[k]
         if edit is not None:
-            z = np.asarray(edit(z, k), dtype=np.float64)
-        frames[k] = z
+            edited = np.asarray(edit(z.copy(), k), dtype=np.float64)
+            if edited.shape != shape:
+                raise ValueError(f"edit at t={k} returned shape {edited.shape}, expected the state's {shape}")
+            z[...] = edited
         if k < T:
-            z = z + (_denoise(z, field) - z) / (T - k)
+            target = field.attractors[_nearest(z, field, charts) if charts else 0]
+            # z + (target - z) / (T - k), written into frame k + 1: the same IEEE operations, as + commutes
+            step = np.subtract(target, z, out=frames[k + 1])
+            step /= T - k
+            step += z
     return frames
 
 

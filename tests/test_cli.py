@@ -528,6 +528,16 @@ def test_simulate_refuses_a_doubled_hash(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_trajectory_too_large_to_allocate(tmp_path, capsys):
+    # 745 TiB is refused by the allocator at once, so no memory is touched
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--colors", "#FF0000", "--T", "100000000000"]) == 2
+    err = capsys.readouterr().err
+    assert "(100000000001, 64, 16)" in err and "too large" in err
+    assert "internal error" not in err
+    assert not out.exists()
+
+
 def test_intervene_requires_a_target(ws, tmp_path, capsys):
     code = main(
         [

@@ -83,6 +83,24 @@ def test_trajectory_roundtrip(tmp_path):
     assert [s["t"] for s in obj["steps"]] == list(range(6))
 
 
+def test_trajectory_is_the_stacked_step_files_bitwise(tmp_path):
+    traj = np.random.default_rng(5).standard_normal((7, 9, 5)) * 40.0
+    manifest = save_trajectory(tmp_path / "run", traj)
+    stacked = np.stack([read_latents(tmp_path / "run" / f"t{t:03d}.lt") for t in range(7)])
+    back = load_trajectory(manifest)
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert back.tobytes() == stacked.tobytes()
+
+
+def test_trajectory_rejects_a_non_finite_step(tmp_path):
+    manifest = save_trajectory(tmp_path / "run", np.zeros((3, 2, 3)))
+    step = tmp_path / "run" / "t002.lt"
+    header, payload = step.read_bytes().split(b"\n", 1)
+    step.write_bytes(header + b"\n" + np.float32(np.inf).tobytes() + payload[4:])
+    with pytest.raises(ValueError, match="non-finite"):
+        load_trajectory(manifest)
+
+
 def test_trajectory_rejects_gapped_steps(tmp_path):
     manifest = save_trajectory(tmp_path / "run", np.zeros((3, 2, 3)))
     obj = read_json(manifest)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentcolor import (
     AttractorField,
@@ -272,3 +273,97 @@ def test_palette_has_26_named_colors():
 def test_palette_rejects_unknown_names():
     with pytest.raises(KeyError):
         palette_color("glaucous")
+
+
+# ---------------------------------------------------------------------------
+# generation against the step-by-step reference
+# ---------------------------------------------------------------------------
+
+def _reference_nearest(z, field):
+    q, mu = field.embedder.lift, field.embedder.offset
+    coords = (z - mu) @ q
+    return int(np.argmin([float(np.sum(((a - mu) @ q - coords) ** 2)) for a in field.attractors]))
+
+
+def _reference_generate(z0, field, edit=None):
+    # one fresh state per step, recorded after the edit
+    T = field.T
+    z = np.asarray(z0, dtype=np.float64).copy()
+    frames = np.empty((T + 1,) + z.shape)
+    for k in range(T + 1):
+        if edit is not None:
+            z = np.asarray(edit(z, k), dtype=np.float64)
+        frames[k] = z
+        if k < T:
+            z = z + (field.attractors[_reference_nearest(z, field)] - z) / (T - k)
+    return frames
+
+
+@st.composite
+def flow_cases(draw):
+    T = draw(st.integers(1, 60))
+    L = draw(st.integers(1, 5))
+    d = draw(st.integers(3, 16))
+    n = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    e = ToyEmbedder.create(seed=seed % 1000, d=d)
+    rng = np.random.default_rng(seed)
+    atts = [e.offset + rng.standard_normal((L, d)) * 30.0 for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        atts[1] = atts[0].copy()  # equal attractors: the first index must win
+    z0 = rng.standard_normal((L, d)) * draw(st.sampled_from([1.0, 30.0]))
+    if draw(st.booleans()):
+        z0 = atts[draw(st.integers(0, n - 1))].copy()
+    return AttractorField(attractors=tuple(atts), T=T, embedder=e), z0
+
+
+def _mutating_edit(field):
+    shift = field.attractors[-1] - field.attractors[0]
+    handed = []
+
+    def edit(z, t):
+        for old in handed:  # arrays handed out at earlier steps: mutating them must not reach the trajectory
+            old *= -0.5
+        handed.append(z)
+        z[t % len(z)] *= -0.5
+        return z if t % 3 else z + shift
+
+    return edit
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=flow_cases(), edited=st.booleans())
+def test_generate_is_the_reference_loop_bitwise(case, edited):
+    field, z0 = case
+    for z in (z0, *field.attractors):
+        assert nearest_attractor(z, field) == _reference_nearest(z, field)
+    want = _reference_generate(z0, field, _mutating_edit(field) if edited else None)
+    got = generate(z0, field, _mutating_edit(field) if edited else None)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_equal_attractors_pick_the_first(embedder):
+    a = solid_attractor(RED, embedder, (2, 2))
+    field = AttractorField(attractors=(a, a.copy(), a.copy()), T=4, embedder=embedder)
+    assert nearest_attractor(a, field) == 0
+    assert nearest_attractor(initial_noise(4, embedder.dim, seed=72), field) == 0
+
+
+@pytest.mark.parametrize("result", ["row", "one-row-block", "short-block"])
+def test_generate_refuses_a_wrong_shaped_edit(embedder, result):
+    att = solid_attractor(RED, embedder, (2, 2))
+    field = AttractorField(attractors=(att,), T=5, embedder=embedder)
+    cut = {"row": lambda z: z[0], "one-row-block": lambda z: z[:1], "short-block": lambda z: z[:-1]}[result]
+    edit = lambda z, t: cut(z) if t == 2 else z
+    with pytest.raises(ValueError) as info:
+        generate(initial_noise(4, embedder.dim, seed=73), field, edit=edit)
+    want_shape = cut(att).shape
+    assert str(info.value) == f"edit at t=2 returned shape {want_shape}, expected the state's {att.shape}"
+
+
+def test_generate_refuses_a_trajectory_too_large_to_allocate(embedder):
+    # 1e11 + 1 frames of 64 x 16 float64 is 745 TiB: the allocation is refused at once, nothing is touched
+    att = solid_attractor(RED, embedder, (8, 8))
+    field = AttractorField(attractors=(att,), T=100_000_000_000, embedder=embedder)
+    with pytest.raises(ValueError, match=r"\(100000000001, 64, 16\)"):
+        generate(att, field)
