@@ -157,10 +157,11 @@ def cmd_observe(args) -> int:
     stats = _load_stats(args.stats)
     dims = _grid_dims(args.grid, z.shape[0])
     grid = observe(z, args.t, model, anchors, stats, dims)
+    ppm = render_ppm(grid, args.cell_px) if args.out_ppm else None  # before any write: it may refuse the size
     if args.out_json:
         grid.save(args.out_json)
     if args.out_ppm:
-        tensorio.atomic_write_bytes(args.out_ppm, render_ppm(grid, args.cell_px))
+        tensorio.atomic_write_bytes(args.out_ppm, ppm)
     wrote = ", ".join(path for path in (args.out_json, args.out_ppm) if path)
     print(f"observed {dims[0]}x{dims[1]} grid at t={args.t}; wrote {wrote}")
     return 0
@@ -244,87 +245,71 @@ def cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-COMMANDS = ("fit", "observe", "intervene", "simulate", "stats", "eval")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; given a command name, only that subcommand's parser is built."""
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser for all six subcommands."""
     p = argparse.ArgumentParser(prog="latentcolor", description=__doc__)
-    # A one-command parser's usage must still list every command, as the full one's does.
-    # The full parser keeps no metavar: one would change its "required" and "invalid choice" errors.
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
-    wanted = COMMANDS if command is None else (command,)
+    sub = p.add_subparsers(dest="command", required=True)
 
-    if "fit" in wanted:
-        f = sub.add_parser("fit", help="fit the subspace model and anchors from probe latents")
-        f.add_argument("probes", help="directory of .lt files; must include red.lt .. white.lt")
-        f.add_argument("--model-out", default="model.json")
-        f.add_argument("--anchors-out", default="anchors.json")
+    f = sub.add_parser("fit", help="fit the subspace model and anchors from probe latents")
+    f.add_argument("probes", help="directory of .lt files; must include red.lt .. white.lt")
+    f.add_argument("--model-out", default="model.json")
+    f.add_argument("--anchors-out", default="anchors.json")
 
-    if "observe" in wanted:
-        o = sub.add_parser("observe", help="decode a latent into a color grid")
-        o.add_argument("latent")
-        o.add_argument("--t", type=int, required=True)
-        o.add_argument("--model", required=True)
-        o.add_argument("--anchors", required=True)
-        o.add_argument("--stats", default=BUILTIN_STATS, help=f"stats JSON path or '{BUILTIN_STATS}'")
-        o.add_argument("--grid", help="HxW patch grid (default: square)")
-        o.add_argument("--out-json")
-        o.add_argument("--out-ppm")
-        o.add_argument("--cell-px", type=int, default=1)
+    o = sub.add_parser("observe", help="decode a latent into a color grid")
+    o.add_argument("latent")
+    o.add_argument("--t", type=int, required=True)
+    o.add_argument("--model", required=True)
+    o.add_argument("--anchors", required=True)
+    o.add_argument("--stats", default=BUILTIN_STATS, help=f"stats JSON path or '{BUILTIN_STATS}'")
+    o.add_argument("--grid", help="HxW patch grid (default: square)")
+    o.add_argument("--out-json")
+    o.add_argument("--out-ppm")
+    o.add_argument("--cell-px", type=int, default=1)
 
-    if "intervene" in wanted:
-        i = sub.add_parser("intervene", help="steer masked patches toward a target color")
-        i.add_argument("latent")
-        i.add_argument("--t", type=int, required=True)
-        i.add_argument("--target", help="target color as #RRGGBB")
-        i.add_argument("--target-hsl", help="target color as h,s,l; s and l in [0, 1], h in degrees, wrapped mod 360")
-        i.add_argument("--mode", choices=MODES, default="interp")
-        i.add_argument("--mask", help="mask file (JSON or PGM); default all patches")
-        i.add_argument("--model", required=True)
-        i.add_argument("--anchors", required=True)
-        i.add_argument("--stats", default=BUILTIN_STATS)
-        i.add_argument("--out", required=True)
+    i = sub.add_parser("intervene", help="steer masked patches toward a target color")
+    i.add_argument("latent")
+    i.add_argument("--t", type=int, required=True)
+    i.add_argument("--target", help="target color as #RRGGBB")
+    i.add_argument("--target-hsl", help="target color as h,s,l; s and l in [0, 1], h in degrees, wrapped mod 360")
+    i.add_argument("--mode", choices=MODES, default="interp")
+    i.add_argument("--mask", help="mask file (JSON or PGM); default all patches")
+    i.add_argument("--model", required=True)
+    i.add_argument("--anchors", required=True)
+    i.add_argument("--stats", default=BUILTIN_STATS)
+    i.add_argument("--out", required=True)
 
-    if "simulate" in wanted:
-        s = sub.add_parser("simulate", help="run the toy flow toward solid-color attractors")
-        s.add_argument("--out", required=True, help="output trajectory directory")
-        s.add_argument("--colors", required=True, help="comma-separated #RRGGBB attractor colors")
-        s.add_argument("--T", type=int, default=50)
-        s.add_argument("--seed", type=int, default=0, help="noise seed for z0")
-        s.add_argument("--toy-seed", type=int, default=0, help="embedder seed")
-        s.add_argument("--dim", type=int, default=16)
-        s.add_argument("--grid", default="8x8")
+    s = sub.add_parser("simulate", help="run the toy flow toward solid-color attractors")
+    s.add_argument("--out", required=True, help="output trajectory directory")
+    s.add_argument("--colors", required=True, help="comma-separated #RRGGBB attractor colors")
+    s.add_argument("--T", type=int, default=50)
+    s.add_argument("--seed", type=int, default=0, help="noise seed for z0")
+    s.add_argument("--toy-seed", type=int, default=0, help="embedder seed")
+    s.add_argument("--dim", type=int, default=16)
+    s.add_argument("--grid", default="8x8")
 
-    if "stats" in wanted:
-        st = sub.add_parser("stats", help="fit per-timestep statistics from trajectories")
-        st.add_argument("manifests", nargs="+", help="trajectory manifest.json paths")
-        st.add_argument("--model", required=True)
-        st.add_argument("--out", default="stats.json")
+    st = sub.add_parser("stats", help="fit per-timestep statistics from trajectories")
+    st.add_argument("manifests", nargs="+", help="trajectory manifest.json paths")
+    st.add_argument("--model", required=True)
+    st.add_argument("--out", default="stats.json")
 
-    if "eval" in wanted:
-        ev = sub.add_parser("eval", help="compare two color grids")
-        ev.add_argument("pred")
-        ev.add_argument("ref")
-        ev.add_argument("--mask")
-        ev.add_argument("--out", default="metrics.json")
+    ev = sub.add_parser("eval", help="compare two color grids")
+    ev.add_argument("pred")
+    ev.add_argument("ref")
+    ev.add_argument("--mask")
+    ev.add_argument("--out", default="metrics.json")
 
     return p
 
 
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    # main's parsers, one per command per process: parsing leaves a parser as it was, and help and usage
+def _parser() -> argparse.ArgumentParser:
+    # main's one parser per process: parsing leaves a parser as it was, and help and usage
     # are formatted when printed, so COLUMNS applies on each call
-    return build_parser(command)
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # build only the named command's parser: all six cost more than an 8x8 command's colour work
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = _parser(command).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a rebound cmd_* takes effect
     except (ValueError, OSError, KeyError) as e:

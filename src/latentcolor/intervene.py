@@ -12,6 +12,7 @@ and normalize in one affine map), edits them, and writes the change back.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -82,35 +83,20 @@ class PatchMask(tensorio.JsonRecord):
         return cls(L=L, selected=frozenset(selected))
 
 
+_SEP = rb"(?:\s|#[^\n]*\n)"  # a whitespace byte, or a comment through its newline
+# binary PGM: magic, width, height and maxval as decimal tokens, then one byte before the raster
+_PGM_HEADER = re.compile(rb"P5" + _SEP + rb"*(\d+)" + _SEP + rb"+(\d+)" + _SEP + rb"+(\d+)[\s\S]")
+
+
 def _mask_from_pgm(raw: bytes, path) -> PatchMask:
-    # binary PGM: magic, whitespace-separated header tokens, one raster
-    if not raw.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM file")
-    tokens: list[int] = []
-    i = 2
-    while len(tokens) < 3:
-        if i >= len(raw):
-            raise ValueError(f"{path}: truncated PGM header")
-        c = raw[i:i + 1]
-        if c == b"#":
-            while i < len(raw) and raw[i:i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(raw) and raw[j:j + 1].isdigit():
-                j += 1
-            tokens.append(int(raw[i:j]))
-            i = j
-        else:
-            raise ValueError(f"{path}: malformed PGM header")
-    i += 1  # single whitespace byte separates header from raster
-    w, h, maxval = tokens
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"{path}: malformed or truncated PGM header")
+    w, h, maxval = map(int, header.groups())
     if w < 1 or h < 1 or not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad PGM dimensions {w}x{h} maxval {maxval}")
     bpp = 1 if maxval < 256 else 2
-    data = raw[i:]
+    data = raw[header.end():]
     if len(data) != w * h * bpp:
         raise ValueError(f"{path}: expected {w * h * bpp} raster bytes, found {len(data)}")
     px = np.frombuffer(data, dtype=">u2" if bpp == 2 else "u1")

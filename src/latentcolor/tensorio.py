@@ -151,7 +151,8 @@ def write_latents(path, arr: np.ndarray) -> None:
     """Write an (L, d) array as a header line plus packed float32 rows."""
     arr = _check_latents(arr)
     header = json.dumps({"dims": [int(arr.shape[0]), int(arr.shape[1])], "dtype": _HEADER_DTYPE})
-    payload = header.encode("ascii") + b"\n" + np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    # join reads the contiguous float32 buffer directly: one copy of the payload, not two
+    payload = b"".join((header.encode("ascii"), b"\n", np.ascontiguousarray(arr, dtype="<f4")))
     atomic_write_bytes(path, payload)
 
 

@@ -29,7 +29,7 @@ from latentcolor import (
 )
 from latentcolor import AnchorSet, SubspaceModel, StatsTable, load_mask, masked_mean_color, observe
 from latentcolor import apply_intervention, cli, decode
-from latentcolor.cli import COMMANDS, _report_lines, build_parser, main
+from latentcolor.cli import _report_lines, build_parser, main
 from latentcolor.colorspace import (
     HslColor,
     ciede2000_array,
@@ -521,6 +521,27 @@ def test_intervene_refuses_a_bad_target_hsl_up_front(ws, tmp_path, capsys, mode,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell_px", [10**6, 10**15])  # numpy refuses both sizes at once: no memory is touched
+def test_observe_refuses_a_raster_too_large_to_allocate_before_writing(ws, tmp_path, capsys, cell_px):
+    out_json, out_ppm = tmp_path / "o.json", tmp_path / "o.ppm"
+    code = main(
+        [
+            "observe", str(ws["root"] / "run-red" / "t010.lt"),
+            "--t", "10",
+            "--model", str(ws["model"]),
+            "--anchors", str(ws["anchors"]),
+            "--stats", str(ws["stats"]),
+            "--out-json", str(out_json),
+            "--out-ppm", str(out_ppm),
+            "--cell-px", str(cell_px),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{8 * cell_px}x{8 * cell_px}" in err and "internal error" not in err
+    assert not out_json.exists() and not out_ppm.exists()
+
+
 def test_simulate_refuses_a_doubled_hash(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--colors", "##FF0000", "--T", "2"]) == 2
@@ -860,7 +881,7 @@ def _run_captured(fn, argv):
         [],
         ["-h"],
         ["render"],
-        *([command, "-h"] for command in COMMANDS),
+        *([command, "-h"] for command in ("fit", "observe", "intervene", "simulate", "stats", "eval")),
         ["observe", "x.lt"],
         ["intervene", *REQUIRED, "--mode", "bogus", "--out", "y.lt"],
         ["observe", "x.lt", "--t", "one", "--model", "m.json", "--anchors", "a.json"],
@@ -875,7 +896,7 @@ def test_main_prints_the_full_parsers_help_and_errors(argv, columns, monkeypatch
     assert want[2] in (0, 2)
 
 
-def test_main_keeps_one_parser_per_command_that_acts_as_a_fresh_one(ws, tmp_path, monkeypatch):
+def test_main_keeps_one_parser_that_acts_as_a_fresh_one(ws, tmp_path, monkeypatch):
     cli._parser.cache_clear()
     bad = ["observe", "x.lt", "--t", "one", "--model", "m.json", "--anchors", "a.json"]
     assert _run_captured(main, bad) == _run_captured(build_parser().parse_args, bad)
@@ -901,8 +922,8 @@ def test_main_keeps_one_parser_per_command_that_acts_as_a_fresh_one(ws, tmp_path
         helps.append(_run_captured(build_parser().parse_args, ["observe", "-h"]))
         assert _run_captured(main, ["observe", "-h"]) == helps[-1]
     assert helps[0] != helps[1]  # the width reached the cached parser's help
-    assert cli._parser.cache_info().misses == 1  # one observe parser served all four calls
-    assert build_parser() is not build_parser() and build_parser("eval") is not build_parser("eval")
+    assert cli._parser.cache_info().misses == 1  # one parser served all four calls
+    assert build_parser() is not build_parser()
 
 
 def test_main_dispatches_to_the_current_command_function(tmp_path, monkeypatch):

@@ -72,13 +72,24 @@ def test_mask_json_roundtrip(tmp_path):
     assert back == m
 
 
+# PGM headers accepted, each with its raster, L and the selected cells
+PGM_HEADERS = [
+    (b"P5\n# comment line\n3 2\n255\n", bytes([0, 7, 0, 255, 0, 1]), 6, {1, 3, 5}),
+    (b"P5# comment right after the magic\n3 2 255\n", bytes([0, 7, 0, 255, 0, 1]), 6, {1, 3, 5}),
+    (b"P53 2 255\n", bytes([9, 0, 0, 0, 0, 9]), 6, {0, 5}),  # digits straight after the magic
+    (b"P5\r3\v2\f255\r", bytes([0, 0, 1, 0, 0, 0]), 6, {2}),
+    (b"P5#a\n3#b\n2#c\n255\n", bytes([1, 1, 0, 0, 0, 0]), 6, {0, 1}),  # a comment between each pair of tokens
+    (b"P5 3 2 255#", bytes([0, 0, 0, 0, 0, 4]), 6, {5}),  # any one byte ends the header, "#" too
+    (b"P5\n2 2\n256\n", bytes([0, 0, 1, 0, 0, 0, 0, 1]), 4, {1, 3}),  # the least 16-bit maxval
+]
+
+
 def test_mask_from_pgm(tmp_path):
-    raw = b"P5\n# comment line\n3 2\n255\n" + bytes([0, 7, 0, 255, 0, 1])
     path = tmp_path / "mask.pgm"
-    path.write_bytes(raw)
-    m = load_mask(path)
-    assert m.L == 6
-    assert m.selected == frozenset({1, 3, 5})
+    for header, raster, L, selected in PGM_HEADERS:
+        path.write_bytes(header + raster)
+        m = load_mask(path)
+        assert (m.L, m.selected) == (L, frozenset(selected)), header
 
 
 def test_mask_from_16bit_pgm(tmp_path):
@@ -99,6 +110,9 @@ def test_mask_from_16bit_pgm(tmp_path):
         b"P5\n3 2\n0\n" + bytes(6),  # maxval 0
         b"P5\n3 2\nxyz\n" + bytes(6),  # non-numeric token
         b"P5\n3 2",  # truncated header
+        b"P5\n3 2\n# a comment that runs to end of file",
+        b"P5\n3 2\n255",  # the header ends at maxval
+        b"P5\n32 255\n" + bytes(6),  # two tokens: no maxval, though "3" "2" would split as width and height
     ],
 )
 def test_malformed_pgm_rejected(tmp_path, raw):

@@ -177,6 +177,13 @@ def test_render_ppm_row_major_order():
     assert data == b"P6\n1 2\n255\n" + bytes([255, 0, 0, 0, 255, 0])
 
 
+@pytest.mark.parametrize("cell_px", [10**6, 10**15])  # numpy refuses both sizes at once: no memory is touched
+def test_render_ppm_refuses_a_raster_too_large_to_allocate(cell_px):
+    side = 8 * cell_px
+    with pytest.raises(ValueError, match=f"raster of {side}x{side} pixels is too large"):
+        render_ppm(ColorGrid.solid(RED, 8, 8), cell_px=cell_px)
+
+
 def test_render_ppm_rejects_bad_cell_px():
     with pytest.raises(ValueError):
         render_ppm(ColorGrid.solid(RED, 1, 1), cell_px=0)

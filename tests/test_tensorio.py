@@ -31,6 +31,14 @@ def test_latents_header_is_json_line(tmp_path):
     assert len(payload) == 2 * 4 * 4
 
 
+def test_latent_file_is_the_header_line_then_the_float32_rows(tmp_path):
+    path = tmp_path / "z.lt"
+    z = np.random.default_rng(4).standard_normal((4, 3)).T  # a non-contiguous float64 view
+    write_latents(path, z)
+    header = json.dumps({"dims": [3, 4], "dtype": "f32le"}).encode("ascii")
+    assert path.read_bytes() == header + b"\n" + z.astype("<f4").tobytes()
+
+
 def test_rewrite_is_byte_identical(tmp_path):
     z = np.random.default_rng(9).standard_normal((3, 5))
     a, b = tmp_path / "a.lt", tmp_path / "b.lt"
