@@ -47,6 +47,11 @@ BAD_PGM = "tests/test_intervene.py::test_malformed_pgm_rejected"
 PPM_TOO_LARGE = "tests/test_observe.py::test_render_ppm_refuses_a_raster_too_large_to_allocate"
 CLI_PPM_TOO_LARGE = "tests/test_cli.py::test_observe_refuses_a_raster_too_large_to_allocate_before_writing"
 REFERENCE_LOOP = "tests/test_toyflow.py::test_generate_is_the_reference_loop_bitwise"
+OVERFLOW = "tests/test_tensorio.py::test_read_json_refuses_exactly_the_float_literals_that_overflow"
+LITERALS = "tests/test_tensorio.py::test_read_json_reads_number_literals_as_the_checked_parse_does"
+AS_DUMPS = "tests/test_tensorio.py::test_write_json_writes_what_json_dumps_writes"
+NON_FINITE = "tests/test_tensorio.py::test_json_refuses_non_finite_numbers_wherever_they_sit"
+ASSEMBLE = "tests/test_bicone.py::test_assemble_is_the_per_anchor_reference_bitwise"
 
 MUTANTS = (
     # the PGM header pattern
@@ -149,7 +154,74 @@ MUTANTS = (
         "        _check_latents(traj[t])\n", "",
         ("tests/test_tensorio.py::test_trajectory_rejects_a_non_finite_step",),
     ),
+    # the JSON read screen and the emitter
+    Mutant(
+        "screen-needs-a-4-digit-exponent", "src/latentcolor/tensorio.py",
+        'b"e000" in screened', 'b"e0000" in screened',
+        (OVERFLOW,),
+    ),
+    Mutant(
+        "screen-needs-211-digits", "src/latentcolor/tensorio.py",
+        'b"0" * 210 in screened', 'b"0" * 211 in screened',
+        (OVERFLOW,),
+    ),
+    Mutant(
+        "read-json-never-checks-overflow", "src/latentcolor/tensorio.py",
+        "parse_float=_finite_float if check else None", "parse_float=None",
+        (OVERFLOW, LITERALS),
+    ),
+    Mutant(
+        "emitter-float-list-unchecked", "src/latentcolor/tensorio.py",
+        "set(map(type, flat)) != {float} or not all(map(math.isfinite, flat))", "set(map(type, flat)) != {float}",
+        (NON_FINITE, "tests/test_tensorio.py::test_json_refuses_non_finite_numbers"),
+    ),
+    Mutant(
+        "emitter-float-unchecked", "src/latentcolor/tensorio.py",
+        "if kind is float and math.isfinite(obj):", "if kind is float:",
+        (NON_FINITE,),
+    ),
+    Mutant(
+        "emitter-dict-unsorted", "src/latentcolor/tensorio.py",
+        "for k in sorted(obj))", "for k in obj)",
+        (AS_DUMPS, "tests/test_tensorio.py::test_write_json_is_canonical"),
+    ),
+    Mutant(
+        "emitter-rows-of-any-length", "src/latentcolor/tensorio.py",
+        "<= {list, tuple} and len(set(map(len, items))) == 1", "<= {list, tuple}",
+        (AS_DUMPS,),
+    ),
+    # record checks
+    Mutant(
+        "basis-check-relative-tolerance", "src/latentcolor/subspace.py",
+        "np.eye(3)) <= 1e-9)", "np.eye(3)) <= 1e-9 + 1e-5 * np.eye(3))",
+        (
+            "tests/test_subspace.py::test_model_basis_is_orthonormal_within_1e_9_elementwise",
+            "tests/test_cli.py::test_malformed_record_file_exits_2_naming_it",
+        ),
+    ),
+    Mutant(
+        "anchor-turn-checked-two-ahead", "src/latentcolor/bicone.py",
+        "nxt = pts[_NEXT_ANCHOR]", "nxt = pts[(_NEXT_ANCHOR + 1) % 6]",
+        (ASSEMBLE, "tests/test_bicone.py::test_anchor_polygon_winding_twice_rejected"),
+    ),
+    Mutant(
+        "anchor-chroma-by-explicit-sums", "src/latentcolor/bicone.py",
+        "chroma = rel - np.vecdot(rel, unit_axis)[:, None] * unit_axis",
+        "chroma = rel - _dot3(rel.T, unit_axis)[:, None] * unit_axis",
+        (ASSEMBLE,),
+    ),
+    Mutant(
+        "ppm-raster-copied-twice", "src/latentcolor/observe.py",
+        'return b"".join((header, raster))', "return header + raster.tobytes()",
+        ("tests/test_observe.py::test_render_ppm_holds_the_raster_about_twice_at_its_peak",),
+    ),
     # known equivalent mutants
+    Mutant(
+        "screen-at-209-digits", "src/latentcolor/tensorio.py",
+        'b"0" * 210 in screened', 'b"0" * 209 in screened',
+        (OVERFLOW, LITERALS),
+        equivalent="a shorter run only sends more files to the checked parse, which reads them the same",
+    ),
     Mutant(
         "generate-step-added-the-other-way", "src/latentcolor/toyflow.py",
         "step += z", "np.add(z, step, out=step)",

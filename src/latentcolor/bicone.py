@@ -96,28 +96,21 @@ def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSe
         raise ValueError("black and white probes coincide; no achromatic axis")
     unit_axis = axis / norm_axis
 
-    def chroma_vec(p: np.ndarray) -> np.ndarray:
-        rel = p - black
-        return rel - (rel @ unit_axis) * unit_axis
-
-    red_chroma = chroma_vec(hue[0])
-    norm_red = float(np.linalg.norm(red_chroma))
-    if norm_red < 1e-9:
-        raise ValueError("degenerate anchor: red probe has no chroma")
-    e1 = red_chroma / norm_red
-    e2 = np.cross(unit_axis, e1)
-    yellow = chroma_vec(hue[1])
-    if float(yellow @ e2) < 0:
+    # np.vecdot takes each row's dot as `@` does, bit for bit, for all six anchors in one call
+    rel = hue - black
+    chroma = rel - np.vecdot(rel, unit_axis)[:, None] * unit_axis
+    norms = np.sqrt(np.vecdot(chroma, chroma))
+    degenerate = np.flatnonzero(norms < 1e-9)
+    if degenerate.size:
+        raise ValueError(f"degenerate anchor: {HUE_LABELS[degenerate[0]]} probe has no chroma")
+    e1 = chroma[0] / norms[0]
+    (u0, u1, u2), (f0, f1, f2) = unit_axis.tolist(), e1.tolist()
+    e2 = np.array([u1 * f2 - u2 * f1, u2 * f0 - u0 * f2, u0 * f1 - u1 * f0])  # np.cross(unit_axis, e1)
+    if float(chroma[1] @ e2) < 0:
         e2 = -e2
-
-    pts = np.empty((6, 2), dtype=np.float64)
-    for i in range(6):
-        v = chroma_vec(hue[i])
-        if float(np.linalg.norm(v)) < 1e-9:
-            raise ValueError(f"degenerate anchor: {HUE_LABELS[i]} probe has no chroma")
-        pts[i] = (v @ e1, v @ e2)
+    pts = np.vecdot(chroma[:, None], np.array([e1, e2]))
     # consecutive anchors must turn counterclockwise around the axis ...
-    nxt = np.roll(pts, -1, axis=0)
+    nxt = pts[_NEXT_ANCHOR]
     if np.any(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0):
         raise ValueError("hue anchors are not in strict counterclockwise order")
     angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)

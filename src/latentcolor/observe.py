@@ -223,12 +223,12 @@ def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
         raise ValueError("cell_px must be >= 1")
     pixels = np.rint(grid._rgb * 255.0).astype(np.uint8).transpose(1, 2, 0)
     width, height = grid.width * cell_px, grid.height * cell_px
-    if cell_px > 1:
-        try:  # the whole raster is allocated before any repeat, so a size numpy refuses costs no memory
-            raster = np.empty((grid.height, cell_px, width, 3), dtype=np.uint8)
-        except (MemoryError, ValueError) as e:  # ValueError: the byte count overflows
-            raise ValueError(f"a PPM raster of {width}x{height} pixels is too large to allocate") from e
-        raster[:] = np.repeat(pixels, cell_px, axis=1)[:, None]
-        pixels = raster
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    return header + pixels.tobytes()
+    if cell_px == 1:
+        return header + pixels.tobytes()
+    try:  # the whole raster is allocated before any repeat, so a size numpy refuses costs no memory
+        raster = np.empty((grid.height, cell_px, width, 3), dtype=np.uint8)
+    except (MemoryError, ValueError) as e:  # ValueError: the byte count overflows
+        raise ValueError(f"a PPM raster of {width}x{height} pixels is too large to allocate") from e
+    raster[:] = np.repeat(pixels, cell_px, axis=1)[:, None]
+    return b"".join((header, raster))  # join reads the contiguous raster directly: one copy of it, not two

@@ -36,7 +36,7 @@ class SubspaceModel(tensorio.JsonRecord):
         basis = np.asarray(self.basis, dtype=np.float64)
         if mean.ndim != 1 or basis.shape != (mean.shape[0], 3):
             raise ValueError(f"expected a (d,) mean and a (d, 3) basis, got {mean.shape} and {basis.shape}")
-        if not np.allclose(basis.T @ basis, np.eye(3), atol=1e-9):
+        if not np.all(np.abs(basis.T @ basis - np.eye(3)) <= 1e-9):  # NaN fails too
             raise ValueError("basis columns are not orthonormal")
         if len(self.explained) != 3:
             raise ValueError(f"expected 3 explained ratios, got {len(self.explained)}")

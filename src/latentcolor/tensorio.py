@@ -10,6 +10,11 @@ records kept one per file (model, anchors, stats, grid, mask) share
 JsonRecord's save and load, so a malformed file of any kind raises one
 ValueError that names the file. All writers go through a
 temp-file-plus-rename so partially written outputs are never observed.
+
+write_json's bytes are _dumps(obj) plus a newline. json drops to its
+Python encoder whenever indent is set, so _emit lays out plain dicts,
+lists, strings, ints and finite floats itself (one join or % per float
+block) and hands anything else, refusals included, to json.dumps.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import math
 import os
 import secrets
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +75,48 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise error
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
+
+
+def _float_items(items, indent: str) -> str | None:
+    """Items that are exact finite floats, or equal-length lists of them, joined at indent; else None."""
+    rows = set(map(type, items)) <= {list, tuple} and len(set(map(len, items))) == 1
+    flat = tuple(itertools.chain.from_iterable(items)) if rows else items
+    if not flat or set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    sep = ",\n" + indent
+    if not rows:
+        return sep.join(map(float.__repr__, flat))
+    inner = indent + " "
+    row = f"[\n{inner}" + (",\n" + inner).join(["%r"] * len(items[0])) + f"\n{indent}]"
+    return sep.join([row] * len(items)) % flat
+
+
+def _emit(obj, indent: str = "") -> str:
+    """_dumps(obj) nested at indent: plain containers, str keys, exact ints and floats skip the stdlib's Python encoder."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    inner = indent + " "
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        body = (",\n" + inner).join(f"{encode_basestring_ascii(k)}: {_emit(obj[k], inner)}" for k in sorted(obj))
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if (kind is list or kind is tuple) and obj:
+        body = _float_items(obj, inner) or (",\n" + inner).join(_emit(v, inner) for v in obj)
+        return f"[\n{inner}{body}\n{indent}]"
+    # anything else, a non-finite float included, as the stdlib writes or refuses it; its text has no raw newline
+    return _dumps(obj).replace("\n", "\n" + indent)
+
+
 def write_json(path, obj) -> None:
     """Serialize obj as deterministic JSON (sorted keys, fixed separators); NaN and infinities are refused."""
     try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
+        text = _emit(obj)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
     atomic_write_bytes(path, (text + "\n").encode("utf-8"))
@@ -89,11 +133,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# Digits to 0, E to e, signs deleted: a float literal that overflows leaves e000 (a 3-digit exponent) or a run
+# of 210 zeros (209 integer digits and a 2-digit exponent stay below 1e308), so only such a file needs the hook.
+_NUMBER_SCREEN = bytes.maketrans(b"123456789E", b"000000000e")
+
+
 def read_json(path):
     """Parse a JSON file, refusing NaN, Infinity, -Infinity and float literals that overflow."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f, parse_constant=_refuse_constant, parse_float=_finite_float)
+            text = f.read()  # json.loads gets text: given bytes, it would read UTF-16 and UTF-32 too
+        screened = text.encode("utf-8").translate(_NUMBER_SCREEN, b"+-")
+        check = b"e000" in screened or b"0" * 210 in screened
+        return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float if check else None)
     except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: {e}") from e
 

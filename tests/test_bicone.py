@@ -21,7 +21,7 @@ from latentcolor import (
     regular_anchors,
     toy_decode,
 )
-from latentcolor.bicone import ANCHOR_LABELS, HUE_DEGREES, HUE_LABELS
+from latentcolor.bicone import ANCHOR_LABELS, HUE_DEGREES, HUE_LABELS, _assemble
 from latentcolor.colorspace import HslColor, signed_hue_delta
 
 hue = st.floats(0.0, 360.0, exclude_max=True, allow_nan=False)
@@ -102,6 +102,55 @@ def test_anchor_polygon_winding_twice_rejected():
         AnchorSet.from_json_dict(hexagon_json([0.0, 120.0, 240.0, 360.0, 480.0, 600.0]))
     ok = AnchorSet.from_json_dict(hexagon_json(HUE_DEGREES))
     assert np.all(np.diff(ok.chroma_angles) > 0)
+
+
+def assemble_per_anchor(hue, black, white):
+    """_assemble's frame and chroma points, one anchor at a time with np.cross and np.roll: the reference."""
+    axis = white - black
+    unit_axis = axis / float(np.linalg.norm(axis))
+
+    def chroma_vec(p):
+        rel = p - black
+        return rel - (rel @ unit_axis) * unit_axis
+
+    for i in range(6):
+        if float(np.linalg.norm(chroma_vec(hue[i]))) < 1e-9:
+            return f"degenerate anchor: {HUE_LABELS[i]} probe has no chroma"
+    e1 = chroma_vec(hue[0]) / float(np.linalg.norm(chroma_vec(hue[0])))
+    e2 = np.cross(unit_axis, e1)
+    if float(chroma_vec(hue[1]) @ e2) < 0:
+        e2 = -e2
+    pts = np.array([(chroma_vec(hue[i]) @ e1, chroma_vec(hue[i]) @ e2) for i in range(6)])
+    nxt = np.roll(pts, -1, axis=0)
+    if np.any(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0):
+        return "hue anchors are not in strict counterclockwise order"
+    return unit_axis, e1, e2, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-12, 1e-6, 1e-2, 0.3, 1.0]),
+    st.sampled_from([None, *range(6)]),
+)
+def test_assemble_is_the_per_anchor_reference_bitwise(seed, jitter, flat):
+    rng = np.random.default_rng(seed)
+    ideal = regular_anchors(60.0 * rng.uniform(0.1, 10.0), 30.0 * rng.uniform(0.1, 10.0))
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    shift = rng.standard_normal(3) * 10.0
+    hue = (ideal.hue_anchors + rng.standard_normal((6, 3)) * jitter * 30.0) @ rotation + shift
+    black, white = ideal.black @ rotation + shift, ideal.white @ rotation + shift
+    if flat is not None:  # an anchor on the achromatic axis
+        hue[flat] = black + (white - black) * rng.uniform()
+    expected = assemble_per_anchor(hue, black, white)
+    try:
+        got = _assemble(hue, black, white)
+    except ValueError as e:
+        assert str(e) == expected if isinstance(expected, str) else "more than once" in str(e)  # not checked here
+        return
+    assert isinstance(expected, tuple)
+    for a, b in zip((got.unit_axis, got.e1, got.e2, got.chroma_points), expected):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_red_anchor_angle_is_exactly_zero():

@@ -698,6 +698,15 @@ def _with_fourth_column(model):
 
 
 # (file kind, edit of its parsed JSON; a str result is written as is)
+def _with_literal(obj, key, literal):
+    """obj as JSON text with the first number under key written as literal."""
+    first = obj[key][0]
+    marked = {**obj, key: [{**first, "alpha": [1.5e-300, *first["alpha"][1:]]} if key == "rows" else 1.5e-300, *obj[key][1:]]}
+    text = json.dumps(marked)
+    assert text.count("1.5e-300") == 1
+    return text.replace("1.5e-300", literal)
+
+
 MALFORMED = {
     "model-explained-5": ("model", lambda o: {**o, "explained": 5}),
     "model-explained-null": ("model", lambda o: {**o, "explained": None}),
@@ -728,6 +737,12 @@ MALFORMED = {
     "manifest-float-t": ("manifest", lambda o: _with_step(o, 1, {**o["steps"][1], "t": 1.0})),
     "manifest-bool-t": ("manifest", lambda o: _with_step(o, 1, {**o["steps"][1], "t": True})),
     "manifest-wrong-dims": ("manifest", lambda o: {**o, "dims": [99, 99]}),
+    "model-overflowing-float": ("model", lambda o: _with_literal(o, "mean", "1e309")),
+    "anchors-overflowing-float": ("anchors", lambda o: _with_literal(o, "black", "-1e999")),
+    "stats-overflowing-float": ("stats", lambda o: _with_literal(o, "rows", "9" * 210 + "e99")),
+    "model-basis-off-by-8e-6": ("model", lambda o: {**o, "basis_columns": [
+        [v * (1 + 4e-6) for v in o["basis_columns"][0]], *o["basis_columns"][1:]
+    ]}),
 }
 
 

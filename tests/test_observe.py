@@ -1,6 +1,7 @@
 """Grid observation, color metrics, and PPM rendering."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,20 @@ def test_render_ppm_refuses_a_raster_too_large_to_allocate(cell_px):
     side = 8 * cell_px
     with pytest.raises(ValueError, match=f"raster of {side}x{side} pixels is too large"):
         render_ppm(ColorGrid.solid(RED, 8, 8), cell_px=cell_px)
+
+
+def test_render_ppm_holds_the_raster_about_twice_at_its_peak():
+    grid = ColorGrid.solid(RED, 8, 8)
+    render_ppm(grid, cell_px=2)  # the grid's RGB planes are made on first use: not part of the peak
+    raster = (8 * 100) ** 2 * 3  # 1.9 MB
+    tracemalloc.start()
+    try:
+        data = render_ppm(grid, cell_px=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == b"P6\n800 800\n255\n" + bytes([255, 0, 0]) * (raster // 3)
+    assert peak < 2.5 * raster  # the raster and the file's bytes; a tobytes() copy on top would make three
 
 
 def test_render_ppm_rejects_bad_cell_px():

@@ -128,3 +128,25 @@ def test_model_rejects_nonorthonormal_basis():
             basis=np.ones((4, 3)),
             explained=np.array([0.5, 0.3, 0.2]),
         )
+
+
+@pytest.mark.parametrize("scale, off, accepted", [(1 + 4e-6, 8e-6, False), (1 + 2.5e-10, 5e-10, True)])
+def test_model_basis_is_orthonormal_within_1e_9_elementwise(scale, off, accepted):
+    # a column scaled by `scale` is off by about `off` on its diagonal entry of B^T B; a relative
+    # tolerance of 1e-5 on the identity would let 8e-6 through
+    q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 3)))
+    basis = q * [scale, 1.0, 1.0]
+    assert np.max(np.abs(basis.T @ basis - np.eye(3))) == pytest.approx(off, rel=1e-3)
+    make = lambda: SubspaceModel(mean=np.zeros(6), basis=basis, explained=(0.5, 0.3, 0.2))
+    if accepted:
+        assert np.array_equal(make().basis, basis)
+    else:
+        with pytest.raises(ValueError, match="not orthonormal"):
+            make()
+
+
+def test_model_rejects_a_nan_basis():
+    basis = np.eye(4)[:, :3].copy()
+    basis[3, 2] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SubspaceModel(mean=np.zeros(4), basis=basis, explained=(0.5, 0.3, 0.2))

@@ -6,9 +6,10 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latentcolor import load_trajectory, read_latents, save_trajectory, tensorio, write_latents
-from latentcolor.tensorio import atomic_write_bytes, read_json, write_json
+from latentcolor.tensorio import _finite_float, _refuse_constant, atomic_write_bytes, read_json, write_json
 
 
 def test_latents_roundtrip_is_float32_exact(tmp_path):
@@ -141,6 +142,156 @@ def test_json_refuses_non_finite_numbers(tmp_path, value):
     assert not path.exists()
     path.write_text(json.dumps({"a": [1.0, value]}))  # bare NaN / Infinity / -Infinity
     with pytest.raises(ValueError, match="non-finite"):
+        read_json(path)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
+
+
+_EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_strings = st.text() | st.sampled_from(['"', "\\", '\\"q"', "\n\t\x00\x1f", "é", "日本", " ", "\U0001f600"])
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(10**399, 10**400),
+    _finite,
+    _finite.map(np.float64),
+    st.floats(),  # NaN and infinities now and then: the refusal must be the stdlib's
+    _strings,
+    st.lists(_finite, max_size=5),
+    st.lists(st.lists(_finite, max_size=4), max_size=4),  # ragged
+    st.integers(0, 4).flatmap(lambda m: st.lists(st.lists(_finite, min_size=m, max_size=m), min_size=1, max_size=5)),
+)
+_keys = _strings | st.integers() | st.booleans() | st.none() | _finite
+_objects = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_objects)
+@example({"b": [[-0.0, 5e-324], [1.7976931348623157e308, 1.5]], "a": (True, 1, 10**399, np.float64(0.1), None), 3: {}})
+@example([{"q\"\n\x01é": [1.0, 2], "": [], "k": [[], []]}, [[1.0], [2.0, 3.0]], [[True, 1.0]], " "])
+def test_write_json_writes_what_json_dumps_writes(json_dir, obj):
+    path = json_dir / "x.json"
+    path.unlink(missing_ok=True)
+    try:
+        expected = (_dumps(obj) + "\n").encode("utf-8")
+    except (TypeError, ValueError) as e:  # non-finite floats; unorderable or non-finite keys
+        with pytest.raises(type(e)) as info:
+            write_json(path, obj)
+        assert str(info.value) == (f"{path}: {e}" if isinstance(e, ValueError) else str(e))
+        assert not path.exists()
+    else:
+        write_json(path, obj)
+        assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("place", ["value", "list", "rows", "nested"])
+def test_json_refuses_non_finite_numbers_wherever_they_sit(tmp_path, value, place):
+    obj = {
+        "value": {"a": value},
+        "list": [0.5, value, 1.5],
+        "rows": [[0.5, 1.5], [value, 2.5]],
+        "nested": {"a": [{"b": (1.0, value)}]},
+    }[place]
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError) as info:
+        write_json(path, obj)
+    with pytest.raises(ValueError) as stdlib:
+        _dumps(obj)
+    assert str(info.value) == f"{path}: {stdlib.value}"
+    assert not path.exists()
+
+
+def _hooked_parse(text: str):
+    """The value, or the error message, of parsing with the per-literal overflow check."""
+    try:
+        return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
+    except ValueError as e:
+        return f"refused: {e}"
+
+
+def _read(path):
+    try:
+        return read_json(path)
+    except ValueError as e:
+        return f"refused: {str(e).removeprefix(f'{path}: ')}"
+
+
+@pytest.mark.parametrize(
+    "literal, refused",
+    [
+        ("1e309", True),
+        ("2e308", True),
+        ("-1e999", True),
+        ("1" + "0" * 309 + ".0", True),
+        ("9" * 210 + "e99", True),  # 210 integer digits: the shortest run a 2-digit exponent can overflow with
+        ("1.7976931348623157e308", False),
+        ("1e-400", False),
+        ("1e+0308", False),
+        ("1" + "0" * 208 + "e99", False),  # 209 digits: 1e307
+        ("0.25", False),
+    ],
+)
+def test_read_json_refuses_exactly_the_float_literals_that_overflow(tmp_path, literal, refused):
+    path = tmp_path / "x.json"
+    text = f'{{"a": [0.5, {literal}]}}'
+    path.write_text(text)
+    got, expected = _read(path), _hooked_parse(text)
+    assert got == expected
+    assert isinstance(got, str) == refused
+    if refused:
+        assert got == f"refused: number {literal} overflows a float"
+    else:
+        assert [np.float64(v).tobytes() for v in got["a"]] == [np.float64(v).tobytes() for v in expected["a"]]
+
+
+@pytest.mark.parametrize("text", ['[1.5e-100, -2E-0100]', f'{{"s": "{"7" * 210}", "a": [0.5]}}', '{"e000": 1.5}'])
+def test_read_json_screen_hits_that_cannot_overflow_read_as_the_checked_parse(tmp_path, text):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    assert read_json(path) == _hooked_parse(text)
+
+
+_digits = st.text("0123456789", min_size=1, max_size=30)
+_number_literals = st.builds(
+    lambda sign, whole, frac, exp: sign + whole + frac + exp,
+    st.sampled_from(["", "-"]),
+    st.just("0") | st.builds(str.__add__, st.sampled_from("123456789"), st.text("0123456789", max_size=250)),
+    st.just("") | _digits.map(".".__add__),
+    st.just("") | st.builds(lambda e, sign, d: e + sign + d, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), _digits),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_number_literals, min_size=1, max_size=4))
+def test_read_json_reads_number_literals_as_the_checked_parse_does(json_dir, literals):
+    path = json_dir / "numbers.json"
+    text = "[" + ", ".join(literals) + "]"
+    path.write_text(text)
+    got, expected = _read(path), _hooked_parse(text)
+    assert got == expected
+    if not isinstance(expected, str):
+        assert [type(v) for v in got] == [type(v) for v in expected]
+        assert [np.float64(float(v)).tobytes() for v in got] == [np.float64(float(v)).tobytes() for v in expected]
+
+
+def test_read_json_refuses_a_file_not_in_utf_8(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"a": 1}', encoding="utf-16")  # json.loads would detect UTF-16 in bytes and read it
+    with pytest.raises(ValueError, match="x.json: 'utf-8' codec can't decode"):
         read_json(path)
 
 
