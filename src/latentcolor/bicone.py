@@ -88,6 +88,11 @@ class AnchorSet(tensorio.JsonRecord):
         return _assemble(hue, tensorio.float_array(obj["black"]), tensorio.float_array(obj["white"]))
 
 
+def _rowdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row by row dot products: a stack of (1, n) @ (n, 1) runs 1-D `@`'s dot loop per row, so no bit moves
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSet:
     """Derive the achromatic frame and validate the anchor geometry."""
     axis = white - black
@@ -96,10 +101,9 @@ def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSe
         raise ValueError("black and white probes coincide; no achromatic axis")
     unit_axis = axis / norm_axis
 
-    # np.vecdot takes each row's dot as `@` does, bit for bit, for all six anchors in one call
     rel = hue - black
-    chroma = rel - np.vecdot(rel, unit_axis)[:, None] * unit_axis
-    norms = np.sqrt(np.vecdot(chroma, chroma))
+    chroma = rel - _rowdots(rel, unit_axis)[:, None] * unit_axis
+    norms = np.sqrt(_rowdots(chroma, chroma))
     degenerate = np.flatnonzero(norms < 1e-9)
     if degenerate.size:
         raise ValueError(f"degenerate anchor: {HUE_LABELS[degenerate[0]]} probe has no chroma")
@@ -108,7 +112,7 @@ def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSe
     e2 = np.array([u1 * f2 - u2 * f1, u2 * f0 - u0 * f2, u0 * f1 - u1 * f0])  # np.cross(unit_axis, e1)
     if float(chroma[1] @ e2) < 0:
         e2 = -e2
-    pts = np.vecdot(chroma[:, None], np.array([e1, e2]))
+    pts = _rowdots(chroma[:, None], np.array([e1, e2]))
     # consecutive anchors must turn counterclockwise around the axis ...
     nxt = pts[_NEXT_ANCHOR]
     if np.any(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0):

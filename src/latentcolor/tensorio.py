@@ -13,8 +13,8 @@ temp-file-plus-rename so partially written outputs are never observed.
 
 write_json's bytes are _dumps(obj) plus a newline. json drops to its
 Python encoder whenever indent is set, so _emit lays out plain dicts,
-lists, strings, ints and finite floats itself (one join or % per float
-block) and hands anything else, refusals included, to json.dumps.
+lists, strings, ints and finite floats itself (one join per float
+list) and hands anything else, refusals included, to json.dumps.
 """
 
 from __future__ import annotations
@@ -80,17 +80,10 @@ def _dumps(obj) -> str:
 
 
 def _float_items(items, indent: str) -> str | None:
-    """Items that are exact finite floats, or equal-length lists of them, joined at indent; else None."""
-    rows = set(map(type, items)) <= {list, tuple} and len(set(map(len, items))) == 1
-    flat = tuple(itertools.chain.from_iterable(items)) if rows else items
-    if not flat or set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+    """Items that are exact finite floats, joined at indent; else None."""
+    if set(map(type, items)) != {float} or not all(map(math.isfinite, items)):
         return None
-    sep = ",\n" + indent
-    if not rows:
-        return sep.join(map(float.__repr__, flat))
-    inner = indent + " "
-    row = f"[\n{inner}" + (",\n" + inner).join(["%r"] * len(items[0])) + f"\n{indent}]"
-    return sep.join([row] * len(items)) % flat
+    return (",\n" + indent).join(map(float.__repr__, items))
 
 
 def _emit(obj, indent: str = "") -> str:

@@ -153,6 +153,15 @@ def test_assemble_is_the_per_anchor_reference_bitwise(seed, jitter, flat):
         assert a.tobytes() == b.tobytes()
 
 
+def test_assemble_needs_nothing_added_in_numpy_2(monkeypatch):
+    # pyproject allows numpy 1.24, which has no np.vecdot
+    want = regular_anchors(60.0, 30.0)
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    got = regular_anchors(60.0, 30.0)
+    for field in ("unit_axis", "e1", "e2", "chroma_points"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
 def test_red_anchor_angle_is_exactly_zero():
     # red's second chroma coordinate comes out as a rounding-level negative
     # here, which must not put red at angle 2 pi

@@ -697,7 +697,6 @@ def _with_fourth_column(model):
     return {**model, "basis_columns": columns, "explained": [*model["explained"], 0.0]}
 
 
-# (file kind, edit of its parsed JSON; a str result is written as is)
 def _with_literal(obj, key, literal):
     """obj as JSON text with the first number under key written as literal."""
     first = obj[key][0]
@@ -707,6 +706,7 @@ def _with_literal(obj, key, literal):
     return text.replace("1.5e-300", literal)
 
 
+# (file kind, edit of its parsed JSON; a str result is written as is)
 MALFORMED = {
     "model-explained-5": ("model", lambda o: {**o, "explained": 5}),
     "model-explained-null": ("model", lambda o: {**o, "explained": None}),
