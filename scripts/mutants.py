@@ -52,6 +52,8 @@ LITERALS = "tests/test_tensorio.py::test_read_json_reads_number_literals_as_the_
 AS_DUMPS = "tests/test_tensorio.py::test_write_json_writes_what_json_dumps_writes"
 NON_FINITE = "tests/test_tensorio.py::test_json_refuses_non_finite_numbers_wherever_they_sit"
 ASSEMBLE = "tests/test_bicone.py::test_assemble_is_the_per_anchor_reference_bitwise"
+MALFORMED = "tests/test_cli.py::test_malformed_record_file_exits_2_naming_it"
+MASK_INTEGERS = "tests/test_intervene.py::test_mask_refuses_non_integers"
 
 MUTANTS = (
     # the PGM header pattern
@@ -147,7 +149,7 @@ MUTANTS = (
     Mutant(
         "trajectory-no-dims-check", "src/latentcolor/tensorio.py",
         "if frame.shape != dims:", "if False:",
-        ("tests/test_cli.py::test_malformed_record_file_exits_2_naming_it",),
+        (MALFORMED,),
     ),
     Mutant(
         "trajectory-no-finiteness-check", "src/latentcolor/tensorio.py",
@@ -191,7 +193,7 @@ MUTANTS = (
         "np.eye(3)) <= 1e-9)", "np.eye(3)) <= 1e-9 + 1e-5 * np.eye(3))",
         (
             "tests/test_subspace.py::test_model_basis_is_orthonormal_within_1e_9_elementwise",
-            "tests/test_cli.py::test_malformed_record_file_exits_2_naming_it",
+            MALFORMED,
         ),
     ),
     Mutant(
@@ -204,6 +206,36 @@ MUTANTS = (
         "chroma = rel - _rowdots(rel, unit_axis)[:, None] * unit_axis",
         "chroma = rel - _dot3(rel.T, unit_axis)[:, None] * unit_axis",
         (ASSEMBLE,),
+    ),
+    Mutant(
+        "anchor-label-repeat-unchecked", "src/latentcolor/bicone.py",
+        "        if repeated:\n            raise", "        if False:\n            raise",
+        (f"{MALFORMED}[anchors-red-twice]",),
+    ),
+    Mutant(
+        "anchor-unknown-label-unchecked", "src/latentcolor/bicone.py",
+        "        if unknown:\n", "        if False:\n",
+        (f"{MALFORMED}[anchors-orange]",),
+    ),
+    Mutant(
+        "anchor-theta-unchecked", "src/latentcolor/bicone.py",
+        "if thetas != list(HUE_DEGREES):", "if False:",
+        (f"{MALFORMED}[anchors-yellow-at-90]",),
+    ),
+    Mutant(
+        "anchor-theta-read-as-is", "src/latentcolor/bicone.py",
+        'thetas = tensorio.float_array([e["theta"] for e in entries]).tolist()', 'thetas = [e["theta"] for e in entries]',
+        (f"{MALFORMED}[anchors-bool-theta]",),
+    ),
+    Mutant(
+        "mask-non-integer-unchecked", "src/latentcolor/intervene.py",
+        "if not all(k is int or issubclass(k, np.integer)", "if False and all(k is int or issubclass(k, np.integer)",
+        (MASK_INTEGERS,),
+    ),
+    Mutant(
+        "mask-bool-as-integer", "src/latentcolor/intervene.py",
+        "k is int or issubclass(k, np.integer)", "issubclass(k, (int, np.integer))",
+        (MASK_INTEGERS,),
     ),
     Mutant(
         "ppm-raster-copied-twice", "src/latentcolor/observe.py",
@@ -237,7 +269,7 @@ MUTANTS = (
         "t > 216.0 / 24389.0", "t >= 216.0 / 24389.0",
         (
             "tests/test_kernels.py::test_lab_array_matches_scalar_at_the_cube_root_toe",
-            "tests/test_kernels.py::test_srgb_to_lab_array_matches_scalar",
+            "tests/test_kernels.py::test_srgb_to_lab_kernels_match_scalar",
         ),
         equivalent="the cube root and the linear toe meet at (6/29)^3: both give 6/29 there, up to rounding",
     ),

@@ -7,7 +7,7 @@ all of that to observe and steer colors mid-generation. A seeded toy
 flow model with known geometry backs the test suite end to end.
 """
 
-from .colorspace import HslColor, LabColor, RgbColor, ciede2000, parse_hex, rgb_to_hsl
+from .colorspace import HslColor, LabColor, ciede2000, parse_hex, rgb_to_hsl
 from .subspace import SubspaceModel, average_patches, fit_pca, project
 from .bicone import AnchorSet, build_anchors, decode, decode_raw, encode, regular_anchors
 from .timestats import StatsTable, builtin_flux_stats, denormalize, fit_stats, normalize

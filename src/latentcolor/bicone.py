@@ -16,6 +16,7 @@ hue and decode its exact inverse everywhere in the interior.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -51,14 +52,13 @@ class AnchorSet(tensorio.JsonRecord):
     """Projected anchor geometry with its derived achromatic frame.
 
     hue_anchors: (6, 3) subspace coordinates ordered red, yellow, green,
-    cyan, blue, magenta (increasing hue angle). thetas holds the assigned
-    hue of each anchor in degrees. e1 points along the red anchor's chroma
-    direction and e2 completes the chroma plane with yellow at a positive
-    angle. chroma_points are the (6, 2) anchor positions in that plane.
+    cyan, blue, magenta (increasing hue angle), at the hues HUE_DEGREES.
+    e1 points along the red anchor's chroma direction and e2 completes the
+    chroma plane with yellow at a positive angle. chroma_points are the
+    (6, 2) anchor positions in that plane.
     """
 
     hue_anchors: np.ndarray
-    thetas: tuple[float, ...]
     black: np.ndarray
     white: np.ndarray
     axis: np.ndarray
@@ -71,8 +71,8 @@ class AnchorSet(tensorio.JsonRecord):
     def to_json_dict(self) -> dict:
         return {
             "hue_anchors": [
-                {"label": lbl, "theta": th, "coords": self.hue_anchors[i].tolist()}
-                for i, (lbl, th) in enumerate(zip(HUE_LABELS, self.thetas))
+                {"label": lbl, "theta": th, "coords": coords}
+                for lbl, th, coords in zip(HUE_LABELS, HUE_DEGREES, self.hue_anchors.tolist())
             ],
             "black": self.black.tolist(),
             "white": self.white.tolist(),
@@ -80,11 +80,21 @@ class AnchorSet(tensorio.JsonRecord):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AnchorSet":
-        entries = {e["label"]: e for e in obj["hue_anchors"]}
-        missing = [l for l in HUE_LABELS if l not in entries]
+        labels = [e["label"] for e in obj["hue_anchors"]]
+        unknown = [l for l in labels if l not in HUE_LABELS]
+        if unknown:
+            raise ValueError(f"unknown hue labels: {unknown}")
+        repeated = sorted(l for l, n in Counter(labels).items() if n > 1)
+        if repeated:
+            raise ValueError(f"hue labels listed more than once: {repeated}")
+        missing = [l for l in HUE_LABELS if l not in labels]
         if missing:
             raise ValueError(f"anchor file missing hue labels: {missing}")
-        hue = tensorio.float_array([entries[l]["coords"] for l in HUE_LABELS])
+        entries = [obj["hue_anchors"][labels.index(l)] for l in HUE_LABELS]
+        thetas = tensorio.float_array([e["theta"] for e in entries]).tolist()
+        if thetas != list(HUE_DEGREES):  # each label's hue is fixed; a file cannot move it
+            raise ValueError(f"hue anchor thetas must be {list(HUE_DEGREES)}, got {thetas}")
+        hue = tensorio.float_array([e["coords"] for e in entries])
         return _assemble(hue, tensorio.float_array(obj["black"]), tensorio.float_array(obj["white"]))
 
 
@@ -127,7 +137,6 @@ def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSe
 
     return AnchorSet(
         hue_anchors=hue,
-        thetas=HUE_DEGREES,
         black=black,
         white=white,
         axis=axis,

@@ -8,7 +8,8 @@ Each conversion exists once, as an ``*_array`` kernel (plus
 ``canonical_hsl``) that takes a float array whose last axis holds one
 color, such as an (n, 3) block or an (H, W, 3) grid. The frozen color
 dataclasses carry single colors at the edges of the API; ``rgb_to_hsl``
-and ``ciede2000`` apply a kernel to one of them.
+gives one HslColor of three sRGB channels, and ``ciede2000`` compares two
+LabColors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RgbColor",
     "HslColor",
     "LabColor",
     "parse_hex",
@@ -33,38 +33,12 @@ __all__ = [
     "srgb_to_linear_array",
     "linear_to_srgb_array",
     "linear_rgb_to_lab_array",
-    "srgb_to_lab_array",
     "ciede2000_array",
 ]
 
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
-@dataclass(frozen=True)
-class RgbColor:
-    """sRGB color; channels are clamped to [0, 1] on construction."""
-
-    r: float
-    g: float
-    b: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _clamp01(float(self.r)))
-        object.__setattr__(self, "g", _clamp01(float(self.g)))
-        object.__setattr__(self, "b", _clamp01(float(self.b)))
-
-    @classmethod
-    def from_8bit(cls, r: int, g: int, b: int) -> "RgbColor":
-        return cls(r / 255.0, g / 255.0, b / 255.0)
-
-    def to_8bit(self) -> tuple[int, int, int]:
-        return (
-            int(round(self.r * 255.0)),
-            int(round(self.g * 255.0)),
-            int(round(self.b * 255.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -93,17 +67,17 @@ class LabColor:
     b: float
 
 
-def parse_hex(text: str) -> RgbColor:
-    """Parse '#RRGGBB' (one leading '#' optional) into an RgbColor."""
+def parse_hex(text: str) -> np.ndarray:
+    """Parse '#RRGGBB' (one leading '#' optional) into the sRGB channels (r, g, b) / 255."""
     s = text.strip().removeprefix("#")
     if len(s) != 6 or any(c not in "0123456789abcdefABCDEF" for c in s):
         raise ValueError(f"expected 6 hex digits, got {text!r}")
-    return RgbColor.from_8bit(int(s[0:2], 16), int(s[2:4], 16), int(s[4:6], 16))
+    return np.array([int(s[0:2], 16), int(s[2:4], 16), int(s[4:6], 16)]) / 255.0
 
 
-def rgb_to_hsl(c: RgbColor) -> HslColor:
-    """rgb_to_hsl_array on one color."""
-    return HslColor(*rgb_to_hsl_array((c.r, c.g, c.b)).tolist())
+def rgb_to_hsl(rgb) -> HslColor:
+    """rgb_to_hsl_array on one color's three sRGB channels."""
+    return HslColor(*rgb_to_hsl_array(rgb).tolist())
 
 
 def ciede2000(x: LabColor, y: LabColor) -> float:
@@ -285,11 +259,6 @@ def _linear_to_lab(lin: np.ndarray) -> np.ndarray:
 def linear_rgb_to_lab_array(lin) -> np.ndarray:
     """CIELAB of (r, g, b) rows of linear RGB (D65); greys get a* = b* = 0 exactly."""
     return _from_planes(_linear_to_lab(_to_planes(lin)))
-
-
-def srgb_to_lab_array(rgb) -> np.ndarray:
-    """CIELAB of (r, g, b) rows of nonlinear sRGB."""
-    return linear_rgb_to_lab_array(srgb_to_linear_array(rgb))
 
 
 # CIEDE2000's T = 1 - 0.17 cos(h - 30) + 0.24 cos(2h) + 0.32 cos(3h + 6) - 0.20 cos(4h - 63) sums

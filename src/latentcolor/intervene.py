@@ -54,11 +54,15 @@ class PatchMask(tensorio.JsonRecord):
     selected: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        # int() below would truncate 2.7 to 2 and read True as 1; bool is neither int nor a numpy integer
+        if not all(k is int or issubclass(k, np.integer) for k in {type(self.L), *map(type, self.selected)}):
+            raise ValueError("mask L and selected indices must be integers")
         if self.L < 1:
             raise ValueError("mask needs L >= 1")
         sel = frozenset(int(i) for i in self.selected)
         if any(i < 0 or i >= self.L for i in sel):
             raise ValueError(f"mask indices out of range for L = {self.L}")
+        object.__setattr__(self, "L", int(self.L))  # a numpy integer would not serialize
         object.__setattr__(self, "selected", sel)
 
     @classmethod

@@ -116,10 +116,6 @@ class ColorGrid(tensorio.JsonRecord):
             self._blocks_cache = _read_only(lin), _read_only(_linear_to_lab(lin))
         return self._blocks_cache
 
-    # the cells' columns of those blocks, as (3, height, width) planes
-    _linear = property(lambda self: self._blocks[0][:, :-1].reshape(self._block.shape))
-    _lab = property(lambda self: self._blocks[1][:, :-1].reshape(self._block.shape))
-
     @property
     def cells(self) -> tuple[HslColor, ...]:
         """The cells as HslColor, row-major."""
@@ -224,8 +220,6 @@ def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
     pixels = np.rint(grid._rgb * 255.0).astype(np.uint8).transpose(1, 2, 0)
     width, height = grid.width * cell_px, grid.height * cell_px
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    if cell_px == 1:
-        return header + pixels.tobytes()
     try:  # the whole raster is allocated before any repeat, so a size numpy refuses costs no memory
         raster = np.empty((grid.height, cell_px, width, 3), dtype=np.uint8)
     except (MemoryError, ValueError) as e:  # ValueError: the byte count overflows

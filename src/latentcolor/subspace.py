@@ -95,27 +95,13 @@ def _orient(basis: np.ndarray, mean: np.ndarray, orientation: Mapping[str, np.nd
     return basis
 
 
-def _default_orient(basis: np.ndarray) -> np.ndarray:
-    # sign convention: largest-magnitude entry of each column is positive
-    basis = basis.copy()
-    for j in range(basis.shape[1]):
-        i = int(np.argmax(np.abs(basis[:, j])))
-        if basis[i, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return basis
-
-
-def fit_pca(
-    samples: np.ndarray,
-    k: int = 3,
-    orientation: Mapping[str, np.ndarray] | None = None,
-) -> SubspaceModel:
+def fit_pca(samples: np.ndarray, k: int = 3, *, orientation: Mapping[str, np.ndarray]) -> SubspaceModel:
     """Fit the color subspace from per-image averaged latents.
 
     samples: (N, d) with N >= 4 and d >= 3. The basis is the top three
     eigenvectors of the population covariance (divided by N), whatever N is.
-    k must be 3. When orientation probes are given, component signs are
-    canonicalized against them; otherwise a deterministic sign rule is used.
+    k must be 3. Component signs are canonicalized against the white,
+    black, red and yellow latents of orientation.
     """
     if k != 3:
         raise ValueError(f"the color subspace has 3 components, got k={k}")
@@ -134,8 +120,7 @@ def fit_pca(
         raise ValueError("degenerate input: samples have zero variance")
     vals, vecs = np.linalg.eigh((x.T @ x) / n)
     top = np.argsort(-vals, kind="stable")[:3]
-    basis = vecs[:, top]
-    basis = _default_orient(basis) if orientation is None else _orient(basis, mean, orientation)
+    basis = _orient(vecs[:, top], mean, orientation)
     return SubspaceModel(mean=mean, basis=basis, explained=tuple(float(v) / total for v in vals[top]))
 
 

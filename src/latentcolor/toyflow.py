@@ -80,6 +80,7 @@ CHROMA_RADIUS = 30.0
 
 DEFAULT_DIM = 16
 DEFAULT_GRID = (8, 8)
+LATTICE_SIDE = 8  # the probe lattice samples LATTICE_SIDE steps of each of h, s and v
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,6 @@ class ToyEmbedder:
 
     lift: np.ndarray
     offset: np.ndarray
-    seed: int
     anchors: AnchorSet
 
     @classmethod
@@ -104,12 +104,7 @@ class ToyEmbedder:
         q, r = np.linalg.qr(m)
         q = q * np.sign(np.diag(r))  # deterministic column signs
         offset = rng.standard_normal(d)
-        return cls(
-            lift=q,
-            offset=offset,
-            seed=seed,
-            anchors=regular_anchors(AXIS_LENGTH, CHROMA_RADIUS),
-        )
+        return cls(lift=q, offset=offset, anchors=regular_anchors(AXIS_LENGTH, CHROMA_RADIUS))
 
     @property
     def dim(self) -> int:
@@ -143,7 +138,6 @@ class ProbeSet:
 
     labeled: Mapping[str, np.ndarray]
     lattice: np.ndarray
-    lattice_colors: tuple[HslColor, ...]
 
 
 def probe_colors() -> dict[str, HslColor]:
@@ -163,20 +157,17 @@ def _hsv_to_hsl(hsv: np.ndarray) -> np.ndarray:
     return canonical_hsl(np.stack([h, sl, l], axis=-1))
 
 
-def make_probe_set(e: ToyEmbedder, lattice_side: int = 8) -> ProbeSet:
-    """Labeled probes plus lattice_side**3 uniform HSV lattice latents.
+def make_probe_set(e: ToyEmbedder) -> ProbeSet:
+    """Labeled probes plus LATTICE_SIDE**3 uniform HSV lattice latents.
 
     The lattice uses cell midpoints for saturation and value so no plane
     collapses to a single color. Deterministic given the embedder.
     """
-    if lattice_side < 2:
-        raise ValueError("lattice_side must be >= 2")
     labeled = {k: embed_hsl(c, e) for k, c in probe_colors().items()}
-    n = lattice_side
+    n = LATTICE_SIDE
     i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
     hsl = _hsv_to_hsl(np.stack([360.0 * i / n, (j + 0.5) / n, (k + 0.5) / n], axis=-1).reshape(-1, 3))
-    colors = tuple(HslColor(*c) for c in hsl.tolist())
-    return ProbeSet(labeled=labeled, lattice=embed_hsl(hsl, e), lattice_colors=colors)
+    return ProbeSet(labeled=labeled, lattice=embed_hsl(hsl, e))
 
 
 # ---------------------------------------------------------------------------

@@ -1,43 +1,50 @@
 """Per-color reference conversions, written with the math module.
 
 These are the scalar versions of the colorspace array kernels: one color
-in, one color out, with every branch spelled out. The kernel tests
-compare against them, bit for bit where a kernel does the same
-arithmetic elementwise and to rounding error where numpy's pow, atan2
-and exp stand in for the C library's.
+in, one color out, with every branch spelled out. An RGB color is an
+(r, g, b) tuple of floats. The kernel tests compare against them, bit
+for bit where a kernel does the same arithmetic elementwise and to
+rounding error where numpy's pow, atan2 and exp stand in for the C
+library's.
 """
 
 from __future__ import annotations
 
 import math
 
-from latentcolor.colorspace import HslColor, LabColor, RgbColor
+from latentcolor.colorspace import HslColor, LabColor
 
 
 # ---------------------------------------------------------------------------
 # RGB <-> HSL (hexcone model)
 # ---------------------------------------------------------------------------
 
-def rgb_to_hsl(c: RgbColor) -> HslColor:
-    """Convert sRGB to HSL. Achromatic inputs get hue 0 by convention."""
-    mx = max(c.r, c.g, c.b)
-    mn = min(c.r, c.g, c.b)
+def clamp01(x: float) -> float:
+    """x clamped to [0, 1]; NaN and -0.0 pass through."""
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+
+
+def rgb_to_hsl(rgb) -> HslColor:
+    """Convert sRGB, each channel clamped to [0, 1] first, to HSL. Achromatic inputs get hue 0 by convention."""
+    r, g, b = (clamp01(float(v)) for v in rgb)
+    mx = max(r, g, b)
+    mn = min(r, g, b)
     l = (mx + mn) / 2.0
     if mx == mn:
         return HslColor(0.0, 0.0, l)
     d = mx - mn
     s = d / (2.0 - mx - mn) if l > 0.5 else d / (mx + mn)
-    if mx == c.r:
-        h = 60.0 * (((c.g - c.b) / d) % 6.0)
-    elif mx == c.g:
-        h = 60.0 * ((c.b - c.r) / d + 2.0)
+    if mx == r:
+        h = 60.0 * (((g - b) / d) % 6.0)
+    elif mx == g:
+        h = 60.0 * ((b - r) / d + 2.0)
     else:
-        h = 60.0 * ((c.r - c.g) / d + 4.0)
+        h = 60.0 * ((r - g) / d + 4.0)
     return HslColor(h, s, l)
 
 
-def hsl_to_rgb(c: HslColor) -> RgbColor:
-    """Convert HSL to sRGB."""
+def hsl_to_rgb(c: HslColor) -> tuple[float, float, float]:
+    """Convert HSL to sRGB, each channel clamped to [0, 1]."""
     chroma = (1.0 - abs(2.0 * c.l - 1.0)) * c.s
     hp = c.h / 60.0
     x = chroma * (1.0 - abs(hp % 2.0 - 1.0))
@@ -54,7 +61,7 @@ def hsl_to_rgb(c: HslColor) -> RgbColor:
     else:
         r, g, b = chroma, 0.0, x
     m = c.l - chroma / 2.0
-    return RgbColor(r + m, g + m, b + m)
+    return clamp01(r + m), clamp01(g + m), clamp01(b + m)
 
 
 def hsv_to_hsl(h: float, s: float, v: float) -> HslColor:
@@ -112,13 +119,9 @@ def linear_rgb_to_lab(r: float, g: float, b: float) -> LabColor:
     return LabColor(116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz))
 
 
-def srgb_to_lab(c: RgbColor) -> LabColor:
+def srgb_to_lab(rgb) -> LabColor:
     """Convert nonlinear sRGB to CIELAB."""
-    return linear_rgb_to_lab(
-        srgb_channel_to_linear(c.r),
-        srgb_channel_to_linear(c.g),
-        srgb_channel_to_linear(c.b),
-    )
+    return linear_rgb_to_lab(*(srgb_channel_to_linear(v) for v in rgb))
 
 
 # ---------------------------------------------------------------------------

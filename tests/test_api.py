@@ -5,7 +5,7 @@ import types
 import latentcolor
 
 PUBLIC_NAMES = [
-    "AnchorSet", "AttractorField", "ColorGrid", "HslColor", "LabColor", "PatchMask", "ProbeSet", "RgbColor",
+    "AnchorSet", "AttractorField", "ColorGrid", "HslColor", "LabColor", "PatchMask", "ProbeSet",
     "StatsTable", "SubspaceModel", "TIMESTEP_PALETTE", "ToyEmbedder", "apply_intervention", "average_patches",
     "build_anchors", "builtin_flux_stats", "ciede2000", "decode", "decode_raw", "denormalize", "embed_hsl",
     "embed_image", "encode", "fit_pca", "fit_stats", "gamma", "generate", "grid_de00_mean_pixel",

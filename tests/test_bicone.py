@@ -1,5 +1,6 @@
 """Anchor-calibrated bicone coordinates: exactness of the bijection."""
 
+import json
 import math
 
 import numpy as np
@@ -56,7 +57,6 @@ def test_apex_decoding(ideal):
 
 
 def test_build_anchors_from_probes(probe_set, model, anchors):
-    assert anchors.thetas == HUE_DEGREES
     for label, theta in zip(HUE_LABELS, HUE_DEGREES):
         got = decode(anchors.hue_anchors[HUE_LABELS.index(label)], anchors)
         assert abs(signed_hue_delta(got.h, theta)) < 1e-9
@@ -330,6 +330,19 @@ def test_anchor_serialization_roundtrip(anchors, tmp_path):
     for _ in range(20):
         y = HslColor(rng.uniform(0, 360), rng.uniform(0, 1), rng.uniform(0, 1))
         assert np.allclose(encode(y, back), encode(y, anchors), atol=1e-12)
+
+
+def test_anchor_file_writes_each_labels_theta(anchors, tmp_path):
+    path = tmp_path / "anchors.json"
+    anchors.save(path)
+    entries = json.loads(path.read_text())["hue_anchors"]
+    assert [(e["label"], e["theta"]) for e in entries] == list(zip(HUE_LABELS, HUE_DEGREES))
+
+
+def test_anchor_file_entries_load_in_any_order(anchors):
+    obj = anchors.to_json_dict()
+    back = AnchorSet.from_json_dict({**obj, "hue_anchors": obj["hue_anchors"][::-1]})
+    assert np.array_equal(back.hue_anchors, anchors.hue_anchors)
 
 
 def test_anchor_labels_are_complete():

@@ -38,7 +38,7 @@ from latentcolor.colorspace import (
     parse_hex,
     rgb_to_hsl,
     signed_hue_delta,
-    srgb_to_lab_array,
+    srgb_to_linear_array,
 )
 from latentcolor.intervene import MODES
 from latentcolor.observe import mean_color
@@ -689,6 +689,18 @@ def _with_step(manifest, i, step):
     return {**manifest, "steps": steps}
 
 
+def _with_anchor(anchors, i, **entry):
+    """anchors with fields of hue anchor entry i replaced."""
+    entries = list(anchors["hue_anchors"])
+    entries[i] = {**entries[i], **entry}
+    return {**anchors, "hue_anchors": entries}
+
+
+def _plus_anchor(anchors, **entry):
+    """anchors with one more hue anchor entry: red's, with the given fields replaced."""
+    return {**anchors, "hue_anchors": [*anchors["hue_anchors"], {**anchors["hue_anchors"][0], **entry}]}
+
+
 def _with_fourth_column(model):
     # e_0 less its part in the span: a fourth column orthonormal to the other three
     cols = np.array(model["basis_columns"])
@@ -740,6 +752,12 @@ MALFORMED = {
     "model-overflowing-float": ("model", lambda o: _with_literal(o, "mean", "1e309")),
     "anchors-overflowing-float": ("anchors", lambda o: _with_literal(o, "black", "-1e999")),
     "stats-overflowing-float": ("stats", lambda o: _with_literal(o, "rows", "9" * 210 + "e99")),
+    "anchors-red-twice": ("anchors", lambda o: _plus_anchor(o, coords=[1.0, 2.0, 3.0])),
+    "anchors-orange": ("anchors", lambda o: _plus_anchor(o, label="orange", theta=30.0)),
+    "anchors-yellow-at-90": ("anchors", lambda o: _with_anchor(o, 1, theta=90.0)),
+    "anchors-null-theta": ("anchors", lambda o: _with_anchor(o, 2, theta=None)),
+    "anchors-bool-theta": ("anchors", lambda o: _with_anchor(o, 0, theta=False)),
+    "anchors-string-theta": ("anchors", lambda o: _with_anchor(o, 3, theta="180.0")),
     "model-basis-off-by-8e-6": ("model", lambda o: {**o, "basis_columns": [
         [v * (1 + 4e-6) for v in o["basis_columns"][0]], *o["basis_columns"][1:]
     ]}),
@@ -830,7 +848,7 @@ def test_intervene_report_is_the_per_block_computation_bitwise(ws, ws_world, tar
     out = apply_intervention(z, t, target, mask, model, anchors, stats, mode)
     hats = [_chart(x[mask.indices], model, t, stats)[0] for x in (z, out)]
     want_lins = np.stack([mean_color(decode(hat, anchors)) for hat in hats])
-    target_lab = srgb_to_lab_array(hsl_to_rgb_array([target.h, target.s, target.l]))
+    target_lab = linear_rgb_to_lab_array(srgb_to_linear_array(hsl_to_rgb_array([target.h, target.s, target.l])))
     want_des = np.array([float(ciede2000_array(linear_rgb_to_lab_array(lin), target_lab)) for lin in want_lins])
 
     work = ws["root"] / "report-bitwise"

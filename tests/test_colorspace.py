@@ -12,7 +12,6 @@ from latentcolor.cli import _hsl_error
 from latentcolor.colorspace import (
     HslColor,
     LabColor,
-    RgbColor,
     ciede2000,
     circular_mean_hue,
     hsl_to_rgb_array,
@@ -22,7 +21,6 @@ from latentcolor.colorspace import (
     rgb_to_hsl,
     rgb_to_hsl_array,
     signed_hue_delta,
-    srgb_to_lab_array,
     srgb_to_linear_array,
 )
 from latentcolor.toyflow import _hsv_to_hsl
@@ -84,18 +82,22 @@ def hues_equal(a: float, b: float, tol: float) -> bool:
 
 
 # the kernels on one color, to meet the per-color oracles below
-def hsl_to_rgb(c: HslColor) -> RgbColor:
-    return RgbColor(*hsl_to_rgb_array((c.h, c.s, c.l)).tolist())
+def hsl_to_rgb(c: HslColor) -> tuple[float, float, float]:
+    return tuple(hsl_to_rgb_array((c.h, c.s, c.l)).tolist())
 
 
-def to_8bit_via_hsl(rgb8) -> list[tuple[int, int, int]]:
+def to_8bit(rgb) -> tuple[int, ...]:
+    return tuple(round(v * 255.0) for v in rgb)
+
+
+def to_8bit_via_hsl(rgb8) -> list[tuple[int, ...]]:
     """8-bit sRGB rows sent to HSL and back, as 8-bit rows."""
     back = hsl_to_rgb_array(rgb_to_hsl_array(np.array(rgb8) / 255.0))
-    return [RgbColor(*c).to_8bit() for c in back.reshape(-1, 3).tolist()]
+    return [to_8bit(c) for c in back.reshape(-1, 3).tolist()]
 
 
-def srgb_to_lab(c: RgbColor) -> LabColor:
-    return LabColor(*srgb_to_lab_array((c.r, c.g, c.b)).tolist())
+def srgb_to_lab(rgb) -> LabColor:
+    return LabColor(*linear_rgb_to_lab_array(srgb_to_linear_array(rgb)).tolist())
 
 
 def to_linear(x: float) -> float:
@@ -111,8 +113,7 @@ def to_srgb(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def test_rgb_clamps_channels():
-    c = RgbColor(-0.5, 0.25, 1.5)
-    assert (c.r, c.g, c.b) == (0.0, 0.25, 1.0)
+    assert rgb_to_hsl((-0.5, 0.25, 1.5)) == rgb_to_hsl((0.0, 0.25, 1.0)) == rgb_to_hsl(np.array([-0.5, 0.25, 1.5]))
 
 
 def test_hsl_wraps_hue_and_clamps():
@@ -124,8 +125,9 @@ def test_hsl_wraps_hue_and_clamps():
 
 def test_parse_hex():
     c = parse_hex("#D81511")
-    assert c.to_8bit() == (0xD8, 0x15, 0x11)
-    assert parse_hex("ffffff").to_8bit() == (255, 255, 255)
+    assert c.shape == (3,)
+    assert to_8bit(c) == (0xD8, 0x15, 0x11)
+    assert to_8bit(parse_hex("ffffff")) == (255, 255, 255)
 
 
 @pytest.mark.parametrize("bad", ["", "#fff", "12345", "1234567", "gg0000", "#12 456", "##FF0000"])
@@ -136,7 +138,9 @@ def test_parse_hex_rejects_malformed(bad):
 
 def test_8bit_roundtrip_exact_for_all_bytes():
     for v in range(256):
-        assert RgbColor.from_8bit(v, v, v).to_8bit() == (v, v, v)
+        rgb = parse_hex(f"#{v:02x}{255 - v:02X}{v // 2:02x}")
+        assert rgb.tolist() == [v / 255.0, (255 - v) / 255.0, (v // 2) / 255.0]  # each byte over 255, exactly
+        assert to_8bit(rgb) == (v, 255 - v, v // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +162,14 @@ def test_8bit_roundtrip_exact_for_all_bytes():
     ],
 )
 def test_named_color_conversions(rgb, hsl):
-    got = rgb_to_hsl(RgbColor(*rgb))
+    got = rgb_to_hsl(rgb)
     assert (got.h, got.s, got.l) == pytest.approx(hsl, abs=1e-12)
-    back = hsl_to_rgb(HslColor(*hsl))
-    assert (back.r, back.g, back.b) == pytest.approx(rgb, abs=1e-12)
+    assert hsl_to_rgb(HslColor(*hsl)) == pytest.approx(rgb, abs=1e-12)
 
 
 @given(unit, unit, unit)
 def test_rgb_to_hsl_matches_colorsys(r, g, b):
-    got = rgb_to_hsl(RgbColor(r, g, b))
+    got = rgb_to_hsl((r, g, b))
     h, l, s = colorsys.rgb_to_hls(r, g, b)
     assert hues_equal(got.h, h * 360.0, 1e-9)
     assert got.s == pytest.approx(s, abs=1e-12)
@@ -176,21 +179,18 @@ def test_rgb_to_hsl_matches_colorsys(r, g, b):
 @given(hue, unit, unit)
 def test_hsl_to_rgb_matches_colorsys(h, s, l):
     got = hsl_to_rgb(HslColor(h, s, l))
-    r, g, b = colorsys.hls_to_rgb(h / 360.0, l, s)
-    assert (got.r, got.g, got.b) == pytest.approx((r, g, b), abs=1e-12)
+    assert got == pytest.approx(colorsys.hls_to_rgb(h / 360.0, l, s), abs=1e-12)
 
 
 @given(hue, unit, unit)
 def test_hsv_to_hsl_matches_colorsys(h, s, v):
     got = hsl_to_rgb(HslColor(*_hsv_to_hsl(np.array([h, s, v])).tolist()))
-    r, g, b = colorsys.hsv_to_rgb(h / 360.0, s, v)
-    assert (got.r, got.g, got.b) == pytest.approx((r, g, b), abs=1e-10)
+    assert got == pytest.approx(colorsys.hsv_to_rgb(h / 360.0, s, v), abs=1e-10)
 
 
 @given(byte, byte, byte)
 def test_hsl_roundtrip_preserves_8bit_rgb(r, g, b):
-    c = RgbColor.from_8bit(r, g, b)
-    assert hsl_to_rgb(rgb_to_hsl(c)).to_8bit() == (r, g, b)
+    assert to_8bit(hsl_to_rgb(rgb_to_hsl((r / 255.0, g / 255.0, b / 255.0)))) == (r, g, b)
     assert to_8bit_via_hsl([r, g, b]) == [(r, g, b)]
 
 
@@ -214,20 +214,20 @@ def test_chromatic_hsl_roundtrip(h, s, l):
 # ---------------------------------------------------------------------------
 
 def test_white_maps_to_lab_origin_exactly():
-    lab = srgb_to_lab(RgbColor(1.0, 1.0, 1.0))
+    lab = srgb_to_lab((1.0, 1.0, 1.0))
     assert lab.L == pytest.approx(100.0, abs=1e-9)
     assert lab.a == pytest.approx(0.0, abs=1e-9)
     assert lab.b == pytest.approx(0.0, abs=1e-9)
 
 
 def test_black_maps_to_lab_zero():
-    lab = srgb_to_lab(RgbColor(0.0, 0.0, 0.0))
+    lab = srgb_to_lab((0.0, 0.0, 0.0))
     assert (lab.L, lab.a, lab.b) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("rgb,expected", LAB_REFERENCES)
 def test_lab_reference_values(rgb, expected):
-    lab = srgb_to_lab(RgbColor(*rgb))
+    lab = srgb_to_lab(rgb)
     assert (lab.L, lab.a, lab.b) == pytest.approx(expected, abs=1e-3)
 
 

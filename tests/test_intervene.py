@@ -64,6 +64,23 @@ def test_mask_basics():
         PatchMask(L=0)
 
 
+@pytest.mark.parametrize(
+    "L, selected", [(4, [2.7]), (4, [True]), (4, [1, np.float64(2.0)]), (4, [np.bool_(True)]), (4.0, [1]), (True, [0])]
+)
+def test_mask_refuses_non_integers(L, selected):
+    # int() would have read 2.7 as 2 and True as 1
+    with pytest.raises(ValueError, match="integers"):
+        PatchMask(L=L, selected=selected)
+
+
+def test_mask_takes_numpy_integers(tmp_path):
+    m = PatchMask(L=np.int64(4), selected=[np.int32(1), np.intp(3), 2])
+    assert m.selected == frozenset({1, 2, 3})
+    assert all(type(i) is int for i in (m.L, *m.selected))
+    m.save(tmp_path / "mask.json")
+    assert load_mask(tmp_path / "mask.json") == m
+
+
 def test_mask_json_roundtrip(tmp_path):
     m = PatchMask(L=9, selected=frozenset({0, 8, 3}))
     path = tmp_path / "mask.json"

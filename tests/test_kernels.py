@@ -31,10 +31,10 @@ from latentcolor import (
     render_ppm,
     type2,
 )
+from latentcolor.bicone import HUE_DEGREES
 from latentcolor.colorspace import (
     HslColor,
     LabColor,
-    RgbColor,
     canonical_hsl,
     ciede2000_array,
     circular_mean_hue,
@@ -43,7 +43,6 @@ from latentcolor.colorspace import (
     linear_to_srgb_array,
     rgb_to_hsl_array,
     signed_hue_delta,
-    srgb_to_lab_array,
     srgb_to_linear_array,
     _ciede_t,
     _from_planes,
@@ -112,7 +111,7 @@ def test_canonical_hsl_is_hslcolor_bitwise(rows):
 @given(canonical_rows)
 def test_hsl_to_rgb_array_is_scalar_bitwise(rows):
     colors = [HslColor(*r) for r in rows]
-    want = np.array([(c.r, c.g, c.b) for c in map(hsl_to_rgb, colors)])
+    want = np.array([hsl_to_rgb(c) for c in colors])
     assert np.array_equal(hsl_to_rgb_array(hsl_rows(colors)), want)
 
 
@@ -132,7 +131,7 @@ channel = st.one_of(
 def test_rgb_to_hsl_array_is_reference_bitwise(rows):
     # every row also as a grey and with two channels sharing the maximum (or minimum) in each position
     rows = rows + [v for a, b, c in rows for v in ((a, a, a), (a, a, c), (a, c, a), (c, a, a), (b, -0.0, 0.0))]
-    want = hsl_rows(rgb_to_hsl(RgbColor(*r)) for r in rows)
+    want = hsl_rows(map(rgb_to_hsl, rows))
     assert_same_bits(rgb_to_hsl_array(rows), want)
     assert_same_bits(rgb_to_hsl_array(rows[0]), want[0])
 
@@ -141,7 +140,7 @@ def test_rgb_to_hsl_array_is_reference_bitwise_on_8bit_colors():
     greys = [(v, v, v) for v in range(256)]
     cube = [(r, g, b) for r in range(0, 256, 17) for g in range(0, 256, 17) for b in range(0, 256, 17)]
     rows = (np.array(greys + cube + np.random.default_rng(3).integers(0, 256, (20000, 3)).tolist()) / 255.0).tolist()
-    assert_same_bits(rgb_to_hsl_array(rows), hsl_rows(rgb_to_hsl(RgbColor(*r)) for r in rows))
+    assert_same_bits(rgb_to_hsl_array(rows), hsl_rows(map(rgb_to_hsl, rows)))
     assert rgb_to_hsl_array(np.reshape(rows[:12], (3, 4, 3))).shape == (3, 4, 3)
 
 
@@ -157,10 +156,11 @@ def test_linear_to_srgb_array_matches_reference(xs):
 
 
 @given(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=16))
-def test_srgb_to_lab_array_matches_scalar(rows):
+def test_srgb_to_lab_kernels_match_scalar(rows):
+    # the sRGB-to-Lab composition of the transfer and Lab kernels, and each kernel on its own
     rows = rows + [(0.04045, 0.0, 1.0)]
-    want = np.array([(c.L, c.a, c.b) for c in (srgb_to_lab(RgbColor(*r)) for r in rows)])
-    np.testing.assert_allclose(srgb_to_lab_array(rows), want, rtol=TOL, atol=TOL)
+    want = np.array([(c.L, c.a, c.b) for c in map(srgb_to_lab, rows)])
+    np.testing.assert_allclose(linear_rgb_to_lab_array(srgb_to_linear_array(rows)), want, rtol=TOL, atol=TOL)
     lin = np.array([[srgb_channel_to_linear(v) for v in r] for r in rows])
     np.testing.assert_allclose(srgb_to_linear_array(rows), lin, rtol=TOL, atol=TOL)
     want = np.array([(c.L, c.a, c.b) for c in (linear_rgb_to_lab(*r) for r in lin.tolist())])
@@ -169,10 +169,10 @@ def test_srgb_to_lab_array_matches_scalar(rows):
 
 @given(unit)
 def test_lab_of_an_exact_grey_has_zero_a_and_b(v):
-    for lab in (srgb_to_lab(RgbColor(v, v, v)), linear_rgb_to_lab(v, v, v)):
+    for lab in (srgb_to_lab((v, v, v)), linear_rgb_to_lab(v, v, v)):
         assert (lab.a, lab.b) == (0.0, 0.0)
     rows = [(v, v, v), (v, v, v)]
-    assert not srgb_to_lab_array(rows)[:, 1:].any()
+    assert not linear_rgb_to_lab_array(srgb_to_linear_array(rows))[:, 1:].any()
     assert not linear_rgb_to_lab_array(rows)[:, 1:].any()
 
 
@@ -265,8 +265,8 @@ def reference_decode_raw(c: np.ndarray, anchors) -> tuple[float, float, float]:
     cross_k = pts[k, 0] * q[1] - pts[k, 1] * q[0]
     cross_j = pts[j, 0] * q[1] - pts[j, 1] * q[0]
     alpha = min(max(cross_k / (cross_k - cross_j), 0.0), 1.0)
-    th0 = anchors.thetas[k]
-    th1 = anchors.thetas[k + 1] if k < 5 else 360.0
+    th0 = HUE_DEGREES[k]
+    th1 = HUE_DEGREES[k + 1] if k < 5 else 360.0
     h = (th0 + alpha * (th1 - th0)) % 360.0
     bicone = 1.0 - abs(2.0 * l - 1.0)
     if bicone < 1e-6:
@@ -385,8 +385,7 @@ def test_type2_matches_per_patch_reference(anchors):
 def reference_mean_linear_rgb(cells) -> np.ndarray:
     acc = np.zeros(3)
     for c in cells:
-        rgb = hsl_to_rgb(c)
-        acc += tuple(srgb_channel_to_linear(v) for v in (rgb.r, rgb.g, rgb.b))
+        acc += tuple(srgb_channel_to_linear(v) for v in hsl_to_rgb(c))
     return acc / len(cells)
 
 
@@ -446,9 +445,8 @@ def test_mean_color_matches_per_cell_reference(case):
     np.testing.assert_allclose(got, lin, rtol=0, atol=TOL)
     # as displayed, compared in RGB: the hue of a near-grey mean is ill-conditioned
     shown = HslColor(*rgb_to_hsl_array(linear_to_srgb_array(got)).tolist())
-    want = rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in lin)))
-    got_rgb, want_rgb = hsl_to_rgb(shown), hsl_to_rgb(want)
-    np.testing.assert_allclose((got_rgb.r, got_rgb.g, got_rgb.b), (want_rgb.r, want_rgb.g, want_rgb.b), rtol=0, atol=TOL)
+    want = rgb_to_hsl([linear_channel_to_srgb(v) for v in lin])
+    np.testing.assert_allclose(hsl_to_rgb(shown), hsl_to_rgb(want), rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 2), (3, 5), (8, 8), (64, 64)])
@@ -471,7 +469,7 @@ def test_render_ppm_matches_per_cell_reference(case, cell_px):
     grid = ColorGrid(h, w, [HslColor(*c) for c in a])
     rows = bytearray()
     for gy in range(h):
-        row = b"".join(bytes(hsl_to_rgb(grid.cells[gy * w + gx]).to_8bit()) * cell_px for gx in range(w))
+        row = b"".join(bytes(round(v * 255.0) for v in hsl_to_rgb(grid.cells[gy * w + gx])) * cell_px for gx in range(w))
         rows += row * cell_px
     assert render_ppm(grid, cell_px) == f"P6\n{w * cell_px} {h * cell_px}\n255\n".encode() + bytes(rows)
 
@@ -489,7 +487,7 @@ def uncached_outputs(pred: ColorGrid, ref: ColorGrid, picked: list[int]) -> dict
     """What the grid functions return, composed afresh from the kernels on the hsl arrays."""
 
     def lab(g):
-        return srgb_to_lab_array(hsl_to_rgb_array(g.hsl))
+        return linear_rgb_to_lab_array(srgb_to_linear_array(hsl_to_rgb_array(g.hsl)))
 
     def mean_linear(g, rows):
         return srgb_to_linear_array(hsl_to_rgb_array(g.hsl.reshape(-1, 3)[rows])).mean(axis=0)
@@ -536,9 +534,9 @@ def test_cached_conversions_match_fresh_kernels_bitwise(case, data):
     for name in order + order:  # the second round reads filled caches
         assert bits(calls[name]()) == bits(want[name]), name
     for g in (pred, ref):
-        for cached in (g._rgb, g._linear, g._lab):
+        for cached in (g._rgb, *g._blocks):
             with pytest.raises(ValueError, match="read-only"):
-                cached[0, 0, 0] = 0.5
+                cached[0, 0] = 0.5
 
 
 def fixed_grid(rng, h: int, w: int) -> ColorGrid:

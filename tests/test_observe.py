@@ -17,7 +17,7 @@ from latentcolor import (
     project,
     render_ppm,
 )
-from latentcolor.colorspace import HslColor, RgbColor, linear_to_srgb_array, rgb_to_hsl_array, signed_hue_delta
+from latentcolor.colorspace import HslColor, linear_to_srgb_array, rgb_to_hsl_array, signed_hue_delta
 from latentcolor.timestats import denormalize
 from colorref import (
     ciede2000,
@@ -142,7 +142,7 @@ def test_masked_mean_color_oracle():
     ]
     mix = np.mean(lin, axis=0)
     np.testing.assert_allclose(got, mix, rtol=0.0, atol=1e-12)  # the mean stays in linear RGB
-    want = rgb_to_hsl(RgbColor(*(linear_channel_to_srgb(v) for v in mix)))
+    want = rgb_to_hsl([linear_channel_to_srgb(v) for v in mix])
     got = HslColor(*rgb_to_hsl_array(linear_to_srgb_array(got)).tolist())  # as displayed
     assert abs(signed_hue_delta(got.h, want.h)) < 1e-9
     assert got.s == pytest.approx(want.s, abs=1e-12)

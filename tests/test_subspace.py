@@ -6,6 +6,11 @@ import pytest
 from latentcolor import SubspaceModel, average_patches, fit_pca, project
 
 
+def fixed_probes(d: int) -> dict[str, np.ndarray]:
+    """Orientation latents that only fix the component signs of a fit on d-dim samples."""
+    return dict(zip(("white", "black", "red", "yellow"), np.random.default_rng(4).standard_normal((4, d))))
+
+
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     qa, _ = np.linalg.qr(a)
     qb, _ = np.linalg.qr(b)
@@ -31,7 +36,7 @@ def test_average_patches_matches_mean():
 def test_line_data_concentrates_on_first_component(direction, n):
     rng = np.random.default_rng(1)
     samples = np.outer(rng.standard_normal(n), direction) + 5.0
-    model = fit_pca(samples, k=3)
+    model = fit_pca(samples, k=3, orientation=fixed_probes(len(direction)))
     assert model.explained[0] == pytest.approx(1.0, abs=1e-12)
     assert abs(model.explained[1]) <= 1e-12
     assert np.allclose(np.abs(model.basis[:, 0]), np.abs(direction), atol=1e-9)
@@ -56,8 +61,8 @@ def test_gram_path_agrees_with_covariance_path(embedder):
     rng = np.random.default_rng(2)
     coords = rng.standard_normal((8, 3)) * np.array([5.0, 3.0, 1.0])
     samples = embedder.offset + coords @ embedder.lift.T
-    small = fit_pca(samples, k=3)
-    padded = fit_pca(np.vstack([samples] * 4), k=3)
+    small = fit_pca(samples, k=3, orientation=fixed_probes(embedder.dim))
+    padded = fit_pca(np.vstack([samples] * 4), k=3, orientation=fixed_probes(embedder.dim))
     assert np.max(principal_angles(small.basis, embedder.lift)) < 1e-6
     assert np.max(principal_angles(small.basis, padded.basis)) < 1e-6
     assert np.allclose(small.explained, padded.explained, atol=1e-9)
@@ -65,9 +70,9 @@ def test_gram_path_agrees_with_covariance_path(embedder):
 
 def test_fit_is_order_invariant(probe_set):
     shuffled = probe_set.lattice[np.random.default_rng(3).permutation(len(probe_set.lattice))]
-    a = fit_pca(probe_set.lattice, k=3)
-    b = fit_pca(shuffled, k=3)
-    assert np.allclose(np.abs(a.basis), np.abs(b.basis), atol=1e-8)
+    a = fit_pca(probe_set.lattice, k=3, orientation=probe_set.labeled)
+    b = fit_pca(shuffled, k=3, orientation=probe_set.labeled)
+    assert np.allclose(a.basis, b.basis, atol=1e-8)  # the probes fix the signs
     assert np.allclose(a.explained, b.explained, atol=1e-10)
 
 
@@ -95,15 +100,15 @@ def test_project_accepts_single_vectors(model):
 
 def test_fit_rejects_degenerate_input():
     with pytest.raises(ValueError, match="at least"):
-        fit_pca(np.zeros((3, 8)), k=3)
+        fit_pca(np.zeros((3, 8)), k=3, orientation=fixed_probes(8))
     with pytest.raises(ValueError, match="zero variance"):
-        fit_pca(np.ones((10, 8)), k=3)
+        fit_pca(np.ones((10, 8)), k=3, orientation=fixed_probes(8))
 
 
 def test_fit_refuses_any_k_but_3(probe_set):
     for k in (2, 4):
         with pytest.raises(ValueError, match="3 components"):
-            fit_pca(probe_set.lattice, k=k)
+            fit_pca(probe_set.lattice, k=k, orientation=probe_set.labeled)
 
 
 def test_fit_requires_orientation_probes_when_given(probe_set):
