@@ -54,6 +54,10 @@ NON_FINITE = "tests/test_tensorio.py::test_json_refuses_non_finite_numbers_where
 ASSEMBLE = "tests/test_bicone.py::test_assemble_is_the_per_anchor_reference_bitwise"
 MALFORMED = "tests/test_cli.py::test_malformed_record_file_exits_2_naming_it"
 MASK_INTEGERS = "tests/test_intervene.py::test_mask_refuses_non_integers"
+WRITE_BACK = "tests/test_intervene.py::test_apply_intervention_write_back_roundtrip"
+REPORT = "tests/test_cli.py::test_intervene_report_is_the_per_block_computation_bitwise"
+REPORT_AS_OBSERVED = "tests/test_cli.py::test_intervene_report_matches_full_grid_observation"
+ANCHOR_SHAPES = "tests/test_bicone.py::test_anchor_file_refuses_points_of_the_wrong_shape"
 
 MUTANTS = (
     # the PGM header pattern
@@ -113,7 +117,7 @@ MUTANTS = (
     # the toy flow and trajectory reads
     Mutant(
         "generate-no-nearest-search", "src/latentcolor/toyflow.py",
-        "charts = [_chart(a, field) for a in field.attractors] if len(field.attractors) > 1 else None",
+        "charts = [_hidden(a, field) for a in field.attractors] if len(field.attractors) > 1 else None",
         "charts = None",
         (REFERENCE_LOOP, "tests/test_toyflow.py::test_generate_converges_to_nearer_attractor"),
     ),
@@ -241,6 +245,38 @@ MUTANTS = (
         "ppm-raster-copied-twice", "src/latentcolor/observe.py",
         'return b"".join((header, raster))', "return header + raster.tobytes()",
         ("tests/test_observe.py::test_render_ppm_holds_the_raster_about_twice_at_its_peak",),
+    ),
+    # one chart per intervene call
+    Mutant(
+        "write-back-without-the-gain", "src/latentcolor/intervene.py",
+        "((edited - hat) / gain) @ model.basis.T", "(edited - hat) @ model.basis.T",
+        (WRITE_BACK,),
+    ),
+    Mutant(
+        "report-decodes-hat-twice", "src/latentcolor/cli.py",
+        "np.concatenate([hat, edited])", "np.concatenate([hat, hat])",
+        (REPORT_AS_OBSERVED, REPORT),
+    ),
+    Mutant(
+        "cli-mask-not-fitted", "src/latentcolor/cli.py",
+        "if mask and (mask.L != L or not mask.selected):", "if False:",
+        ("tests/test_cli.py::test_a_mask_that_does_not_fit_exits_2_naming_its_file",),
+    ),
+    # anchor shapes
+    Mutant(
+        "anchor-hue-shape-unchecked", "src/latentcolor/bicone.py",
+        "if hue.shape != (6, 3) or black.shape", "if black.shape",
+        (ANCHOR_SHAPES,),
+    ),
+    Mutant(
+        "anchor-black-shape-unchecked", "src/latentcolor/bicone.py",
+        "or black.shape != (3,) or white.shape", "or white.shape",
+        (ANCHOR_SHAPES, f"{MALFORMED}[anchors-scalar-black]", f"{MALFORMED}[anchors-one-entry-black]"),
+    ),
+    Mutant(
+        "anchor-white-shape-unchecked", "src/latentcolor/bicone.py",
+        " or white.shape != (3,):", ":",
+        (ANCHOR_SHAPES, f"{MALFORMED}[anchors-scalar-white]"),
     ),
     # known equivalent mutants
     Mutant(

@@ -10,7 +10,7 @@ flow model with known geometry backs the test suite end to end.
 from .colorspace import HslColor, LabColor, ciede2000, parse_hex, rgb_to_hsl
 from .subspace import SubspaceModel, average_patches, fit_pca, project
 from .bicone import AnchorSet, build_anchors, decode, decode_raw, encode, regular_anchors
-from .timestats import StatsTable, builtin_flux_stats, denormalize, fit_stats, normalize
+from .timestats import StatsTable, builtin_flux_stats, fit_stats, normalize
 from .intervene import (
     PatchMask,
     apply_intervention,

@@ -105,6 +105,9 @@ def _rowdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSet:
     """Derive the achromatic frame and validate the anchor geometry."""
+    if hue.shape != (6, 3) or black.shape != (3,) or white.shape != (3,):  # numpy would broadcast the rest
+        shapes = f"hue {hue.shape}, black {black.shape}, white {white.shape}"
+        raise ValueError(f"anchor shapes: {shapes}; expected (6, 3), (3,) and (3,)")
     axis = white - black
     norm_axis = float(np.linalg.norm(axis))
     if norm_axis < 1e-9:

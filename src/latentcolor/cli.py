@@ -31,7 +31,7 @@ from .colorspace import (
     signed_hue_delta,
     srgb_to_linear_array,
 )
-from .intervene import MODES, PatchMask, apply_intervention, load_mask
+from .intervene import MODES, PatchMask, _intervene, load_mask
 from .observe import (
     ColorGrid,
     grid_de00_mean_pixel,
@@ -42,7 +42,7 @@ from .observe import (
     render_ppm,
 )
 from .subspace import SubspaceModel, average_patches, fit_pca, project
-from .timestats import StatsTable, _chart, builtin_flux_stats, fit_stats
+from .timestats import StatsTable, builtin_flux_stats, fit_stats
 from .toyflow import AttractorField, ToyEmbedder, generate, initial_noise, solid_attractor
 
 BUILTIN_STATS = "flux-builtin"
@@ -89,6 +89,14 @@ def _parse_target(args) -> HslColor:
     if args.target is None:
         raise ValueError("one of --target or --target-hsl is required")
     return rgb_to_hsl(parse_hex(args.target))
+
+
+def _load_mask(path: str | None, L: int) -> PatchMask | None:
+    """The --mask file, if one is given, checked against the L patches it selects from."""
+    mask = load_mask(path) if path else None
+    if mask and (mask.L != L or not mask.selected):
+        raise ValueError(f"{path}: mask selects {len(mask.selected)} of L = {mask.L} patches; the input has {L}")
+    return mask
 
 
 def _shown_hsl(lin: np.ndarray) -> np.ndarray:
@@ -173,14 +181,10 @@ def cmd_intervene(args) -> int:
     model = SubspaceModel.load(args.model)
     anchors = AnchorSet.load(args.anchors)
     stats = _load_stats(args.stats)
-    mask = load_mask(args.mask) if args.mask else PatchMask.full(z.shape[0])
-
-    out = apply_intervention(z, args.t, target, mask, model, anchors, stats, args.mode)
+    mask = _load_mask(args.mask, z.shape[0])
+    out, hat, edited = _intervene(z, args.t, target, mask, model, anchors, stats, args.mode)
     tensorio.write_latents(args.out, out)
-
-    rows = mask.indices
-    # one decode for both blocks; each is charted on its own, as matmul's rounding depends on the row count
-    hsl = decode(np.concatenate([_chart(x[rows], model, args.t, stats)[0] for x in (z, out)]), anchors)
+    hsl = decode(np.concatenate([hat, edited]), anchors)  # the edit's own charted blocks, in one decode
     print("\n".join(_report_lines(mean_color(hsl.reshape(2, -1, 3)), target)))
     print(f"wrote {args.out}")
     return 0
@@ -203,10 +207,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_stats(args) -> int:
     model = SubspaceModel.load(args.model)
-    tracks = []
-    for manifest in args.manifests:
-        traj = tensorio.load_trajectory(manifest)
-        tracks.append(np.stack([average_patches(project(frame, model)) for frame in traj]))
+    # project is affine, so the projected patch mean of each frame is the mean of its patches' projections
+    tracks = [project(tensorio.load_trajectory(manifest).mean(axis=1), model) for manifest in args.manifests]
     stats = fit_stats(tracks)
     stats.save(args.out)
     print(f"fitted stats over t=0..{stats.T} from {len(tracks)} trajectories; wrote {args.out}")
@@ -216,7 +218,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     pred = ColorGrid.load(args.pred)
     ref = ColorGrid.load(args.ref)
-    mask = load_mask(args.mask) if args.mask else PatchMask.full(pred.height * pred.width)
+    mask = _load_mask(args.mask, pred.height * pred.width) or PatchMask.full(pred.height * pred.width)
     # the masked means stay in linear RGB for de00, as grid_de00_mean_pixel's do
     lins = [masked_mean_color(grid, mask) for grid in (pred, ref)]
     pred_hsl, ref_hsl = _shown_hsl(np.stack(lins)).tolist()

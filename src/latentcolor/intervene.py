@@ -7,7 +7,8 @@ of the two trades the first's exactness against the second's per-patch
 saturation and lightness control as generation progresses.
 
 The full pipeline charts the masked patches at the final timestep (project
-and normalize in one affine map), edits them, and writes the change back.
+and normalize in one affine map), edits them, and writes the change back
+through the chart's inverse; the intervene report decodes the same blocks.
 """
 
 from __future__ import annotations
@@ -187,19 +188,22 @@ def apply_intervention(
     complement of every patch is preserved. mask = None edits all patches.
     The interp blend runs over the stats table's horizon 0..stats.T.
     """
+    return _intervene(z, t, target, mask, model, anchors, stats, mode)[0]
+
+
+def _intervene(z, t, target, mask, model, anchors, stats, mode):
+    """apply_intervention's output, with the masked rows' charted block before the edit and after it."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError(f"expected an (L, d) latent tensor, got shape {z.shape}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mask is None:
-        mask = PatchMask.full(z.shape[0])
-    if mask.L != z.shape[0]:
+    if mask is not None and mask.L != z.shape[0]:
         raise ValueError(f"mask is for L = {mask.L} patches, tensor has {z.shape[0]}")
-    if not mask.selected:
+    rows = np.arange(z.shape[0]) if mask is None else mask.indices
+    if rows.size == 0:
         raise ValueError("empty mask: nothing to intervene on")
 
-    rows = mask.indices
     hat, gain = _chart(z[rows], model, t, stats)
     if mode == "type1":
         edited = type1(hat, target, anchors)
@@ -208,7 +212,7 @@ def apply_intervention(
     else:
         edited = interpolated(hat, target, anchors, t, stats.T)
 
-    # denormalize(edited) - denormalize(hat), back in the d-dim latent space
+    # the chart's inverse on the change: back to step t's scale, then into the d-dim latent space
     out = z.copy()
     out[rows] = z[rows] + ((edited - hat) / gain) @ model.basis.T
-    return out
+    return out, hat, edited

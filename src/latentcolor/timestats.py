@@ -26,7 +26,7 @@ import numpy as np
 from . import tensorio
 from .subspace import SubspaceModel
 
-__all__ = ["StatsTable", "builtin_flux_stats", "fit_stats", "normalize", "denormalize"]
+__all__ = ["StatsTable", "builtin_flux_stats", "fit_stats", "normalize"]
 
 _MIN_SCALE = 1e-12
 
@@ -268,13 +268,3 @@ def normalize(coords: np.ndarray, t: int, stats: StatsTable) -> np.ndarray:
     alpha_t, beta_t = _check_t(stats, t)
     alpha_T, beta_T = stats.row(stats.T)
     return (coords - alpha_t) / beta_t * beta_T + alpha_T
-
-
-def denormalize(coords: np.ndarray, t: int, stats: StatsTable) -> np.ndarray:
-    """Exact inverse of normalize: map final-step coordinates back to step t."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[-1] != 3:
-        raise ValueError(f"expected 3 coordinate columns, got shape {coords.shape}")
-    alpha_t, beta_t = _check_t(stats, t)
-    alpha_T, beta_T = stats.row(stats.T)
-    return (coords - alpha_T) / beta_T * beta_t + alpha_t

@@ -220,20 +220,20 @@ def sample_path(z1: np.ndarray, z0: np.ndarray, t: int, T: int) -> np.ndarray:
     return (1.0 - tau) * z0 + tau * z1
 
 
-def _chart(z: np.ndarray, field: AttractorField) -> np.ndarray:
-    """(L, 3) subspace-plane coordinates of an (L, d) tensor."""
+def _hidden(z: np.ndarray, field: AttractorField) -> np.ndarray:
+    """(L, 3) hidden bicone coordinates of an (L, d) tensor, through the embedder's lift."""
     return (z - field.embedder.offset) @ field.embedder.lift
 
 
 def _nearest(z: np.ndarray, field: AttractorField, charts: list[np.ndarray]) -> int:
     """nearest_attractor given the attractors' charts; the first of equal distances wins."""
-    coords = _chart(z, field)
+    coords = _hidden(z, field)
     return int(np.argmin([float(np.sum((c - coords) ** 2)) for c in charts]))
 
 
 def nearest_attractor(z: np.ndarray, field: AttractorField) -> int:
     """Index of the attractor closest to z in aggregate subspace distance."""
-    return _nearest(z, field, [_chart(a, field) for a in field.attractors])
+    return _nearest(z, field, [_hidden(a, field) for a in field.attractors])
 
 
 def generate(
@@ -260,7 +260,7 @@ def generate(
         raise ValueError(f"a trajectory of (T+1, L, d) = {(T + 1,) + shape} float64 is too large to allocate") from e
     frames[0] = z0
     # the attractors are charted once; with one attractor there is nothing to choose
-    charts = [_chart(a, field) for a in field.attractors] if len(field.attractors) > 1 else None
+    charts = [_hidden(a, field) for a in field.attractors] if len(field.attractors) > 1 else None
     for k in range(T + 1):
         z = frames[k]
         if edit is not None:

@@ -345,6 +345,21 @@ def test_anchor_file_entries_load_in_any_order(anchors):
     assert np.array_equal(back.hue_anchors, anchors.hue_anchors)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("black", -5), ("black", [0.5]), ("white", 3.0), ("white", [30.0]), ("white", [1.0, 2.0, 3.0, 4.0]),
+    ("coords", [1.0]), ("coords", 2.0), ("coords", [[1.0, 2.0, 3.0]]),
+], ids=["black-scalar", "black-1", "white-scalar", "white-1", "white-4", "hue-1", "hue-scalar", "hue-1x3"])
+def test_anchor_file_refuses_points_of_the_wrong_shape(anchors, field, value):
+    # numpy would broadcast most of these into a geometry the file does not describe
+    obj = anchors.to_json_dict()
+    if field == "coords":
+        obj = {**obj, "hue_anchors": [{**e, "coords": value} for e in obj["hue_anchors"]]}
+    else:
+        obj = {**obj, field: value}
+    with pytest.raises(ValueError, match=r"^anchor shapes: .*; expected \(6, 3\), \(3,\) and \(3,\)$"):
+        AnchorSet.from_json_dict(obj)
+
+
 def test_anchor_labels_are_complete():
     assert ANCHOR_LABELS == HUE_LABELS + ("black", "white")
     assert len(HUE_DEGREES) == 6

@@ -22,13 +22,16 @@ from latentcolor import (
     ColorGrid,
     PatchMask,
     ToyEmbedder,
+    average_patches,
     embed_image,
+    fit_stats,
     load_trajectory,
+    project,
     read_latents,
     write_latents,
 )
 from latentcolor import AnchorSet, SubspaceModel, StatsTable, load_mask, masked_mean_color, observe
-from latentcolor import apply_intervention, cli, decode
+from latentcolor import cli, decode, intervene
 from latentcolor.cli import _report_lines, build_parser, main
 from latentcolor.colorspace import (
     HslColor,
@@ -43,7 +46,6 @@ from latentcolor.colorspace import (
 from latentcolor.intervene import MODES
 from latentcolor.observe import mean_color
 from latentcolor.tensorio import read_json
-from latentcolor.timestats import _chart
 from latentcolor.toyflow import probe_colors
 from test_kernels import hue, unit
 
@@ -116,6 +118,18 @@ def test_stats_output_covers_horizon(ws):
     obj = read_json(ws["stats"])
     assert len(obj["rows"]) == 21
     assert obj["rows"][0]["t"] == 0
+
+
+def test_stats_tracks_are_the_per_frame_projection_means_within_1e_13_of_scale(ws):
+    # stats projects each frame's patch mean, which equals the mean of the patches' projections as project is
+    # affine; the per-frame form is the reference, and the two differ by rounding only
+    model = SubspaceModel.load(ws["model"])
+    trajs = [load_trajectory(ws["root"] / run / "manifest.json") for run in ("run-red", "run-blue")]
+    tracks = [np.stack([average_patches(project(frame, model)) for frame in traj]) for traj in trajs]
+    want, got = fit_stats(tracks), StatsTable.load(ws["stats"])
+    scale = max(float(np.abs(track).max()) for track in tracks)
+    np.testing.assert_allclose(got.alpha, want.alpha, rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_allclose(got.beta, want.beta, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_observe_final_frame_matches_attractor(ws, tmp_path):
@@ -683,6 +697,26 @@ def test_eval_rejects_json_mask_repeating_an_index(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["intervene", "eval"])
+@pytest.mark.parametrize("mask, says", [
+    ({"L": 9, "selected": [0, 4]}, "selects 2 of L = 9 patches; the input has 64"),
+    ({"L": 64, "selected": []}, "selects 0 of L = 64 patches; the input has 64"),
+], ids=["wrong-L", "empty"])
+def test_a_mask_that_does_not_fit_exits_2_naming_its_file(ws, tmp_path, capsys, command, mask, says):
+    mask_path, out = tmp_path / "m.json", tmp_path / "out"
+    mask_path.write_text(json.dumps(mask))
+    if command == "intervene":
+        argv = ["intervene", str(ws["root"] / "run-red" / "t010.lt"), "--t", "10", "--target", BLUE_HEX]
+        argv += ["--model", str(ws["model"]), "--anchors", str(ws["anchors"]), "--stats", str(ws["stats"])]
+    else:
+        grid = tmp_path / "g.json"
+        ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 8, 8).save(grid)
+        argv = ["eval", str(grid), str(grid)]
+    assert main(argv + ["--mask", str(mask_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {mask_path}: mask {says}\n"
+    assert not out.exists()
+
+
 def _with_step(manifest, i, step):
     steps = list(manifest["steps"])
     steps[i] = step
@@ -758,6 +792,13 @@ MALFORMED = {
     "anchors-null-theta": ("anchors", lambda o: _with_anchor(o, 2, theta=None)),
     "anchors-bool-theta": ("anchors", lambda o: _with_anchor(o, 0, theta=False)),
     "anchors-string-theta": ("anchors", lambda o: _with_anchor(o, 3, theta="180.0")),
+    "anchors-scalar-black": ("anchors", lambda o: {**o, "black": -5}),
+    "anchors-one-entry-black": ("anchors", lambda o: {**o, "black": [0.5]}),
+    "anchors-scalar-white": ("anchors", lambda o: {**o, "white": 3.0}),
+    "anchors-one-entry-white": ("anchors", lambda o: {**o, "white": [30.0]}),
+    "anchors-one-entry-hue-coords": ("anchors", lambda o: {
+        **o, "hue_anchors": [{**e, "coords": e["coords"][:1]} for e in o["hue_anchors"]]
+    }),
     "model-basis-off-by-8e-6": ("model", lambda o: {**o, "basis_columns": [
         [v * (1 + 4e-6) for v in o["basis_columns"][0]], *o["basis_columns"][1:]
     ]}),
@@ -839,15 +880,15 @@ one_or_more_patches = st.one_of(st.builds(lambda i: {i}, st.integers(0, 63)), st
     run=st.sampled_from(["run-red", "run-blue"]),
 )
 def test_intervene_report_is_the_per_block_computation_bitwise(ws, ws_world, target, t, mode, selected, run):
-    # The report decodes both charted blocks in one pass and takes both de00 values from one Lab call with
-    # the target as a third row; each mean and each de00 must have the bits of its own computation.
+    # The report decodes the edit's own blocks, charted before the edit and edited, in one pass, and takes
+    # both de00 values from one Lab call with the target as a third row; each mean and each de00 must have
+    # the bits of its own computation.
     model, anchors, stats = ws_world
     latent = ws["root"] / run / f"t{t:03d}.lt"
     z = read_latents(latent)
     mask = PatchMask(L=64, selected=frozenset(selected))
-    out = apply_intervention(z, t, target, mask, model, anchors, stats, mode)
-    hats = [_chart(x[mask.indices], model, t, stats)[0] for x in (z, out)]
-    want_lins = np.stack([mean_color(decode(hat, anchors)) for hat in hats])
+    _, hat, edited = intervene._intervene(z, t, target, mask, model, anchors, stats, mode)
+    want_lins = np.stack([mean_color(decode(block, anchors)) for block in (hat, edited)])
     target_lab = linear_rgb_to_lab_array(srgb_to_linear_array(hsl_to_rgb_array([target.h, target.s, target.l])))
     want_des = np.array([float(ciede2000_array(linear_rgb_to_lab_array(lin), target_lab)) for lin in want_lins])
 
@@ -859,13 +900,15 @@ def test_intervene_report_is_the_per_block_computation_bitwise(ws, ws_world, tar
         "--mode", mode, "--mask", str(work / "mask.json"), "--model", str(ws["model"]),
         "--anchors", str(ws["anchors"]), "--stats", str(ws["stats"]), "--out", str(work / "out.lt"),
     ]
-    lins, des = [], []
-    report_lines, ciede2000 = cli._report_lines, cli.ciede2000_array
+    lins, des, charts = [], [], []
+    report_lines, ciede2000, chart = cli._report_lines, cli.ciede2000_array, intervene._chart
     printed = io.StringIO()
     with mock.patch.object(cli, "_report_lines", lambda m, tgt: lins.append(m) or report_lines(m, tgt)), \
             mock.patch.object(cli, "ciede2000_array", lambda x, y: des.append(ciede2000(x, y)) or des[-1]), \
+            mock.patch.object(intervene, "_chart", lambda *a: charts.append(a) or chart(*a)), \
             contextlib.redirect_stdout(printed):
         assert main(argv) == 0
+    assert len(charts) == 1  # the edit's chart is the report's: one per call
     assert len(lins) == 1 and lins[0].shape == (2, 3) and lins[0].tobytes() == want_lins.tobytes()
     assert len(des) == 1 and des[0].tobytes() == want_des.tobytes()
     lines = printed.getvalue().splitlines()[:2]

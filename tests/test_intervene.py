@@ -1,7 +1,10 @@
 """Color edits on coordinate blocks and full latent tensors."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentcolor import (
     PatchMask,
@@ -265,20 +268,30 @@ def test_apply_intervention_type1_hits_target_mean(scene):
 
 
 @pytest.mark.parametrize("mode, edit", [("type1", "type1"), ("type2", "type2"), ("interp", "interpolated")])
-def test_apply_intervention_write_back_roundtrip(scene, mode, edit, monkeypatch):
-    # charting the output gives back the edited coordinates ...
-    z, model, anchors, stats = scene
-    mask = PatchMask(L=16, selected=frozenset({0, 5, 6, 9, 15}))
-    rows = mask.indices
-    for t in (1, 30, stats.T):
-        hat, gain = _chart(z[rows], model, t, stats)
-        horizon = (t, stats.T) if mode == "interp" else ()
-        edited = getattr(intervene, edit)(hat, TARGET, anchors, *horizon)
-        out = apply_intervention(z, t, TARGET, mask, model, anchors, stats, mode=mode)
-        np.testing.assert_allclose(_chart(out[rows], model, t, stats)[0], edited, rtol=0.0, atol=1e-12 * gain.max())
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(1, 50), selected=st.none() | st.sets(st.integers(0, 15), min_size=1))
+def test_apply_intervention_write_back_roundtrip(embedder, model, anchors, toy_stats, mode, edit, t, selected):
+    # the core's blocks are the chart of the masked rows and the named edit of it, bit for bit ...
+    z = np.random.default_rng(41).standard_normal((16, embedder.dim)) * 0.6
+    mask = None if selected is None else PatchMask(L=16, selected=frozenset(selected))
+    rows = np.arange(16) if mask is None else mask.indices
+    out, hat, edited = intervene._intervene(z, t, TARGET, mask, model, anchors, toy_stats, mode)
+    assert np.array_equal(out, apply_intervention(z, t, TARGET, mask, model, anchors, toy_stats, mode=mode))
+    want_hat, gain = _chart(z[rows], model, t, toy_stats)
+    assert hat.tobytes() == want_hat.tobytes()
+    horizon = (t, toy_stats.T) if mode == "interp" else ()
+    assert edited.tobytes() == getattr(intervene, edit)(hat, TARGET, anchors, *horizon).tobytes()
+    # ... the write-back leaves the other rows as they were and moves the masked ones within the span ...
+    keep = np.ones(16, dtype=bool)
+    keep[rows] = False
+    assert out[keep].tobytes() == z[keep].tobytes()
+    delta = out - z
+    np.testing.assert_allclose(delta - (delta @ model.basis) @ model.basis.T, 0.0, rtol=0.0, atol=1e-12)
+    # ... so that charting the output gives back the edited coordinates ...
+    np.testing.assert_allclose(_chart(out[rows], model, t, toy_stats)[0], edited, rtol=0.0, atol=1e-12 * gain.max())
     # ... and an edit that moves nothing writes back nothing, bit for bit
-    monkeypatch.setattr(intervene, edit, lambda coords, *args: coords)
-    assert np.array_equal(apply_intervention(z, 30, TARGET, mask, model, anchors, stats, mode=mode), z)
+    with mock.patch.object(intervene, edit, lambda coords, *args: coords):
+        assert np.array_equal(apply_intervention(z, t, TARGET, mask, model, anchors, toy_stats, mode=mode), z)
 
 
 @pytest.mark.parametrize("mode", ["type1", "type2", "interp"])

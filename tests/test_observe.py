@@ -18,7 +18,6 @@ from latentcolor import (
     render_ppm,
 )
 from latentcolor.colorspace import HslColor, linear_to_srgb_array, rgb_to_hsl_array, signed_hue_delta
-from latentcolor.timestats import denormalize
 from colorref import (
     ciede2000,
     hsl_to_rgb,
@@ -71,7 +70,9 @@ def test_observe_recovers_planted_colors(embedder, model, anchors, toy_stats):
     t = 35
     coords_T = np.array([encode(y, anchors) for y in colors])
     z0 = rng.standard_normal((12, embedder.dim))
-    z = z0 + (denormalize(coords_T, t, toy_stats) - project(z0, model)) @ model.basis.T
+    # normalize's inverse, written out: final-step coordinates back to step t
+    coords_t = (coords_T - toy_stats.alpha[-1]) / toy_stats.beta[-1] * toy_stats.beta[t] + toy_stats.alpha[t]
+    z = z0 + (coords_t - project(z0, model)) @ model.basis.T
     grid = observe(z, t, model, anchors, toy_stats, (3, 4))
     assert (grid.height, grid.width) == (3, 4)
     for got, want in zip(grid.cells, colors):

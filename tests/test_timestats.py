@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from latentcolor import SubspaceModel, StatsTable, builtin_flux_stats, denormalize, fit_stats, normalize, project
+from latentcolor import SubspaceModel, StatsTable, builtin_flux_stats, fit_stats, normalize, project
 from latentcolor.timestats import _chart
 
 BUILTIN_SHA256 = "dd40bdd6045df10aea43fe4823833f445bea414675b9b200386337767568ce2e"
@@ -109,14 +109,6 @@ def test_normalize_sends_mean_to_final_mean(builtin):
         alpha_t, _ = builtin.row(t)
         hat = normalize(alpha_t, t, builtin)
         assert np.allclose(hat, builtin.alpha[-1], atol=1e-12)
-
-
-def test_normalize_denormalize_roundtrip(builtin):
-    rng = np.random.default_rng(17)
-    for t in (0, 1, 17, 50):
-        coords = rng.standard_normal((9, 3)) * 4.0
-        assert np.allclose(denormalize(normalize(coords, t, builtin), t, builtin), coords, atol=1e-9)
-        assert np.allclose(normalize(denormalize(coords, t, builtin), t, builtin), coords, atol=1e-9)
 
 
 def test_normalize_at_final_step_is_identity(builtin):
