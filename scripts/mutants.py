@@ -58,6 +58,10 @@ WRITE_BACK = "tests/test_intervene.py::test_apply_intervention_write_back_roundt
 REPORT = "tests/test_cli.py::test_intervene_report_is_the_per_block_computation_bitwise"
 REPORT_AS_OBSERVED = "tests/test_cli.py::test_intervene_report_matches_full_grid_observation"
 ANCHOR_SHAPES = "tests/test_bicone.py::test_anchor_file_refuses_points_of_the_wrong_shape"
+DECLARED = "tests/test_tensorio.py::test_records_refuse_arrays_off_their_declared_shapes"
+FLOAT_ARRAY = "tests/test_tensorio.py::test_float_array_reads_exactly_the_declared_nesting"
+SCREEN_ALL = "tests/test_tensorio.py::test_read_json_screens_every_byte_it_read"
+NO_MASK = "tests/test_intervene.py::test_no_mask_is_the_full_mask_bitwise"
 
 MUTANTS = (
     # the PGM header pattern
@@ -173,12 +177,22 @@ MUTANTS = (
     ),
     Mutant(
         "read-json-never-checks-overflow", "src/latentcolor/tensorio.py",
-        "parse_float=_finite_float if check else None", "parse_float=None",
+        'if b"e000" in screened or b"0" * 210 in screened or raw', "if raw",
         (OVERFLOW, LITERALS),
     ),
     Mutant(
+        "read-json-bom-unnamed", "src/latentcolor/tensorio.py",
+        ' or raw.startswith(b"\\xef\\xbb\\xbf"):', ":",
+        ("tests/test_tensorio.py::test_read_json_refuses_a_utf_8_bom_naming_it",),
+    ),
+    Mutant(
+        "screen-reads-one-buffer", "src/latentcolor/tensorio.py",
+        'screened = raw.translate(', 'screened = raw[:65536].translate(',
+        (SCREEN_ALL,),
+    ),
+    Mutant(
         "emitter-float-list-unchecked", "src/latentcolor/tensorio.py",
-        "set(map(type, items)) != {float} or not all(map(math.isfinite, items))", "set(map(type, items)) != {float}",
+        "set(map(type, floats)) != {float} or not all(map(math.isfinite, floats))", "set(map(type, floats)) != {float}",
         (NON_FINITE, "tests/test_tensorio.py::test_json_refuses_non_finite_numbers"),
     ),
     Mutant(
@@ -190,6 +204,16 @@ MUTANTS = (
         "emitter-dict-unsorted", "src/latentcolor/tensorio.py",
         "for k in sorted(obj))", "for k in obj)",
         (AS_DUMPS, "tests/test_tensorio.py::test_write_json_is_canonical"),
+    ),
+    Mutant(
+        "emitter-rows-of-any-length", "src/latentcolor/tensorio.py",
+        "== {list} and len(set(map(len, items))) == 1 and", "== {list} and",
+        (AS_DUMPS,),
+    ),
+    Mutant(
+        "emitter-row-bracket-at-item-indent", "src/latentcolor/tensorio.py",
+        'f"\\n{indent}],\\n{indent}[\\n{inner}"', 'f"\\n{indent}],\\n{inner}[\\n{inner}"',
+        (AS_DUMPS,),
     ),
     # record checks
     Mutant(
@@ -228,7 +252,7 @@ MUTANTS = (
     ),
     Mutant(
         "anchor-theta-read-as-is", "src/latentcolor/bicone.py",
-        'thetas = tensorio.float_array([e["theta"] for e in entries]).tolist()', 'thetas = [e["theta"] for e in entries]',
+        'thetas = tensorio.float_array([e["theta"] for e in entries], (6,)).tolist()', 'thetas = [e["theta"] for e in entries]',
         (f"{MALFORMED}[anchors-bool-theta]",),
     ),
     Mutant(
@@ -249,8 +273,13 @@ MUTANTS = (
     # one chart per intervene call
     Mutant(
         "write-back-without-the-gain", "src/latentcolor/intervene.py",
-        "((edited - hat) / gain) @ model.basis.T", "(edited - hat) @ model.basis.T",
+        "z[rows] + ((edited - hat) / gain) @ model.basis.T", "z[rows] + (edited - hat) @ model.basis.T",
         (WRITE_BACK,),
+    ),
+    Mutant(
+        "no-mask-write-back-without-the-gain", "src/latentcolor/intervene.py",
+        "return z + ((edited - hat) / gain) @ model.basis.T", "return z + (edited - hat) @ model.basis.T",
+        (NO_MASK,),
     ),
     Mutant(
         "report-decodes-hat-twice", "src/latentcolor/cli.py",
@@ -262,23 +291,69 @@ MUTANTS = (
         "if mask and (mask.L != L or not mask.selected):", "if False:",
         ("tests/test_cli.py::test_a_mask_that_does_not_fit_exits_2_naming_its_file",),
     ),
-    # anchor shapes
     Mutant(
-        "anchor-hue-shape-unchecked", "src/latentcolor/bicone.py",
-        "if hue.shape != (6, 3) or black.shape", "if black.shape",
-        (ANCHOR_SHAPES,),
+        "no-mask-charts-z-as-laid-out", "src/latentcolor/intervene.py",
+        "_chart(np.ascontiguousarray(z) if rows is None", "_chart(z if rows is None",
+        (NO_MASK,),
+    ),
+    # declared array shapes
+    Mutant(
+        "float-array-any-length", "src/latentcolor/tensorio.py",
+        "or len(lengths) > 1 or n is not None and lengths - {n}:", "or len(lengths) > 1:",
+        (FLOAT_ARRAY, DECLARED),
     ),
     Mutant(
-        "anchor-black-shape-unchecked", "src/latentcolor/bicone.py",
-        "or black.shape != (3,) or white.shape", "or white.shape",
-        (ANCHOR_SHAPES, f"{MALFORMED}[anchors-scalar-black]", f"{MALFORMED}[anchors-one-entry-black]"),
+        "model-basis-columns-any-length", "src/latentcolor/subspace.py",
+        '(obj["basis_columns"], (3, mean.size))', '(obj["basis_columns"], (3, None))',
+        (f"{DECLARED}[model-mean]",),
     ),
     Mutant(
-        "anchor-white-shape-unchecked", "src/latentcolor/bicone.py",
-        " or white.shape != (3,):", ":",
-        (ANCHOR_SHAPES, f"{MALFORMED}[anchors-scalar-white]"),
+        "model-any-number-of-basis-columns", "src/latentcolor/subspace.py",
+        '(obj["basis_columns"], (3, mean.size))', '(obj["basis_columns"], (None, mean.size))',
+        (f"{DECLARED}[model-basis]",),
+    ),
+    Mutant(
+        "model-explained-any-length", "src/latentcolor/subspace.py",
+        '(obj["explained"], (3,))', '(obj["explained"], (None,))',
+        (f"{DECLARED}[model-explained]",),
+    ),
+    Mutant(
+        "anchor-hue-coords-any-length", "src/latentcolor/bicone.py",
+        'for e in entries], (6, 3))', 'for e in entries], (6, None))',
+        (ANCHOR_SHAPES, f"{DECLARED}[anchors-hue]", f"{MALFORMED}[anchors-one-entry-hue-coords]"),
+    ),
+    Mutant(
+        "anchor-black-any-length", "src/latentcolor/bicone.py",
+        '(obj["black"], (3,))', '(obj["black"], (None,))',
+        (f"{DECLARED}[anchors-black]", f"{MALFORMED}[anchors-one-entry-black]"),
+    ),
+    Mutant(
+        "anchor-white-any-length", "src/latentcolor/bicone.py",
+        '(obj["white"], (3,))', '(obj["white"], (None,))',
+        (f"{DECLARED}[anchors-white]", f"{MALFORMED}[anchors-one-entry-white]"),
+    ),
+    Mutant(
+        "stats-rows-any-width", "src/latentcolor/timestats.py",
+        "for r in rows], (None, 2, 3))", "for r in rows], (None, 2, None))",
+        (f"{DECLARED}[stats]",),
+    ),
+    Mutant(
+        "grid-any-cell-count", "src/latentcolor/observe.py",
+        '(obj["cells"], (height * width, 3))', '(obj["cells"], (None, 3))',
+        (f"{DECLARED}[grid-cells]",),
+    ),
+    Mutant(
+        "grid-cells-any-width", "src/latentcolor/observe.py",
+        '(obj["cells"], (height * width, 3))', '(obj["cells"], (height * width, None))',
+        (f"{DECLARED}[grid-hsl]",),
     ),
     # known equivalent mutants
+    Mutant(
+        "anchor-thetas-any-count", "src/latentcolor/bicone.py",
+        'for e in entries], (6,))', 'for e in entries], (None,))',
+        (f"{MALFORMED}[anchors-yellow-at-90]", f"{MALFORMED}[anchors-orange]"),
+        equivalent="the entries are taken one per hue label, so there are always six thetas",
+    ),
     Mutant(
         "screen-at-209-digits", "src/latentcolor/tensorio.py",
         'b"0" * 210 in screened', 'b"0" * 209 in screened',

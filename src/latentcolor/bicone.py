@@ -91,11 +91,11 @@ class AnchorSet(tensorio.JsonRecord):
         if missing:
             raise ValueError(f"anchor file missing hue labels: {missing}")
         entries = [obj["hue_anchors"][labels.index(l)] for l in HUE_LABELS]
-        thetas = tensorio.float_array([e["theta"] for e in entries]).tolist()
+        thetas = tensorio.float_array([e["theta"] for e in entries], (6,)).tolist()
         if thetas != list(HUE_DEGREES):  # each label's hue is fixed; a file cannot move it
             raise ValueError(f"hue anchor thetas must be {list(HUE_DEGREES)}, got {thetas}")
-        hue = tensorio.float_array([e["coords"] for e in entries])
-        return _assemble(hue, tensorio.float_array(obj["black"]), tensorio.float_array(obj["white"]))
+        hue = tensorio.float_array([e["coords"] for e in entries], (6, 3))
+        return _assemble(hue, tensorio.float_array(obj["black"], (3,)), tensorio.float_array(obj["white"], (3,)))
 
 
 def _rowdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,10 +104,7 @@ def _rowdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSet:
-    """Derive the achromatic frame and validate the anchor geometry."""
-    if hue.shape != (6, 3) or black.shape != (3,) or white.shape != (3,):  # numpy would broadcast the rest
-        shapes = f"hue {hue.shape}, black {black.shape}, white {white.shape}"
-        raise ValueError(f"anchor shapes: {shapes}; expected (6, 3), (3,) and (3,)")
+    """Derive the achromatic frame from (6, 3) hue anchors and (3,) black and white points, and validate it."""
     axis = white - black
     norm_axis = float(np.linalg.norm(axis))
     if norm_axis < 1e-9:
@@ -128,14 +125,14 @@ def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSe
     pts = _rowdots(chroma[:, None], np.array([e1, e2]))
     # consecutive anchors must turn counterclockwise around the axis ...
     nxt = pts[_NEXT_ANCHOR]
-    if np.any(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0):
+    if (pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0).any():
         raise ValueError("hue anchors are not in strict counterclockwise order")
     angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
     # e1 is the red chroma direction, so red sits at angle 0 exactly; its
     # computed angle can round to 2 pi when pts[0, 1] is a tiny negative
     angles[0] = 0.0
     # ... and go round it once, or hue lookup by angle has no meaning
-    if not (np.all(np.diff(angles) > 0.0) and angles[5] < 2.0 * math.pi):
+    if not ((np.diff(angles) > 0.0).all() and angles[5] < 2.0 * math.pi):
         raise ValueError("hue anchors wind around the achromatic axis more than once")
 
     return AnchorSet(
@@ -185,6 +182,8 @@ def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel)
     if extra:
         raise ValueError(f"unknown probe labels: {sorted(extra)}")
     proj = {l: project(np.asarray(probe_latents[l], dtype=np.float64), model) for l in ANCHOR_LABELS}
+    if any(v.shape != (3,) for v in proj.values()):
+        raise ValueError(f"expected one (d,) latent per probe label, got shapes {[v.shape for v in proj.values()]}")
     hue = np.array([proj[l] for l in HUE_LABELS], dtype=np.float64)
     return _assemble(hue, proj["black"], proj["white"])
 

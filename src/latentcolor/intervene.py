@@ -200,11 +200,12 @@ def _intervene(z, t, target, mask, model, anchors, stats, mode):
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mask is not None and mask.L != z.shape[0]:
         raise ValueError(f"mask is for L = {mask.L} patches, tensor has {z.shape[0]}")
-    rows = np.arange(z.shape[0]) if mask is None else mask.indices
-    if rows.size == 0:
+    rows = None if mask is None else mask.indices
+    if (z.shape[0] if rows is None else rows.size) == 0:
         raise ValueError("empty mask: nothing to intervene on")
 
-    hat, gain = _chart(z[rows], model, t, stats)
+    # no mask: z itself, in the layout z[rows] would have (so the same bits), with no gather and no scatter
+    hat, gain = _chart(np.ascontiguousarray(z) if rows is None else z[rows], model, t, stats)
     if mode == "type1":
         edited = type1(hat, target, anchors)
     elif mode == "type2":
@@ -213,6 +214,8 @@ def _intervene(z, t, target, mask, model, anchors, stats, mode):
         edited = interpolated(hat, target, anchors, t, stats.T)
 
     # the chart's inverse on the change: back to step t's scale, then into the d-dim latent space
+    if rows is None:
+        return z + ((edited - hat) / gain) @ model.basis.T, hat, edited
     out = z.copy()
     out[rows] = z[rows] + ((edited - hat) / gain) @ model.basis.T
     return out, hat, edited

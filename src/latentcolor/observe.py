@@ -139,12 +139,9 @@ class ColorGrid(tensorio.JsonRecord):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ColorGrid":
         height, width = obj["height"], obj["width"]
-        if not (type(height) is int and type(width) is int):  # no floats, and no bools (an int subclass)
-            raise ValueError("grid height and width must be integers")
-        cells = tensorio.float_array(obj["cells"])
-        if height < 1 or width < 1 or cells.shape != (height * width, 3):
-            raise ValueError(f"{height}x{width} grid needs {height * width} (h, s, l) cells, got shape {cells.shape}")
-        return cls.from_hsl(cells.reshape(height, width, 3))
+        if not (type(height) is int and type(width) is int and height > 0 and width > 0):  # no floats, no bools
+            raise ValueError(f"grid height and width must be positive integers, got {height!r} and {width!r}")
+        return cls.from_hsl(tensorio.float_array(obj["cells"], (height * width, 3)).reshape(height, width, 3))
 
 
 def observe(

@@ -36,7 +36,7 @@ class SubspaceModel(tensorio.JsonRecord):
         basis = np.asarray(self.basis, dtype=np.float64)
         if mean.ndim != 1 or basis.shape != (mean.shape[0], 3):
             raise ValueError(f"expected a (d,) mean and a (d, 3) basis, got {mean.shape} and {basis.shape}")
-        if not np.all(np.abs(basis.T @ basis - np.eye(3)) <= 1e-9):  # NaN fails too
+        if not (np.abs(basis.T @ basis - np.eye(3)) <= 1e-9).all():  # NaN fails too
             raise ValueError("basis columns are not orthonormal")
         if len(self.explained) != 3:
             raise ValueError(f"expected 3 explained ratios, got {len(self.explained)}")
@@ -57,10 +57,11 @@ class SubspaceModel(tensorio.JsonRecord):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SubspaceModel":
+        mean = tensorio.float_array(obj["mean"], (None,))
         return cls(
-            mean=tensorio.float_array(obj["mean"]),
-            basis=tensorio.float_array(obj["basis_columns"]).T,
-            explained=tuple(tensorio.float_array(obj["explained"])),
+            mean=mean,
+            basis=tensorio.float_array(obj["basis_columns"], (3, mean.size)).T,
+            explained=tensorio.float_array(obj["explained"], (3,)).tolist(),
         )
 
 

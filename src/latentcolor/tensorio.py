@@ -8,13 +8,16 @@ directory of such files plus a ``manifest.json`` listing the timesteps.
 Every JSON file is written by write_json and read by read_json; the
 records kept one per file (model, anchors, stats, grid, mask) share
 JsonRecord's save and load, so a malformed file of any kind raises one
-ValueError that names the file. All writers go through a
-temp-file-plus-rename so partially written outputs are never observed.
+ValueError that names the file. Each record reads every array it holds
+through float_array with the array's full declared shape. All writers
+go through a temp-file-plus-rename so partially written outputs are
+never observed.
 
 write_json's bytes are _dumps(obj) plus a newline. json drops to its
 Python encoder whenever indent is set, so _emit lays out plain dicts,
-lists, strings, ints and finite floats itself (one join per float
-list) and hands anything else, refusals included, to json.dumps.
+lists, strings, ints and finite floats itself (one pass per float list
+or list of equal-length float rows) and hands anything else, refusals
+included, to json.dumps.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import itertools
 import json
 import math
 import os
-import secrets
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -58,15 +60,17 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
     A failure to open, write or rename names path, not the temp file; the temp file is removed.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")  # 64 random bits: a name no other file has
+    tmp = f"{path}.{os.urandom(8).hex()}"  # 64 random bits: a name no other file has
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mkstemp would make it 0600, whatever the umask
     except OSError as e:
         raise _for_path(e, path)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
+        try:
+            while data:  # a write may store fewer bytes than it was given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException as e:
         error = _for_path(e, path)
@@ -80,10 +84,16 @@ def _dumps(obj) -> str:
 
 
 def _float_items(items, indent: str) -> str | None:
-    """Items that are exact finite floats, joined at indent; else None."""
-    if set(map(type, items)) != {float} or not all(map(math.isfinite, items)):
+    """Items that are exact finite floats, or equal-length nonempty lists of them, joined at indent; else None."""
+    width = set(map(type, items)) == {list} and len(set(map(len, items))) == 1 and len(items[0])
+    floats = list(itertools.chain.from_iterable(items)) if width else items
+    if set(map(type, floats)) != {float} or not all(map(math.isfinite, floats)):
         return None
-    return (",\n" + indent).join(map(float.__repr__, items))
+    reprs, inner = map(float.__repr__, floats), indent + " "
+    if not width:
+        return (",\n" + indent).join(reprs)
+    rows = map((",\n" + inner).join, zip(*[reprs] * width))  # zip deals the reprs out one row at a time
+    return f"[\n{inner}" + f"\n{indent}],\n{indent}[\n{inner}".join(rows) + f"\n{indent}]"
 
 
 def _emit(obj, indent: str = "") -> str:
@@ -129,16 +139,18 @@ def _finite_float(text: str) -> float:
 # Digits to 0, E to e, signs deleted: a float literal that overflows leaves e000 (a 3-digit exponent) or a run
 # of 210 zeros (209 integer digits and a 2-digit exponent stay below 1e308), so only such a file needs the hook.
 _NUMBER_SCREEN = bytes.maketrans(b"123456789E", b"000000000e")
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)  # built once: json.loads builds one per call given hooks
 
 
 def read_json(path):
     """Parse a JSON file, refusing NaN, Infinity, -Infinity and float literals that overflow."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()  # json.loads gets text: given bytes, it would read UTF-16 and UTF-32 too
-        screened = text.encode("utf-8").translate(_NUMBER_SCREEN, b"+-")
-        check = b"e000" in screened or b"0" * 210 in screened
-        return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float if check else None)
+        with open(path, "rb") as f:
+            raw = f.read()
+        screened = raw.translate(_NUMBER_SCREEN, b"+-")
+        if b"e000" in screened or b"0" * 210 in screened or raw.startswith(b"\xef\xbb\xbf"):  # json.loads names a BOM
+            return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant, parse_float=_finite_float)
+        return _DECODER.decode(raw.decode("utf-8"))  # text: json.loads would read UTF-16 and UTF-32 bytes too
     except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: {e}") from e
 
@@ -153,16 +165,26 @@ def _read_record(path, convert, what: str):
         raise ValueError(f"{path}: bad {what}: {detail}") from e
 
 
-def float_array(values) -> np.ndarray:
-    """Nested JSON number lists as a float64 array; null, strings, booleans and non-finite values are refused."""
-    arr = np.asarray(values, dtype=np.float64)  # reads null as NaN, "1" as 1.0 and true as 1.0
-    leaves = values if arr.ndim else (values,)
-    for _ in range(arr.ndim - 1):
-        leaves = itertools.chain.from_iterable(leaves)
-    found = sorted("null" if t is type(None) else t.__name__ for t in set(map(type, leaves)) - {int, float})
-    if found:  # bool counts as its own type here, not as int
-        raise ValueError(f"expected numbers, found {', '.join(found)}")
-    if not np.all(np.isfinite(arr)):
+def _type_names(types) -> str:
+    return ", ".join(sorted("null" if t is type(None) else t.__name__ for t in types))
+
+
+def float_array(values, shape: tuple) -> np.ndarray:
+    """Nested JSON number lists of the declared shape (None: any one length) as float64; all else is refused."""
+    leaves, dims = [values], []
+    for axis, n in enumerate(shape):
+        others = set(map(type, leaves)) - {list}
+        lengths = set() if others else set(map(len, leaves))
+        if others or len(lengths) > 1 or n is not None and lengths - {n}:
+            found = _type_names(others) if others else "/".join(map(str, sorted(lengths))) + " entries"
+            raise ValueError(f"expected an array of shape {shape}, found {found} on axis {axis}")
+        dims.append(lengths.pop() if lengths else n or 0)  # no lists on this axis: an earlier one is empty
+        leaves = list(itertools.chain.from_iterable(leaves))
+    others = set(map(type, leaves)) - {int, float}
+    if others:  # bool counts as its own type here, not as int
+        raise ValueError(f"expected numbers, found {_type_names(others)}")
+    arr = np.fromiter(leaves, np.float64, len(leaves)).reshape(dims)  # one C pass; ints too large raise OverflowError
+    if not np.isfinite(arr).all():
         raise ValueError("expected finite numbers, found a non-finite value")
     return arr
 
@@ -187,7 +209,7 @@ def _check_latents(arr: np.ndarray) -> np.ndarray:
     L, d = arr.shape
     if L < 1 or d < 3:
         raise ValueError(f"latent tensor needs L >= 1 patches and d >= 3 dims, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("latent tensor contains non-finite values")
     return arr
 

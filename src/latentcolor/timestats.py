@@ -49,11 +49,11 @@ class StatsTable(tensorio.JsonRecord):
             raise ValueError(f"expected matching (T+1, 3) tables, got {alpha.shape} and {beta.shape}")
         if alpha.shape[0] < 2:
             raise ValueError("a stats table needs at least timesteps 0 and 1")
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
             raise ValueError("stats table contains non-finite values")
-        if np.any(beta < 0):
+        if (beta < 0).any():
             raise ValueError("negative scale in stats table")
-        if np.any(beta[1:] <= _MIN_SCALE):
+        if (beta[1:] <= _MIN_SCALE).any():
             raise ValueError("zero scale: beta must be positive for t >= 1")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -77,16 +77,13 @@ class StatsTable(tensorio.JsonRecord):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StatsTable":
-        rows = obj["rows"]
-        if not all(type(r["t"]) is int for r in rows):  # no floats, and no bools (an int subclass)
+        if not all(type(r["t"]) is int for r in obj["rows"]):  # no floats, and no bools (an int subclass)
             raise ValueError("stats row t must be an integer")
-        order = sorted(r["t"] for r in rows)
-        if order != list(range(len(rows))):
+        rows = sorted(obj["rows"], key=lambda r: r["t"])
+        if [r["t"] for r in rows] != list(range(len(rows))):
             raise ValueError("stats rows are not contiguous from t = 0")
-        by_t = {r["t"]: r for r in rows}
-        alpha = tensorio.float_array([by_t[t]["alpha"] for t in range(len(rows))])
-        beta = tensorio.float_array([by_t[t]["beta"] for t in range(len(rows))])
-        return cls(alpha=alpha, beta=beta)
+        table = tensorio.float_array([[r["alpha"], r["beta"]] for r in rows], (None, 2, 3))
+        return cls(alpha=table[:, 0], beta=table[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,7 @@ def fit_stats(trajectories) -> StatsTable:
 
 def _check_t(stats: StatsTable, t: int) -> tuple[np.ndarray, np.ndarray]:
     alpha_t, beta_t = stats.row(t)
-    if np.any(beta_t <= _MIN_SCALE):
+    if (beta_t <= _MIN_SCALE).any():
         raise ValueError(f"degenerate scale at t = {t}")
     return alpha_t, beta_t
 

@@ -802,6 +802,11 @@ MALFORMED = {
     "model-basis-off-by-8e-6": ("model", lambda o: {**o, "basis_columns": [
         [v * (1 + 4e-6) for v in o["basis_columns"][0]], *o["basis_columns"][1:]
     ]}),
+    "stats-row-with-4-alpha": ("stats", lambda o: {"rows": [{**r, "alpha": [*r["alpha"], 0.5]} if r["t"] == 4 else r for r in o["rows"]]}),
+    "stats-row-with-2-beta": ("stats", lambda o: {"rows": [{**r, "beta": r["beta"][:2]} if r["t"] == 4 else r for r in o["rows"]]}),
+    "model-mean-one-longer": ("model", lambda o: {**o, "mean": [*o["mean"], 0.0]}),
+    "grid-two-entry-cell": ("grid", lambda o: {**o, "cells": [o["cells"][0][:2], *o["cells"][1:]]}),
+    "grid-cells-not-height-times-width": ("grid", lambda o: {**o, "height": 7}),
 }
 
 
@@ -831,6 +836,80 @@ def test_malformed_record_file_exits_2_naming_it(ws, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "Traceback" not in err and "internal error" not in err
+    assert not out.exists()
+
+
+def _json_sites(obj, path=()):
+    """Paths to each list and each number (not bool) in a parsed JSON object."""
+    if type(obj) is dict:
+        return [site for k, v in obj.items() for site in _json_sites(v, path + (k,))]
+    if type(obj) is list:
+        return [path, *(site for i, v in enumerate(obj) for site in _json_sites(v, path + (i,)))]
+    return [path] if type(obj) in (int, float) else []
+
+
+ANY_LENGTH = {("rows",), ("selected",)}  # a stats table may stop at any t, and a mask select any patches
+
+
+def _shape_edits(obj):
+    """Every edit that takes an array off its shape: drop or repeat an element, a list as a number, a number in a list."""
+    edits = []
+    for path in _json_sites(obj):
+        value = obj
+        for key in path:
+            value = value[key]
+        if type(value) is list:
+            edits += [(path, "number", None), *((path, "repeat", i) for i in range(len(value)))]
+            edits += [] if path in ANY_LENGTH else [(path, "drop", i) for i in range(len(value))]
+        else:
+            edits.append((path, "wrap", None))
+    return edits
+
+
+def _apply_edit(obj, path, how, i):
+    obj = json.loads(json.dumps(obj))  # a deep copy
+    *outer, last = path
+    parent = obj
+    for key in outer:
+        parent = parent[key]
+    if how == "drop":
+        del parent[last][i]
+    elif how == "repeat":
+        parent[last].insert(i, json.loads(json.dumps(parent[last][i])))
+    else:
+        parent[last] = 2 if how == "number" else [parent[last]]
+    return obj
+
+
+@pytest.fixture(scope="module")
+def fuzz_world(ws, tmp_path_factory):
+    """Each record kind's file and parsed object, every shape edit of it, and a command that reads it."""
+    root = tmp_path_factory.mktemp("shape-fuzz")
+    grid, mask = root / "grid.json", root / "mask.json"
+    ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 8, 8).save(grid)
+    PatchMask(L=64, selected=frozenset(range(0, 64, 7))).save(mask)
+    files = {"model": ws["model"], "anchors": ws["anchors"], "stats": ws["stats"], "grid": grid, "mask": mask}
+    objs = {kind: read_json(path) for kind, path in files.items()}
+    return root, files, objs, {kind: _shape_edits(obj) for kind, obj in objs.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["model", "anchors", "stats", "grid", "mask"]))
+def test_a_record_edited_off_its_shape_exits_2_naming_it(ws, fuzz_world, data, kind):
+    root, files, objs, edits = fuzz_world
+    path, how, i = data.draw(st.sampled_from(edits[kind]), label="edit")
+    bad, out = root / "bad.json", root / "out.json"
+    bad.write_text(json.dumps(_apply_edit(objs[kind], path, how, i)))
+    out.unlink(missing_ok=True)
+    given_files = {**files, kind: bad}
+    if kind in ("grid", "mask"):
+        argv = ["eval", str(given_files["grid"]), str(files["grid"]), "--mask", str(given_files["mask"]), "--out", str(out)]
+    else:
+        argv = ["observe", str(ws["root"] / "run-red" / "t010.lt"), "--t", "10", "--out-json", str(out)]
+        argv += [f"--{k}={given_files[k]}" for k in ("model", "anchors", "stats")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code == 2 and str(bad) in err.getvalue()
     assert not out.exists()
 
 

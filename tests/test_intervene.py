@@ -294,6 +294,24 @@ def test_apply_intervention_write_back_roundtrip(embedder, model, anchors, toy_s
         assert np.array_equal(apply_intervention(z, t, TARGET, mask, model, anchors, toy_stats, mode=mode), z)
 
 
+@pytest.mark.parametrize("mode", intervene.MODES)
+@settings(max_examples=20, deadline=None)
+@given(t=st.integers(1, 50), seed=st.integers(0, 2**32 - 1), order=st.sampled_from("CF"))
+def test_no_mask_is_the_full_mask_bitwise(embedder, model, anchors, toy_stats, mode, t, seed, order):
+    # with no mask, z is charted and written back whole, with no gather and no scatter: the same bits
+    z = np.asarray(np.random.default_rng(seed).standard_normal((16, embedder.dim)) * 0.6, order=order)
+    full = intervene._intervene(z, t, TARGET, PatchMask.full(16), model, anchors, toy_stats, mode)
+    whole = intervene._intervene(z, t, TARGET, None, model, anchors, toy_stats, mode)
+    assert [a.tobytes() for a in whole] == [a.tobytes() for a in full]
+    assert z.tobytes() == (np.random.default_rng(seed).standard_normal((16, embedder.dim)) * 0.6).tobytes()
+
+
+def test_apply_intervention_refuses_an_empty_tensor(scene):
+    z, model, anchors, stats = scene
+    with pytest.raises(ValueError, match="empty mask"):
+        apply_intervention(z[:0], 30, TARGET, None, model, anchors, stats)
+
+
 @pytest.mark.parametrize("mode", ["type1", "type2", "interp"])
 def test_apply_intervention_moves_only_within_span(scene, mode):
     z, model, anchors, stats = scene

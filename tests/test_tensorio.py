@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latentcolor import load_trajectory, read_latents, save_trajectory, tensorio, write_latents
-from latentcolor.tensorio import _finite_float, _refuse_constant, atomic_write_bytes, read_json, write_json
+from latentcolor import ColorGrid, load_trajectory, read_latents, save_trajectory, tensorio, write_latents
+from latentcolor.colorspace import HslColor
+from latentcolor.tensorio import _finite_float, _refuse_constant, atomic_write_bytes, float_array, read_json, write_json
 
 
 def test_latents_roundtrip_is_float32_exact(tmp_path):
@@ -178,8 +179,17 @@ def json_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("json")
 
 
+def _grid_cells() -> list:
+    """64 random (h, s, l) rows, with -0.0 and the smallest subnormal among them."""
+    cells = np.random.default_rng(17).uniform([0.0, 0.0, 0.0], [360.0, 1.0, 1.0], (64, 3)).tolist()
+    cells[5][1], cells[40][2] = -0.0, 5e-324
+    return cells
+
+
 @settings(max_examples=300, deadline=None)
 @given(_objects)
+@example({"cells": _grid_cells(), "height": 8, "width": 8})
+@example({"basis_columns": np.random.default_rng(18).standard_normal((3, 16)).tolist(), "explained": [0.5, 0.25, 0.125]})
 @example({"b": [[-0.0, 5e-324], [1.7976931348623157e308, 1.5]], "a": (True, 1, 10**399, np.float64(0.1), None), 3: {}})
 @example([{"q\"\n\x01é": [1.0, 2], "": [], "k": [[], []]}, [[1.0], [2.0, 3.0]], [[True, 1.0]], " "])
 def test_write_json_writes_what_json_dumps_writes(json_dir, obj):
@@ -195,6 +205,63 @@ def test_write_json_writes_what_json_dumps_writes(json_dir, obj):
     else:
         write_json(path, obj)
         assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("values, shape, message", [
+    ([[1, 2.5], [3, 4]], (None, 2), None),
+    ([], (None, 2, 3), None),
+    (5, (3,), "expected an array of shape (3,), found int on axis 0"),
+    ({"a": 1}, (1,), "expected an array of shape (1,), found dict on axis 0"),
+    ([0.5, 1.5], (3,), "expected an array of shape (3,), found 2 entries on axis 0"),
+    ([[1.0], [2.0, 3.0]], (None, None), "expected an array of shape (None, None), found 1/2 entries on axis 1"),
+    ([[1.0, 2.0], 3.0], (2, 2), "expected an array of shape (2, 2), found float on axis 1"),
+    ([[1.0, None, True, "1"]], (1, 4), "expected numbers, found bool, null, str"),
+    ([[1.0]], (1,), "expected numbers, found list"),
+    ([1.0, float("inf")], (2,), "expected finite numbers, found a non-finite value"),
+])
+def test_float_array_reads_exactly_the_declared_nesting(values, shape, message):
+    if message is not None:
+        with pytest.raises(ValueError) as info:
+            float_array(values, shape)
+        assert str(info.value) == message
+    else:
+        arr = float_array(values, shape)
+        want = np.array(values, dtype=np.float64).reshape([n or 0 for n in shape] if not values else np.shape(values))
+        assert arr.dtype == np.float64 and arr.shape == want.shape and arr.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(0, 4), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_float_array_is_the_numpy_array_of_its_declared_shape(shape, seed, data):
+    values = np.random.default_rng(seed).standard_normal(shape)
+    declared = tuple(data.draw(st.sampled_from([n, None])) for n in shape)
+    assert float_array(values.tolist(), declared).tobytes() == values.tobytes()
+    # one axis declared one longer: refused on that axis, unless an empty axis before it leaves no list there
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    if 0 not in shape[:axis]:
+        off = declared[:axis] + (shape[axis] + 1,) + declared[axis + 1:]
+        with pytest.raises(ValueError, match=f"entries on axis {axis}$"):
+            float_array(values.tolist(), off)
+
+
+@pytest.mark.parametrize("kind, edit, shape", [
+    ("model", lambda o: {**o, "mean": [*o["mean"], 0.0]}, "(3, 17)"),
+    ("model", lambda o: {**o, "basis_columns": [*o["basis_columns"], o["basis_columns"][0]]}, "(3, 16)"),
+    ("model", lambda o: {**o, "explained": [*o["explained"], 0.0]}, "(3,)"),
+    ("anchors", lambda o: {**o, "hue_anchors": [{**e, "coords": e["coords"][:2]} for e in o["hue_anchors"]]}, "(6, 3)"),
+    ("anchors", lambda o: {**o, "black": o["black"][:1]}, "(3,)"),
+    ("anchors", lambda o: {**o, "white": o["white"][:1]}, "(3,)"),
+    ("stats", lambda o: {"rows": [{**r, "alpha": [*r["alpha"], 0.0], "beta": [*r["beta"], 1.0]} for r in o["rows"]]}, "(None, 2, 3)"),
+    ("grid", lambda o: {**o, "cells": o["cells"][:-1]}, "(64, 3)"),
+    ("grid", lambda o: {**o, "cells": [c[:2] for c in o["cells"]]}, "(64, 3)"),
+], ids=["model-mean", "model-basis", "model-explained", "anchors-hue", "anchors-black", "anchors-white", "stats", "grid-cells", "grid-hsl"])
+def test_records_refuse_arrays_off_their_declared_shapes(model, anchors, toy_stats, kind, edit, shape):
+    # uniform edits that numpy reads as a well-formed array of another shape: the declared shape refuses each
+    grid = ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 8, 8)
+    record = {"model": model, "anchors": anchors, "stats": toy_stats, "grid": grid}[kind]
+    with pytest.raises(ValueError) as info:
+        type(record).from_json_dict(edit(record.to_json_dict()))
+    assert str(info.value).startswith(f"expected an array of shape {shape}, found ")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -258,6 +325,14 @@ def test_read_json_refuses_exactly_the_float_literals_that_overflow(tmp_path, li
         assert [np.float64(v).tobytes() for v in got["a"]] == [np.float64(v).tobytes() for v in expected["a"]]
 
 
+@pytest.mark.parametrize("literal", ["1e999", "9" * 210 + "e99"])
+def test_read_json_screens_every_byte_it_read(tmp_path, literal):
+    # the overflowing literal sits on the last line of a 100 kB record, past any one read buffer
+    path = tmp_path / "x.json"
+    path.write_text('{"a": [\n' + "  0.5,\n" * 15000 + f"  {literal}\n]}}\n")
+    assert _read(path) == f"refused: number {literal} overflows a float"
+
+
 @pytest.mark.parametrize("text", ['[1.5e-100, -2E-0100]', f'{{"s": "{"7" * 210}", "a": [0.5]}}', '{"e000": 1.5}'])
 def test_read_json_screen_hits_that_cannot_overflow_read_as_the_checked_parse(tmp_path, text):
     path = tmp_path / "x.json"
@@ -293,6 +368,13 @@ def test_read_json_refuses_a_file_not_in_utf_8(tmp_path):
     path.write_text('{"a": 1}', encoding="utf-16")  # json.loads would detect UTF-16 in bytes and read it
     with pytest.raises(ValueError, match="x.json: 'utf-8' codec can't decode"):
         read_json(path)
+
+
+@pytest.mark.parametrize("text", ['{"a": 1}', '{"a": 1e999}'])
+def test_read_json_refuses_a_utf_8_bom_naming_it(tmp_path, text):
+    path = tmp_path / "x.json"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert _read(path) == "refused: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
