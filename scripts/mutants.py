@@ -51,6 +51,7 @@ OVERFLOW = "tests/test_tensorio.py::test_read_json_refuses_exactly_the_float_lit
 LITERALS = "tests/test_tensorio.py::test_read_json_reads_number_literals_as_the_checked_parse_does"
 AS_DUMPS = "tests/test_tensorio.py::test_write_json_writes_what_json_dumps_writes"
 NON_FINITE = "tests/test_tensorio.py::test_json_refuses_non_finite_numbers_wherever_they_sit"
+READ_NON_FINITE = "tests/test_tensorio.py::test_json_refuses_non_finite_numbers"
 ASSEMBLE = "tests/test_bicone.py::test_assemble_is_the_per_anchor_reference_bitwise"
 MALFORMED = "tests/test_cli.py::test_malformed_record_file_exits_2_naming_it"
 MASK_INTEGERS = "tests/test_intervene.py::test_mask_refuses_non_integers"
@@ -62,6 +63,7 @@ DECLARED = "tests/test_tensorio.py::test_records_refuse_arrays_off_their_declare
 FLOAT_ARRAY = "tests/test_tensorio.py::test_float_array_reads_exactly_the_declared_nesting"
 SCREEN_ALL = "tests/test_tensorio.py::test_read_json_screens_every_byte_it_read"
 NO_MASK = "tests/test_intervene.py::test_no_mask_is_the_full_mask_bitwise"
+FULL_MASK = "tests/test_intervene.py::test_a_full_mask_writes_back_without_gathering_rows"
 
 MUTANTS = (
     # the PGM header pattern
@@ -177,13 +179,18 @@ MUTANTS = (
     ),
     Mutant(
         "read-json-never-checks-overflow", "src/latentcolor/tensorio.py",
-        'if b"e000" in screened or b"0" * 210 in screened or raw', "if raw",
+        'if b"e000" in screened or b"0" * 210 in screened or b"N" in', 'if b"N" in',
         (OVERFLOW, LITERALS),
     ),
     Mutant(
-        "read-json-bom-unnamed", "src/latentcolor/tensorio.py",
-        ' or raw.startswith(b"\\xef\\xbb\\xbf"):', ":",
-        ("tests/test_tensorio.py::test_read_json_refuses_a_utf_8_bom_naming_it",),
+        "read-json-reads-nan", "src/latentcolor/tensorio.py",
+        ' or b"N" in raw', "",
+        (f"{READ_NON_FINITE}[nan]",),
+    ),
+    Mutant(
+        "read-json-reads-infinity", "src/latentcolor/tensorio.py",
+        ' or b"I" in raw', "",
+        (f"{READ_NON_FINITE}[inf]", f"{READ_NON_FINITE}[-inf]"),
     ),
     Mutant(
         "screen-reads-one-buffer", "src/latentcolor/tensorio.py",
@@ -193,7 +200,7 @@ MUTANTS = (
     Mutant(
         "emitter-float-list-unchecked", "src/latentcolor/tensorio.py",
         "set(map(type, floats)) != {float} or not all(map(math.isfinite, floats))", "set(map(type, floats)) != {float}",
-        (NON_FINITE, "tests/test_tensorio.py::test_json_refuses_non_finite_numbers"),
+        (NON_FINITE, READ_NON_FINITE),
     ),
     Mutant(
         "emitter-float-unchecked", "src/latentcolor/tensorio.py",
@@ -296,6 +303,11 @@ MUTANTS = (
         "_chart(np.ascontiguousarray(z) if rows is None", "_chart(z if rows is None",
         (NO_MASK,),
     ),
+    Mutant(
+        "full-mask-gathered", "src/latentcolor/intervene.py",
+        "rows = None if mask is None or len(mask.selected) == mask.L else", "rows = None if mask is None else",
+        (FULL_MASK,),
+    ),
     # declared array shapes
     Mutant(
         "float-array-any-length", "src/latentcolor/tensorio.py",
@@ -320,17 +332,17 @@ MUTANTS = (
     Mutant(
         "anchor-hue-coords-any-length", "src/latentcolor/bicone.py",
         'for e in entries], (6, 3))', 'for e in entries], (6, None))',
-        (ANCHOR_SHAPES, f"{DECLARED}[anchors-hue]", f"{MALFORMED}[anchors-one-entry-hue-coords]"),
+        (f"{ANCHOR_SHAPES}[hue-1]", f"{MALFORMED}[anchors-one-entry-hue-coords]"),
     ),
     Mutant(
         "anchor-black-any-length", "src/latentcolor/bicone.py",
         '(obj["black"], (3,))', '(obj["black"], (None,))',
-        (f"{DECLARED}[anchors-black]", f"{MALFORMED}[anchors-one-entry-black]"),
+        (f"{ANCHOR_SHAPES}[black-1]", f"{MALFORMED}[anchors-one-entry-black]"),
     ),
     Mutant(
         "anchor-white-any-length", "src/latentcolor/bicone.py",
         '(obj["white"], (3,))', '(obj["white"], (None,))',
-        (f"{DECLARED}[anchors-white]", f"{MALFORMED}[anchors-one-entry-white]"),
+        (f"{ANCHOR_SHAPES}[white-1]", f"{ANCHOR_SHAPES}[white-4]", f"{MALFORMED}[anchors-one-entry-white]"),
     ),
     Mutant(
         "stats-rows-any-width", "src/latentcolor/timestats.py",

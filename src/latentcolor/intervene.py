@@ -200,11 +200,11 @@ def _intervene(z, t, target, mask, model, anchors, stats, mode):
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mask is not None and mask.L != z.shape[0]:
         raise ValueError(f"mask is for L = {mask.L} patches, tensor has {z.shape[0]}")
-    rows = None if mask is None else mask.indices
+    rows = None if mask is None or len(mask.selected) == mask.L else mask.indices  # a full mask's indices: arange(L)
     if (z.shape[0] if rows is None else rows.size) == 0:
         raise ValueError("empty mask: nothing to intervene on")
 
-    # no mask: z itself, in the layout z[rows] would have (so the same bits), with no gather and no scatter
+    # every row: z itself, in the layout z[rows] would have (so the same bits), with no gather and no scatter
     hat, gain = _chart(np.ascontiguousarray(z) if rows is None else z[rows], model, t, stats)
     if mode == "type1":
         edited = type1(hat, target, anchors)

@@ -137,9 +137,9 @@ def _finite_float(text: str) -> float:
 
 
 # Digits to 0, E to e, signs deleted: a float literal that overflows leaves e000 (a 3-digit exponent) or a run
-# of 210 zeros (209 integer digits and a 2-digit exponent stay below 1e308), so only such a file needs the hook.
+# of 210 zeros (209 integer digits and a 2-digit exponent stay below 1e308), so only such a file, or one with
+# an N or an I (as a NaN or Infinity literal has; one memchr each), needs the hooks.
 _NUMBER_SCREEN = bytes.maketrans(b"123456789E", b"000000000e")
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)  # built once: json.loads builds one per call given hooks
 
 
 def read_json(path):
@@ -148,9 +148,9 @@ def read_json(path):
         with open(path, "rb") as f:
             raw = f.read()
         screened = raw.translate(_NUMBER_SCREEN, b"+-")
-        if b"e000" in screened or b"0" * 210 in screened or raw.startswith(b"\xef\xbb\xbf"):  # json.loads names a BOM
+        if b"e000" in screened or b"0" * 210 in screened or b"N" in raw or b"I" in raw:
             return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant, parse_float=_finite_float)
-        return _DECODER.decode(raw.decode("utf-8"))  # text: json.loads would read UTF-16 and UTF-32 bytes too
+        return json.loads(raw.decode("utf-8"))  # text: json.loads would read UTF-16 and UTF-32 bytes too
     except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: {e}") from e
 

@@ -1,5 +1,6 @@
 """Color edits on coordinate blocks and full latent tensors."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -298,12 +299,29 @@ def test_apply_intervention_write_back_roundtrip(embedder, model, anchors, toy_s
 @settings(max_examples=20, deadline=None)
 @given(t=st.integers(1, 50), seed=st.integers(0, 2**32 - 1), order=st.sampled_from("CF"))
 def test_no_mask_is_the_full_mask_bitwise(embedder, model, anchors, toy_stats, mode, t, seed, order):
-    # with no mask, z is charted and written back whole, with no gather and no scatter: the same bits
+    # with no mask or a full one, z is charted and written back whole, with no gather and no scatter: the same
+    # bits as gathering those rows, which a mask leaving out one extra row does
     z = np.asarray(np.random.default_rng(seed).standard_normal((16, embedder.dim)) * 0.6, order=order)
     full = intervene._intervene(z, t, TARGET, PatchMask.full(16), model, anchors, toy_stats, mode)
     whole = intervene._intervene(z, t, TARGET, None, model, anchors, toy_stats, mode)
-    assert [a.tobytes() for a in whole] == [a.tobytes() for a in full]
+    first16 = PatchMask(L=17, selected=frozenset(range(16)))
+    out, hat, edited = intervene._intervene(np.vstack([z, z[:1]]), t, TARGET, first16, model, anchors, toy_stats, mode)
+    gathered = [out[:16].tobytes(), hat.tobytes(), edited.tobytes()]
+    assert [a.tobytes() for a in whole] == [a.tobytes() for a in full] == gathered
     assert z.tobytes() == (np.random.default_rng(seed).standard_normal((16, embedder.dim)) * 0.6).tobytes()
+
+
+def test_a_full_mask_writes_back_without_gathering_rows(embedder, model, anchors, toy_stats):
+    z = np.random.default_rng(5).standard_normal((16384, embedder.dim))  # 2 MB
+    mask = PatchMask.full(16384)
+    apply_intervention(z, 30, TARGET, mask, model, anchors, toy_stats, mode="type1")  # lazy set-up is not the peak
+    tracemalloc.start()
+    try:
+        apply_intervention(z, 30, TARGET, mask, model, anchors, toy_stats, mode="type1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * z.nbytes  # the output and the chart's blocks; a gather, a copy and a scatter make it 3.6
 
 
 def test_apply_intervention_refuses_an_empty_tensor(scene):

@@ -248,17 +248,15 @@ def test_float_array_is_the_numpy_array_of_its_declared_shape(shape, seed, data)
     ("model", lambda o: {**o, "mean": [*o["mean"], 0.0]}, "(3, 17)"),
     ("model", lambda o: {**o, "basis_columns": [*o["basis_columns"], o["basis_columns"][0]]}, "(3, 16)"),
     ("model", lambda o: {**o, "explained": [*o["explained"], 0.0]}, "(3,)"),
-    ("anchors", lambda o: {**o, "hue_anchors": [{**e, "coords": e["coords"][:2]} for e in o["hue_anchors"]]}, "(6, 3)"),
-    ("anchors", lambda o: {**o, "black": o["black"][:1]}, "(3,)"),
-    ("anchors", lambda o: {**o, "white": o["white"][:1]}, "(3,)"),
     ("stats", lambda o: {"rows": [{**r, "alpha": [*r["alpha"], 0.0], "beta": [*r["beta"], 1.0]} for r in o["rows"]]}, "(None, 2, 3)"),
     ("grid", lambda o: {**o, "cells": o["cells"][:-1]}, "(64, 3)"),
     ("grid", lambda o: {**o, "cells": [c[:2] for c in o["cells"]]}, "(64, 3)"),
-], ids=["model-mean", "model-basis", "model-explained", "anchors-hue", "anchors-black", "anchors-white", "stats", "grid-cells", "grid-hsl"])
-def test_records_refuse_arrays_off_their_declared_shapes(model, anchors, toy_stats, kind, edit, shape):
+], ids=["model-mean", "model-basis", "model-explained", "stats", "grid-cells", "grid-hsl"])
+def test_records_refuse_arrays_off_their_declared_shapes(model, toy_stats, kind, edit, shape):
     # uniform edits that numpy reads as a well-formed array of another shape: the declared shape refuses each
+    # (test_anchor_file_refuses_points_of_the_wrong_shape covers the anchors)
     grid = ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 8, 8)
-    record = {"model": model, "anchors": anchors, "stats": toy_stats, "grid": grid}[kind]
+    record = {"model": model, "stats": toy_stats, "grid": grid}[kind]
     with pytest.raises(ValueError) as info:
         type(record).from_json_dict(edit(record.to_json_dict()))
     assert str(info.value).startswith(f"expected an array of shape {shape}, found ")
