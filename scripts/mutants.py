@@ -169,7 +169,7 @@ MUTANTS = (
     # the JSON read screen and the emitter
     Mutant(
         "screen-needs-a-4-digit-exponent", "src/latentcolor/tensorio.py",
-        'b"e000" in screened', 'b"e0000" in screened',
+        're.compile(rb"e000")', 're.compile(rb"e0000")',
         (OVERFLOW,),
     ),
     Mutant(
@@ -179,7 +179,7 @@ MUTANTS = (
     ),
     Mutant(
         "read-json-never-checks-overflow", "src/latentcolor/tensorio.py",
-        'if b"e000" in screened or b"0" * 210 in screened or b"N" in', 'if b"N" in',
+        'if _THREE_DIGIT_EXPONENT(screened) or b"0" * 210 in screened or b"N" in', 'if b"N" in',
         (OVERFLOW, LITERALS),
     ),
     Mutant(
@@ -398,12 +398,25 @@ MUTANTS = (
     ),
     Mutant(
         "sextant-from-ceil", "src/latentcolor/colorspace.py",
-        "np.fmax(np.fmin(hp, 5.0), 0.0)", "np.fmax(np.fmin(np.ceil(hp) - 1.0, 5.0), 0.0)",
+        "hp = np.fmin(hp, 5.0, out=_over(hp))", "hp = np.fmin(np.ceil(hp) - 1.0, 5.0, out=_over(hp))",
         (
             "tests/test_kernels.py::test_hsl_to_rgb_array_is_scalar_bitwise",
             "tests/test_kernels.py::test_hsl_to_rgb_array_is_modulo_formula_bitwise",
         ),
         equivalent="it differs only at integer hp, where the two adjacent sextants give the same RGB",
+    ),
+    Mutant(
+        "decode-writes-over-its-input", "src/latentcolor/bicone.py",
+        'rel = np.subtract(c, a.black[:, None], order="C")', "rel = np.subtract(c, a.black[:, None], out=c)",
+        ("tests/test_kernels.py::test_read_path_kernels_leave_their_inputs_alone",),
+    ),
+    Mutant(
+        "ciede-sl-regrouped", "src/latentcolor/colorspace.py",
+        "sL = 1.0 + 0.015 * l50 / np.sqrt(20.0 + l50)", "sL = 1.0 + l50 / np.sqrt(20.0 + l50) * 0.015",
+        (
+            "tests/test_kernels.py::test_ciede2000_kernel_is_the_formula_bitwise",
+            "tests/test_kernels.py::test_ciede2000_kernel_is_the_formula_bitwise_on_a_seeded_batch",
+        ),
     ),
     Mutant(
         "compared-grid-by-value", "src/latentcolor/observe.py",

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensorio
-from .colorspace import HslColor, _from_planes, _to_planes, canonical_hsl
+from .colorspace import HslColor, _dot3, _from_planes, canonical_hsl
 from .subspace import SubspaceModel, project
 
 __all__ = [
@@ -188,11 +188,6 @@ def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel)
     return _assemble(hue, proj["black"], proj["white"])
 
 
-def _dot3(cols, v: np.ndarray) -> np.ndarray:
-    # written out so that a row's result does not depend on the batch size
-    return cols[0] * v[0] + cols[1] * v[1] + cols[2] * v[2]
-
-
 def _rows(x: np.ndarray, what: str) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector or an (n, 3) block of {what}, got shape {x.shape}")
@@ -216,17 +211,20 @@ def decode_raw(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     ray from the origin through the point crosses it.
     """
     c = np.asarray(c, dtype=np.float64)
-    return _from_planes(_decode_planes(_to_planes(_rows(c, "subspace coordinates")), anchors)).reshape(c.shape)
+    return _from_planes(_decode_planes(_rows(c, "subspace coordinates").T, anchors)).reshape(c.shape)
 
 
 def _decode_planes(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
-    """decode_raw on (3, n) planes of subspace coordinates: (3, n) planes of (h, s, l), h in [0, 360)."""
+    """decode_raw on (3, n) planes (any layout) of subspace coordinates: (3, n) planes of (h, s, l), h in [0, 360)."""
     a = anchors
-    rel = c - a.black[:, None]
-    l = _dot3(rel, a.axis) / float(a.axis @ a.axis)
-    chroma3 = rel - l * a.axis[:, None]
-    q0 = _dot3(chroma3, a.e1)
-    q1 = _dot3(chroma3, a.e2)
+    rel = np.subtract(c, a.black[:, None], order="C")  # contiguous planes, as a transposed (n, 3) block is not
+    l = _dot3(rel, a.axis)
+    l /= float(a.axis @ a.axis)
+    rel -= l * a.axis[:, None]  # now the chroma part
+    q0 = _dot3(rel, a.e1)
+    q1 = _dot3(rel, a.e2)
+    # hypot (67 us at n = 4096), as the reference takes it: sqrt(q0 q0 + q1 q1) (14 us), the scaled form
+    # (29 us) and abs(q0 + 1j q1) (24 us) are faster but differed from it on 17 to 35 % of the entries
     radius = np.hypot(q0, q1)
     chromatic = ~(radius < _MIN_CHROMA)
 
@@ -240,17 +238,26 @@ def _decode_planes(c: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     # anchor's coordinates come from the rotated table, not by a second gather through k + 1
     x, y = a.chroma_points[:, 0], a.chroma_points[:, 1]
     kx, ky, jx, jy = x.take(k), y.take(k), x[_NEXT_ANCHOR].take(k), y[_NEXT_ANCHOR].take(k)
-    cross_k = kx * q1 - ky * q0
-    cross_j = jx * q1 - jy * q0
-    denom = cross_k - cross_j
+    cross_k, cross_j = kx * q1, jx * q1  # kx q1 - ky q0 and jx q1 - jy q0
+    cross_k -= np.multiply(ky, q0, out=ang)
+    cross_j -= np.multiply(jy, q0, out=ang)
+    denom = np.subtract(cross_k, cross_j, out=cross_j)
     if np.any(chromatic & (denom <= 0)):
         raise ValueError("anchor polygon does not enclose the chroma direction")
-    bicone = 1.0 - np.abs(2.0 * l - 1.0)
+    bicone = l * 2.0  # 1 - |2l - 1|
+    bicone -= 1.0
+    np.subtract(1.0, np.abs(bicone, out=bicone), out=bicone)
     with np.errstate(divide="ignore", invalid="ignore"):  # achromatic rows are replaced below
-        alpha = np.minimum(np.maximum(cross_k / denom, 0.0), 1.0)
-        h = 60.0 * k + alpha * 60.0  # in [0, 360]; hue 360 is 0
-        chord = np.hypot(kx + alpha * (jx - kx), ky + alpha * (jy - ky))
-        s = radius / (chord * bicone)
+        alpha = np.minimum(np.maximum(np.divide(cross_k, denom, out=cross_k), 0.0, out=cross_k), 1.0, out=cross_k)
+        h = k * 60.0  # 60 k + 60 alpha, in [0, 360]; hue 360 is 0
+        h += np.multiply(alpha, 60.0, out=denom)
+        for nxt, cur in ((jx, kx), (jy, ky)):  # the chord point k + alpha (j - k), one coordinate at a time
+            nxt -= cur
+            nxt *= alpha
+            nxt += cur
+        chord = np.hypot(jx, jy, out=jx)
+        chord *= bicone
+        s = np.divide(radius, chord, out=radius)  # radius / (chord bicone)
     hsl = np.zeros((3, len(l)))
     np.copyto(hsl[0], h, where=chromatic & (h < 360.0))
     np.copyto(hsl[1], s, where=chromatic & ~(bicone < _MIN_BICONE))

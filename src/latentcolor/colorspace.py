@@ -132,6 +132,9 @@ def circular_mean_hue(hues) -> float:
 #   a strided column. So the kernels compute on contiguous (3, ...) channel
 #   planes, as the read path (observe) keeps its colors; a public *_array
 #   function splits the last axis of its (..., 3) colors and restacks.
+# - A chain of ops writes in place (+=, out=) over temporaries the kernel made,
+#   never over its inputs, with the formula's operations and grouping, so no
+#   bit moves. One color's planes are numpy scalars; _over gives them fresh ones.
 
 # IEC 61966-2-1 sRGB to XYZ (D65) matrix rows.
 _M_XYZ = (
@@ -179,17 +182,44 @@ def canonical_hsl(hsl) -> np.ndarray:
     return _from_planes(_canonical(_to_planes(hsl)))
 
 
+def _dot3(cols, v) -> np.ndarray:
+    # cols[0] v[0] + cols[1] v[1] + cols[2] v[2], written out so that a row does not depend on the batch size
+    out = cols[0] * v[0]
+    out += cols[1] * v[1]
+    out += cols[2] * v[2]
+    return out
+
+
+def _over(t):
+    # out=t over the kernel's own temporary t; None (a new scalar) for one color's scalar, cheaper than any array
+    return t if t.ndim else None
+
+
 def _hsl_to_rgb(hsl: np.ndarray) -> np.ndarray:
     """hsl_to_rgb_array on (3, ...) planes."""
     h, s, l = hsl
-    chroma = (1.0 - np.abs(2.0 * l - 1.0)) * s
+    cand = np.empty(hsl.shape)  # what each channel picks from: chroma + m, x + m and m
+    chroma = np.multiply(l, 2.0, out=_over(cand[0]))  # chroma = (1 - |2 l - 1|) s
+    chroma -= 1.0
+    chroma = np.subtract(1.0, np.abs(chroma, out=_over(chroma)), out=_over(chroma))
+    chroma *= s
     hp = h / 60.0
-    x = chroma * (1.0 - np.abs(hp - 2.0 * np.floor(hp / 2.0) - 1.0))
-    m = l - chroma / 2.0
-    sextant = np.fmax(np.fmin(hp, 5.0), 0.0).astype(np.intp).reshape(-1)  # NaN gives 5, the last sextant
+    x = np.floor(np.divide(hp, 2.0, out=_over(cand[1])), out=_over(cand[1]))  # x = chroma (1 - |hp mod 2 - 1|)
+    x *= 2.0  # with hp mod 2 = hp - 2 floor(hp / 2)
+    x = np.subtract(hp, x, out=_over(x))
+    x -= 1.0
+    x = np.subtract(1.0, np.abs(x, out=_over(x)), out=_over(x))
+    x *= chroma
+    m = np.subtract(l, np.divide(chroma, 2.0, out=_over(cand[2])), out=_over(cand[2]))  # m = l - chroma / 2
+    chroma += m
+    x += m
+    cand[0], cand[1], cand[2] = chroma, x, m  # stores one color's scalars; array planes are in cand already
+    hp = np.fmin(hp, 5.0, out=_over(hp))
+    sextant = np.fmax(hp, 0.0, out=_over(hp)).astype(np.intp).reshape(-1)  # NaN gives 5, the last sextant
     # each channel takes chroma, x or 0, plus m, by one flat take over the three candidate planes
-    picks = (_SEXTANT_CHANNELS.T * sextant.size).take(sextant, axis=1) + np.arange(sextant.size)
-    rgb = np.stack([chroma + m, x + m, m]).take(picks).reshape(hsl.shape)
+    picks = (_SEXTANT_CHANNELS.T * sextant.size).take(sextant, axis=1)
+    picks += np.arange(sextant.size)
+    rgb = cand.take(picks).reshape(hsl.shape)
     return np.clip(rgb, 0.0, 1.0, out=rgb)
 
 
@@ -219,38 +249,46 @@ def rgb_to_hsl_array(rgb) -> np.ndarray:
     return np.stack([h, np.where(grey, 0.0, _clamp01_array(s)), l], axis=-1)
 
 
-def _ufunc_where(ufunc, args, cond, otherwise) -> np.ndarray:
-    # ufunc(*args) where cond holds, else otherwise; the ufunc runs only where needed
-    out = np.asarray(otherwise)  # a fresh temporary; 0-d when the inputs are
-    ufunc(*args, out=out, where=cond)
-    return out
-
-
 def srgb_to_linear_array(rgb) -> np.ndarray:
     """Undo the sRGB transfer function on every channel."""
     x = np.asarray(rgb, dtype=np.float64)
-    return _ufunc_where(np.power, ((x + 0.055) / 1.055, 2.4), x > 0.04045, x / 12.92)
+    lin = np.asarray(x / 12.92)  # 0-d when x is
+    np.power((x + 0.055) / 1.055, 2.4, out=lin, where=x > 0.04045)  # pow only where it is needed
+    return lin
 
 
 def linear_to_srgb_array(lin) -> np.ndarray:
     """Apply the sRGB transfer function to every linear channel."""
     x = np.asarray(lin, dtype=np.float64)
     above = x > 0.0031308
-    y = _ufunc_where(np.power, (x, 1.0 / 2.4), above, 12.92 * x)
+    y = np.asarray(12.92 * x)  # 0-d when x is
+    np.power(x, 1.0 / 2.4, out=y, where=above)  # pow only where it is needed
     return np.where(above, 1.055 * y - 0.055, y)
 
 
 def _linear_to_lab(lin: np.ndarray) -> np.ndarray:
     """linear_rgb_to_lab_array on (3, ...) planes."""
     r, g, b = lin
-    fx, fy, fz = (  # CIE 1976 cube-root segment with the linear toe below (6/29)^3
-        _ufunc_where(np.cbrt, (t,), t > 216.0 / 24389.0, (24389.0 / 27.0 * t + 16.0) / 116.0)
-        for t in ((m[0] * r + m[1] * g + m[2] * b) / w for m, w in zip(_M_XYZ, _WHITE))
-    )
-    lab = np.empty(lin.shape)
-    lab[0] = 116.0 * fy - 16.0
-    lab[1] = 500.0 * (fx - fy)
-    lab[2] = 200.0 * (fy - fz)
+    lab = np.empty(lin.shape)  # L*, a* and b*, made in place from f(Y), f(X) and f(Z)
+    f = []
+    for k, m, w in zip((1, 0, 2), _M_XYZ, _WHITE):
+        t = _dot3(lin, m)  # (m0 r + m1 g + m2 b) / w
+        t /= w
+        # f = (24389 / 27 t + 16) / 116, or the CIE 1976 cube root above the toe at (6/29)^3
+        ft = np.multiply(t, 24389.0 / 27.0, out=_over(lab[k]))
+        ft += 16.0
+        ft /= 116.0
+        ft = np.asarray(ft)  # 0-d for one color, and [()] makes that a scalar again
+        np.cbrt(t, out=ft, where=t > 216.0 / 24389.0)
+        f.append(ft[()])
+    fx, fy, fz = f
+    fx -= fy  # a* = 500 (fx - fy)
+    fx *= 500.0
+    fz = np.subtract(fy, fz, out=_over(fz))  # b* = 200 (fy - fz)
+    fz *= 200.0
+    fy *= 116.0  # L* = 116 fy - 16
+    fy -= 16.0
+    lab[0], lab[1], lab[2] = fy, fx, fz  # stores one color's values; array planes are in lab already
     # the formula leaves rounding noise in a grey's a* and b*, which CIEDE2000's hue terms amplify
     np.copyto(lab[1:], 0.0, where=(r == g) & (g == b))
     return lab
@@ -293,32 +331,63 @@ def ciede2000_array(x, y) -> np.ndarray:
     return _ciede2000(_to_planes(x), _to_planes(y))
 
 
+def _chroma(a: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """sqrt(a a + bb), written over a fresh a a."""
+    t = a * a
+    t += bb
+    return np.sqrt(t, out=_over(t))
+
+
+def _rc(c: np.ndarray) -> np.ndarray:
+    """sqrt(c^7 / (c^7 + 25^7)), with c^7 as (c c c)^2 c: ** 7 is a slow pow."""
+    p = c * c
+    p *= c
+    p *= p
+    p *= c
+    p /= p + 25.0 ** 7
+    return np.sqrt(p, out=_over(p))
+
+
 def _ciede2000(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """ciede2000_array between broadcast (3, ...) planes of (L, a, b)."""
     L1, a1, b1 = x
     L2, a2, b2 = y
     bb1, bb2 = b1 * b1, b2 * b2
-    c_bar = (np.sqrt(a1 * a1 + bb1) + np.sqrt(a2 * a2 + bb2)) / 2.0
-    c7 = (c_bar * c_bar * c_bar) ** 2 * c_bar  # ** 2 is a square, ** 7 a slow pow
-    g1 = 1.5 - 0.5 * np.sqrt(c7 / (c7 + 25.0 ** 7))  # 1 + G
-    a1p = g1 * a1
-    a2p = g1 * a2
-    c1p = np.sqrt(a1p * a1p + bb1)
-    c2p = np.sqrt(a2p * a2p + bb2)
+    c_bar = _chroma(a1, bb1) + _chroma(a2, bb2)  # the broadcast shape
+    c_bar /= 2.0
+    g1 = _rc(c_bar)  # 1 + G = 1.5 - 0.5 rc(c_bar)
+    g1 = np.subtract(1.5, np.multiply(g1, 0.5, out=_over(g1)), out=_over(g1))
+    a1p, a2p = g1 * a1, g1
+    a2p *= a2
+    c1p, c2p = _chroma(a1p, bb1), _chroma(a2p, bb2)
     h1p, h2p = np.arctan2(b1, a1p), np.arctan2(b2, a2p)  # hues in radians, moved into [0, 2 pi]
     h1p += _TAU * (h1p < 0.0)
     h2p += _TAU * (h2p < 0.0)
     # Where a color has no chroma, dH' is 0. The mean hue, set to h1' + h2' there, then has no
     # effect: it enters only through S_H and R_T, and both scale dH'. So no hue needs its own case.
-    dhp = h2p - h1p
-    hsum = h1p + h2p
+    dhp, hsum = h2p - h1p, h1p
+    hsum += h2p
     # dh' wraps by 2 pi, and the mean hue crosses hue 0, where dh' turns against a1 b2 - b1 a2. Near pi
     # atan2's last bits cannot tell the side, while that sign has the same bits in any implementation.
     # Antiparallel chroma (cross product 0) takes the plain branch; |dh'| <= pi / 2 never wraps.
-    far = (np.abs(dhp) > np.pi / 2.0) & (dhp * (a1 * b2 - b1 * a2) < 0.0)
-    v = np.tan(dhp / 4.0)  # sin(dhp / 2) = 2v / (1 + v^2); wrapping dhp by 2 pi flips its sign
-    dHp = np.where(far, -4.0, 4.0) * np.sqrt(c1p * c2p) * v / (1.0 + v * v)
-    hbp = (hsum + far * np.where(hsum < _TAU, _TAU, -_TAU)) / 2.0
+    cross = a1 * b2
+    cross -= b1 * a2
+    cross *= dhp
+    far = np.abs(dhp) > np.pi / 2.0
+    far &= cross < 0.0
+    # v = tan(dh' / 4): sin(dh' / 2) = 2v / (1 + v^2); wrapping dh' by 2 pi flips v's sign
+    v = np.tan(np.divide(dhp, 4.0, out=_over(dhp)), out=_over(dhp))
+    dHp = c1p * c2p  # dH' = (far ? -4 : 4) sqrt(c1' c2') v / (1 + v^2)
+    dHp = np.sqrt(dHp, out=_over(dHp))
+    dHp *= np.where(far, -4.0, 4.0)
+    dHp *= v
+    v *= v
+    v += 1.0
+    dHp /= v
+    hbp = np.where(hsum < _TAU, _TAU, -_TAU)[()]  # a 0-d where() for one color gives a scalar
+    hbp *= far  # hbp = (h1' + h2' + far (h1' + h2' < 2 pi ? 2 pi : -2 pi)) / 2
+    hbp += hsum
+    hbp /= 2.0
 
     Lbp = (L1 + L2) / 2.0
     Cbp = (c1p + c2p) / 2.0
@@ -328,9 +397,7 @@ def _ciede2000(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     sH = 1.0 + 0.015 * Cbp * _ciede_t(hbp)
     # rT = -rC sin(2 d_theta) with d_theta = 30 degrees exp(-((hbp - 275) / 25)^2), from w = tan(d_theta)
     w = np.tan(math.pi / 6.0 * np.exp(-(((hbp - _ROT_CENTRE) / _ROT_WIDTH) ** 2)))
-    cbp7 = (Cbp * Cbp * Cbp) ** 2 * Cbp
-    rT = -4.0 * np.sqrt(cbp7 / (cbp7 + 25.0 ** 7)) * w / (1.0 + w * w)
-
+    rT = -4.0 * _rc(Cbp) * w / (1.0 + w * w)
     tL = (L2 - L1) / sL
     tC = (c2p - c1p) / sC
     tH = dHp / sH

@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -140,6 +141,7 @@ def _finite_float(text: str) -> float:
 # of 210 zeros (209 integer digits and a 2-digit exponent stay below 1e308), so only such a file, or one with
 # an N or an I (as a NaN or Infinity literal has; one memchr each), needs the hooks.
 _NUMBER_SCREEN = bytes.maketrans(b"123456789E", b"000000000e")
+_THREE_DIGIT_EXPONENT = re.compile(rb"e000").search  # `in` cannot skip ahead on bytes that are nearly all 0
 
 
 def read_json(path):
@@ -148,7 +150,7 @@ def read_json(path):
         with open(path, "rb") as f:
             raw = f.read()
         screened = raw.translate(_NUMBER_SCREEN, b"+-")
-        if b"e000" in screened or b"0" * 210 in screened or b"N" in raw or b"I" in raw:
+        if _THREE_DIGIT_EXPONENT(screened) or b"0" * 210 in screened or b"N" in raw or b"I" in raw:
             return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant, parse_float=_finite_float)
         return json.loads(raw.decode("utf-8"))  # text: json.loads would read UTF-16 and UTF-32 bytes too
     except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError and UnicodeDecodeError

@@ -44,14 +44,22 @@ from latentcolor.colorspace import (
     rgb_to_hsl_array,
     signed_hue_delta,
     srgb_to_linear_array,
+    _T_COS,
+    _T_SIN,
+    _ciede2000,
     _ciede_t,
     _from_planes,
+    _hsl_to_rgb,
+    _linear_to_lab,
     _to_planes,
 )
+from latentcolor.bicone import _decode_planes
 from latentcolor.observe import mean_color
 from latentcolor.subspace import project
 from latentcolor.timestats import _chart, normalize
 from colorref import (
+    _M_XYZ as REF_M_XYZ,
+    _WHITE as REF_WHITE,
     ciede2000,
     hsl_to_rgb,
     linear_channel_to_srgb,
@@ -833,3 +841,172 @@ def test_plane_adapters_are_moveaxis_bitwise(shape, data):
             assert back.flags.c_contiguous and back.tobytes() == moveaxis_from_planes(p).tobytes()
             assert back.tobytes() == np.ascontiguousarray(colors).tobytes()  # the round trip, bit for bit
     assert _to_planes(colors.tolist()).tobytes() == moveaxis_to_planes(colors).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels against the out-of-place formulas they replaced
+# ---------------------------------------------------------------------------
+# The kernels write their chains of ops over temporaries they made themselves. Each twin below runs
+# the same IEEE operations in the same order, every one into a fresh array, so no bit may differ. An
+# operand may swap sides of a product or sum; a regrouping such as l50 / s * 0.015 for 0.015 * l50 / s
+# moves the last bits, and these tests fail on it.
+
+def formula_srgb_to_linear(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    lin = np.asarray(x / 12.92)
+    np.power((x + 0.055) / 1.055, 2.4, out=lin, where=x > 0.04045)
+    return lin
+
+
+def formula_linear_to_lab(lin) -> np.ndarray:
+    r, g, b = moveaxis_to_planes(lin)
+    f = []
+    for m, w in zip(REF_M_XYZ, REF_WHITE):
+        t = (m[0] * r + m[1] * g + m[2] * b) / w
+        f.append(np.asarray((24389.0 / 27.0 * t + 16.0) / 116.0))
+        np.cbrt(t, out=f[-1], where=t > 216.0 / 24389.0)
+    fx, fy, fz = f
+    grey = (r == g) & (g == b)
+    lab = [116.0 * fy - 16.0, np.where(grey, 0.0, 500.0 * (fx - fy)), np.where(grey, 0.0, 200.0 * (fy - fz))]
+    return moveaxis_from_planes(np.array(lab))
+
+
+def formula_ciede_t(hbp) -> np.ndarray:
+    u = np.tan(hbp / 2.0)
+    uu = u * u
+    w = 1.0 / (1.0 + uu)
+    c, a, b = (1.0 - uu) * w, _T_COS, _T_SIN
+    p = (((a[4] * c + a[3]) * c + a[2]) * c + a[1]) * c + a[0]
+    q = ((b[3] * c + b[2]) * c + b[1]) * c + b[0]
+    return p + (2.0 * u * w) * q
+
+
+def formula_ciede2000(x, y) -> np.ndarray:
+    tau = 2.0 * math.pi
+    L1, a1, b1 = moveaxis_to_planes(x)
+    L2, a2, b2 = moveaxis_to_planes(y)
+    bb1, bb2 = b1 * b1, b2 * b2
+    c_bar = (np.sqrt(a1 * a1 + bb1) + np.sqrt(a2 * a2 + bb2)) / 2.0
+    c7 = (c_bar * c_bar * c_bar) ** 2 * c_bar
+    g1 = 1.5 - 0.5 * np.sqrt(c7 / (c7 + 25.0 ** 7))
+    a1p, a2p = g1 * a1, g1 * a2
+    c1p, c2p = np.sqrt(a1p * a1p + bb1), np.sqrt(a2p * a2p + bb2)
+    h1p, h2p = np.arctan2(b1, a1p), np.arctan2(b2, a2p)
+    h1p, h2p = h1p + tau * (h1p < 0.0), h2p + tau * (h2p < 0.0)
+    dhp, hsum = h2p - h1p, h1p + h2p
+    far = (np.abs(dhp) > np.pi / 2.0) & (dhp * (a1 * b2 - b1 * a2) < 0.0)
+    v = np.tan(dhp / 4.0)
+    dHp = np.where(far, -4.0, 4.0) * np.sqrt(c1p * c2p) * v / (1.0 + v * v)
+    hbp = (hsum + far * np.where(hsum < tau, tau, -tau)) / 2.0
+    Lbp, Cbp = (L1 + L2) / 2.0, (c1p + c2p) / 2.0
+    l50 = (Lbp - 50.0) ** 2
+    sL = 1.0 + 0.015 * l50 / np.sqrt(20.0 + l50)
+    sC = 1.0 + 0.045 * Cbp
+    sH = 1.0 + 0.015 * Cbp * formula_ciede_t(hbp)
+    w = np.tan(math.pi / 6.0 * np.exp(-(((hbp - math.radians(275.0)) / math.radians(25.0)) ** 2)))
+    cbp7 = (Cbp * Cbp * Cbp) ** 2 * Cbp
+    rT = -4.0 * np.sqrt(cbp7 / (cbp7 + 25.0 ** 7)) * w / (1.0 + w * w)
+    tL, tC, tH = (L2 - L1) / sL, (c2p - c1p) / sC, dHp / sH
+    return np.sqrt(tL * tL + tC * tC + (tH + rT * tC) * tH)
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+grey_lab = st.tuples(st.floats(0.0, 100.0), signed_zero, signed_zero)
+near_grey_lab = st.tuples(st.floats(0.0, 100.0), st.floats(-1e-9, 1e-9), signed_zero)
+lab_family = st.one_of(lab, blue_lab(), grey_lab, near_grey_lab)
+
+
+@given(st.lists(st.tuples(lab_family, lab_family), min_size=1, max_size=16), st.integers(1, 3))
+def test_ciede2000_kernel_is_the_formula_bitwise(pairs, k):
+    x = np.array([p[0] for p in pairs])
+    # each first color also against its exact complement and its antiparallel double (a power-of-2 scale
+    # keeps the negated chroma exact), and the pairs the other way round
+    y = np.array([p[1] for p in pairs])
+    y_anti, y_double = x * [1.0, -1.0, -1.0], x * [1.0, -2.0, -2.0]
+    x, y = np.concatenate([x, x, x, y]), np.concatenate([y, y_anti, y_double, x])
+    assert_same_bits(ciede2000_array(x, y), formula_ciede2000(x, y))
+    for i in (0, -1):  # single colors, whose planes are numpy scalars
+        assert_same_bits(ciede2000_array(x[i], y[i]), formula_ciede2000(x[i], y[i]))
+        assert type(ciede2000_array(x[i], y[i])) is type(formula_ciede2000(x[i], y[i]))
+        assert_same_bits(ciede2000_array(x, y[i]), formula_ciede2000(x, y[i]))
+        assert_same_bits(ciede2000_array(x[i], y), formula_ciede2000(x[i], y))
+    stack = np.stack([np.roll(x, j, axis=0) for j in range(k)])  # (k, n) against (n,) and (k, 1) against (n,)
+    assert_same_bits(ciede2000_array(stack, y), formula_ciede2000(stack, y))
+    assert_same_bits(ciede2000_array(stack[:, :1], y), formula_ciede2000(stack[:, :1], y))
+
+
+def test_ciede2000_kernel_is_the_formula_bitwise_on_a_seeded_batch():
+    rng = np.random.default_rng(181)
+    x = np.column_stack([rng.uniform(0.0, 100.0, 4096), rng.uniform(-120.0, 120.0, (4096, 2))])
+    y = np.column_stack([rng.uniform(0.0, 100.0, 4096), rng.uniform(-120.0, 120.0, (4096, 2))])
+    x[::7, 1:] = 0.0
+    y[::5, 1:] = -3.0 * x[::5, 1:]
+    assert_same_bits(ciede2000_array(x, y), formula_ciede2000(x, y))
+
+
+def test_ciede_t_is_the_formula_bitwise():
+    h = np.concatenate([np.linspace(0.0, 4.0 * math.pi, 100001), [math.pi, 3.0 * math.pi, -0.0, 0.0]])
+    assert_same_bits(_ciede_t(h), formula_ciede_t(h))
+    assert_same_bits(_ciede_t(np.float64(1.25)), formula_ciede_t(np.float64(1.25)))
+
+
+TOE = 216.0 / 24389.0
+toe_value = st.sampled_from([math.nextafter(TOE, 0.0), TOE, math.nextafter(TOE, 1.0), 0.0, -0.0, 1.0, 5e-324])
+channel_family = st.one_of(unit, toe_value, st.floats(-0.1, 1.2))
+
+
+@given(st.lists(st.one_of(st.tuples(channel_family, channel_family, channel_family),
+                          channel_family.map(lambda v: (v, v, v))), min_size=1, max_size=16))
+def test_linear_to_lab_kernel_is_the_formula_bitwise(rows):
+    lin = np.array(rows)
+    assert_same_bits(linear_rgb_to_lab_array(lin), formula_linear_to_lab(lin))
+    assert_same_bits(linear_rgb_to_lab_array(lin[0]), formula_linear_to_lab(lin[0]))
+    stack = np.stack([lin, lin[::-1]])
+    assert_same_bits(linear_rgb_to_lab_array(stack), formula_linear_to_lab(stack))
+    assert_same_bits(_linear_to_lab(_to_planes(stack)), moveaxis_to_planes(formula_linear_to_lab(stack)))
+
+
+@given(st.lists(st.one_of(channel_family, st.sampled_from([0.04045, math.nextafter(0.04045, 1.0), -0.2])),
+                min_size=1, max_size=48))
+def test_srgb_to_linear_is_the_formula_bitwise(values):
+    x = np.array(values)
+    assert_same_bits(srgb_to_linear_array(x), formula_srgb_to_linear(x))
+    assert_same_bits(srgb_to_linear_array(x[0]), formula_srgb_to_linear(x[0]))
+    if x.size % 3 == 0:
+        planes = x.reshape(3, 1, -1)
+        assert_same_bits(srgb_to_linear_array(planes), formula_srgb_to_linear(planes))
+
+
+def writable_and_frozen_copies(a: np.ndarray) -> list[np.ndarray]:
+    frozen = a.copy()
+    frozen.flags.writeable = False
+    return [a.copy(), frozen, np.asfortranarray(a)]
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_read_path_kernels_leave_their_inputs_alone(anchors, model, toy_stats, n, seed):
+    rng = np.random.default_rng(seed)
+    hsl = np.stack([rng.uniform(0.0, 360.0, n), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
+    lin = rng.uniform(-0.1, 1.1, (3, n))
+    lin[:, ::3] = lin[0, ::3]  # greys
+    labs = _linear_to_lab(lin)
+    calls = [
+        (lambda c: _decode_planes(c, anchors), rng.normal(anchors.black + 0.5 * anchors.axis, 2.0, (n, 3)).T),
+        (_hsl_to_rgb, hsl), (_hsl_to_rgb, hsl[:, 0]),
+        (srgb_to_linear_array, lin), (srgb_to_linear_array, lin[:, 0]),
+        (_linear_to_lab, lin), (_linear_to_lab, lin[:, 0]),
+        (lambda y: _ciede2000(labs[:, ::-1], y), labs), (lambda x: _ciede2000(x, labs[:, 0]), labs),
+        (lambda x: _ciede2000(x, labs[:, :1]), labs[:, 0]), (lambda x: _ciede2000(x, labs[:, 0]), labs[:, 0]),
+    ]
+    fixed = labs.tobytes()  # the other operand of the CIEDE2000 calls
+    for kernel, arg in calls:
+        for a in writable_and_frozen_copies(arg):
+            before = a.tobytes()
+            kernel(a)
+            assert a.tobytes() == before
+    assert labs.tobytes() == fixed
+    z = rng.normal(0.0, 1.0, (n, model.dim))
+    for a in writable_and_frozen_copies(z):
+        before = a.tobytes()
+        observe(a, int(rng.integers(1, 51)), model, anchors, toy_stats, (1, n))
+        assert a.tobytes() == before

@@ -350,6 +350,8 @@ _number_literals = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_number_literals, min_size=1, max_size=4))
+@example(["0.5", "1e999"])
+@example(["9" * 210 + "e99"])
 def test_read_json_reads_number_literals_as_the_checked_parse_does(json_dir, literals):
     path = json_dir / "numbers.json"
     text = "[" + ", ".join(literals) + "]"
@@ -359,6 +361,19 @@ def test_read_json_reads_number_literals_as_the_checked_parse_does(json_dir, lit
     if not isinstance(expected, str):
         assert [type(v) for v in got] == [type(v) for v in expected]
         assert [np.float64(float(v)).tobytes() for v in got] == [np.float64(float(v)).tobytes() for v in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_number_literals)
+@example("1e999")  # the overflowing exponent is the file's last three bytes
+@example("-1E+0999")
+@example("1e308")
+def test_read_json_reads_a_bare_number_literal_as_the_checked_parse_does(json_dir, literal):
+    path = json_dir / "number.json"
+    path.write_text(literal)
+    got, expected = _read(path), _hooked_parse(literal)
+    assert got == expected
+    assert type(got) is type(expected)
 
 
 def test_read_json_refuses_a_file_not_in_utf_8(tmp_path):
