@@ -64,18 +64,20 @@ FLOAT_ARRAY = "tests/test_tensorio.py::test_float_array_reads_exactly_the_declar
 SCREEN_ALL = "tests/test_tensorio.py::test_read_json_screens_every_byte_it_read"
 NO_MASK = "tests/test_intervene.py::test_no_mask_is_the_full_mask_bitwise"
 FULL_MASK = "tests/test_intervene.py::test_a_full_mask_writes_back_without_gathering_rows"
+READ_NAMES = "tests/test_tensorio.py::test_read_latents_names_the_file_in_each_refusal"
+BAD_TRAJECTORY = "tests/test_cli.py::test_stats_over_a_bad_trajectory_exits_2_naming_the_file"
 
 MUTANTS = (
     # the PGM header pattern
     Mutant(
         "pgm-width-height-separator-optional", "src/latentcolor/intervene.py",
-        '_SEP + rb"+(\\d+)" + _SEP + rb"+(\\d+)[\\s\\S]"', '_SEP + rb"*(\\d+)" + _SEP + rb"+(\\d+)[\\s\\S]"',
+        '_SEP + rb"+(\\d+)" + _SEP + rb"+(\\d+)\\s"', '_SEP + rb"*(\\d+)" + _SEP + rb"+(\\d+)\\s"',
         (BAD_PGM,),
     ),
     Mutant(
-        "pgm-whitespace-after-maxval", "src/latentcolor/intervene.py",
-        'rb"+(\\d+)[\\s\\S]"', 'rb"+(\\d+)\\s"',
-        (PGM,),
+        "pgm-any-byte-after-maxval", "src/latentcolor/intervene.py",
+        'rb"+(\\d+)\\s"', 'rb"+(\\d+)[\\s\\S]"',
+        (BAD_PGM,),
     ),
     Mutant(
         "pgm-no-comments", "src/latentcolor/intervene.py",
@@ -83,9 +85,9 @@ MUTANTS = (
         (PGM,),
     ),
     Mutant(
-        "pgm-separator-needed-after-magic", "src/latentcolor/intervene.py",
-        'rb"P5" + _SEP + rb"*(\\d+)"', 'rb"P5" + _SEP + rb"+(\\d+)"',
-        (PGM,),
+        "pgm-separator-optional-after-magic", "src/latentcolor/intervene.py",
+        'rb"P5" + _SEP + rb"+(\\d+)"', 'rb"P5" + _SEP + rb"*(\\d+)"',
+        (BAD_PGM,),
     ),
     # the PPM raster
     Mutant(
@@ -117,7 +119,7 @@ MUTANTS = (
     # the latent file format
     Mutant(
         "latents-big-endian", "src/latentcolor/tensorio.py",
-        'b"\\n", np.ascontiguousarray(arr, dtype="<f4")', 'b"\\n", np.ascontiguousarray(arr, dtype=">f4")',
+        'rows = np.ascontiguousarray(arr, dtype="<f4")', 'rows = np.ascontiguousarray(arr, dtype=">f4")',
         ("tests/test_tensorio.py::test_latent_file_is_the_header_line_then_the_float32_rows",),
     ),
     # the toy flow and trajectory reads
@@ -162,9 +164,34 @@ MUTANTS = (
         (MALFORMED,),
     ),
     Mutant(
-        "trajectory-no-finiteness-check", "src/latentcolor/tensorio.py",
-        "        _check_latents(traj[t])\n", "",
-        ("tests/test_tensorio.py::test_trajectory_rejects_a_non_finite_step",),
+        "latent-values-unchecked", "src/latentcolor/tensorio.py",
+        'return _check_latents(np.frombuffer(body, dtype="<f4").reshape(L, d))', 'return np.frombuffer(body, dtype="<f4").reshape(L, d)',
+        (
+            "tests/test_tensorio.py::test_trajectory_rejects_a_non_finite_step",
+            f"{READ_NAMES}[nan]",
+            f"{READ_NAMES}[d-below-3]",
+            f"{BAD_TRAJECTORY}[nan-frame]",
+        ),
+    ),
+    Mutant(
+        "latent-float32-overflow-unchecked", "src/latentcolor/tensorio.py",
+        "if not np.isfinite(rows).all():", "if False:",
+        ("tests/test_tensorio.py::test_write_latents_refuses_a_value_float32_cannot_hold",),
+    ),
+    # the one reader
+    Mutant(
+        "reader-names-no-file", "src/latentcolor/tensorio.py",
+        'UnicodeDecodeError\n        raise ValueError(f"{path}: {e}") from e',
+        'UnicodeDecodeError\n        raise ValueError(str(e)) from e',
+        (READ_NAMES, BAD_PGM, MALFORMED, "tests/test_tensorio.py::test_a_bad_manifest_is_refused_naming_it"),
+    ),
+    Mutant(
+        "cli-latent-width-unchecked", "src/latentcolor/cli.py",
+        "if z.shape[-1] != model.dim:", "if False:",
+        (
+            "tests/test_cli.py::test_a_latent_of_another_width_than_the_model_exits_2_naming_both",
+            f"{BAD_TRAJECTORY}[wider-than-the-model]",
+        ),
     ),
     # the JSON read screen and the emitter
     Mutant(
@@ -230,6 +257,11 @@ MUTANTS = (
             "tests/test_subspace.py::test_model_basis_is_orthonormal_within_1e_9_elementwise",
             MALFORMED,
         ),
+    ),
+    Mutant(
+        "anchor-e2-never-flipped", "src/latentcolor/bicone.py",
+        "e2 = -e2", "e2 = e2",
+        ("tests/test_bicone.py::test_a_mirrored_anchor_set_decodes_its_own_encode",),
     ),
     Mutant(
         "anchor-turn-checked-two-ahead", "src/latentcolor/bicone.py",

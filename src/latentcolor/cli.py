@@ -48,12 +48,6 @@ from .toyflow import AttractorField, ToyEmbedder, generate, initial_noise, solid
 BUILTIN_STATS = "flux-builtin"
 
 
-def _load_stats(spec: str) -> StatsTable:
-    if spec == BUILTIN_STATS:
-        return builtin_flux_stats()
-    return StatsTable.load(spec)
-
-
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
@@ -97,6 +91,20 @@ def _load_mask(path: str | None, L: int) -> PatchMask | None:
     if mask and (mask.L != L or not mask.selected):
         raise ValueError(f"{path}: mask selects {len(mask.selected)} of L = {mask.L} patches; the input has {L}")
     return mask
+
+
+def _fitting(z: np.ndarray, path, model: SubspaceModel, model_path) -> np.ndarray:
+    """z, if its latent width is the model's; else a refusal that names the latent's file and the model's."""
+    if z.shape[-1] != model.dim:
+        raise ValueError(f"{path}: latent dim {z.shape[-1]} does not match model dim {model.dim} of {model_path}")
+    return z
+
+
+def _load_world(args):
+    """The latent, model, anchors and stats that observe and intervene read."""
+    z, model, anchors = tensorio.read_latents(args.latent), SubspaceModel.load(args.model), AnchorSet.load(args.anchors)
+    stats = builtin_flux_stats() if args.stats == BUILTIN_STATS else StatsTable.load(args.stats)
+    return _fitting(z, args.latent, model, args.model), model, anchors, stats
 
 
 def _shown_hsl(lin: np.ndarray) -> np.ndarray:
@@ -159,10 +167,7 @@ def cmd_observe(args) -> int:
     if out_json and out_ppm and os.path.basename(out_json) == os.path.basename(out_ppm):
         if os.path.realpath(os.path.dirname(out_json)) == os.path.realpath(os.path.dirname(out_ppm)):
             raise ValueError(f"--out-json and --out-ppm name the same file: {out_ppm}")
-    z = tensorio.read_latents(args.latent)
-    model = SubspaceModel.load(args.model)
-    anchors = AnchorSet.load(args.anchors)
-    stats = _load_stats(args.stats)
+    z, model, anchors, stats = _load_world(args)
     dims = _grid_dims(args.grid, z.shape[0])
     grid = observe(z, args.t, model, anchors, stats, dims)
     ppm = render_ppm(grid, args.cell_px) if args.out_ppm else None  # before any write: it may refuse the size
@@ -177,10 +182,7 @@ def cmd_observe(args) -> int:
 
 def cmd_intervene(args) -> int:
     target = _parse_target(args)
-    z = tensorio.read_latents(args.latent)
-    model = SubspaceModel.load(args.model)
-    anchors = AnchorSet.load(args.anchors)
-    stats = _load_stats(args.stats)
+    z, model, anchors, stats = _load_world(args)
     mask = _load_mask(args.mask, z.shape[0])
     out, hat, edited = _intervene(z, args.t, target, mask, model, anchors, stats, args.mode)
     tensorio.write_latents(args.out, out)
@@ -208,7 +210,9 @@ def cmd_simulate(args) -> int:
 def cmd_stats(args) -> int:
     model = SubspaceModel.load(args.model)
     # project is affine, so the projected patch mean of each frame is the mean of its patches' projections
-    tracks = [project(tensorio.load_trajectory(manifest).mean(axis=1), model) for manifest in args.manifests]
+    tracks = [
+        project(_fitting(tensorio.load_trajectory(m), m, model, args.model).mean(axis=1), model) for m in args.manifests
+    ]
     stats = fit_stats(tracks)
     stats.save(args.out)
     print(f"fitted stats over t=0..{stats.T} from {len(tracks)} trajectories; wrote {args.out}")

@@ -162,18 +162,13 @@ def _from_planes(planes: np.ndarray) -> np.ndarray:
     return planes.transpose(*range(1, planes.ndim), 0).copy()
 
 
-def _clamp01_array(x: np.ndarray) -> np.ndarray:
-    # keeps NaN and -0.0 as _clamp01 does
-    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
-
-
 def _canonical(hsl: np.ndarray) -> np.ndarray:
     """canonical_hsl on (3, ...) planes."""
     out = hsl.copy()
     h = out[:1]  # a view also when hsl holds one color
     np.remainder(h, 360.0, out=h, where=~((h > 0.0) & (h < 360.0)))  # zeros too: -0.0 % 360.0 is +0.0
     h[h == 360.0] = 0.0  # tiny negative hues round up to 360.0
-    out[1:] = _clamp01_array(out[1:])
+    np.clip(out[1:], 0.0, 1.0, out=out[1:])
     return out
 
 
@@ -230,7 +225,7 @@ def hsl_to_rgb_array(hsl) -> np.ndarray:
 
 def rgb_to_hsl_array(rgb) -> np.ndarray:
     """Canonical (h, s, l) of sRGB rows, each channel clamped to [0, 1] first; greys get h = s = 0."""
-    rgb = _clamp01_array(np.asarray(rgb, dtype=np.float64))
+    rgb = np.clip(np.asarray(rgb, dtype=np.float64), 0.0, 1.0)
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     # the first of equal channels wins, as in max() and min(): it keeps a -0.0 in l
     mx = np.where(g > r, g, r)
@@ -246,7 +241,7 @@ def rgb_to_hsl_array(rgb) -> np.ndarray:
         hp = np.where(mx == r, hr + 6.0 * (hr < 0.0), np.where(mx == g, (b - r) / d + 2.0, (r - g) / d + 4.0))
     h = 60.0 * hp
     h = np.where(grey | (h == 360.0), 0.0, h)  # a hue that rounds up to 360 wraps to 0
-    return np.stack([h, np.where(grey, 0.0, _clamp01_array(s)), l], axis=-1)
+    return np.stack([h, np.where(grey, 0.0, np.clip(s, 0.0, 1.0)), l], axis=-1)
 
 
 def srgb_to_linear_array(rgb) -> np.ndarray:

@@ -89,31 +89,32 @@ class PatchMask(tensorio.JsonRecord):
 
 
 _SEP = rb"(?:\s|#[^\n]*\n)"  # a whitespace byte, or a comment through its newline
-# binary PGM: magic, width, height and maxval as decimal tokens, then one byte before the raster
-_PGM_HEADER = re.compile(rb"P5" + _SEP + rb"*(\d+)" + _SEP + rb"+(\d+)" + _SEP + rb"+(\d+)[\s\S]")
+# binary PGM: magic, width, height and maxval as separated decimal tokens, then one whitespace byte before the raster
+_PGM_HEADER = re.compile(rb"P5" + _SEP + rb"+(\d+)" + _SEP + rb"+(\d+)" + _SEP + rb"+(\d+)\s")
 
 
-def _mask_from_pgm(raw: bytes, path) -> PatchMask:
+def _mask_from_pgm(raw: bytes) -> PatchMask:
     header = _PGM_HEADER.match(raw)
     if header is None:
-        raise ValueError(f"{path}: malformed or truncated PGM header")
+        raise ValueError("malformed or truncated PGM header")
     w, h, maxval = map(int, header.groups())
     if w < 1 or h < 1 or not 0 < maxval < 65536:
-        raise ValueError(f"{path}: bad PGM dimensions {w}x{h} maxval {maxval}")
+        raise ValueError(f"bad PGM dimensions {w}x{h} maxval {maxval}")
     bpp = 1 if maxval < 256 else 2
     data = raw[header.end():]
     if len(data) != w * h * bpp:
-        raise ValueError(f"{path}: expected {w * h * bpp} raster bytes, found {len(data)}")
+        raise ValueError(f"expected {w * h * bpp} raster bytes, found {len(data)}")
     px = np.frombuffer(data, dtype=">u2" if bpp == 2 else "u1")
     return PatchMask(L=w * h, selected=frozenset(np.flatnonzero(px).tolist()))
 
 
+def _mask(raw: bytes) -> PatchMask:
+    return _mask_from_pgm(raw) if raw[:2] == b"P5" else tensorio._record(raw, PatchMask.from_json_dict, "PatchMask")
+
+
 def load_mask(path) -> PatchMask:
     """Load a mask from JSON ({"L", "selected"}) or binary PGM (nonzero = selected)."""
-    with open(path, "rb") as f:
-        if f.read(2) == b"P5":
-            return _mask_from_pgm(b"P5" + f.read(), path)
-    return PatchMask.load(path)
+    return tensorio._read(path, _mask)
 
 
 # ---------------------------------------------------------------------------

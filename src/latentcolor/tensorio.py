@@ -5,13 +5,13 @@ A latent tensor file is a single JSON header line
 little-endian float32 values in row-major order. A trajectory is a
 directory of such files plus a ``manifest.json`` listing the timesteps.
 
-Every JSON file is written by write_json and read by read_json; the
-records kept one per file (model, anchors, stats, grid, mask) share
-JsonRecord's save and load, so a malformed file of any kind raises one
-ValueError that names the file. Each record reads every array it holds
-through float_array with the array's full declared shape. All writers
-go through a temp-file-plus-rename so partially written outputs are
-never observed.
+Every input file is opened by _read, which hands its bytes to a parser
+that never sees the path and restates any refusal as one ValueError that
+names the file. Every JSON file is written by write_json; the records
+kept one per file (model, anchors, stats, grid, mask) share JsonRecord's
+save and load. Each record reads every array it holds through
+float_array with the array's full declared shape. All writers go through
+a temp-file-plus-rename so partially written outputs are never observed.
 
 write_json's bytes are _dumps(obj) plus a newline. json drops to its
 Python encoder whenever indent is set, so _emit lays out plain dicts,
@@ -144,27 +144,36 @@ _NUMBER_SCREEN = bytes.maketrans(b"123456789E", b"000000000e")
 _THREE_DIGIT_EXPONENT = re.compile(rb"e000").search  # `in` cannot skip ahead on bytes that are nearly all 0
 
 
-def read_json(path):
-    """Parse a JSON file, refusing NaN, Infinity, -Infinity and float literals that overflow."""
+def _read(path, parse):
+    """parse(the file's bytes); a ValueError or RecursionError it raises is restated naming the file."""
+    with open(path, "rb") as f:
+        raw = f.read()
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
-        screened = raw.translate(_NUMBER_SCREEN, b"+-")
-        if _THREE_DIGIT_EXPONENT(screened) or b"0" * 210 in screened or b"N" in raw or b"I" in raw:
-            return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant, parse_float=_finite_float)
-        return json.loads(raw.decode("utf-8"))  # text: json.loads would read UTF-16 and UTF-32 bytes too
+        return parse(raw)
     except (ValueError, RecursionError) as e:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ValueError(f"{path}: {e}") from e
 
 
-def _read_record(path, convert, what: str):
-    """Parse a JSON file and convert the object; a conversion error becomes a ValueError naming the file and what."""
-    obj = read_json(path)
+def _json(raw: bytes):
+    screened = raw.translate(_NUMBER_SCREEN, b"+-")
+    if _THREE_DIGIT_EXPONENT(screened) or b"0" * 210 in screened or b"N" in raw or b"I" in raw:
+        return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant, parse_float=_finite_float)
+    return json.loads(raw.decode("utf-8"))  # text: json.loads would read UTF-16 and UTF-32 bytes too
+
+
+def read_json(path):
+    """Parse a JSON file, refusing NaN, Infinity, -Infinity and float literals that overflow."""
+    return _read(path, _json)
+
+
+def _record(raw: bytes, convert, what: str):
+    """convert(the parsed JSON); a conversion error becomes a ValueError that says what the file should hold."""
+    obj = _json(raw)
     try:
         return convert(obj)
     except (KeyError, TypeError, IndexError, OverflowError, ValueError) as e:
         detail = e if isinstance(e, ValueError) else f"{type(e).__name__}: {e}"
-        raise ValueError(f"{path}: bad {what}: {detail}") from e
+        raise ValueError(f"bad {what}: {detail}") from e
 
 
 def _type_names(types) -> str:
@@ -201,11 +210,10 @@ class JsonRecord:
 
     @classmethod
     def load(cls, path):
-        return _read_record(path, cls.from_json_dict, cls.__name__)
+        return _read(path, lambda raw: _record(raw, cls.from_json_dict, cls.__name__))
 
 
 def _check_latents(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"latent tensor must be 2-D, got shape {arr.shape}")
     L, d = arr.shape
@@ -217,44 +225,45 @@ def _check_latents(arr: np.ndarray) -> np.ndarray:
 
 
 def write_latents(path, arr: np.ndarray) -> None:
-    """Write an (L, d) array as a header line plus packed float32 rows."""
-    arr = _check_latents(arr)
+    """Write an (L, d) array as a header line plus packed float32 rows; a value float32 cannot hold is refused."""
+    arr = _check_latents(np.asarray(arr, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        rows = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{path}: latent values beyond float32's largest magnitude, 3.4028235e38, cannot be stored")
     header = json.dumps({"dims": [int(arr.shape[0]), int(arr.shape[1])], "dtype": _HEADER_DTYPE})
     # join reads the contiguous float32 buffer directly: one copy of the payload, not two
-    payload = b"".join((header.encode("ascii"), b"\n", np.ascontiguousarray(arr, dtype="<f4")))
-    atomic_write_bytes(path, payload)
+    atomic_write_bytes(path, b"".join((header.encode("ascii"), b"\n", rows)))
 
 
-def _read_payload(path) -> np.ndarray:
-    """The (L, d) float32 payload of a latent tensor file, its header and payload length validated."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def _latents(raw: bytes) -> np.ndarray:
+    """The (L, d) float32 rows of a latent tensor file, its header, payload length and values validated."""
     nl = raw.find(b"\n")
     if nl < 0:
-        raise ValueError(f"{path}: missing header line")
+        raise ValueError("missing header line")
     try:
         header = json.loads(raw[:nl].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ValueError(f"{path}: malformed header: {e}") from e
+        raise ValueError(f"malformed header: {e}") from e
     if not isinstance(header, dict) or header.get("dtype") != _HEADER_DTYPE:
-        raise ValueError(f"{path}: unsupported header {header!r}")
+        raise ValueError(f"unsupported header {header!r}")
     dims = header.get("dims")
     if (
         not isinstance(dims, list)
         or len(dims) != 2
         or not all(type(v) is int and v > 0 for v in dims)
     ):
-        raise ValueError(f"{path}: bad dims {dims!r}")
+        raise ValueError(f"bad dims {dims!r}")
     L, d = dims
     body = raw[nl + 1:]
     if len(body) != L * d * 4:
-        raise ValueError(f"{path}: expected {L * d * 4} payload bytes, found {len(body)}")
-    return np.frombuffer(body, dtype="<f4").reshape(L, d)
+        raise ValueError(f"expected {L * d * 4} payload bytes, found {len(body)}")
+    return _check_latents(np.frombuffer(body, dtype="<f4").reshape(L, d))
 
 
 def read_latents(path) -> np.ndarray:
-    """Read a latent tensor file, validating header and payload length."""
-    return _check_latents(_read_payload(path).astype(np.float64))
+    """Read a latent tensor file, validating header, payload length and values."""
+    return _read(path, _latents).astype(np.float64)
 
 
 def save_trajectory(dirpath, traj: np.ndarray) -> Path:
@@ -297,13 +306,12 @@ def load_trajectory(manifest_path) -> np.ndarray:
             raise ValueError(f"timesteps not the integers 0 to {T}")
         return [by_t[t] for t in range(T + 1)], tuple(dims)
 
-    files, dims = _read_record(manifest_path, step_files, "manifest")
+    files, dims = _read(manifest_path, lambda raw: _record(raw, step_files, "manifest"))
     for t, path in enumerate(files):
-        frame = _read_payload(path)
+        frame = _read(path, _latents)
         if frame.shape != dims:
             raise ValueError(f"{manifest_path}: dims {list(dims)}, but {path} holds {list(frame.shape)}")
         if t == 0:  # sized by a step file that matched dims, so a manifest alone allocates nothing
             traj = np.empty((len(files),) + dims)
         traj[t] = frame  # float32 to float64 in place: one copy of the trajectory, not a list and a stack
-        _check_latents(traj[t])
     return traj

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .bicone import AnchorSet, HUE_DEGREES, HUE_LABELS, decode, encode, regular_anchors
-from .colorspace import HslColor, canonical_hsl, parse_hex, rgb_to_hsl
+from .colorspace import HslColor, canonical_hsl
 from .observe import ColorGrid
 
 __all__ = [
@@ -226,14 +226,9 @@ def _hidden(z: np.ndarray, field: AttractorField) -> np.ndarray:
 
 
 def _nearest(z: np.ndarray, field: AttractorField, charts: list[np.ndarray]) -> int:
-    """nearest_attractor given the attractors' charts; the first of equal distances wins."""
+    """Index of the attractor, given by its chart, closest to z in aggregate subspace distance; the first of equal ones."""
     coords = _hidden(z, field)
     return int(np.argmin([float(np.sum((c - coords) ** 2)) for c in charts]))
-
-
-def nearest_attractor(z: np.ndarray, field: AttractorField) -> int:
-    """Index of the attractor closest to z in aggregate subspace distance."""
-    return _nearest(z, field, [_hidden(a, field) for a in field.attractors])
 
 
 def generate(
@@ -275,8 +270,3 @@ def generate(
             step /= T - k
             step += z
     return frames
-
-
-def palette_color(name: str) -> HslColor:
-    """HSL value of a named palette color."""
-    return rgb_to_hsl(parse_hex(TIMESTEP_PALETTE[name]))

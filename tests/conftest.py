@@ -18,7 +18,8 @@ from latentcolor import (
     project,
     solid_attractor,
 )
-from latentcolor.toyflow import TIMESTEP_PALETTE, palette_color
+from latentcolor.colorspace import parse_hex, rgb_to_hsl
+from latentcolor.toyflow import TIMESTEP_PALETTE
 
 EMBEDDER_SEED = 7
 NOISE_SEED = 11
@@ -58,8 +59,8 @@ def shared_noise():
 def palette_runs(embedder, shared_noise):
     """Trajectory per palette color, all from the shared noise tensor."""
     runs = {}
-    for name in TIMESTEP_PALETTE:
-        att = solid_attractor(palette_color(name), embedder, GRID)
+    for name, hexcode in TIMESTEP_PALETTE.items():
+        att = solid_attractor(rgb_to_hsl(parse_hex(hexcode)), embedder, GRID)
         field = AttractorField(attractors=(att,), T=T, embedder=embedder)
         runs[name] = generate(shared_noise, field)
     return runs

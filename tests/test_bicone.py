@@ -84,6 +84,35 @@ def test_misordered_hue_anchors_rejected(probe_set, model):
         build_anchors(probes, model)
 
 
+def test_build_anchors_refuses_an_unknown_label(probe_set, model):
+    probes = {**probe_set.labeled, "orange": probe_set.labeled["red"]}
+    with pytest.raises(ValueError) as info:
+        build_anchors(probes, model)
+    assert str(info.value) == "unknown probe labels: ['orange']"
+
+
+def test_build_anchors_refuses_a_latent_that_is_not_one_vector(probe_set, model):
+    probes = dict(probe_set.labeled)
+    probes["green"] = np.stack([probes["green"], probes["green"]])
+    with pytest.raises(ValueError, match=r"^expected one \(d,\) latent per probe label, got shapes .*\(2, 3\)"):
+        build_anchors(probes, model)
+
+
+def test_a_mirrored_anchor_set_decodes_its_own_encode(anchors):
+    # reflected through the plane of the axis and red: the hues turn clockwise about u x e1, so _assemble flips e2
+    mirror = np.eye(3) - 2.0 * np.outer(anchors.e2, anchors.e2)
+    mirrored = _assemble(anchors.black + (anchors.hue_anchors - anchors.black) @ mirror, anchors.black, anchors.white)
+    assert mirrored.e2 @ np.cross(mirrored.unit_axis, mirrored.e1) < 0
+    rng = np.random.default_rng(23)
+    hsl = np.column_stack([rng.uniform(0.0, 360.0, 500), rng.uniform(0.01, 0.99, (500, 2))])
+    coords = encode(hsl, mirrored)
+    back = decode(coords, mirrored)
+    assert max(abs(signed_hue_delta(a, b)) for a, b in zip(back[:, 0], hsl[:, 0])) <= 1e-9
+    assert np.abs(back[:, 1:] - hsl[:, 1:]).max() <= 1e-12
+    # the mirror image of the original set's encoding, up to rounding
+    assert np.abs(anchors.black + (coords - anchors.black) @ mirror - encode(hsl, anchors)).max() <= 1e-9
+
+
 def hexagon_json(degrees) -> dict:
     """Anchor file with hue anchors at the given angles on a radius-30 circle."""
     return {

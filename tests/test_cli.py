@@ -472,6 +472,30 @@ def test_observe_nonsquare_needs_grid_flag(ws, tmp_path, capsys):
     assert "not square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, says", [
+    ("2x3", None),
+    ("2X3", None),
+    ("2by3", "expected HxW grid spec, got '2by3'"),
+    ("2x3x1", "expected HxW grid spec, got '2x3x1'"),
+    ("0x6", "grid dims must be positive, got '0x6'"),
+])
+def test_observe_reads_a_grid_flag_and_refuses_a_malformed_one(ws, tmp_path, capsys, grid, says):
+    run = tmp_path / "run-rect"
+    assert main(["simulate", "--out", str(run), "--colors", RED_HEX, "--T", "3", "--grid", "2x3"]) == 0
+    out = tmp_path / "g.json"
+    argv = ["observe", str(run / "t003.lt"), "--t", "3", "--model", str(ws["model"]), "--anchors", str(ws["anchors"])]
+    argv += ["--stats", str(ws["stats"]), "--grid", grid, "--out-json", str(out)]
+    capsys.readouterr()
+    if says is None:
+        assert main(argv) == 0
+        observed = ColorGrid.load(out)
+        assert (observed.height, observed.width) == (2, 3)
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert not out.exists()
+
+
 def test_intervene_nonsquare_latent_needs_no_grid(ws, tmp_path, capsys):
     run = tmp_path / "run-rect"
     assert main(["simulate", "--out", str(run), "--colors", RED_HEX, "--T", "3", "--grid", "2x3"]) == 0
@@ -560,6 +584,14 @@ def test_simulate_refuses_a_doubled_hash(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--colors", "##FF0000", "--T", "2"]) == 2
     assert "expected 6 hex digits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("colors", [",", ",,"])
+def test_simulate_refuses_a_color_list_without_a_color(tmp_path, capsys, colors):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--colors", colors, "--T", "2"]) == 2
+    assert capsys.readouterr().err == "error: need at least one attractor color\n"
     assert not out.exists()
 
 
@@ -913,6 +945,131 @@ def test_a_record_edited_off_its_shape_exits_2_naming_it(ws, fuzz_world, data, k
     assert not out.exists()
 
 
+# ---------------------------------------------------------------------------
+# latent files and trajectories: a refusal names the file
+# ---------------------------------------------------------------------------
+
+def _lt_bytes(z) -> bytes:
+    """A latent file's bytes for z, written without write_latents' checks."""
+    header = json.dumps({"dims": list(np.shape(z)), "dtype": "f32le"}).encode("ascii")
+    return header + b"\n" + np.asarray(z, dtype="<f4").tobytes()
+
+
+def _raw_trajectory(run, frames) -> Path:
+    """A trajectory directory of the given frames, written byte by byte; returns its manifest."""
+    run.mkdir()
+    names = [f"t{t:03d}.lt" for t in range(len(frames))]
+    for name, frame in zip(names, frames):
+        (run / name).write_bytes(_lt_bytes(frame))
+    manifest = run / "manifest.json"
+    steps = [{"t": t, "file": name} for t, name in enumerate(names)]
+    manifest.write_text(json.dumps({"T": len(frames) - 1, "dims": list(np.shape(frames[0])), "steps": steps}))
+    return manifest
+
+
+def _observe_argv(ws, latent, out):
+    return ["observe", str(latent), "--t", "10", "--model", str(ws["model"]), "--anchors", str(ws["anchors"]),
+            "--stats", str(ws["stats"]), "--out-json", str(out)]
+
+
+@pytest.mark.parametrize("command", ["observe", "intervene"])
+def test_a_latent_of_another_width_than_the_model_exits_2_naming_both(ws, tmp_path, capsys, command):
+    wide, out = tmp_path / "wide.lt", tmp_path / "out"
+    write_latents(wide, np.random.default_rng(3).standard_normal((64, 32)))
+    argv = _observe_argv(ws, wide, out)
+    if command == "intervene":
+        argv = ["intervene", *argv[1:-2], "--target", BLUE_HEX, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {wide}: latent dim 32 does not match model dim 16 of {ws['model']}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["nan-frame", "inf-frame", "d-below-3", "wider-than-the-model"])
+def test_stats_over_a_bad_trajectory_exits_2_naming_the_file(ws, tmp_path, capsys, case):
+    frames = load_trajectory(ws["root"] / "run-red" / "manifest.json")
+    bad = "t007.lt"
+    if case in ("nan-frame", "inf-frame"):
+        frames[7, 3, 5] = np.nan if case == "nan-frame" else -np.inf
+        says = "latent tensor contains non-finite values"
+    elif case == "d-below-3":
+        frames, bad = frames[:, :, :2], "t000.lt"
+        says = "latent tensor needs L >= 1 patches and d >= 3 dims, got (64, 2)"
+    else:
+        frames, bad = np.concatenate([frames, frames], axis=2), "manifest.json"
+        says = f"latent dim 32 does not match model dim 16 of {ws['model']}"
+    manifest, out = _raw_trajectory(tmp_path / "run", frames), tmp_path / "stats.json"
+    argv = ["stats", str(manifest), str(ws["root"] / "run-blue" / "manifest.json"), "--model", str(ws["model"])]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'run' / bad}: {says}\n"
+    assert not out.exists()
+
+
+def _latent_edit(data, raw: bytes) -> bytes:
+    """One drawn edit of a latent file: a NaN or infinite payload float, a truncation, a new header or byte edits."""
+    nl = raw.index(b"\n")
+    L, d = json.loads(raw[:nl])["dims"]
+    how = data.draw(st.sampled_from(["float", "truncate", "header", "bytes"]), label="how")
+    if how == "float":
+        at = nl + 1 + 4 * data.draw(st.integers(0, L * d - 1), label="float")
+        value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+        return raw[:at] + np.float32(value).tobytes() + raw[at + 4:]
+    if how == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    if how == "header":
+        reshapes = [[n, L * d // n] for n in (1, 2, 4, 16, 32, 64, 256, 512, 1024) if L * d % n == 0]
+        dims = data.draw(st.sampled_from(reshapes) | st.lists(st.integers(-1, 2 * L * d) | st.booleans(), max_size=3))
+        dtype = data.draw(st.sampled_from(["f32le", "f64le", "<f4"]), label="dtype")
+        return json.dumps({"dims": dims, "dtype": dtype}).encode("ascii") + raw[nl:]
+    edited = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        edited[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(edited)
+
+
+@pytest.fixture(scope="module")
+def lt_world(ws, tmp_path_factory):
+    """A copy of one trajectory to edit, with its manifest's parsed object and every shape edit of it."""
+    run = tmp_path_factory.mktemp("lt-fuzz") / "run"
+    shutil.copytree(ws["root"] / "run-red", run)
+    manifest = read_json(run / "manifest.json")
+    return run, manifest, _shape_edits(manifest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["latent", "frame", "manifest"]))
+def test_an_edited_latent_or_trajectory_exits_0_or_2_naming_the_file(ws, lt_world, data, kind):
+    run, manifest, manifest_edits = lt_world
+    out = run.parent / "out.json"
+    out.unlink(missing_ok=True)
+    if kind == "manifest":
+        bad = run / "bad.json"
+        if data.draw(st.booleans(), label="truncate"):
+            text = json.dumps(manifest)
+            bad.write_text(text[:data.draw(st.integers(0, len(text) - 1), label="length")])
+        else:
+            bad.write_text(json.dumps(_apply_edit(manifest, *data.draw(st.sampled_from(manifest_edits), label="edit"))))
+        argv = ["stats", str(bad), str(ws["root"] / "run-blue" / "manifest.json"), "--model", str(ws["model"])]
+        argv += ["--out", str(out)]
+    else:
+        name = "t010.lt" if kind == "latent" else f"t{data.draw(st.integers(0, manifest['T']), label='t'):03d}.lt"
+        bad = run / "bad.lt" if kind == "latent" else run / name
+        bad.write_bytes(_latent_edit(data, (ws["root"] / "run-red" / name).read_bytes()))
+        if kind == "latent":
+            argv = _observe_argv(ws, bad, out)
+        else:
+            argv = ["stats", str(run / "manifest.json"), str(ws["root"] / "run-blue" / "manifest.json")]
+            argv += ["--model", str(ws["model"]), "--out", str(out)]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    finally:
+        if kind == "frame":  # the next example edits a clean trajectory
+            shutil.copyfile(ws["root"] / "run-red" / bad.name, bad)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert str(bad) in err.getvalue() and not out.exists()
+
+
 def test_intervene_report_matches_full_grid_observation(ws, tmp_path, capsys):
     mask_path = tmp_path / "mask.json"
     PatchMask(L=64, selected=frozenset(range(5, 64, 3))).save(mask_path)
@@ -1089,6 +1246,15 @@ def test_main_dispatches_to_the_current_command_function(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.pred) or 7)
     assert main(argv) == 7 and seen == [str(grid)]
+
+
+def test_main_exits_1_on_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise AssertionError("an invariant broke")
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    assert main(["eval", "p.json", "r.json"]) == 1
+    assert capsys.readouterr().err == "internal error: AssertionError: an invariant broke\n"
 
 
 def test_python_m_latentcolor_runs_the_cli(monkeypatch, capsys):

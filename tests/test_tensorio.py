@@ -71,6 +71,45 @@ def test_malformed_latent_files_are_rejected(tmp_path, mangle):
         read_latents(path)
 
 
+_HEADER_2x4 = b'{"dims": [2, 4], "dtype": "f32le"}'
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_HEADER_2x4 + bytes(32), "missing header line"),
+    (b'{"dims": [2, 4]}\n' + bytes(32), "unsupported header {'dims': [2, 4]}"),
+    (b'{"dims": [2, -4], "dtype": "f32le"}\n' + bytes(32), "bad dims [2, -4]"),
+    (_HEADER_2x4 + b"\n" + bytes(31), "expected 32 payload bytes, found 31"),
+    (b'{"dims": [4, 2], "dtype": "f32le"}\n' + bytes(32), "latent tensor needs L >= 1 patches and d >= 3 dims, got (4, 2)"),
+    (_HEADER_2x4 + b"\n" + bytes(28) + np.float32(np.nan).tobytes(), "latent tensor contains non-finite values"),
+    (_HEADER_2x4 + b"\n" + np.float32(-np.inf).tobytes() + bytes(28), "latent tensor contains non-finite values"),
+], ids=["no-newline", "no-dtype", "negative-dim", "short", "d-below-3", "nan", "-inf"])
+def test_read_latents_names_the_file_in_each_refusal(tmp_path, raw, message):
+    path = tmp_path / "z.lt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        read_latents(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, 3.4028236e38, np.finfo(np.float64).max])
+def test_write_latents_refuses_a_value_float32_cannot_hold(tmp_path, value):
+    path = tmp_path / "z.lt"
+    z = np.zeros((2, 3))
+    z[1, 2] = value
+    with pytest.raises(ValueError) as info:
+        write_latents(path, z)
+    assert str(info.value) == f"{path}: latent values beyond float32's largest magnitude, 3.4028235e38, cannot be stored"
+    assert not path.exists()
+
+
+def test_write_latents_stores_float32s_largest_magnitude(tmp_path):
+    path = tmp_path / "z.lt"
+    top = float(np.finfo(np.float32).max)
+    z = np.array([[top, -top, np.nextafter(top, np.inf)]])  # the last rounds down to float32's largest, not up to inf
+    write_latents(path, z)
+    assert read_latents(path).tolist() == [[top, -top, top]]
+
+
 def test_rejects_nonfinite_and_bad_shapes(tmp_path):
     with pytest.raises(ValueError):
         write_latents(tmp_path / "z.lt", np.zeros((2, 2)))  # d must be >= 3
@@ -109,6 +148,28 @@ def test_trajectory_rejects_a_non_finite_step(tmp_path):
     step.write_bytes(header + b"\n" + np.float32(np.inf).tobytes() + payload[4:])
     with pytest.raises(ValueError, match="non-finite"):
         load_trajectory(manifest)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: {**o, "T": 3}, "bad manifest: 3 steps listed for T=3"),
+    (lambda o: {**o, "T": -1}, "bad manifest: 3 steps listed for T=-1"),
+    (lambda o: {**o, "dims": [2, "3"]}, "bad manifest: bad dims [2, '3']"),
+    (lambda o: {**o, "dims": [2, 3, 1]}, "bad manifest: bad dims [2, 3, 1]"),
+], ids=["T-one-more", "T-negative", "string-dim", "three-dims"])
+def test_a_bad_manifest_is_refused_naming_it(tmp_path, edit, message):
+    manifest = save_trajectory(tmp_path / "run", np.zeros((3, 2, 3)))
+    write_json(manifest, edit(read_json(manifest)))
+    with pytest.raises(ValueError) as info:
+        load_trajectory(manifest)
+    assert str(info.value) == f"{manifest}: {message}"
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 2, 3, 4)])
+def test_save_trajectory_refuses_an_array_that_is_not_3d(tmp_path, shape):
+    with pytest.raises(ValueError) as info:
+        save_trajectory(tmp_path / "run", np.zeros(shape))
+    assert str(info.value) == f"trajectory must be (T+1, L, d), got shape {shape}"
+    assert not (tmp_path / "run").exists()
 
 
 def test_trajectory_rejects_gapped_steps(tmp_path):
