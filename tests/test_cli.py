@@ -967,19 +967,18 @@ def _raw_trajectory(run, frames) -> Path:
     return manifest
 
 
-def _observe_argv(ws, latent, out):
-    return ["observe", str(latent), "--t", "10", "--model", str(ws["model"]), "--anchors", str(ws["anchors"]),
-            "--stats", str(ws["stats"]), "--out-json", str(out)]
+def _world_argv(ws, command, latent, *rest):
+    """command on latent at t = 10 with the workspace's model, anchors and stats, then rest."""
+    files = ["--model", str(ws["model"]), "--anchors", str(ws["anchors"]), "--stats", str(ws["stats"])]
+    return [command, str(latent), "--t", "10", *files, *rest]
 
 
 @pytest.mark.parametrize("command", ["observe", "intervene"])
 def test_a_latent_of_another_width_than_the_model_exits_2_naming_both(ws, tmp_path, capsys, command):
     wide, out = tmp_path / "wide.lt", tmp_path / "out"
     write_latents(wide, np.random.default_rng(3).standard_normal((64, 32)))
-    argv = _observe_argv(ws, wide, out)
-    if command == "intervene":
-        argv = ["intervene", *argv[1:-2], "--target", BLUE_HEX, "--out", str(out)]
-    assert main(argv) == 2
+    rest = ["--out-json", str(out)] if command == "observe" else ["--target", BLUE_HEX, "--out", str(out)]
+    assert main(_world_argv(ws, command, wide, *rest)) == 2
     assert capsys.readouterr().err == f"error: {wide}: latent dim 32 does not match model dim 16 of {ws['model']}\n"
     assert not out.exists()
 
@@ -1055,7 +1054,7 @@ def test_an_edited_latent_or_trajectory_exits_0_or_2_naming_the_file(ws, lt_worl
         bad = run / "bad.lt" if kind == "latent" else run / name
         bad.write_bytes(_latent_edit(data, (ws["root"] / "run-red" / name).read_bytes()))
         if kind == "latent":
-            argv = _observe_argv(ws, bad, out)
+            argv = _world_argv(ws, "observe", bad, "--out-json", str(out))
         else:
             argv = ["stats", str(run / "manifest.json"), str(ws["root"] / "run-blue" / "manifest.json")]
             argv += ["--model", str(ws["model"]), "--out", str(out)]
