@@ -4,7 +4,8 @@
 A mutant is one exact text replacement in one source file. For each, the
 script copies src/ and tests/ to a temporary directory, applies the edit
 there, runs only that mutant's tests with pytest and reports the mutant
-killed (a test failed or timed out) or survived (its tests passed).
+killed (a test failed or timed out) or survived (its tests passed). Two
+mutants run at a time, each in its own copy.
 Known equivalent mutants are listed with the reason no test can kill
 them; they are expected to survive. The working tree is never edited.
 
@@ -26,11 +27,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
+JOBS = 2  # pytest runs at a time: one per core of a 2-vCPU host
 
 
 class Mutant(NamedTuple):
@@ -47,6 +50,9 @@ BAD_PGM = "tests/test_intervene.py::test_malformed_pgm_rejected"
 PPM_TOO_LARGE = "tests/test_observe.py::test_render_ppm_refuses_a_raster_too_large_to_allocate"
 CLI_PPM_TOO_LARGE = "tests/test_cli.py::test_observe_refuses_a_raster_too_large_to_allocate_before_writing"
 REFERENCE_LOOP = "tests/test_toyflow.py::test_generate_is_the_reference_loop_bitwise"
+SEEDED_LOOP = "tests/test_toyflow.py::test_generate_is_the_reference_loop_bitwise_on_seeded_fields"
+PGM_FUZZ = "tests/test_cli.py::test_a_generated_pgm_mask_exits_0_or_2_naming_it"
+PER_PIXEL = "tests/test_kernels.py::test_render_ppm_is_the_per_pixel_reference"
 OVERFLOW = "tests/test_tensorio.py::test_read_json_refuses_exactly_the_float_literals_that_overflow"
 LITERALS = "tests/test_tensorio.py::test_read_json_reads_number_literals_as_the_checked_parse_does"
 AS_DUMPS = "tests/test_tensorio.py::test_write_json_writes_what_json_dumps_writes"
@@ -62,7 +68,7 @@ ANCHOR_SHAPES = "tests/test_bicone.py::test_anchor_file_refuses_points_of_the_wr
 DECLARED = "tests/test_tensorio.py::test_records_refuse_arrays_off_their_declared_shapes"
 FLOAT_ARRAY = "tests/test_tensorio.py::test_float_array_reads_exactly_the_declared_nesting"
 SCREEN_ALL = "tests/test_tensorio.py::test_read_json_screens_every_byte_it_read"
-NO_MASK = "tests/test_intervene.py::test_no_mask_is_the_full_mask_bitwise"
+NO_MASK = "tests/test_intervene.py::test_no_mask_is_the_full_mask_bitwise_on_seeded_cases"
 FULL_MASK = "tests/test_intervene.py::test_a_full_mask_writes_back_without_gathering_rows"
 READ_NAMES = "tests/test_tensorio.py::test_read_latents_names_the_file_in_each_refusal"
 BAD_TRAJECTORY = "tests/test_cli.py::test_stats_over_a_bad_trajectory_exits_2_naming_the_file"
@@ -87,6 +93,11 @@ MUTANTS = (
     Mutant(
         "pgm-separator-optional-after-magic", "src/latentcolor/intervene.py",
         'rb"P5" + _SEP + rb"+(\\d+)"', 'rb"P5" + _SEP + rb"*(\\d+)"',
+        (BAD_PGM,),
+    ),
+    Mutant(
+        "pgm-maxval-unbounded", "src/latentcolor/intervene.py",
+        "not 0 < maxval < 65536", "not 0 < maxval",
         (BAD_PGM,),
     ),
     # the PPM raster
@@ -132,7 +143,7 @@ MUTANTS = (
     Mutant(
         "generate-edit-gets-the-state", "src/latentcolor/toyflow.py",
         "edit(z.copy(), k)", "edit(z, k)",
-        (REFERENCE_LOOP,),
+        (SEEDED_LOOP,),
     ),
     Mutant(
         "generate-multiplies-by-the-reciprocal", "src/latentcolor/toyflow.py",
@@ -305,9 +316,30 @@ MUTANTS = (
         (MASK_INTEGERS,),
     ),
     Mutant(
+        "ppm-rows-not-copied", "src/latentcolor/observe.py",
+        "    raster[:, 1:] = raster[:, :1]\n", "",
+        (f"{PER_PIXEL}[2]", f"{PER_PIXEL}[16]"),
+    ),
+    Mutant(
         "ppm-raster-copied-twice", "src/latentcolor/observe.py",
         'return b"".join((header, raster))', "return header + raster.tobytes()",
         ("tests/test_observe.py::test_render_ppm_holds_the_raster_about_twice_at_its_peak",),
+    ),
+    # the interp blend's horizon
+    Mutant(
+        "interp-horizon-unchecked", "src/latentcolor/intervene.py",
+        "if T < 1:", "if False:",
+        ("tests/test_intervene.py::test_schedule_validation",),
+    ),
+    Mutant(
+        "interp-timestep-range-unchecked", "src/latentcolor/intervene.py",
+        "if not 0 <= t <= T:", "if False:",
+        ("tests/test_intervene.py::test_gamma_is_linear_in_t",),
+    ),
+    Mutant(
+        "interp-refuses-t-at-the-horizon", "src/latentcolor/intervene.py",
+        "if not 0 <= t <= T:", "if not 0 <= t < T:",
+        ("tests/test_intervene.py::test_gamma_is_linear_in_t",),
     ),
     # one chart per intervene call
     Mutant(
@@ -440,15 +472,12 @@ MUTANTS = (
     Mutant(
         "decode-writes-over-its-input", "src/latentcolor/bicone.py",
         'rel = np.subtract(c, a.black[:, None], order="C")', "rel = np.subtract(c, a.black[:, None], out=c)",
-        ("tests/test_kernels.py::test_read_path_kernels_leave_their_inputs_alone",),
+        ("tests/test_kernels.py::test_read_path_kernels_leave_their_inputs_alone_on_seeded_cases",),
     ),
     Mutant(
         "ciede-sl-regrouped", "src/latentcolor/colorspace.py",
         "sL = 1.0 + 0.015 * l50 / np.sqrt(20.0 + l50)", "sL = 1.0 + l50 / np.sqrt(20.0 + l50) * 0.015",
-        (
-            "tests/test_kernels.py::test_ciede2000_kernel_is_the_formula_bitwise",
-            "tests/test_kernels.py::test_ciede2000_kernel_is_the_formula_bitwise_on_a_seeded_batch",
-        ),
+        ("tests/test_kernels.py::test_ciede2000_kernel_is_the_formula_bitwise_on_a_seeded_batch",),
     ),
     Mutant(
         "compared-grid-by-value", "src/latentcolor/observe.py",
@@ -478,14 +507,21 @@ def _pytest(tree: Path, tests) -> str:
     return f"error: pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
 
 
-def _run(mutant: Mutant, tree: Path) -> str:
-    path = tree / mutant.file
-    text = path.read_text()
-    if text.count(mutant.old) != 1:
-        return f"error: old text found {text.count(mutant.old)} times in {mutant.file}"
-    path.write_text(text.replace(mutant.old, mutant.new))
-    outcome = _pytest(tree, mutant.tests)
-    return {"passed": "survived", "failed": "killed", "timeout": "killed (timeout)"}.get(outcome, outcome)
+def _run(mutant: Mutant, clean: Path, tree: Path) -> tuple[str, float]:
+    """The mutant's outcome in a fresh copy of the clean tree, and the seconds it took."""
+    t0 = time.perf_counter()
+    shutil.copytree(clean, tree)
+    try:
+        path = tree / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return f"error: old text found {text.count(mutant.old)} times in {mutant.file}", time.perf_counter() - t0
+        path.write_text(text.replace(mutant.old, mutant.new))
+        outcome = _pytest(tree, mutant.tests)
+    finally:
+        shutil.rmtree(tree)
+    killed = {"passed": "survived", "failed": "killed", "timeout": "killed (timeout)"}.get(outcome, outcome)
+    return killed, time.perf_counter() - t0
 
 
 def main() -> int:
@@ -506,18 +542,15 @@ def main() -> int:
             print(f"the unmutated tree does not pass the named tests: {baseline}", file=sys.stderr)
             return 1
         unexpected = 0
-        for i, mutant in enumerate(mutants):
-            tree = Path(tmp) / f"m{i}"
-            shutil.copytree(clean, tree)
-            t0 = time.perf_counter()
-            outcome = _run(mutant, tree)
-            shutil.rmtree(tree)
-            expected = "survived" if mutant.equivalent else "killed"
-            ok = outcome.startswith(expected)
-            unexpected += not ok
-            note = f"  (equivalent: {mutant.equivalent})" if mutant.equivalent else ""
-            flag = "" if ok else "  UNEXPECTED"
-            print(f"{outcome:<17} {mutant.name:<40} {time.perf_counter() - t0:5.1f} s{flag}{note}", flush=True)
+        with ThreadPoolExecutor(JOBS) as pool:
+            trees = [Path(tmp) / f"m{i}" for i in range(len(mutants))]
+            for mutant, (outcome, seconds) in zip(mutants, pool.map(_run, mutants, [clean] * len(mutants), trees)):
+                expected = "survived" if mutant.equivalent else "killed"
+                ok = outcome.startswith(expected)
+                unexpected += not ok
+                note = f"  (equivalent: {mutant.equivalent})" if mutant.equivalent else ""
+                flag = "" if ok else "  UNEXPECTED"
+                print(f"{outcome:<17} {mutant.name:<40} {seconds:5.1f} s{flag}{note}", flush=True)
 
     equivalent = sum(bool(m.equivalent) for m in mutants)
     print(

@@ -9,12 +9,11 @@ flow model with known geometry backs the test suite end to end.
 
 from .colorspace import HslColor, LabColor, ciede2000, parse_hex, rgb_to_hsl
 from .subspace import SubspaceModel, average_patches, fit_pca, project
-from .bicone import AnchorSet, build_anchors, decode, decode_raw, encode, regular_anchors
+from .bicone import AnchorSet, build_anchors, decode, decode_raw, encode
 from .timestats import StatsTable, builtin_flux_stats, fit_stats, normalize
 from .intervene import (
     PatchMask,
     apply_intervention,
-    gamma,
     interpolated,
     load_mask,
     type1,
@@ -31,9 +30,7 @@ from .observe import (
 from .toyflow import (
     TIMESTEP_PALETTE,
     AttractorField,
-    ProbeSet,
     ToyEmbedder,
-    embed_hsl,
     embed_image,
     generate,
     initial_noise,

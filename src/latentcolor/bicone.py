@@ -31,7 +31,6 @@ __all__ = [
     "HUE_DEGREES",
     "AnchorSet",
     "build_anchors",
-    "regular_anchors",
     "decode",
     "decode_raw",
     "encode",
@@ -146,26 +145,6 @@ def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSe
         chroma_points=pts,
         chroma_angles=angles,
     )
-
-
-def regular_anchors(axis_length: float, chroma_radius: float) -> AnchorSet:
-    """Ideal anchor set: axis along the first coordinate, regular hexagon
-    of hue anchors at mid lightness in the remaining two coordinates."""
-    if axis_length <= 0 or chroma_radius <= 0:
-        raise ValueError("axis length and chroma radius must be positive")
-    black = np.zeros(3)
-    white = np.array([axis_length, 0.0, 0.0])
-    hue = np.array(
-        [
-            [
-                axis_length / 2.0,
-                chroma_radius * math.cos(math.radians(th)),
-                chroma_radius * math.sin(math.radians(th)),
-            ]
-            for th in HUE_DEGREES
-        ]
-    )
-    return _assemble(hue, black, white)
 
 
 def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel) -> AnchorSet:

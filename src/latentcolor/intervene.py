@@ -27,7 +27,6 @@ from .timestats import StatsTable, _chart
 
 __all__ = [
     "PatchMask",
-    "gamma",
     "type1",
     "type2",
     "interpolated",
@@ -36,15 +35,6 @@ __all__ = [
 ]
 
 MODES = ("type1", "type2", "interp")
-
-
-def gamma(t: int, T: int) -> float:
-    """Blend weight of the mean-shift edit over timesteps 0..T: 1 at t = 0, falling linearly to 0 at t = T."""
-    if T < 1:
-        raise ValueError(f"blend horizon needs T >= 1, got {T}")
-    if not 0 <= t <= T:
-        raise ValueError(f"timestep {t} outside blend range 0..{T}")
-    return 1.0 - t / T
 
 
 @dataclass(frozen=True)
@@ -156,12 +146,16 @@ def interpolated(
     t: int,
     T: int,
 ) -> np.ndarray:
-    """Blend the two edits with weight gamma(t, T) on the mean shift.
+    """Blend the two edits with weight g = 1 - t/T on the mean shift, over timesteps 0..T.
 
-    At the endpoints the pure edit is returned unchanged, so gamma 1 and
-    gamma 0 match type1 and type2 bit for bit.
+    At the endpoints the pure edit is returned unchanged, so g = 1 and
+    g = 0 match type1 and type2 bit for bit.
     """
-    g = gamma(t, T)
+    if T < 1:
+        raise ValueError(f"blend horizon needs T >= 1, got {T}")
+    if not 0 <= t <= T:
+        raise ValueError(f"timestep {t} outside blend range 0..{T}")
+    g = 1.0 - t / T
     if g == 1.0:
         return type1(coords, target, anchors)
     if g == 0.0:

@@ -223,6 +223,8 @@ def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:
         raster = np.empty((grid.height, cell_px, grid.width, cell_px, 3), dtype=np.uint8)
     except (MemoryError, ValueError) as e:  # ValueError: the byte count overflows
         raise ValueError(f"a PPM raster of {width}x{height} pixels is too large to allocate") from e
-    # each cell's bytes, cast as astype(np.uint8) casts, broadcast over its cell_px x cell_px block
-    np.copyto(raster, scaled.transpose(1, 2, 0)[:, None, :, None], casting="unsafe")
+    # each cell's bytes, cast as astype(np.uint8) casts, into the first pixel row of its cell row; then that
+    # row's contiguous bytes into the other cell_px - 1 (one strided cast of every pixel costs about 7x as much)
+    np.copyto(raster[:, 0], scaled.transpose(1, 2, 0)[:, :, None], casting="unsafe")
+    raster[:, 1:] = raster[:, :1]
     return b"".join((header, raster))  # join reads the contiguous raster directly: one copy of it, not two

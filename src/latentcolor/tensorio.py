@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "atomic_write_bytes",
     "write_json",
-    "read_json",
     "JsonRecord",
     "float_array",
     "write_latents",
@@ -155,15 +154,11 @@ def _read(path, parse):
 
 
 def _json(raw: bytes):
+    """The JSON value of raw, refusing NaN, Infinity, -Infinity and float literals that overflow."""
     screened = raw.translate(_NUMBER_SCREEN, b"+-")
     if _THREE_DIGIT_EXPONENT(screened) or b"0" * 210 in screened or b"N" in raw or b"I" in raw:
         return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant, parse_float=_finite_float)
     return json.loads(raw.decode("utf-8"))  # text: json.loads would read UTF-16 and UTF-32 bytes too
-
-
-def read_json(path):
-    """Parse a JSON file, refusing NaN, Infinity, -Infinity and float literals that overflow."""
-    return _read(path, _json)
 
 
 def _record(raw: bytes, convert, what: str):

@@ -17,21 +17,20 @@ interventions well defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .bicone import AnchorSet, HUE_DEGREES, HUE_LABELS, decode, encode, regular_anchors
+from .bicone import AnchorSet, HUE_DEGREES, HUE_LABELS, _assemble, decode, encode
 from .colorspace import HslColor, canonical_hsl
 from .observe import ColorGrid
 
 __all__ = [
     "TIMESTEP_PALETTE",
     "ToyEmbedder",
-    "ProbeSet",
     "AttractorField",
-    "embed_hsl",
     "embed_image",
     "toy_decode",
     "make_probe_set",
@@ -83,6 +82,13 @@ DEFAULT_GRID = (8, 8)
 LATTICE_SIDE = 8  # the probe lattice samples LATTICE_SIDE steps of each of h, s and v
 
 
+def _regular_anchors(axis_length: float, chroma_radius: float) -> AnchorSet:
+    """The ideal anchor set: the axis along the first coordinate, a regular hexagon of hue anchors at mid lightness."""
+    rad = [math.radians(th) for th in HUE_DEGREES]
+    hue = [[axis_length / 2.0, chroma_radius * math.cos(r), chroma_radius * math.sin(r)] for r in rad]
+    return _assemble(np.array(hue), np.zeros(3), np.array([axis_length, 0.0, 0.0]))
+
+
 @dataclass(frozen=True)
 class ToyEmbedder:
     """Affine rank-3 lift of the hexagonal bicone into d dimensions.
@@ -104,7 +110,7 @@ class ToyEmbedder:
         q, r = np.linalg.qr(m)
         q = q * np.sign(np.diag(r))  # deterministic column signs
         offset = rng.standard_normal(d)
-        return cls(lift=q, offset=offset, anchors=regular_anchors(AXIS_LENGTH, CHROMA_RADIUS))
+        return cls(lift=q, offset=offset, anchors=_regular_anchors(AXIS_LENGTH, CHROMA_RADIUS))
 
     @property
     def dim(self) -> int:

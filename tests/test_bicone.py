@@ -14,23 +14,22 @@ from latentcolor import (
     builtin_flux_stats,
     decode,
     decode_raw,
-    embed_hsl,
     encode,
     fit_pca,
     make_probe_set,
     observe,
-    regular_anchors,
     toy_decode,
 )
 from latentcolor.bicone import ANCHOR_LABELS, HUE_DEGREES, HUE_LABELS, _assemble
 from latentcolor.colorspace import HslColor, signed_hue_delta
+from latentcolor.toyflow import _regular_anchors, embed_hsl
 
 hue = st.floats(0.0, 360.0, exclude_max=True, allow_nan=False)
 
 
 @pytest.fixture(scope="module")
 def ideal():
-    return regular_anchors(60.0, 30.0)
+    return _regular_anchors(60.0, 30.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def assemble_per_anchor(hue, black, white):
 )
 def test_assemble_is_the_per_anchor_reference_bitwise(seed, jitter, flat):
     rng = np.random.default_rng(seed)
-    ideal = regular_anchors(60.0 * rng.uniform(0.1, 10.0), 30.0 * rng.uniform(0.1, 10.0))
+    ideal = _regular_anchors(60.0 * rng.uniform(0.1, 10.0), 30.0 * rng.uniform(0.1, 10.0))
     rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     shift = rng.standard_normal(3) * 10.0
     hue = (ideal.hue_anchors + rng.standard_normal((6, 3)) * jitter * 30.0) @ rotation + shift
@@ -184,9 +183,9 @@ def test_assemble_is_the_per_anchor_reference_bitwise(seed, jitter, flat):
 
 def test_assemble_needs_nothing_added_in_numpy_2(monkeypatch):
     # pyproject allows numpy 1.24, which has no np.vecdot
-    want = regular_anchors(60.0, 30.0)
+    want = _regular_anchors(60.0, 30.0)
     monkeypatch.delattr(np, "vecdot", raising=False)
-    got = regular_anchors(60.0, 30.0)
+    got = _regular_anchors(60.0, 30.0)
     for field in ("unit_axis", "e1", "e2", "chroma_points"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 

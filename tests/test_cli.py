@@ -45,12 +45,15 @@ from latentcolor.colorspace import (
 )
 from latentcolor.intervene import MODES
 from latentcolor.observe import mean_color
-from latentcolor.tensorio import read_json
 from latentcolor.toyflow import probe_colors
 from test_kernels import hue, unit
 
 RED_HEX = "#D81511"
 BLUE_HEX = "#1190D8"
+
+
+def load_json(path):
+    return json.loads(Path(path).read_text())
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +118,7 @@ def test_simulate_writes_contiguous_trajectory(ws):
 
 
 def test_stats_output_covers_horizon(ws):
-    obj = read_json(ws["stats"])
+    obj = load_json(ws["stats"])
     assert len(obj["rows"]) == 21
     assert obj["rows"][0]["t"] == 0
 
@@ -248,7 +251,7 @@ def test_eval_reports_metrics(ws, tmp_path):
     assert main(args) == 0
     ColorGrid.solid(rgb_to_hsl(parse_hex(RED_HEX)), 8, 8).save(ref_path)
     assert main(["eval", str(pred_path), str(ref_path), "--out", str(metrics_path)]) == 0
-    metrics = read_json(metrics_path)
+    metrics = load_json(metrics_path)
     assert metrics["de00_mean_pixel"] < 0.5
     assert metrics["de00_per_pixel"] < 0.5
     assert metrics["masked_mean"]["de00"] < 0.5
@@ -276,7 +279,7 @@ def test_eval_without_mask_scores_the_mean_as_de00_mean_pixel(ws, tmp_path):
     metrics_path = tmp_path / "metrics.json"
     for t in (1, 4, 10):
         assert main(["eval", observed("red", t), ref, "--out", str(metrics_path)]) == 0
-        metrics = read_json(metrics_path)
+        metrics = load_json(metrics_path)
         assert metrics["de00_mean_pixel"] > 10.0
         assert metrics["masked_mean"]["de00"].hex() == metrics["de00_mean_pixel"].hex()
 
@@ -292,7 +295,7 @@ def test_eval_with_mask(ws, tmp_path):
     PatchMask(L=4, selected=frozenset({0, 1})).save(mask_path)
     code = main(["eval", str(pred_path), str(ref_path), "--mask", str(mask_path), "--out", str(metrics_path)])
     assert code == 0
-    metrics = read_json(metrics_path)
+    metrics = load_json(metrics_path)
     assert metrics["masked_mean"]["de00"] == pytest.approx(0.0, abs=1e-9)
     assert metrics["de00_per_pixel"] > 10.0
 
@@ -634,7 +637,7 @@ def test_stats_with_single_trajectory_exits_2(ws, capsys):
 
 
 def test_observe_rejects_anchors_winding_twice(ws, tmp_path, capsys):
-    obj = read_json(ws["anchors"])
+    obj = load_json(ws["anchors"])
     coords = {e["label"]: e["coords"] for e in obj["hue_anchors"]}
     # hue anchors at red, green, blue, red, green, blue: each step still
     # turns counterclockwise, but the hexagon goes round the axis twice
@@ -659,7 +662,7 @@ def test_observe_rejects_anchors_winding_twice(ws, tmp_path, capsys):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("config", ["model", "anchors"])
 def test_observe_rejects_non_finite_config_json(ws, tmp_path, capsys, config, value):
-    obj = read_json(ws[config])
+    obj = load_json(ws[config])
     if config == "model":
         obj["mean"][0] = value
     else:
@@ -852,7 +855,7 @@ def test_malformed_record_file_exits_2_naming_it(ws, tmp_path, capsys, case):
     files = {"model": ws["model"], "anchors": ws["anchors"], "stats": ws["stats"], "grid": grid}
     files["manifest"] = run / "manifest.json"
     bad = run / "bad.json"
-    edited = mangle(read_json(files[kind]))
+    edited = mangle(load_json(files[kind]))
     bad.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     files[kind] = bad
     out = tmp_path / "out.json"
@@ -921,7 +924,7 @@ def fuzz_world(ws, tmp_path_factory):
     ColorGrid.solid(HslColor(0.0, 1.0, 0.5), 8, 8).save(grid)
     PatchMask(L=64, selected=frozenset(range(0, 64, 7))).save(mask)
     files = {"model": ws["model"], "anchors": ws["anchors"], "stats": ws["stats"], "grid": grid, "mask": mask}
-    objs = {kind: read_json(path) for kind, path in files.items()}
+    objs = {kind: load_json(path) for kind, path in files.items()}
     return root, files, objs, {kind: _shape_edits(obj) for kind, obj in objs.items()}
 
 
@@ -1030,7 +1033,7 @@ def lt_world(ws, tmp_path_factory):
     """A copy of one trajectory to edit, with its manifest's parsed object and every shape edit of it."""
     run = tmp_path_factory.mktemp("lt-fuzz") / "run"
     shutil.copytree(ws["root"] / "run-red", run)
-    manifest = read_json(run / "manifest.json")
+    manifest = load_json(run / "manifest.json")
     return run, manifest, _shape_edits(manifest)
 
 
@@ -1067,6 +1070,64 @@ def test_an_edited_latent_or_trajectory_exits_0_or_2_naming_the_file(ws, lt_worl
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert str(bad) in err.getvalue() and not out.exists()
+
+
+_PGM_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\v", b"\f"]
+
+
+_PGM_PARTS = ("magic", "dims", "maxval", "gap-1", "gap-2", "gap-3", "width", "height", "maxval-digits",
+              "after-maxval", "raster-length", "selection")
+
+
+def _pgm_mask(data, broken):
+    """A drawn binary PGM file for a 64-patch latent whose part broken (None: no part) breaks a rule, and whether
+    netpbm's header rules make it a mask of those 64 patches with at least one selected."""
+    def part(name, good, bad):
+        return data.draw(bad if name == broken else good, label=name)
+
+    def token(name, n):
+        return part(name, st.sampled_from([str(n), f"0{n}"]), st.sampled_from(["", "-8", "8.0", "x"])).encode()
+
+    def gap(name):
+        separator = st.sampled_from(_PGM_WHITESPACE) | st.just(b"# a comment\n")
+        return b"".join(part(name, st.lists(separator, min_size=1, max_size=3), st.just([])))
+
+    magic = part("magic", st.just(b"P5"), st.sampled_from([b"P6", b"P2", b"p5", b"P"]))
+    w, h = part(
+        "dims",
+        st.sampled_from([(8, 8), (4, 16), (16, 4), (1, 64), (64, 1), (2, 32)]),
+        st.tuples(st.sampled_from([0, 1, 8, 65, 10**9]) | st.integers(0, 70), st.integers(0, 70)).filter(
+            lambda wh: wh[0] * wh[1] != 64
+        ),
+    )
+    maxval = part("maxval", st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535), st.sampled_from([0, 65536]))
+    header = magic + gap("gap-1") + token("width", w) + gap("gap-2") + token("height", h) + gap("gap-3")
+    header += token("maxval-digits", maxval)
+    header += part("after-maxval", st.sampled_from(_PGM_WHITESPACE), st.sampled_from([b"", b"\r\n", b"#", b"x"]))
+    bpp = 1 if maxval < 256 else 2
+    size = w * h * bpp + part("raster-length", st.just(0), st.sampled_from([-1, 1]))
+    size = size if 0 <= size <= 10**4 else 3
+    # pixel bytes that are neither digits nor whitespace, so a raster never reads as more header
+    pixels = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="pixels")).choice([0, 0, 1, 255], size)
+    pixels = part("selection", st.just(pixels), st.just(np.zeros(size))).astype(np.uint8)
+    return header + pixels.tobytes(), broken is None and bool(pixels.any())  # a random raster can select nothing too
+
+
+@pytest.mark.parametrize("broken", [None, *_PGM_PARTS])  # hypothesis alone would draw some parts far more often
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_generated_pgm_mask_exits_0_or_2_naming_it(ws, tmp_path_factory, broken, data):
+    root = tmp_path_factory.getbasetemp()
+    mask, out = root / "pgm-fuzz-mask.pgm", root / "pgm-fuzz-out.lt"
+    raw, valid = _pgm_mask(data, broken)
+    mask.write_bytes(raw)
+    out.unlink(missing_ok=True)
+    argv = _world_argv(ws, "intervene", ws["root"] / "run-red" / "t010.lt", "--target", BLUE_HEX, "--mask", str(mask))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv + ["--out", str(out)])
+    assert code == (0 if valid else 2), err.getvalue()
+    if code == 2:
+        assert str(mask) in err.getvalue() and not out.exists()
 
 
 def test_intervene_report_matches_full_grid_observation(ws, tmp_path, capsys):
@@ -1167,7 +1228,7 @@ def test_eval_masked_mean_de00_is_the_per_grid_computation_bitwise(ws, seed, sel
     argv = ["eval", *map(str, paths), "--mask", str(work / "mask.json"), "--out", str(work / "metrics.json")]
     assert main(argv) == 0
     want = float(ciede2000_array(*(linear_rgb_to_lab_array(masked_mean_color(g, mask)) for g in grids)))
-    assert read_json(work / "metrics.json")["masked_mean"]["de00"].hex() == want.hex()
+    assert load_json(work / "metrics.json")["masked_mean"]["de00"].hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from latentcolor import (
     apply_intervention,
     decode,
     encode,
-    gamma,
     interpolated,
     load_mask,
     project,
@@ -39,19 +38,23 @@ def random_block(anchors, n=12, seed=31):
 # blend weight
 # ---------------------------------------------------------------------------
 
-def test_gamma_is_linear_in_t():
-    assert gamma(0, 50) == 1.0
-    assert gamma(50, 50) == 0.0
-    assert gamma(25, 50) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        gamma(51, 50)
-    with pytest.raises(ValueError):
-        gamma(-1, 50)
+def test_gamma_is_linear_in_t(anchors):
+    # interp weighs the mean shift by gamma = 1 - t/T: 1 at t = 0, falling linearly to 0 at t = T
+    coords = random_block(anchors)
+    one, two = type1(coords, TARGET, anchors), type2(coords, TARGET, anchors)
+    assert interpolated(coords, TARGET, anchors, 0, 50).tobytes() == one.tobytes()
+    assert interpolated(coords, TARGET, anchors, 50, 50).tobytes() == two.tobytes()
+    for t in (1, 25, 49):
+        g = 1.0 - t / 50
+        assert interpolated(coords, TARGET, anchors, t, 50).tobytes() == (g * one + (1.0 - g) * two).tobytes()
+    for t in (51, -1):
+        with pytest.raises(ValueError, match=f"timestep {t} outside blend range 0..50"):
+            interpolated(coords, TARGET, anchors, t, 50)
 
 
-def test_schedule_validation():
+def test_schedule_validation(anchors):
     with pytest.raises(ValueError, match="T >= 1"):
-        gamma(0, 0)
+        interpolated(random_block(anchors), TARGET, anchors, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +130,7 @@ def test_mask_from_16bit_pgm(tmp_path):
     [
         b"P5\n3 2\n255\n" + bytes(5),  # short raster
         b"P5\n3 2\n0\n" + bytes(6),  # maxval 0
+        b"P5\n2 2\n65536\n" + bytes(8),  # maxval beyond 16 bits
         b"P5\n3 2\nxyz\n" + bytes(6),  # non-numeric token
         b"P5\n3 2",  # truncated header
         b"P5\n3 2\n# a comment that runs to end of file",
@@ -300,6 +304,16 @@ def test_apply_intervention_write_back_roundtrip(embedder, model, anchors, toy_s
 @settings(max_examples=20, deadline=None)
 @given(t=st.integers(1, 50), seed=st.integers(0, 2**32 - 1), order=st.sampled_from("CF"))
 def test_no_mask_is_the_full_mask_bitwise(embedder, model, anchors, toy_stats, mode, t, seed, order):
+    check_no_mask_is_the_full_mask_bitwise(embedder, model, anchors, toy_stats, mode, t, seed, order)
+
+
+@pytest.mark.parametrize("mode", intervene.MODES)
+@pytest.mark.parametrize("t, seed, order", [(1, 0, "F"), (25, 1, "C"), (49, 2, "F")])
+def test_no_mask_is_the_full_mask_bitwise_on_seeded_cases(embedder, model, anchors, toy_stats, mode, t, seed, order):
+    check_no_mask_is_the_full_mask_bitwise(embedder, model, anchors, toy_stats, mode, t, seed, order)
+
+
+def check_no_mask_is_the_full_mask_bitwise(embedder, model, anchors, toy_stats, mode, t, seed, order):
     # with no mask or a full one, z is charted and written back whole, with no gather and no scatter: the same
     # bits as gathering those rows, which a mask leaving out one extra row does
     z = np.asarray(np.random.default_rng(seed).standard_normal((16, embedder.dim)) * 0.6, order=order)

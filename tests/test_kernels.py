@@ -27,7 +27,6 @@ from latentcolor import (
     grid_de00_per_pixel,
     masked_mean_color,
     observe,
-    regular_anchors,
     render_ppm,
     type2,
 )
@@ -57,6 +56,7 @@ from latentcolor.bicone import _decode_planes
 from latentcolor.observe import mean_color
 from latentcolor.subspace import project
 from latentcolor.timestats import _chart, normalize
+from latentcolor.toyflow import _regular_anchors
 from colorref import (
     _M_XYZ as REF_M_XYZ,
     _WHITE as REF_WHITE,
@@ -482,6 +482,17 @@ def test_render_ppm_matches_per_cell_reference(case, cell_px):
     assert render_ppm(grid, cell_px) == f"P6\n{w * cell_px} {h * cell_px}\n255\n".encode() + bytes(rows)
 
 
+@pytest.mark.parametrize("cell_px", [1, 2, 3, 16])
+def test_render_ppm_is_the_per_pixel_reference(cell_px):
+    # pixel (y, x) is the 8-bit colour of cell (y // cell_px, x // cell_px), on random grid shapes
+    rng = np.random.default_rng(cell_px)
+    for h, w in rng.integers(1, 10, (5, 2)).tolist():
+        grid = ColorGrid.from_hsl(rng.uniform(0.0, 1.0, (h, w, 3)) * [360.0, 1.0, 1.0])
+        cells = [bytes(round(v * 255.0) for v in hsl_to_rgb(c)) for c in grid.cells]
+        px = b"".join(cells[y // cell_px * w + x // cell_px] for y in range(h * cell_px) for x in range(w * cell_px))
+        assert render_ppm(grid, cell_px) == f"P6\n{w * cell_px} {h * cell_px}\n255\n".encode() + px
+
+
 def bits(x):
     """x with every float spelled out exactly (float.hex), for bitwise comparison."""
     if isinstance(x, float):
@@ -734,7 +745,7 @@ def test_hsl_to_rgb_array_is_modulo_formula_bitwise(rows):
 
 def edge_anchor_sets(anchors):
     """The fitted anchors, and regular ones whose chroma coordinates decode_raw recovers exactly."""
-    regular = regular_anchors(1.0, 1.0)
+    regular = _regular_anchors(1.0, 1.0)
     # e2 with signed zeros, so a chroma point (x, -0.0) gives q1 = -0.0 and atan2(-0.0, x) = -0.0
     signed = dataclasses.replace(regular, e2=np.array([-0.0, -0.0, 1.0]))
     return anchors, regular, signed
@@ -985,6 +996,15 @@ def writable_and_frozen_copies(a: np.ndarray) -> list[np.ndarray]:
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_read_path_kernels_leave_their_inputs_alone(anchors, model, toy_stats, n, seed):
+    check_read_path_kernels_leave_their_inputs_alone(anchors, model, toy_stats, n, seed)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (7, 1), (40, 2)])
+def test_read_path_kernels_leave_their_inputs_alone_on_seeded_cases(anchors, model, toy_stats, n, seed):
+    check_read_path_kernels_leave_their_inputs_alone(anchors, model, toy_stats, n, seed)
+
+
+def check_read_path_kernels_leave_their_inputs_alone(anchors, model, toy_stats, n, seed):
     rng = np.random.default_rng(seed)
     hsl = np.stack([rng.uniform(0.0, 360.0, n), rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
     lin = rng.uniform(-0.1, 1.1, (3, n))

@@ -10,7 +10,6 @@ from latentcolor import (
     ColorGrid,
     ToyEmbedder,
     decode,
-    embed_hsl,
     embed_image,
     generate,
     initial_noise,
@@ -28,6 +27,7 @@ from latentcolor.toyflow import (
     TIMESTEP_PALETTE,
     _hidden,
     _nearest,
+    embed_hsl,
     probe_colors,
 )
 from colorref import hsv_to_hsl, rgb_to_hsl
@@ -331,7 +331,19 @@ def _mutating_edit(field):
 @settings(max_examples=80, deadline=None)
 @given(case=flow_cases(), edited=st.booleans())
 def test_generate_is_the_reference_loop_bitwise(case, edited):
-    field, z0 = case
+    check_generate_is_the_reference_loop_bitwise(*case, edited)
+
+
+@pytest.mark.parametrize("T, L, n, seed", [(1, 1, 1, 0), (7, 3, 2, 1), (40, 5, 3, 2)])
+def test_generate_is_the_reference_loop_bitwise_on_seeded_fields(T, L, n, seed):
+    e = ToyEmbedder.create(seed=seed, d=8)
+    rng = np.random.default_rng(seed)
+    atts = tuple(e.offset + rng.standard_normal((L, 8)) * 30.0 for _ in range(n))
+    for edited in (False, True):
+        check_generate_is_the_reference_loop_bitwise(AttractorField(atts, T, e), rng.standard_normal((L, 8)), edited)
+
+
+def check_generate_is_the_reference_loop_bitwise(field, z0, edited):
     for z in (z0, *field.attractors):
         assert nearest_attractor(z, field) == _reference_nearest(z, field)
     want = _reference_generate(z0, field, _mutating_edit(field) if edited else None)
