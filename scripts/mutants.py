@@ -72,6 +72,9 @@ NO_MASK = "tests/test_intervene.py::test_no_mask_is_the_full_mask_bitwise_on_see
 FULL_MASK = "tests/test_intervene.py::test_a_full_mask_writes_back_without_gathering_rows"
 READ_NAMES = "tests/test_tensorio.py::test_read_latents_names_the_file_in_each_refusal"
 BAD_TRAJECTORY = "tests/test_cli.py::test_stats_over_a_bad_trajectory_exits_2_naming_the_file"
+MASK_REFUSALS = "tests/test_intervene.py::test_mask_refusals_say_what_is_wrong"
+MASK_INDICES = "tests/test_intervene.py::test_mask_indices_are_sorted_and_read_only"
+STATS_REFUSALS = "tests/test_timestats.py::test_table_refusals_say_what_is_wrong"
 
 MUTANTS = (
     # the PGM header pattern
@@ -260,13 +263,66 @@ MUTANTS = (
         'f"\\n{indent}],\\n{indent}[\\n{inner}"', 'f"\\n{indent}],\\n{inner}[\\n{inner}"',
         (AS_DUMPS,),
     ),
-    # record checks
+    # record constructors
     Mutant(
         "basis-check-relative-tolerance", "src/latentcolor/subspace.py",
         "np.eye(3)) <= 1e-9)", "np.eye(3)) <= 1e-9 + 1e-5 * np.eye(3))",
         (
             "tests/test_subspace.py::test_model_basis_is_orthonormal_within_1e_9_elementwise",
             MALFORMED,
+        ),
+    ),
+    Mutant(
+        "model-basis-orthonormality-unchecked", "src/latentcolor/subspace.py",
+        "if not (np.abs(basis.T @ basis - np.eye(3)) <= 1e-9).all():", "if False:",
+        (
+            "tests/test_subspace.py::test_model_rejects_nonorthonormal_basis",
+            "tests/test_subspace.py::test_model_rejects_a_nan_basis",
+        ),
+    ),
+    Mutant(
+        "stats-negative-scale-unchecked", "src/latentcolor/timestats.py",
+        "if (beta < 0).any():", "if False:",
+        (f"{STATS_REFUSALS}[negative-at-t0]",),
+    ),
+    Mutant(
+        "stats-tables-may-differ-in-shape", "src/latentcolor/timestats.py",
+        "alpha.shape[1] != 3 or alpha.shape != beta.shape:", "alpha.shape[1] != 3:",
+        (STATS_REFUSALS,),
+    ),
+    Mutant(
+        "attractor-shapes-unchecked", "src/latentcolor/toyflow.py",
+        "if len(shapes) != 1 or atts[0].ndim != 2 or atts[0].shape[1] != embedder.dim:", "if False:",
+        ("tests/test_toyflow.py::test_field_validation", "tests/test_toyflow.py::test_field_refusals_say_what_is_wrong"),
+    ),
+    Mutant(
+        "mask-range-unchecked", "src/latentcolor/intervene.py",
+        "if order and (order[0] < 0 or order[-1] >= L):", "if False:",
+        (MASK_REFUSALS, "tests/test_intervene.py::test_mask_basics"),
+    ),
+    Mutant(
+        "mask-range-checked-above-only", "src/latentcolor/intervene.py",
+        "(order[0] < 0 or order[-1] >= L)", "(order[-1] >= L)",
+        (MASK_REFUSALS,),
+    ),
+    Mutant(
+        "mask-order-unsorted", "src/latentcolor/intervene.py",
+        "order = sorted(sel)", "order = list(sel)",
+        (MASK_INDICES, MASK_REFUSALS),
+    ),
+    Mutant(
+        "mask-indices-writable", "src/latentcolor/intervene.py",
+        "        self._indices.flags.writeable = False\n", "",
+        (MASK_INDICES,),
+    ),
+    # AnchorSet's constructor
+    Mutant(
+        "anchor-degeneracy-absolute", "src/latentcolor/bicone.py",
+        "norms < max(_MIN_CHROMA, _MIN_ANCHOR_CHROMA * scale)", "norms < _MIN_CHROMA",
+        (
+            "tests/test_bicone.py::test_an_anchor_with_chroma_lost_to_rounding_is_refused",
+            "tests/test_bicone.py::test_decode_takes_the_anchors_and_edge_midpoints_of_every_set_the_constructor_accepts",
+            "tests/test_cli.py::test_observe_refuses_anchors_whose_chroma_is_lost_to_rounding_naming_the_file",
         ),
     ),
     Mutant(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -44,9 +43,14 @@ ANCHOR_LABELS = HUE_LABELS + ("black", "white")
 # decode conventions for degenerate regions
 _MIN_BICONE = 1e-6   # below this 1 - |2l - 1| the point is treated as achromatic
 _MIN_CHROMA = 1e-9   # below this chroma norm the hue defaults to 0
+_MIN_ANCHOR_CHROMA = 1e-12  # share of the set's largest coordinate below which decode's rounding loses an anchor's chroma
 
 
-@dataclass(frozen=True)
+def _rowdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row by row dot products: a stack of (1, n) @ (n, 1) runs 1-D `@`'s dot loop per row, so no bit moves
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 class AnchorSet(tensorio.JsonRecord):
     """Projected anchor geometry with its derived achromatic frame.
 
@@ -57,15 +61,43 @@ class AnchorSet(tensorio.JsonRecord):
     (6, 2) anchor positions in that plane.
     """
 
-    hue_anchors: np.ndarray
-    black: np.ndarray
-    white: np.ndarray
-    axis: np.ndarray
-    unit_axis: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    chroma_points: np.ndarray
-    chroma_angles: np.ndarray
+    __slots__ = ("hue_anchors", "black", "white", "axis", "unit_axis", "e1", "e2", "chroma_points", "chroma_angles")
+
+    def __init__(self, hue_anchors, black, white) -> None:
+        """Derive the frame from (6, 3) hue anchors and (3,) black and white points, and validate it."""
+        hue, black, white = (np.asarray(v, dtype=np.float64) for v in (hue_anchors, black, white))
+        axis = white - black
+        norm_axis = float(np.linalg.norm(axis))
+        if norm_axis < 1e-9:
+            raise ValueError("black and white probes coincide; no achromatic axis")
+        unit_axis = axis / norm_axis
+
+        rel = hue - black
+        chroma = rel - _rowdots(rel, unit_axis)[:, None] * unit_axis
+        norms = np.sqrt(_rowdots(chroma, chroma))
+        scale = max(float(np.abs(v).max()) for v in (hue, black, white))
+        degenerate = np.flatnonzero(norms < max(_MIN_CHROMA, _MIN_ANCHOR_CHROMA * scale))
+        if degenerate.size:
+            raise ValueError(f"degenerate anchor: {HUE_LABELS[degenerate[0]]} probe has no chroma")
+        e1 = chroma[0] / norms[0]
+        (u0, u1, u2), (f0, f1, f2) = unit_axis.tolist(), e1.tolist()
+        e2 = np.array([u1 * f2 - u2 * f1, u2 * f0 - u0 * f2, u0 * f1 - u1 * f0])  # np.cross(unit_axis, e1)
+        if float(chroma[1] @ e2) < 0:
+            e2 = -e2
+        pts = _rowdots(chroma[:, None], np.array([e1, e2]))
+        # consecutive anchors must turn counterclockwise around the axis ...
+        nxt = pts[_NEXT_ANCHOR]
+        if (pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0).any():
+            raise ValueError("hue anchors are not in strict counterclockwise order")
+        angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
+        # e1 is the red chroma direction, so red sits at angle 0 exactly; its
+        # computed angle can round to 2 pi when pts[0, 1] is a tiny negative
+        angles[0] = 0.0
+        # ... and go round it once, or hue lookup by angle has no meaning
+        if not ((np.diff(angles) > 0.0).all() and angles[5] < 2.0 * math.pi):
+            raise ValueError("hue anchors wind around the achromatic axis more than once")
+        self.hue_anchors, self.black, self.white, self.axis, self.unit_axis = hue, black, white, axis, unit_axis
+        self.e1, self.e2, self.chroma_points, self.chroma_angles = e1, e2, pts, angles
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,57 +126,7 @@ class AnchorSet(tensorio.JsonRecord):
         if thetas != list(HUE_DEGREES):  # each label's hue is fixed; a file cannot move it
             raise ValueError(f"hue anchor thetas must be {list(HUE_DEGREES)}, got {thetas}")
         hue = tensorio.float_array([e["coords"] for e in entries], (6, 3))
-        return _assemble(hue, tensorio.float_array(obj["black"], (3,)), tensorio.float_array(obj["white"], (3,)))
-
-
-def _rowdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # row by row dot products: a stack of (1, n) @ (n, 1) runs 1-D `@`'s dot loop per row, so no bit moves
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _assemble(hue: np.ndarray, black: np.ndarray, white: np.ndarray) -> AnchorSet:
-    """Derive the achromatic frame from (6, 3) hue anchors and (3,) black and white points, and validate it."""
-    axis = white - black
-    norm_axis = float(np.linalg.norm(axis))
-    if norm_axis < 1e-9:
-        raise ValueError("black and white probes coincide; no achromatic axis")
-    unit_axis = axis / norm_axis
-
-    rel = hue - black
-    chroma = rel - _rowdots(rel, unit_axis)[:, None] * unit_axis
-    norms = np.sqrt(_rowdots(chroma, chroma))
-    degenerate = np.flatnonzero(norms < 1e-9)
-    if degenerate.size:
-        raise ValueError(f"degenerate anchor: {HUE_LABELS[degenerate[0]]} probe has no chroma")
-    e1 = chroma[0] / norms[0]
-    (u0, u1, u2), (f0, f1, f2) = unit_axis.tolist(), e1.tolist()
-    e2 = np.array([u1 * f2 - u2 * f1, u2 * f0 - u0 * f2, u0 * f1 - u1 * f0])  # np.cross(unit_axis, e1)
-    if float(chroma[1] @ e2) < 0:
-        e2 = -e2
-    pts = _rowdots(chroma[:, None], np.array([e1, e2]))
-    # consecutive anchors must turn counterclockwise around the axis ...
-    nxt = pts[_NEXT_ANCHOR]
-    if (pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0).any():
-        raise ValueError("hue anchors are not in strict counterclockwise order")
-    angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
-    # e1 is the red chroma direction, so red sits at angle 0 exactly; its
-    # computed angle can round to 2 pi when pts[0, 1] is a tiny negative
-    angles[0] = 0.0
-    # ... and go round it once, or hue lookup by angle has no meaning
-    if not ((np.diff(angles) > 0.0).all() and angles[5] < 2.0 * math.pi):
-        raise ValueError("hue anchors wind around the achromatic axis more than once")
-
-    return AnchorSet(
-        hue_anchors=hue,
-        black=black,
-        white=white,
-        axis=axis,
-        unit_axis=unit_axis,
-        e1=e1,
-        e2=e2,
-        chroma_points=pts,
-        chroma_angles=angles,
-    )
+        return cls(hue, tensorio.float_array(obj["black"], (3,)), tensorio.float_array(obj["white"], (3,)))
 
 
 def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel) -> AnchorSet:
@@ -164,7 +146,7 @@ def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel)
     if any(v.shape != (3,) for v in proj.values()):
         raise ValueError(f"expected one (d,) latent per probe label, got shapes {[v.shape for v in proj.values()]}")
     hue = np.array([proj[l] for l in HUE_LABELS], dtype=np.float64)
-    return _assemble(hue, proj["black"], proj["white"])
+    return AnchorSet(hue, proj["black"], proj["white"])
 
 
 def _rows(x: np.ndarray, what: str) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,32 +36,36 @@ __all__ = [
 MODES = ("type1", "type2", "interp")
 
 
-@dataclass(frozen=True)
 class PatchMask(tensorio.JsonRecord):
-    """Selected patch indices of an L-patch tensor."""
+    """Selected patch indices of an L-patch tensor; indices is their sorted, read-only array."""
 
-    L: int
-    selected: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("L", "selected", "_indices")
 
-    def __post_init__(self) -> None:
+    def __init__(self, L: int, selected=frozenset()) -> None:
+        types = {type(L), *map(type, selected)}
         # int() below would truncate 2.7 to 2 and read True as 1; bool is neither int nor a numpy integer
-        if not all(k is int or issubclass(k, np.integer) for k in {type(self.L), *map(type, self.selected)}):
+        if not all(k is int or issubclass(k, np.integer) for k in types):
             raise ValueError("mask L and selected indices must be integers")
-        if self.L < 1:
+        if L < 1:
             raise ValueError("mask needs L >= 1")
-        sel = frozenset(int(i) for i in self.selected)
-        if any(i < 0 or i >= self.L for i in sel):
-            raise ValueError(f"mask indices out of range for L = {self.L}")
-        object.__setattr__(self, "L", int(self.L))  # a numpy integer would not serialize
-        object.__setattr__(self, "selected", sel)
+        sel = selected if types == {int} and type(selected) is frozenset else frozenset(map(int, selected))
+        order = sorted(sel)
+        if order and (order[0] < 0 or order[-1] >= L):
+            raise ValueError(f"mask indices out of range for L = {L}")
+        self.L, self.selected = int(L), sel  # a numpy integer would not serialize
+        self._indices = np.fromiter(order, np.intp, len(order))
+        self._indices.flags.writeable = False
+
+    def __eq__(self, other):
+        return (self.L, self.selected) == (other.L, other.selected) if type(other) is PatchMask else NotImplemented
 
     @classmethod
     def full(cls, L: int) -> "PatchMask":
-        return cls(L=L, selected=frozenset(range(L)))
+        return cls(L, frozenset(range(L)))
 
     @property
     def indices(self) -> np.ndarray:
-        return np.array(sorted(self.selected), dtype=np.intp)
+        return self._indices
 
     def to_json_dict(self) -> dict:
         return {"L": self.L, "selected": sorted(self.selected)}

@@ -8,7 +8,6 @@ to subspace coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -18,7 +17,6 @@ from . import tensorio
 __all__ = ["SubspaceModel", "average_patches", "fit_pca", "project"]
 
 
-@dataclass(frozen=True)
 class SubspaceModel(tensorio.JsonRecord):
     """Centered orthonormal basis of the color subspace.
 
@@ -27,22 +25,17 @@ class SubspaceModel(tensorio.JsonRecord):
     explained: the three components' fractions of total variance.
     """
 
-    mean: np.ndarray
-    basis: np.ndarray
-    explained: tuple[float, ...]
+    __slots__ = ("mean", "basis", "explained")
 
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        basis = np.asarray(self.basis, dtype=np.float64)
+    def __init__(self, mean, basis, explained) -> None:
+        mean, basis = np.asarray(mean, dtype=np.float64), np.asarray(basis, dtype=np.float64)
         if mean.ndim != 1 or basis.shape != (mean.shape[0], 3):
             raise ValueError(f"expected a (d,) mean and a (d, 3) basis, got {mean.shape} and {basis.shape}")
         if not (np.abs(basis.T @ basis - np.eye(3)) <= 1e-9).all():  # NaN fails too
             raise ValueError("basis columns are not orthonormal")
-        if len(self.explained) != 3:
-            raise ValueError(f"expected 3 explained ratios, got {len(self.explained)}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "explained", tuple(float(v) for v in self.explained))
+        if len(explained) != 3:
+            raise ValueError(f"expected 3 explained ratios, got {len(explained)}")
+        self.mean, self.basis, self.explained = mean, basis, tuple(float(v) for v in explained)
 
     @property
     def dim(self) -> int:

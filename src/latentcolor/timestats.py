@@ -19,8 +19,6 @@ target distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensorio
@@ -31,7 +29,6 @@ __all__ = ["StatsTable", "builtin_flux_stats", "fit_stats", "normalize"]
 _MIN_SCALE = 1e-12
 
 
-@dataclass(frozen=True)
 class StatsTable(tensorio.JsonRecord):
     """Rows of (alpha_t, beta_t), contiguous from t = 0 to t = T.
 
@@ -39,12 +36,10 @@ class StatsTable(tensorio.JsonRecord):
     degenerate (all trajectories can share their initial state).
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        beta = np.asarray(self.beta, dtype=np.float64)
+    def __init__(self, alpha, beta) -> None:
+        alpha, beta = np.asarray(alpha, dtype=np.float64), np.asarray(beta, dtype=np.float64)
         if alpha.ndim != 2 or alpha.shape[1] != 3 or alpha.shape != beta.shape:
             raise ValueError(f"expected matching (T+1, 3) tables, got {alpha.shape} and {beta.shape}")
         if alpha.shape[0] < 2:
@@ -55,8 +50,7 @@ class StatsTable(tensorio.JsonRecord):
             raise ValueError("negative scale in stats table")
         if (beta[1:] <= _MIN_SCALE).any():
             raise ValueError("zero scale: beta must be positive for t >= 1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self.alpha, self.beta = alpha, beta
 
     @property
     def T(self) -> int:

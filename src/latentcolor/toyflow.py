@@ -18,12 +18,11 @@ interventions well defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .bicone import AnchorSet, HUE_DEGREES, HUE_LABELS, _assemble, decode, encode
+from .bicone import AnchorSet, HUE_DEGREES, HUE_LABELS, decode, encode
 from .colorspace import HslColor, canonical_hsl
 from .observe import ColorGrid
 
@@ -86,10 +85,9 @@ def _regular_anchors(axis_length: float, chroma_radius: float) -> AnchorSet:
     """The ideal anchor set: the axis along the first coordinate, a regular hexagon of hue anchors at mid lightness."""
     rad = [math.radians(th) for th in HUE_DEGREES]
     hue = [[axis_length / 2.0, chroma_radius * math.cos(r), chroma_radius * math.sin(r)] for r in rad]
-    return _assemble(np.array(hue), np.zeros(3), np.array([axis_length, 0.0, 0.0]))
+    return AnchorSet(hue, np.zeros(3), np.array([axis_length, 0.0, 0.0]))
 
 
-@dataclass(frozen=True)
 class ToyEmbedder:
     """Affine rank-3 lift of the hexagonal bicone into d dimensions.
 
@@ -97,9 +95,10 @@ class ToyEmbedder:
     the ideal anchor set expressed in the hidden 3-space coordinates.
     """
 
-    lift: np.ndarray
-    offset: np.ndarray
-    anchors: AnchorSet
+    __slots__ = ("lift", "offset", "anchors")
+
+    def __init__(self, lift: np.ndarray, offset: np.ndarray, anchors: AnchorSet) -> None:
+        self.lift, self.offset, self.anchors = lift, offset, anchors
 
     @classmethod
     def create(cls, seed: int = 0, d: int = DEFAULT_DIM) -> "ToyEmbedder":
@@ -138,12 +137,13 @@ def toy_decode(z: np.ndarray, e: ToyEmbedder) -> HslColor:
     return decode(e.lift.T @ (z - e.offset), e.anchors)
 
 
-@dataclass(frozen=True)
 class ProbeSet:
     """Labeled anchor probes plus a lattice of sample latents for fitting."""
 
-    labeled: Mapping[str, np.ndarray]
-    lattice: np.ndarray
+    __slots__ = ("labeled", "lattice")
+
+    def __init__(self, labeled: Mapping[str, np.ndarray], lattice: np.ndarray) -> None:
+        self.labeled, self.lattice = labeled, lattice
 
 
 def probe_colors() -> dict[str, HslColor]:
@@ -180,7 +180,6 @@ def make_probe_set(e: ToyEmbedder) -> ProbeSet:
 # Flow simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class AttractorField:
     """Clean targets the flow can land on, plus the step count T.
 
@@ -188,20 +187,18 @@ class AttractorField:
     attractor is selected.
     """
 
-    attractors: tuple[np.ndarray, ...]
-    T: int
-    embedder: ToyEmbedder
+    __slots__ = ("attractors", "T", "embedder")
 
-    def __post_init__(self) -> None:
-        if self.T < 1:
-            raise ValueError(f"need T >= 1, got {self.T}")
-        atts = tuple(np.asarray(a, dtype=np.float64) for a in self.attractors)
+    def __init__(self, attractors, T: int, embedder: ToyEmbedder) -> None:
+        if T < 1:
+            raise ValueError(f"need T >= 1, got {T}")
+        atts = tuple(np.asarray(a, dtype=np.float64) for a in attractors)
         if not atts:
             raise ValueError("field needs at least one attractor")
         shapes = {a.shape for a in atts}
-        if len(shapes) != 1 or atts[0].ndim != 2 or atts[0].shape[1] != self.embedder.dim:
-            raise ValueError(f"attractors must share one (L, {self.embedder.dim}) shape, got {sorted(shapes)}")
-        object.__setattr__(self, "attractors", atts)
+        if len(shapes) != 1 or atts[0].ndim != 2 or atts[0].shape[1] != embedder.dim:
+            raise ValueError(f"attractors must share one (L, {embedder.dim}) shape, got {sorted(shapes)}")
+        self.attractors, self.T, self.embedder = atts, T, embedder
 
 
 def solid_attractor(color: HslColor, e: ToyEmbedder, grid: tuple[int, int] = DEFAULT_GRID) -> np.ndarray:

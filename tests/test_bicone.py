@@ -20,7 +20,8 @@ from latentcolor import (
     observe,
     toy_decode,
 )
-from latentcolor.bicone import ANCHOR_LABELS, HUE_DEGREES, HUE_LABELS, _assemble
+from latentcolor import bicone
+from latentcolor.bicone import ANCHOR_LABELS, HUE_DEGREES, HUE_LABELS
 from latentcolor.colorspace import HslColor, signed_hue_delta
 from latentcolor.toyflow import _regular_anchors, embed_hsl
 
@@ -98,9 +99,9 @@ def test_build_anchors_refuses_a_latent_that_is_not_one_vector(probe_set, model)
 
 
 def test_a_mirrored_anchor_set_decodes_its_own_encode(anchors):
-    # reflected through the plane of the axis and red: the hues turn clockwise about u x e1, so _assemble flips e2
+    # reflected through the plane of the axis and red: the hues turn clockwise about u x e1, so AnchorSet flips e2
     mirror = np.eye(3) - 2.0 * np.outer(anchors.e2, anchors.e2)
-    mirrored = _assemble(anchors.black + (anchors.hue_anchors - anchors.black) @ mirror, anchors.black, anchors.white)
+    mirrored = AnchorSet(anchors.black + (anchors.hue_anchors - anchors.black) @ mirror, anchors.black, anchors.white)
     assert mirrored.e2 @ np.cross(mirrored.unit_axis, mirrored.e1) < 0
     rng = np.random.default_rng(23)
     hsl = np.column_stack([rng.uniform(0.0, 360.0, 500), rng.uniform(0.01, 0.99, (500, 2))])
@@ -133,7 +134,7 @@ def test_anchor_polygon_winding_twice_rejected():
 
 
 def assemble_per_anchor(hue, black, white):
-    """_assemble's frame and chroma points, one anchor at a time with np.cross and np.roll: the reference."""
+    """AnchorSet's frame and chroma points, one anchor at a time with np.cross and np.roll: the reference."""
     axis = white - black
     unit_axis = axis / float(np.linalg.norm(axis))
 
@@ -172,7 +173,7 @@ def test_assemble_is_the_per_anchor_reference_bitwise(seed, jitter, flat):
         hue[flat] = black + (white - black) * rng.uniform()
     expected = assemble_per_anchor(hue, black, white)
     try:
-        got = _assemble(hue, black, white)
+        got = AnchorSet(hue, black, white)
     except ValueError as e:
         assert str(e) == expected if isinstance(expected, str) else "more than once" in str(e)  # not checked here
         return
@@ -201,6 +202,61 @@ def test_red_anchor_angle_is_exactly_zero():
         back = decode(encode(HslColor(h, 0.7, 0.5), a), a)
         assert abs(signed_hue_delta(back.h, h)) < 1e-9
         assert back.s == pytest.approx(0.7, abs=1e-9)
+
+
+# hue anchors whose cyan and magenta chroma (about 32 and 6) are under 2e-16 of the largest coordinate (2e17):
+# decode_raw's rounding then puts the cyan-blue edge midpoint on the wrong side of the polygon
+TINY_CHROMA_HUES = [
+    [0.06, 3e7, 0.0], [2.0, -2e10, 2e11], [1.0, -7e7, 6e7], [3.0, -30.0, -10.0], [0.9, -6e16, -2e17], [1.0, 1.0, -6.0],
+]
+TINY_CHROMA_AXIS = ([0.0, 0.0, 0.0], [3.0, 0.0, 0.0])
+
+
+def test_an_anchor_with_chroma_lost_to_rounding_is_refused(monkeypatch):
+    with pytest.raises(ValueError, match=r"^degenerate anchor: cyan probe has no chroma$"):
+        AnchorSet(TINY_CHROMA_HUES, *TINY_CHROMA_AXIS)
+    # judged by absolute chroma alone, the set passes, and decode cannot use it
+    monkeypatch.setattr(bicone, "_MIN_ANCHOR_CHROMA", 0.0)
+    a = AnchorSet(TINY_CHROMA_HUES, *TINY_CHROMA_AXIS)
+    with pytest.raises(ValueError, match="does not enclose"):
+        decode_raw((a.hue_anchors[3] + a.hue_anchors[4]) / 2.0, a)
+
+
+def scaled_hexagon(seed, log_scale, log_radii, log_axis, log_offset):
+    """Hue anchors in counterclockwise order, black and white; each size is 10 ** (log_scale + its log_ argument).
+
+    The sizes are the six chroma radii, the axis length and the offset. The hues are 0.2 to 1 rad
+    apart before the gaps are scaled to a full turn, each at a random lightness on the axis; then
+    the whole set is rotated and moved by a random vector of the offset's size.
+    """
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.2, 1.0, 6)
+    theta = np.cumsum(gaps * (2.0 * math.pi / gaps.sum())) + rng.uniform(0.0, 2.0 * math.pi)
+    radii = 10.0 ** (log_scale + np.array(log_radii))
+    axis, offset = 10.0 ** (log_scale + log_axis), 10.0 ** (log_scale + log_offset)
+    local = np.column_stack([axis * rng.uniform(0.0, 1.0, 6), radii * np.cos(theta), radii * np.sin(theta)])
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    shift = offset * rng.standard_normal(3)
+    return local @ rotation + shift, shift, np.array([axis, 0.0, 0.0]) @ rotation + shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(-3.0, 31.0),
+    st.sampled_from([12.0, 34.0]).flatmap(lambda w: st.lists(st.floats(-w, 0.0), min_size=6, max_size=6)),
+    st.floats(-34.0, 0.0),
+    st.floats(-34.0, 0.0),
+)
+def test_decode_takes_the_anchors_and_edge_midpoints_of_every_set_the_constructor_accepts(
+    seed, log_scale, log_radii, log_axis, log_offset
+):
+    hue, black, white = scaled_hexagon(seed, log_scale, log_radii, log_axis, log_offset)
+    try:
+        a = AnchorSet(hue, black, white)
+    except ValueError:
+        return
+    decode_raw(np.vstack([hue, (hue + np.roll(hue, -1, axis=0)) / 2.0]), a)  # refuses nothing
 
 
 def test_fitted_anchors_decode_red_yellow_segment_on_seed_5():

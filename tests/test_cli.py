@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import latentcolor
 from latentcolor import (
@@ -43,9 +43,11 @@ from latentcolor.colorspace import (
     signed_hue_delta,
     srgb_to_linear_array,
 )
+from latentcolor.bicone import HUE_DEGREES, HUE_LABELS
 from latentcolor.intervene import MODES
 from latentcolor.observe import mean_color
 from latentcolor.toyflow import probe_colors
+from test_bicone import TINY_CHROMA_AXIS, TINY_CHROMA_HUES
 from test_kernels import hue, unit
 
 RED_HEX = "#D81511"
@@ -659,6 +661,16 @@ def test_observe_rejects_anchors_winding_twice(ws, tmp_path, capsys):
     assert "more than once" in capsys.readouterr().err
 
 
+def test_observe_refuses_anchors_whose_chroma_is_lost_to_rounding_naming_the_file(ws, tmp_path, capsys):
+    entries = [{"label": l, "theta": th, "coords": c} for l, th, c in zip(HUE_LABELS, HUE_DEGREES, TINY_CHROMA_HUES)]
+    bad, out = tmp_path / "anchors.json", tmp_path / "g.json"
+    bad.write_text(json.dumps({"hue_anchors": entries, "black": TINY_CHROMA_AXIS[0], "white": TINY_CHROMA_AXIS[1]}))
+    argv = ["observe", str(ws["root"] / "run-red" / "t010.lt"), "--t", "10", "--model", str(ws["model"])]
+    assert main(argv + ["--anchors", str(bad), "--stats", str(ws["stats"]), "--out-json", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: bad AnchorSet: degenerate anchor: cyan probe has no chroma\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("config", ["model", "anchors"])
 def test_observe_rejects_non_finite_config_json(ws, tmp_path, capsys, config, value):
@@ -946,6 +958,71 @@ def test_a_record_edited_off_its_shape_exits_2_naming_it(ws, fuzz_world, data, k
         code = main(argv)
     assert code == 2 and str(bad) in err.getvalue()
     assert not out.exists()
+
+
+# a value put in place of any one value of a record file: null, a bool, a string, a huge or a tiny number
+VALUE_EDITS = {
+    "null": [None],
+    "bool": [True, False],
+    "string": ["", "1.0", "red"],
+    "huge": [1.7e308, -1.7e308, 1e200, 2**63, 10**400],
+    "tiny": [5e-324, -5e-324, 1e-300, -0.0, 0],
+}
+
+
+def _value_sites(obj, path=()):
+    """Paths to each value below the root of a parsed JSON object, the dicts' keys and the lists' indices."""
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    return [site for k, v in items for site in [path + (k,), *_value_sites(v, path + (k,))]]
+
+
+def _apply_path(obj, path):
+    """The value at path in a parsed JSON object."""
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _record_argv(ws, files, kind, bad, out):
+    """eval over the grid and mask files, or observe over the model, anchors and stats, with bad for the kind's file."""
+    given_files = {**files, kind: bad}
+    if kind in ("grid", "mask"):
+        return ["eval", str(given_files["grid"]), str(files["grid"]), "--mask", str(given_files["mask"]), "--out", str(out)]
+    argv = ["observe", str(ws["root"] / "run-red" / "t010.lt"), "--t", "10", "--out-json", str(out)]
+    return argv + [f"--{k}={given_files[k]}" for k in ("model", "anchors", "stats")]
+
+
+@seed(21)
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["model", "anchors", "stats", "grid", "mask"]),
+    how=st.sampled_from([*VALUE_EDITS, "delete", "shuffle"]),
+)
+def test_a_record_with_an_edited_value_exits_0_or_2_naming_it(ws, fuzz_world, data, kind, how):
+    root, files, objs, _ = fuzz_world
+    obj = json.loads(json.dumps(objs[kind]))  # a deep copy
+    sites = _value_sites(obj)
+    if how == "delete":
+        sites = [path for path in sites if type(path[-1]) is str]
+    elif how == "shuffle":
+        sites = [path for path in sites if type(_apply_path(obj, path)) is list and len(_apply_path(obj, path)) > 1]
+    *outer, last = data.draw(st.sampled_from(sites), label="site")
+    parent = _apply_path(obj, outer)
+    if how == "delete":
+        del parent[last]
+    elif how == "shuffle":
+        parent[last] = data.draw(st.permutations(parent[last]), label="order")
+    else:
+        parent[last] = data.draw(st.sampled_from(VALUE_EDITS[how]), label="value")
+    bad, out = root / "bad.json", root / "out.json"
+    bad.write_text(json.dumps(obj))
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(_record_argv(ws, files, kind, bad, out))
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert str(bad) in err.getvalue() and not out.exists(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

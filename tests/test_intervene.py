@@ -71,6 +71,25 @@ def test_mask_basics():
         PatchMask(L=0)
 
 
+@pytest.mark.parametrize("L, selected, says", [
+    (0, frozenset(), "^mask needs L >= 1$"),
+    (-2, frozenset(), "^mask needs L >= 1$"),
+    (4, frozenset({4}), "^mask indices out of range for L = 4$"),
+    (4, frozenset({-1, 2}), "^mask indices out of range for L = 4$"),
+    (4, frozenset({2**70}), "^mask indices out of range for L = 4$"),
+], ids=["L-0", "L-negative", "at-L", "negative", "beyond-int64"])
+def test_mask_refusals_say_what_is_wrong(L, selected, says):
+    with pytest.raises(ValueError, match=says):
+        PatchMask(L=L, selected=selected)
+
+
+def test_mask_indices_are_sorted_and_read_only():
+    m = PatchMask(L=70, selected=frozenset({65, 3, 64, 0}))
+    assert m.indices.tolist() == [0, 3, 64, 65] and m.indices.dtype == np.intp
+    assert m.indices is m.indices and not m.indices.flags.writeable
+    assert PatchMask(L=5).indices.tolist() == []
+
+
 @pytest.mark.parametrize(
     "L, selected", [(4, [2.7]), (4, [True]), (4, [1, np.float64(2.0)]), (4, [np.bool_(True)]), (4.0, [1]), (True, [0])]
 )

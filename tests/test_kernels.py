@@ -9,7 +9,7 @@ CIEDE2000, decode), or where sums run in another order (grid means), the
 tolerance is 1e-12, with hue compared circularly.
 """
 
-import dataclasses
+import copy
 import hashlib
 import math
 
@@ -747,7 +747,8 @@ def edge_anchor_sets(anchors):
     """The fitted anchors, and regular ones whose chroma coordinates decode_raw recovers exactly."""
     regular = _regular_anchors(1.0, 1.0)
     # e2 with signed zeros, so a chroma point (x, -0.0) gives q1 = -0.0 and atan2(-0.0, x) = -0.0
-    signed = dataclasses.replace(regular, e2=np.array([-0.0, -0.0, 1.0]))
+    signed = copy.copy(regular)
+    signed.e2 = np.array([-0.0, -0.0, 1.0])
     return anchors, regular, signed
 
 

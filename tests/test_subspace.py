@@ -155,3 +155,15 @@ def test_model_rejects_a_nan_basis():
     basis[3, 2] = np.nan
     with pytest.raises(ValueError, match="not orthonormal"):
         SubspaceModel(mean=np.zeros(4), basis=basis, explained=(0.5, 0.3, 0.2))
+
+
+
+@pytest.mark.parametrize("mean, basis, explained, says", [
+    (np.zeros(4), np.eye(3), (0.5, 0.3, 0.2), r"^expected a \(d,\) mean and a \(d, 3\) basis, got \(4,\) and \(3, 3\)$"),
+    (np.zeros((4, 1)), np.eye(4)[:, :3], (0.5, 0.3, 0.2),
+     r"^expected a \(d,\) mean and a \(d, 3\) basis, got \(4, 1\) and \(4, 3\)$"),
+    (np.zeros(4), np.eye(4)[:, :3], (0.5, 0.3), "^expected 3 explained ratios, got 2$"),
+], ids=["basis-rows", "mean-axes", "explained"])
+def test_model_refusals_say_what_is_wrong(mean, basis, explained, says):
+    with pytest.raises(ValueError, match=says):
+        SubspaceModel(mean=mean, basis=basis, explained=explained)

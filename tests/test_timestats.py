@@ -155,6 +155,20 @@ def test_table_validation():
         StatsTable(alpha=np.zeros((1, 3)), beta=np.ones((1, 3)))  # needs T >= 1
 
 
+@pytest.mark.parametrize("alpha, beta, says", [
+    (np.zeros((3, 3)), np.ones((4, 3)), r"^expected matching \(T\+1, 3\) tables, got \(3, 3\) and \(4, 3\)$"),
+    (np.zeros((3, 2)), np.ones((3, 2)), r"^expected matching \(T\+1, 3\) tables, got \(3, 2\) and \(3, 2\)$"),
+    (np.zeros(3), np.ones(3), r"^expected matching \(T\+1, 3\) tables, got \(3,\) and \(3,\)$"),
+    (np.zeros((1, 3)), np.ones((1, 3)), "^a stats table needs at least timesteps 0 and 1$"),
+    (np.full((3, 3), np.nan), np.ones((3, 3)), "^stats table contains non-finite values$"),
+    (np.zeros((3, 3)), np.array([[-1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), "^negative scale in stats table$"),
+], ids=["mismatched", "two-columns", "one-axis", "one-row", "non-finite", "negative-at-t0"])
+def test_table_refusals_say_what_is_wrong(alpha, beta, says):
+    # a negative beta at t = 0 only: the zero-scale check for t >= 1 would not catch it
+    with pytest.raises(ValueError, match=says):
+        StatsTable(alpha=alpha, beta=beta)
+
+
 # ---------------------------------------------------------------------------
 # the affine chart: project and normalize as one map
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Seeded toy flow model with fully known color geometry."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,6 +160,17 @@ def test_field_validation(embedder):
         AttractorField(attractors=(att,), T=0, embedder=embedder)
     with pytest.raises(ValueError):
         AttractorField(attractors=(att, att[:, :4]), T=10, embedder=embedder)
+
+
+def test_field_refusals_say_what_is_wrong(embedder):
+    att = solid_attractor(RED, embedder, (2, 2))
+    with pytest.raises(ValueError, match="^need T >= 1, got 0$"):
+        AttractorField(attractors=(att,), T=0, embedder=embedder)
+    with pytest.raises(ValueError, match="^field needs at least one attractor$"):
+        AttractorField(attractors=(), T=10, embedder=embedder)
+    for atts, shapes in (((att, att[:2]), "(2, 16), (4, 16)"), ((att[:, :4],), "(4, 4)"), ((att[0],), "(16,)")):
+        with pytest.raises(ValueError, match=rf"^attractors must share one \(L, 16\) shape, got \[{re.escape(shapes)}\]$"):
+            AttractorField(attractors=atts, T=10, embedder=embedder)
 
 
 def nearest_attractor(z, field):
