@@ -74,6 +74,8 @@ READ_NAMES = "tests/test_tensorio.py::test_read_latents_names_the_file_in_each_r
 BAD_TRAJECTORY = "tests/test_cli.py::test_stats_over_a_bad_trajectory_exits_2_naming_the_file"
 MASK_REFUSALS = "tests/test_intervene.py::test_mask_refusals_say_what_is_wrong"
 MASK_INDICES = "tests/test_intervene.py::test_mask_indices_are_sorted_and_read_only"
+OVERFLOWS = "tests/test_cli.py::test_a_model_value_that_overflows_the_decode_exits_2_naming_the_files"
+VALUE_FUZZ = "tests/test_cli.py::test_a_record_with_an_edited_value_exits_0_or_2_naming_it"
 STATS_REFUSALS = "tests/test_timestats.py::test_table_refusals_say_what_is_wrong"
 
 MUTANTS = (
@@ -207,7 +209,7 @@ MUTANTS = (
             f"{BAD_TRAJECTORY}[wider-than-the-model]",
         ),
     ),
-    # the JSON read screen and the emitter
+    # the JSON read screen and write_json
     Mutant(
         "screen-needs-a-4-digit-exponent", "src/latentcolor/tensorio.py",
         're.compile(rb"e000")', 're.compile(rb"e0000")',
@@ -239,29 +241,14 @@ MUTANTS = (
         (SCREEN_ALL,),
     ),
     Mutant(
-        "emitter-float-list-unchecked", "src/latentcolor/tensorio.py",
-        "set(map(type, floats)) != {float} or not all(map(math.isfinite, floats))", "set(map(type, floats)) != {float}",
-        (NON_FINITE, READ_NON_FINITE),
-    ),
-    Mutant(
-        "emitter-float-unchecked", "src/latentcolor/tensorio.py",
-        "if kind is float and math.isfinite(obj):", "if kind is float:",
-        (NON_FINITE,),
-    ),
-    Mutant(
-        "emitter-dict-unsorted", "src/latentcolor/tensorio.py",
-        "for k in sorted(obj))", "for k in obj)",
+        "write-json-unsorted", "src/latentcolor/tensorio.py",
+        "json.dumps(obj, sort_keys=True,", "json.dumps(obj, sort_keys=False,",
         (AS_DUMPS, "tests/test_tensorio.py::test_write_json_is_canonical"),
     ),
     Mutant(
-        "emitter-rows-of-any-length", "src/latentcolor/tensorio.py",
-        "== {list} and len(set(map(len, items))) == 1 and", "== {list} and",
-        (AS_DUMPS,),
-    ),
-    Mutant(
-        "emitter-row-bracket-at-item-indent", "src/latentcolor/tensorio.py",
-        'f"\\n{indent}],\\n{indent}[\\n{inner}"', 'f"\\n{indent}],\\n{inner}[\\n{inner}"',
-        (AS_DUMPS,),
+        "write-json-allows-nan", "src/latentcolor/tensorio.py",
+        "allow_nan=False)", "allow_nan=True)",
+        (NON_FINITE, READ_NON_FINITE),
     ),
     # record constructors
     Mutant(
@@ -309,6 +296,11 @@ MUTANTS = (
         "mask-order-unsorted", "src/latentcolor/intervene.py",
         "order = sorted(sel)", "order = list(sel)",
         (MASK_INDICES, MASK_REFUSALS),
+    ),
+    Mutant(
+        "mask-reads-selected-twice", "src/latentcolor/intervene.py",
+        "        selected = selected if type(selected) is frozenset else tuple(selected)", "        pass",
+        ("tests/test_intervene.py::test_mask_reads_any_iterable_of_indices_once",),
     ),
     Mutant(
         "mask-indices-writable", "src/latentcolor/intervene.py",
@@ -372,6 +364,11 @@ MUTANTS = (
         (MASK_INTEGERS,),
     ),
     Mutant(
+        "ciede-squares-by-scalar-pow", "src/latentcolor/colorspace.py",
+        "l50 = np.square(Lbp - 50.0)", "l50 = (Lbp - 50.0) ** 2",
+        ("tests/test_kernels.py::test_ciede2000_of_one_pair_has_the_bits_of_its_row_in_a_block",),
+    ),
+    Mutant(
         "ppm-rows-not-copied", "src/latentcolor/observe.py",
         "    raster[:, 1:] = raster[:, :1]\n", "",
         (f"{PER_PIXEL}[2]", f"{PER_PIXEL}[16]"),
@@ -412,6 +409,22 @@ MUTANTS = (
         "report-decodes-hat-twice", "src/latentcolor/cli.py",
         "np.concatenate([hat, edited])", "np.concatenate([hat, hat])",
         (REPORT_AS_OBSERVED, REPORT),
+    ),
+    # a value out of float's range in the files observe and intervene read
+    Mutant(
+        "cli-overflow-warns", "src/latentcolor/cli.py",
+        'np.errstate(over="raise", invalid="raise")', 'np.errstate(over="warn", invalid="warn")',
+        (OVERFLOWS, VALUE_FUZZ),
+    ),
+    Mutant(
+        "cli-world-loaded-unchecked", "src/latentcolor/cli.py",
+        "_checked(args, _load_world, args)\n    dims", "_load_world(args)\n    dims",
+        (VALUE_FUZZ,),
+    ),
+    Mutant(
+        "cli-report-decode-unchecked", "src/latentcolor/cli.py",
+        "hsl = _checked(args, decode, ", "hsl = decode(",
+        (f"{OVERFLOWS}[type1-one-patch]",),
     ),
     Mutant(
         "cli-mask-not-fitted", "src/latentcolor/cli.py",

@@ -107,6 +107,15 @@ def _load_world(args):
     return _fitting(z, args.latent, model, args.model), model, anchors, stats
 
 
+def _checked(args, call, *a):
+    """call(*a); a float overflow or invalid value in it is refused as coming from the files read."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return call(*a)
+    except FloatingPointError as e:
+        raise ValueError(f"{e}: out of range in --model {args.model}, --anchors {args.anchors} or --stats {args.stats}") from e
+
+
 def _shown_hsl(lin: np.ndarray) -> np.ndarray:
     """(h, s, l) of linear RGB rows as they are displayed: sRGB-encoded and clamped."""
     return rgb_to_hsl_array(linear_to_srgb_array(lin))
@@ -167,9 +176,9 @@ def cmd_observe(args) -> int:
     if out_json and out_ppm and os.path.basename(out_json) == os.path.basename(out_ppm):
         if os.path.realpath(os.path.dirname(out_json)) == os.path.realpath(os.path.dirname(out_ppm)):
             raise ValueError(f"--out-json and --out-ppm name the same file: {out_ppm}")
-    z, model, anchors, stats = _load_world(args)
+    z, model, anchors, stats = _checked(args, _load_world, args)
     dims = _grid_dims(args.grid, z.shape[0])
-    grid = observe(z, args.t, model, anchors, stats, dims)
+    grid = _checked(args, observe, z, args.t, model, anchors, stats, dims)
     ppm = render_ppm(grid, args.cell_px) if args.out_ppm else None  # before any write: it may refuse the size
     if args.out_json:
         grid.save(args.out_json)
@@ -182,11 +191,11 @@ def cmd_observe(args) -> int:
 
 def cmd_intervene(args) -> int:
     target = _parse_target(args)
-    z, model, anchors, stats = _load_world(args)
+    z, model, anchors, stats = _checked(args, _load_world, args)
     mask = _load_mask(args.mask, z.shape[0])
-    out, hat, edited = _intervene(z, args.t, target, mask, model, anchors, stats, args.mode)
+    out, hat, edited = _checked(args, _intervene, z, args.t, target, mask, model, anchors, stats, args.mode)
+    hsl = _checked(args, decode, np.concatenate([hat, edited]), anchors)  # the edit's own charted blocks, in one decode
     tensorio.write_latents(args.out, out)
-    hsl = decode(np.concatenate([hat, edited]), anchors)  # the edit's own charted blocks, in one decode
     print("\n".join(_report_lines(mean_color(hsl.reshape(2, -1, 3)), target)))
     print(f"wrote {args.out}")
     return 0

@@ -386,12 +386,12 @@ def _ciede2000(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Lbp = (L1 + L2) / 2.0
     Cbp = (c1p + c2p) / 2.0
-    l50 = (Lbp - 50.0) ** 2
+    l50 = np.square(Lbp - 50.0)  # x x in one ufunc for any shape: a scalar's ** 2 is libm's pow
     sL = 1.0 + 0.015 * l50 / np.sqrt(20.0 + l50)
     sC = 1.0 + 0.045 * Cbp
     sH = 1.0 + 0.015 * Cbp * _ciede_t(hbp)
     # rT = -rC sin(2 d_theta) with d_theta = 30 degrees exp(-((hbp - 275) / 25)^2), from w = tan(d_theta)
-    w = np.tan(math.pi / 6.0 * np.exp(-(((hbp - _ROT_CENTRE) / _ROT_WIDTH) ** 2)))
+    w = np.tan(math.pi / 6.0 * np.exp(-np.square((hbp - _ROT_CENTRE) / _ROT_WIDTH)))
     rT = -4.0 * _rc(Cbp) * w / (1.0 + w * w)
     tL = (L2 - L1) / sL
     tC = (c2p - c1p) / sC

@@ -42,6 +42,7 @@ class PatchMask(tensorio.JsonRecord):
     __slots__ = ("L", "selected", "_indices")
 
     def __init__(self, L: int, selected=frozenset()) -> None:
+        selected = selected if type(selected) is frozenset else tuple(selected)  # read once: it may be an iterator
         types = {type(L), *map(type, selected)}
         # int() below would truncate 2.7 to 2 and read True as 1; bool is neither int nor a numpy integer
         if not all(k is int or issubclass(k, np.integer) for k in types):

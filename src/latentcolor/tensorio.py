@@ -7,17 +7,12 @@ directory of such files plus a ``manifest.json`` listing the timesteps.
 
 Every input file is opened by _read, which hands its bytes to a parser
 that never sees the path and restates any refusal as one ValueError that
-names the file. Every JSON file is written by write_json; the records
-kept one per file (model, anchors, stats, grid, mask) share JsonRecord's
-save and load. Each record reads every array it holds through
-float_array with the array's full declared shape. All writers go through
-a temp-file-plus-rename so partially written outputs are never observed.
-
-write_json's bytes are _dumps(obj) plus a newline. json drops to its
-Python encoder whenever indent is set, so _emit lays out plain dicts,
-lists, strings, ints and finite floats itself (one pass per float list
-or list of equal-length float rows) and hands anything else, refusals
-included, to json.dumps.
+names the file. Every JSON file is written by write_json as one line of
+compact canonical JSON, and read in any layout, the older indented one
+included; the records kept one per file (model, anchors, stats, grid,
+mask) share JsonRecord's save and load. Each record reads every array it
+holds through float_array with the array's full declared shape. All
+writers go through a temp-file-plus-rename, so no partial output is seen.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ import json
 import math
 import os
 import re
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -79,47 +73,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise error
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
-
-
-def _float_items(items, indent: str) -> str | None:
-    """Items that are exact finite floats, or equal-length nonempty lists of them, joined at indent; else None."""
-    width = set(map(type, items)) == {list} and len(set(map(len, items))) == 1 and len(items[0])
-    floats = list(itertools.chain.from_iterable(items)) if width else items
-    if set(map(type, floats)) != {float} or not all(map(math.isfinite, floats)):
-        return None
-    reprs, inner = map(float.__repr__, floats), indent + " "
-    if not width:
-        return (",\n" + indent).join(reprs)
-    rows = map((",\n" + inner).join, zip(*[reprs] * width))  # zip deals the reprs out one row at a time
-    return f"[\n{inner}" + f"\n{indent}],\n{indent}[\n{inner}".join(rows) + f"\n{indent}]"
-
-
-def _emit(obj, indent: str = "") -> str:
-    """_dumps(obj) nested at indent: plain containers, str keys, exact ints and floats skip the stdlib's Python encoder."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is float and math.isfinite(obj):
-        return float.__repr__(obj)
-    inner = indent + " "
-    if kind is dict and obj and set(map(type, obj)) == {str}:
-        body = (",\n" + inner).join(f"{encode_basestring_ascii(k)}: {_emit(obj[k], inner)}" for k in sorted(obj))
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if (kind is list or kind is tuple) and obj:
-        body = _float_items(obj, inner) or (",\n" + inner).join(_emit(v, inner) for v in obj)
-        return f"[\n{inner}{body}\n{indent}]"
-    # anything else, a non-finite float included, as the stdlib writes or refuses it; its text has no raw newline
-    return _dumps(obj).replace("\n", "\n" + indent)
-
-
 def write_json(path, obj) -> None:
-    """Serialize obj as deterministic JSON (sorted keys, fixed separators); NaN and infinities are refused."""
+    """Write obj as compact canonical JSON plus a newline; NaN, infinities and unsortable keys are refused."""
     try:
-        text = _emit(obj)
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
     atomic_write_bytes(path, (text + "\n").encode("utf-8"))

@@ -671,6 +671,27 @@ def test_observe_refuses_anchors_whose_chroma_is_lost_to_rounding_naming_the_fil
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["observe", "type1", "type2", "interp", "type1-one-patch"])
+def test_a_model_value_that_overflows_the_decode_exits_2_naming_the_files(ws, tmp_path, capsys, command):
+    obj = load_json(ws["model"])
+    obj["mean"][0] = 1.7e308  # passes every record check, and the chart stays finite; the decode overflows
+    bad, mask, out = tmp_path / "model.json", tmp_path / "mask.json", tmp_path / "out"
+    bad.write_text(json.dumps(obj))
+    PatchMask(64, frozenset({9})).save(mask)
+    argv = ["observe" if command == "observe" else "intervene", str(ws["root"] / "run-red" / "t010.lt")]
+    argv += ["--t", "10", f"--model={bad}", f"--anchors={ws['anchors']}", f"--stats={ws['stats']}"]
+    if command == "observe":
+        argv += ["--out-json", str(out)]
+    else:
+        argv += ["--target", BLUE_HEX, "--mode", command.split("-")[0], "--out", str(out)]
+        argv += ["--mask", str(mask)] if command.endswith("one-patch") else []
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f": out of range in --model {bad}, --anchors {ws['anchors']} or --stats {ws['stats']}\n" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("config", ["model", "anchors"])
 def test_observe_rejects_non_finite_config_json(ws, tmp_path, capsys, config, value):
@@ -992,6 +1013,7 @@ def _record_argv(ws, files, kind, bad, out):
     return argv + [f"--{k}={given_files[k]}" for k in ("model", "anchors", "stats")]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow is refused, not warned about
 @seed(21)
 @settings(max_examples=400, deadline=None)
 @given(

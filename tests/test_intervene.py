@@ -107,6 +107,16 @@ def test_mask_takes_numpy_integers(tmp_path):
     assert load_mask(tmp_path / "mask.json") == m
 
 
+@pytest.mark.parametrize("make", [lambda v: (i for i in v), iter, list], ids=["generator", "iterator", "list"])
+def test_mask_reads_any_iterable_of_indices_once(make):
+    m = PatchMask(5, make([4, 1, 4]))
+    assert m == PatchMask(5, frozenset({1, 4})) and m.indices.tolist() == [1, 4]
+    with pytest.raises(ValueError, match="integers"):
+        PatchMask(5, make([1, 2.5]))
+    with pytest.raises(ValueError, match="^mask indices out of range for L = 5$"):
+        PatchMask(5, make([1, 5]))
+
+
 def test_mask_json_roundtrip(tmp_path):
     m = PatchMask(L=9, selected=frozenset({0, 8, 3}))
     path = tmp_path / "mask.json"

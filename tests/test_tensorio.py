@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latentcolor import ColorGrid, load_trajectory, read_latents, save_trajectory, tensorio, write_latents
+from latentcolor import (
+    ColorGrid, PatchMask, load_mask, load_trajectory, read_latents, save_trajectory, tensorio, write_latents
+)
 from latentcolor.colorspace import HslColor
 from latentcolor.tensorio import _finite_float, _refuse_constant, atomic_write_bytes, float_array, write_json
 
@@ -197,7 +199,7 @@ def test_write_json_is_canonical(tmp_path):
     path = tmp_path / "x.json"
     write_json(path, {"b": 1, "a": [1.5, 2]})
     text = path.read_text()
-    assert text == '{\n "a": [\n  1.5,\n  2\n ],\n "b": 1\n}\n'
+    assert text == '{"a":[1.5,2],"b":1}\n'
     assert read_json(path) == {"a": [1.5, 2], "b": 1}
 
 
@@ -213,7 +215,7 @@ def test_json_refuses_non_finite_numbers(tmp_path, value):
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 _EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
@@ -344,6 +346,39 @@ def test_json_refuses_non_finite_numbers_wherever_they_sit(tmp_path, value, plac
         _dumps(obj)
     assert str(info.value) == f"{path}: {stdlib.value}"
     assert not path.exists()
+
+
+def _indented(obj) -> str:
+    """obj in the indented layout that write_json wrote before it wrote compact JSON."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["model", "anchors", "stats", "grid", "mask"])
+def test_a_record_file_in_the_indented_layout_loads_to_an_equal_record(model, anchors, toy_stats, tmp_path, kind):
+    record = {
+        "model": model,
+        "anchors": anchors,
+        "stats": toy_stats,
+        "grid": ColorGrid.from_hsl(np.array(_grid_cells()).reshape(8, 8, 3)),
+        "mask": PatchMask(70, frozenset({69, 0, 5})),
+    }[kind]
+    old, new, again = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "again.json"
+    old.write_text(_indented(record.to_json_dict()))
+    assert old.read_text().count("\n") > 1
+    record.save(new)
+    back = load_mask(old) if kind == "mask" else type(record).load(old)
+    back.save(again)
+    assert again.read_bytes() == new.read_bytes()  # the same value, bit for bit
+    if kind in ("grid", "mask"):
+        assert back == record
+
+
+def test_a_manifest_in_the_indented_layout_loads_the_same_trajectory(tmp_path):
+    traj = np.random.default_rng(19).standard_normal((3, 4, 5))
+    manifest = save_trajectory(tmp_path / "run", traj)
+    want = load_trajectory(manifest)
+    manifest.write_text(_indented(read_json(manifest)))
+    assert np.array_equal(load_trajectory(manifest), want)
 
 
 def _hooked_parse(text: str):

@@ -46,6 +46,13 @@ def test_builtin_checksum(builtin):
     assert hashlib.sha256(blob.encode("ascii")).hexdigest() == BUILTIN_SHA256
 
 
+def test_a_saved_builtin_table_is_the_checksummed_blob(builtin, tmp_path):
+    path = tmp_path / "stats.json"
+    builtin.save(path)
+    raw = path.read_bytes()
+    assert raw.endswith(b"}\n") and hashlib.sha256(raw[:-1]).hexdigest() == BUILTIN_SHA256
+
+
 def test_builtin_scale_is_nondecreasing(builtin):
     assert np.all(np.diff(builtin.beta, axis=0) >= 0.0)
 
