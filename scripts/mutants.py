@@ -59,6 +59,7 @@ AS_DUMPS = "tests/test_tensorio.py::test_write_json_writes_what_json_dumps_write
 NON_FINITE = "tests/test_tensorio.py::test_json_refuses_non_finite_numbers_wherever_they_sit"
 READ_NON_FINITE = "tests/test_tensorio.py::test_json_refuses_non_finite_numbers"
 ASSEMBLE = "tests/test_bicone.py::test_assemble_is_the_per_anchor_reference_bitwise"
+WHOLE_ARRAY_FRAME = "tests/test_bicone.py::test_anchor_set_is_the_whole_array_derivation_bitwise"
 MALFORMED = "tests/test_cli.py::test_malformed_record_file_exits_2_naming_it"
 MASK_INTEGERS = "tests/test_intervene.py::test_mask_refuses_non_integers"
 WRITE_BACK = "tests/test_intervene.py::test_apply_intervention_write_back_roundtrip"
@@ -131,6 +132,11 @@ MUTANTS = (
         "parser-not-cached", "src/latentcolor/cli.py",
         "@functools.cache\ndef _parser()", "def _parser()",
         ("tests/test_cli.py::test_main_keeps_one_parser_that_acts_as_a_fresh_one",),
+    ),
+    Mutant(
+        "main-accepts-leftover-args", "src/latentcolor/cli.py",
+        "        if rest:\n            parser.error(", "        if False:\n            parser.error(",
+        ("tests/test_cli.py::test_main_refuses_and_helps_as_the_full_parser",),
     ),
     # the latent file format
     Mutant(
@@ -310,7 +316,7 @@ MUTANTS = (
     # AnchorSet's constructor
     Mutant(
         "anchor-degeneracy-absolute", "src/latentcolor/bicone.py",
-        "norms < max(_MIN_CHROMA, _MIN_ANCHOR_CHROMA * scale)", "norms < _MIN_CHROMA",
+        "least = max(_MIN_CHROMA, _MIN_ANCHOR_CHROMA * float(np.abs(points).max()))", "least = _MIN_CHROMA",
         (
             "tests/test_bicone.py::test_an_anchor_with_chroma_lost_to_rounding_is_refused",
             "tests/test_bicone.py::test_decode_takes_the_anchors_and_edge_midpoints_of_every_set_the_constructor_accepts",
@@ -319,12 +325,12 @@ MUTANTS = (
     ),
     Mutant(
         "anchor-e2-never-flipped", "src/latentcolor/bicone.py",
-        "e2 = -e2", "e2 = e2",
+        "np.negative(frame[1], out=frame[1])", "frame[1]",
         ("tests/test_bicone.py::test_a_mirrored_anchor_set_decodes_its_own_encode",),
     ),
     Mutant(
         "anchor-turn-checked-two-ahead", "src/latentcolor/bicone.py",
-        "nxt = pts[_NEXT_ANCHOR]", "nxt = pts[(_NEXT_ANCHOR + 1) % 6]",
+        "zip(xy, xy[1:] + xy[:1])", "zip(xy, xy[2:] + xy[:2])",
         (ASSEMBLE, "tests/test_bicone.py::test_anchor_polygon_winding_twice_rejected"),
     ),
     Mutant(
@@ -332,6 +338,11 @@ MUTANTS = (
         "chroma = rel - _rowdots(rel, unit_axis)[:, None] * unit_axis",
         "chroma = rel - _dot3(rel.T, unit_axis)[:, None] * unit_axis",
         (ASSEMBLE,),
+    ),
+    Mutant(
+        "anchor-winding-not-strict", "src/latentcolor/bicone.py",
+        "x0 * y1 - y0 * x1 <= 0", "x0 * y1 - y0 * x1 < 0",
+        (WHOLE_ARRAY_FRAME,),
     ),
     Mutant(
         "anchor-label-repeat-unchecked", "src/latentcolor/bicone.py",
@@ -430,6 +441,11 @@ MUTANTS = (
         "cli-mask-not-fitted", "src/latentcolor/cli.py",
         "if mask and (mask.L != L or not mask.selected):", "if False:",
         ("tests/test_cli.py::test_a_mask_that_does_not_fit_exits_2_naming_its_file",),
+    ),
+    Mutant(
+        "eval-unmasked-wrong-column", "src/latentcolor/cli.py",
+        "grid._blocks[0][:, -1]", "grid._blocks[0][:, 0]",
+        ("tests/test_cli.py::test_eval_without_mask_writes_what_an_all_patches_mask_gives",),
     ),
     Mutant(
         "no-mask-charts-z-as-laid-out", "src/latentcolor/intervene.py",

@@ -65,39 +65,43 @@ class AnchorSet(tensorio.JsonRecord):
 
     def __init__(self, hue_anchors, black, white) -> None:
         """Derive the frame from (6, 3) hue anchors and (3,) black and white points, and validate it."""
-        hue, black, white = (np.asarray(v, dtype=np.float64) for v in (hue_anchors, black, white))
+        points = np.array([*hue_anchors, black, white], dtype=np.float64)
+        if points.shape != (8, 3):
+            raise ValueError(f"expected six hue anchors, black and white as 3-vectors, got shape {points.shape}")
+        hue, black, white = points[:6], points[6], points[7]
         axis = white - black
-        norm_axis = float(np.linalg.norm(axis))
+        norm_axis = math.sqrt(axis.dot(axis))  # np.linalg.norm's sum and root
         if norm_axis < 1e-9:
             raise ValueError("black and white probes coincide; no achromatic axis")
         unit_axis = axis / norm_axis
 
         rel = hue - black
         chroma = rel - _rowdots(rel, unit_axis)[:, None] * unit_axis
-        norms = np.sqrt(_rowdots(chroma, chroma))
-        scale = max(float(np.abs(v).max()) for v in (hue, black, white))
-        degenerate = np.flatnonzero(norms < max(_MIN_CHROMA, _MIN_ANCHOR_CHROMA * scale))
-        if degenerate.size:
-            raise ValueError(f"degenerate anchor: {HUE_LABELS[degenerate[0]]} probe has no chroma")
+        norms = np.sqrt(_rowdots(chroma, chroma)).tolist()
+        least = max(_MIN_CHROMA, _MIN_ANCHOR_CHROMA * float(np.abs(points).max()))
+        degenerate = [label for label, norm in zip(HUE_LABELS, norms) if norm < least]
+        if degenerate:
+            raise ValueError(f"degenerate anchor: {degenerate[0]} probe has no chroma")
         e1 = chroma[0] / norms[0]
         (u0, u1, u2), (f0, f1, f2) = unit_axis.tolist(), e1.tolist()
-        e2 = np.array([u1 * f2 - u2 * f1, u2 * f0 - u0 * f2, u0 * f1 - u1 * f0])  # np.cross(unit_axis, e1)
-        if float(chroma[1] @ e2) < 0:
-            e2 = -e2
-        pts = _rowdots(chroma[:, None], np.array([e1, e2]))
+        frame = np.array([e1, [u1 * f2 - u2 * f1, u2 * f0 - u0 * f2, u0 * f1 - u1 * f0]])  # e1, np.cross(unit_axis, e1)
+        if float(chroma[1] @ frame[1]) < 0:
+            np.negative(frame[1], out=frame[1])
+        pts = _rowdots(chroma[:, None], frame)
         # consecutive anchors must turn counterclockwise around the axis ...
-        nxt = pts[_NEXT_ANCHOR]
-        if (pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0).any():
+        xy = pts.tolist()
+        if any(x0 * y1 - y0 * x1 <= 0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1])):
             raise ValueError("hue anchors are not in strict counterclockwise order")
         angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
         # e1 is the red chroma direction, so red sits at angle 0 exactly; its
         # computed angle can round to 2 pi when pts[0, 1] is a tiny negative
         angles[0] = 0.0
         # ... and go round it once, or hue lookup by angle has no meaning
-        if not ((np.diff(angles) > 0.0).all() and angles[5] < 2.0 * math.pi):
+        turn = angles.tolist()
+        if not (all(a < b for a, b in zip(turn, turn[1:])) and turn[5] < 2.0 * math.pi):
             raise ValueError("hue anchors wind around the achromatic axis more than once")
         self.hue_anchors, self.black, self.white, self.axis, self.unit_axis = hue, black, white, axis, unit_axis
-        self.e1, self.e2, self.chroma_points, self.chroma_angles = e1, e2, pts, angles
+        self.e1, self.e2, self.chroma_points, self.chroma_angles = *frame, pts, angles
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,8 +149,7 @@ def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel)
     proj = {l: project(np.asarray(probe_latents[l], dtype=np.float64), model) for l in ANCHOR_LABELS}
     if any(v.shape != (3,) for v in proj.values()):
         raise ValueError(f"expected one (d,) latent per probe label, got shapes {[v.shape for v in proj.values()]}")
-    hue = np.array([proj[l] for l in HUE_LABELS], dtype=np.float64)
-    return AnchorSet(hue, proj["black"], proj["white"])
+    return AnchorSet([proj[l] for l in HUE_LABELS], proj["black"], proj["white"])
 
 
 def _rows(x: np.ndarray, what: str) -> np.ndarray:

@@ -231,18 +231,22 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     pred = ColorGrid.load(args.pred)
     ref = ColorGrid.load(args.ref)
-    mask = _load_mask(args.mask, pred.height * pred.width) or PatchMask.full(pred.height * pred.width)
-    # the masked means stay in linear RGB for de00, as grid_de00_mean_pixel's do
-    lins = [masked_mean_color(grid, mask) for grid in (pred, ref)]
-    pred_hsl, ref_hsl = _shown_hsl(np.stack(lins)).tolist()
+    mask = _load_mask(args.mask, pred.height * pred.width)
+    # the masked means stay in linear RGB for de00, as grid_de00_mean_pixel's do; a mask is checked
+    # against each grid before the grids are compared
+    masked = None if mask is None else [masked_mean_color(grid, mask) for grid in (pred, ref)]
+    per_pixel, mean_pixel = grid_de00_per_pixel(pred, ref), grid_de00_mean_pixel(pred, ref)
+    # with no mask, the means are the grids' mean colours that the comparison holds: an all-patches mask's bits
+    lins = np.stack(masked or [grid._blocks[0][:, -1] for grid in (pred, ref)])
+    pred_hsl, ref_hsl = _shown_hsl(lins).tolist()
     dh, ds, dl = _hsl_error(pred_hsl, ref_hsl)
     metrics = {
-        "de00_per_pixel": grid_de00_per_pixel(pred, ref),
-        "de00_mean_pixel": grid_de00_mean_pixel(pred, ref),
+        "de00_per_pixel": per_pixel,
+        "de00_mean_pixel": mean_pixel,
         "masked_mean": {
             "pred_hsl": pred_hsl,
             "ref_hsl": ref_hsl,
-            "de00": float(ciede2000_array(*linear_rgb_to_lab_array(np.stack(lins)))),
+            "de00": mean_pixel if mask is None else float(ciede2000_array(*linear_rgb_to_lab_array(lins))),
             "dh_degrees": dh,
             "ds_percent": 100.0 * ds,
             "dl_percent": 100.0 * dl,
@@ -317,14 +321,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # main's one parser per process: parsing leaves a parser as it was, and help and usage
-    # are formatted when printed, so COLUMNS applies on each call
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # main's one parser per process, with its command parsers by name: parsing leaves a parser as it
+    # was, and help and usage are formatted when printed, so COLUMNS applies on each call
+    p = build_parser()
+    return p, next(a for a in p._actions if a.dest == "command").choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # what argparse's subparser action does with a command's arguments, without the top-level
+        # parser's own scan of all of them first
+        args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    else:
+        args = parser.parse_args(argv)  # help, usage and invalid choices
     try:
         return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a rebound cmd_* takes effect
     except (ValueError, OSError, KeyError) as e:

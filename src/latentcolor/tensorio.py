@@ -178,7 +178,10 @@ def _check_latents(arr: np.ndarray) -> np.ndarray:
 
 def write_latents(path, arr: np.ndarray) -> None:
     """Write an (L, d) array as a header line plus packed float32 rows; a value float32 cannot hold is refused."""
-    arr = _check_latents(np.asarray(arr, dtype=np.float64))
+    try:
+        arr = _check_latents(np.asarray(arr, dtype=np.float64))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
     with np.errstate(over="ignore"):
         rows = np.ascontiguousarray(arr, dtype="<f4")
     if not np.isfinite(rows).all():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latentcolor import (
     AnchorSet,
@@ -257,6 +257,79 @@ def test_decode_takes_the_anchors_and_edge_midpoints_of_every_set_the_constructo
     except ValueError:
         return
     decode_raw(np.vstack([hue, (hue + np.roll(hue, -1, axis=0)) / 2.0]), a)  # refuses nothing
+
+
+ANCHOR_FIELDS = ("hue_anchors", "black", "white", "axis", "unit_axis", "e1", "e2", "chroma_points", "chroma_angles")
+
+
+def anchor_frame_by_arrays(hue_anchors, black, white):
+    """AnchorSet's derivation as whole-array numpy steps, every check included: the reference for its fields."""
+    hue, black, white = (np.asarray(v, dtype=np.float64) for v in (hue_anchors, black, white))
+    axis = white - black
+    norm_axis = float(np.linalg.norm(axis))
+    if norm_axis < 1e-9:
+        raise ValueError("black and white probes coincide; no achromatic axis")
+    unit_axis = axis / norm_axis
+    rel = hue - black
+    chroma = rel - bicone._rowdots(rel, unit_axis)[:, None] * unit_axis
+    norms = np.sqrt(bicone._rowdots(chroma, chroma))
+    scale = max(float(np.abs(v).max()) for v in (hue, black, white))
+    degenerate = np.flatnonzero(norms < max(bicone._MIN_CHROMA, bicone._MIN_ANCHOR_CHROMA * scale))
+    if degenerate.size:
+        raise ValueError(f"degenerate anchor: {HUE_LABELS[degenerate[0]]} probe has no chroma")
+    e1 = chroma[0] / norms[0]
+    (u0, u1, u2), (f0, f1, f2) = unit_axis.tolist(), e1.tolist()
+    e2 = np.array([u1 * f2 - u2 * f1, u2 * f0 - u0 * f2, u0 * f1 - u1 * f0])
+    if float(chroma[1] @ e2) < 0:
+        e2 = -e2
+    pts = bicone._rowdots(chroma[:, None], np.array([e1, e2]))
+    nxt = pts[[1, 2, 3, 4, 5, 0]]
+    if (pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0] <= 0).any():
+        raise ValueError("hue anchors are not in strict counterclockwise order")
+    angles = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
+    angles[0] = 0.0
+    if not ((np.diff(angles) > 0.0).all() and angles[5] < 2.0 * math.pi):
+        raise ValueError("hue anchors wind around the achromatic axis more than once")
+    return hue, black, white, axis, unit_axis, e1, e2, pts, angles
+
+
+@st.composite
+def anchor_points(draw):
+    """Eight anchor points: a scaled hexagon, an exact one on small integers (consecutive anchors may
+    point the same way or coincide) or random points; then perhaps a NaN or an infinity in some coordinates."""
+    seed, kind = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(["hexagon", "integer", "random"]))
+    rng = np.random.default_rng(seed)
+    if kind == "hexagon":
+        radii = draw(st.lists(st.floats(-13.0, 0.0), min_size=6, max_size=6))
+        points = np.vstack(scaled_hexagon(seed, draw(st.floats(-3.0, 6.0)), radii, draw(st.floats(-13.0, 0.0)), 0.0))
+    elif kind == "integer":
+        chroma = np.array([[4, 0], [2, 3], [-2, 3], [-4, 0], [-2, -3], [2, -3]], dtype=np.float64)
+        at = draw(st.integers(0, 5))
+        chroma[(at + 1) % 6] = chroma[at] * draw(st.sampled_from([1.0, 2.0, 0.5, -1.0]))
+        hue = np.column_stack([rng.integers(0, 3, 6), chroma])
+        points = np.vstack([hue, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]])
+    else:
+        points = rng.standard_normal((8, 3)) * 10.0 ** draw(st.floats(-3.0, 6.0))
+    for at in draw(st.lists(st.integers(0, 23), max_size=draw(st.sampled_from([0, 0, 1, 3])))):
+        points.flat[at] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return points[:6], points[6], points[7]
+
+
+@settings(max_examples=400, deadline=None)
+@given(anchor_points())
+@example((np.array([[0.0, 4.0, 0.0], [1.0, 8.0, 0.0], [0.0, -2.0, 3.0], [0.0, -4.0, 0.0], [0.0, -2.0, -3.0],
+                    [0.0, 2.0, -3.0]]), np.zeros(3), np.array([2.0, 0.0, 0.0])))  # red and yellow point the same way
+def test_anchor_set_is_the_whole_array_derivation_bitwise(anchor_set):
+    outcomes = []
+    for derive in (lambda *a: tuple(getattr(AnchorSet(*a), f) for f in ANCHOR_FIELDS), anchor_frame_by_arrays):
+        with np.errstate(all="ignore"):
+            try:
+                fields = derive(*anchor_set)
+            except Exception as e:
+                outcomes.append((type(e), str(e)))
+            else:
+                outcomes.append(tuple((a.shape, a.dtype, a.tobytes()) for a in fields))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_fitted_anchors_decode_red_yellow_segment_on_seed_5():

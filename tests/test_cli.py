@@ -10,6 +10,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -300,6 +301,55 @@ def test_eval_with_mask(ws, tmp_path):
     metrics = load_json(metrics_path)
     assert metrics["masked_mean"]["de00"] == pytest.approx(0.0, abs=1e-9)
     assert metrics["de00_per_pixel"] > 10.0
+
+
+@st.composite
+def grid_pair(draw):
+    """Two grids of one random size, a quarter of their cells grey and some at lightness 0 or 1."""
+    h, w, seed = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grids = []
+    for _ in range(2):
+        s = np.where(rng.random((h, w)) < 0.25, 0.0, rng.random((h, w)))
+        l = rng.choice([0.0, 1.0, 0.5, *rng.random(3)], (h, w))
+        grids.append(ColorGrid.from_hsl(np.stack([rng.uniform(0.0, 360.0, (h, w)), s, l], axis=-1)))
+    return grids
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_pair())
+def test_eval_without_mask_writes_what_an_all_patches_mask_gives(grids):
+    # no mask takes the grids' mean colours and their de00 from the grid comparison; an all-patches
+    # mask file averages and compares them again: the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("pred.json", "ref.json", "all.json", "a.json", "b.json")]
+        for grid, path in zip(grids, paths):
+            grid.save(path)
+        PatchMask.full(grids[0].height * grids[0].width).save(paths[2])
+        printed = []
+        for extra, out in (([], paths[3]), (["--mask", str(paths[2])], paths[4])):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(["eval", str(paths[0]), str(paths[1]), *extra, "--out", str(out)]) == 0
+            printed.append(stdout.getvalue().replace(str(out), "OUT"))
+        assert paths[3].read_bytes() == paths[4].read_bytes()
+        assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("ref_dims", [(4, 4), (4, 16)])
+def test_eval_of_grids_of_different_sizes_exits_2(tmp_path, capsys, ref_dims, masked):
+    pred_path, ref_path, mask_path, out = (tmp_path / n for n in ("p.json", "r.json", "mask.json", "m.json"))
+    ColorGrid.solid(HslColor(10.0, 0.5, 0.5), 8, 8).save(pred_path)
+    ColorGrid.solid(HslColor(10.0, 0.5, 0.5), *ref_dims).save(ref_path)
+    PatchMask.full(64).save(mask_path)
+    extra = ["--mask", str(mask_path)] if masked else []
+    assert main(["eval", str(pred_path), str(ref_path), *extra, "--out", str(out)]) == 2
+    L = ref_dims[0] * ref_dims[1]
+    # the mask is checked against each grid it averages first; with none given, the grids against each other
+    says = f"mask is for L = 64 cells, grid has {L}" if masked and L != 64 else f"grid dims differ: 8x8 vs {ref_dims[0]}x{ref_dims[1]}"
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1365,6 +1415,89 @@ def test_main_prints_the_full_parsers_help_and_errors(argv, columns, monkeypatch
     want = _run_captured(build_parser().parse_args, argv)
     assert _run_captured(main, argv) == want
     assert want[2] in (0, 2)
+
+
+COMMANDS = ("fit", "observe", "intervene", "simulate", "stats", "eval")
+
+
+def _parsed(fn, argv):
+    """What fn(argv) parsed, with every cmd_* recording its Namespace: ("args", vars) or ("exit", out, err, code)."""
+    seen = []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for command in COMMANDS:
+            stack.enter_context(mock.patch.object(cli, f"cmd_{command}", lambda args: seen.append(args) or 0))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            result = fn(argv)
+        except SystemExit as e:
+            return "exit", out.getvalue(), err.getvalue(), e.code
+    return "args", vars(seen[0] if seen else result)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "probes", "--model-out=m.json"],
+        ["fit", "--anchors-out", "a.json", "--model-out", "m.json", "probes"],  # options before the positional
+        ["observe", "--t=3", "--mod", "m.json", "--anch", "a.json", "x.lt", "--cell", "2", "--cell-px", "4"],
+        ["observe", "x.lt", "--t", "-7", "--model", "m.json", "--anchors", "a.json", "--grid=2x32", "--out-ppm", "o"],
+        ["observe", "--t", "1", "--model", "m.json", "--anchors", "a.json", "--", "x.lt"],
+        ["intervene", "x.lt", *REQUIRED[1:], "--mode", "type2", "--mode=type1", "--target", "#FF0000", "--out", "y"],
+        ["intervene", "--target-hsl", "10,0.5,0.5", "--mask", "k.json", *REQUIRED, "--out", "y.lt", "--stat", "s"],
+        ["simulate", "--out", "run", "--colors", "#FF0000,#00FF00", "--T", "5", "--dim=8", "--grid", "4x4"],
+        ["stats", "--model", "m.json", "a.json", "b.json", "--out", "s.json"],
+        ["eval", "p.json", "r.json", "--mask=k.json"],
+        ["eval", "--out", "m.json", "p.json", "r.json"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_main_parses_each_commands_arguments_as_the_full_parser(argv):
+    want = _parsed(build_parser().parse_args, argv)
+    assert want[0] == "args"
+    assert _parsed(main, argv) == want
+
+
+@pytest.mark.parametrize("columns", ["100", "60"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["observe", *REQUIRED, "--bogus"],
+        ["observe", *REQUIRED, "--bogus=1", "extra", "more"],
+        ["eval", "p.json", "r.json", "x.json", "--mask"],
+        ["eval", "p.json", "r.json", "--", "-x"],
+        ["observe", *REQUIRED, "--", "--t", "2"],
+        ["observe", "x.lt", "--t", "1", "--out", "o.json"],  # --out could be --out-json or --out-ppm
+        ["intervene", "--t", "1", "--model", "m.json", "-h"],
+        ["stats", "--model", "m.json", "--help", "a.json"],
+        ["simulate", "--colors", "#FF0000"],
+        ["stats", "a.json", "--model", "m.json", "b.json"],  # a positional list cannot resume after an option
+        ["fit"],
+        ["-h", "observe"],
+        ["--", "observe", *REQUIRED],
+        ["obs", *REQUIRED],
+        ["--bogus", "eval", "p.json", "r.json"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_main_refuses_and_helps_as_the_full_parser(argv, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    want = _parsed(build_parser().parse_args, argv)
+    assert want[0] == "exit"
+    assert _parsed(main, argv) == want
+
+
+ARGV_TOKENS = [
+    *COMMANDS, "--", "-h", "--t", "--t=2", "--T", "3", "-1", "x.lt", "p.json", "--model", "--mod", "--out", "--out-json",
+    "--mask=k.json", "--mode", "type1", "--target", "#00FF00", "--colors", "--anchors", "--bogus", "a.json", "--grid",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=12))
+def test_main_parses_any_argv_as_the_full_parser(argv):
+    assert _parsed(main, argv) == _parsed(build_parser().parse_args, argv)
 
 
 def test_main_keeps_one_parser_that_acts_as_a_fresh_one(ws, tmp_path, monkeypatch):

@@ -118,14 +118,18 @@ def test_write_latents_stores_float32s_largest_magnitude(tmp_path):
 
 
 def test_rejects_nonfinite_and_bad_shapes(tmp_path):
-    with pytest.raises(ValueError):
-        write_latents(tmp_path / "z.lt", np.zeros((2, 2)))  # d must be >= 3
-    with pytest.raises(ValueError):
-        write_latents(tmp_path / "z.lt", np.zeros(8))
     bad = np.zeros((2, 4))
     bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        write_latents(tmp_path / "z.lt", bad)
+    path = tmp_path / "z.lt"
+    for z, says in [
+        (np.zeros((2, 2)), "latent tensor needs L >= 1 patches and d >= 3 dims, got (2, 2)"),
+        (np.zeros(8), "latent tensor must be 2-D, got shape (8,)"),
+        (bad, "latent tensor contains non-finite values"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            write_latents(path, z)
+        assert str(info.value) == f"{path}: {says}"  # each refusal names the file, as the float32 one does
+        assert not path.exists()
 
 
 def test_trajectory_roundtrip(tmp_path):
