@@ -78,6 +78,7 @@ MASK_INDICES = "tests/test_intervene.py::test_mask_indices_are_sorted_and_read_o
 OVERFLOWS = "tests/test_cli.py::test_a_model_value_that_overflows_the_decode_exits_2_naming_the_files"
 VALUE_FUZZ = "tests/test_cli.py::test_a_record_with_an_edited_value_exits_0_or_2_naming_it"
 STATS_REFUSALS = "tests/test_timestats.py::test_table_refusals_say_what_is_wrong"
+ONE_COLOR = "tests/test_kernels.py::test_one_color_has_the_bits_shape_and_type_of_its_row_in_a_block"
 
 MUTANTS = (
     # the PGM header pattern
@@ -375,11 +376,6 @@ MUTANTS = (
         (MASK_INTEGERS,),
     ),
     Mutant(
-        "ciede-squares-by-scalar-pow", "src/latentcolor/colorspace.py",
-        "l50 = np.square(Lbp - 50.0)", "l50 = (Lbp - 50.0) ** 2",
-        ("tests/test_kernels.py::test_ciede2000_of_one_pair_has_the_bits_of_its_row_in_a_block",),
-    ),
-    Mutant(
         "ppm-rows-not-copied", "src/latentcolor/observe.py",
         "    raster[:, 1:] = raster[:, :1]\n", "",
         (f"{PER_PIXEL}[2]", f"{PER_PIXEL}[16]"),
@@ -388,6 +384,17 @@ MUTANTS = (
         "ppm-raster-copied-twice", "src/latentcolor/observe.py",
         'return b"".join((header, raster))', "return header + raster.tobytes()",
         ("tests/test_observe.py::test_render_ppm_holds_the_raster_about_twice_at_its_peak",),
+    ),
+    # one color is a one-column block
+    Mutant(
+        "one-colour-as-scalar-planes", "src/latentcolor/colorspace.py",
+        "np.atleast_2d(np.asarray(colors, dtype=np.float64))", "np.asarray(colors, dtype=np.float64)",
+        (ONE_COLOR, "tests/test_kernels.py::test_plane_adapters_are_moveaxis_bitwise"),
+    ),
+    Mutant(
+        "decode-leaves-l-unclamped", "src/latentcolor/bicone.py",
+        "np.clip(hsl[..., 1:], 0.0, 1.0, out=hsl[..., 1:])", "np.clip(hsl[..., 1:2], 0.0, 1.0, out=hsl[..., 1:2])",
+        ("tests/test_kernels.py::test_decode_is_canonical_hsl_of_decode_raw_bitwise",),
     ),
     # the interp blend's horizon
     Mutant(
@@ -547,12 +554,21 @@ MUTANTS = (
     ),
     Mutant(
         "sextant-from-ceil", "src/latentcolor/colorspace.py",
-        "hp = np.fmin(hp, 5.0, out=_over(hp))", "hp = np.fmin(np.ceil(hp) - 1.0, 5.0, out=_over(hp))",
+        "hp = np.fmin(hp, 5.0, out=hp)", "hp = np.fmin(np.ceil(hp) - 1.0, 5.0, out=hp)",
         (
             "tests/test_kernels.py::test_hsl_to_rgb_array_is_scalar_bitwise",
             "tests/test_kernels.py::test_hsl_to_rgb_array_is_modulo_formula_bitwise",
         ),
         equivalent="it differs only at integer hp, where the two adjacent sextants give the same RGB",
+    ),
+    Mutant(
+        "ciede-squares-by-scalar-pow", "src/latentcolor/colorspace.py",
+        "l50 = np.square(Lbp - 50.0)", "l50 = (Lbp - 50.0) ** 2",
+        (
+            "tests/test_kernels.py::test_ciede2000_of_one_pair_has_the_bits_of_its_row_in_a_block",
+            "tests/test_kernels.py::test_ciede2000_kernel_is_the_formula_bitwise",
+        ),
+        equivalent="the planes are arrays, also for one pair, and numpy computes an array's ** 2 as np.square",
     ),
     Mutant(
         "decode-writes-over-its-input", "src/latentcolor/bicone.py",

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensorio
-from .colorspace import HslColor, _dot3, _from_planes, canonical_hsl
+from .colorspace import HslColor, _dot3, _from_planes
 from .subspace import SubspaceModel, project
 
 __all__ = [
@@ -235,7 +235,8 @@ def decode(c: np.ndarray, anchors: AnchorSet):
     One 3-vector gives an HslColor; an (n, 3) block gives an (n, 3) array
     of the same canonical (h, s, l) values.
     """
-    hsl = canonical_hsl(decode_raw(c, anchors))
+    hsl = decode_raw(c, anchors)  # its hue is in [0, 360) already; s and l clamp in place, as HslColor clamps them
+    np.clip(hsl[..., 1:], 0.0, 1.0, out=hsl[..., 1:])
     return HslColor(*hsl.tolist()) if hsl.ndim == 1 else hsl
 
 

@@ -231,9 +231,10 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     pred = ColorGrid.load(args.pred)
     ref = ColorGrid.load(args.ref)
+    if (pred.height, pred.width) != (ref.height, ref.width):
+        raise ValueError(f"grid dims differ: {args.pred} is {pred.height}x{pred.width}, {args.ref} is {ref.height}x{ref.width}")
     mask = _load_mask(args.mask, pred.height * pred.width)
-    # the masked means stay in linear RGB for de00, as grid_de00_mean_pixel's do; a mask is checked
-    # against each grid before the grids are compared
+    # the masked means stay in linear RGB for de00, as grid_de00_mean_pixel's do
     masked = None if mask is None else [masked_mean_color(grid, mask) for grid in (pred, ref)]
     per_pixel, mean_pixel = grid_de00_per_pixel(pred, ref), grid_de00_mean_pixel(pred, ref)
     # with no mask, the means are the grids' mean colours that the comparison holds: an all-patches mask's bits

@@ -133,8 +133,7 @@ def circular_mean_hue(hues) -> float:
 #   planes, as the read path (observe) keeps its colors; a public *_array
 #   function splits the last axis of its (..., 3) colors and restacks.
 # - A chain of ops writes in place (+=, out=) over temporaries the kernel made,
-#   never over its inputs, with the formula's operations and grouping, so no
-#   bit moves. One color's planes are numpy scalars; _over gives them fresh ones.
+#   never over its inputs, with the formula's operations and grouping, so no bit moves.
 
 # IEC 61966-2-1 sRGB to XYZ (D65) matrix rows.
 _M_XYZ = (
@@ -152,8 +151,8 @@ _SEXTANT_CHANNELS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [2, 1, 0], [1, 2,
 # The adapters move axes by a plain transpose: np.moveaxis gives the same layout at several times
 # the per-call cost, which a report on a few colours pays on every kernel call.
 def _to_planes(colors) -> np.ndarray:
-    """(..., 3) colors as contiguous (3, ...) channel planes."""
-    a = np.asarray(colors, dtype=np.float64)
+    """(..., 3) colors as contiguous (3, ...) channel planes; one color as (3, 1) planes."""
+    a = np.atleast_2d(np.asarray(colors, dtype=np.float64))  # one color: a (1, 3) block
     return np.ascontiguousarray(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
 
 
@@ -165,16 +164,22 @@ def _from_planes(planes: np.ndarray) -> np.ndarray:
 def _canonical(hsl: np.ndarray) -> np.ndarray:
     """canonical_hsl on (3, ...) planes."""
     out = hsl.copy()
-    h = out[:1]  # a view also when hsl holds one color
+    h = out[0]
     np.remainder(h, 360.0, out=h, where=~((h > 0.0) & (h < 360.0)))  # zeros too: -0.0 % 360.0 is +0.0
     h[h == 360.0] = 0.0  # tiny negative hues round up to 360.0
     np.clip(out[1:], 0.0, 1.0, out=out[1:])
     return out
 
 
+def _planewise(kernel, colors) -> np.ndarray:
+    """kernel on the (3, ...) planes of (..., 3) colors, restacked in the colors' shape."""
+    a = np.asarray(colors, dtype=np.float64)
+    return _from_planes(kernel(_to_planes(a))).reshape(a.shape)
+
+
 def canonical_hsl(hsl) -> np.ndarray:
     """What HslColor does to each (h, s, l): wrap hue mod 360, clamp s and l to [0, 1]."""
-    return _from_planes(_canonical(_to_planes(hsl)))
+    return _planewise(_canonical, hsl)
 
 
 def _dot3(cols, v) -> np.ndarray:
@@ -185,32 +190,26 @@ def _dot3(cols, v) -> np.ndarray:
     return out
 
 
-def _over(t):
-    # out=t over the kernel's own temporary t; None (a new scalar) for one color's scalar, cheaper than any array
-    return t if t.ndim else None
-
-
 def _hsl_to_rgb(hsl: np.ndarray) -> np.ndarray:
     """hsl_to_rgb_array on (3, ...) planes."""
     h, s, l = hsl
     cand = np.empty(hsl.shape)  # what each channel picks from: chroma + m, x + m and m
-    chroma = np.multiply(l, 2.0, out=_over(cand[0]))  # chroma = (1 - |2 l - 1|) s
+    chroma = np.multiply(l, 2.0, out=cand[0])  # chroma = (1 - |2 l - 1|) s
     chroma -= 1.0
-    chroma = np.subtract(1.0, np.abs(chroma, out=_over(chroma)), out=_over(chroma))
+    chroma = np.subtract(1.0, np.abs(chroma, out=chroma), out=chroma)
     chroma *= s
     hp = h / 60.0
-    x = np.floor(np.divide(hp, 2.0, out=_over(cand[1])), out=_over(cand[1]))  # x = chroma (1 - |hp mod 2 - 1|)
+    x = np.floor(np.divide(hp, 2.0, out=cand[1]), out=cand[1])  # x = chroma (1 - |hp mod 2 - 1|)
     x *= 2.0  # with hp mod 2 = hp - 2 floor(hp / 2)
-    x = np.subtract(hp, x, out=_over(x))
+    x = np.subtract(hp, x, out=x)
     x -= 1.0
-    x = np.subtract(1.0, np.abs(x, out=_over(x)), out=_over(x))
+    x = np.subtract(1.0, np.abs(x, out=x), out=x)
     x *= chroma
-    m = np.subtract(l, np.divide(chroma, 2.0, out=_over(cand[2])), out=_over(cand[2]))  # m = l - chroma / 2
+    m = np.subtract(l, np.divide(chroma, 2.0, out=cand[2]), out=cand[2])  # m = l - chroma / 2
     chroma += m
     x += m
-    cand[0], cand[1], cand[2] = chroma, x, m  # stores one color's scalars; array planes are in cand already
-    hp = np.fmin(hp, 5.0, out=_over(hp))
-    sextant = np.fmax(hp, 0.0, out=_over(hp)).astype(np.intp).reshape(-1)  # NaN gives 5, the last sextant
+    hp = np.fmin(hp, 5.0, out=hp)
+    sextant = np.fmax(hp, 0.0, out=hp).astype(np.intp).reshape(-1)  # NaN gives 5, the last sextant
     # each channel takes chroma, x or 0, plus m, by one flat take over the three candidate planes
     picks = (_SEXTANT_CHANNELS.T * sextant.size).take(sextant, axis=1)
     picks += np.arange(sextant.size)
@@ -220,7 +219,7 @@ def _hsl_to_rgb(hsl: np.ndarray) -> np.ndarray:
 
 def hsl_to_rgb_array(hsl) -> np.ndarray:
     """sRGB of canonical (h, s, l) rows in the hexcone model; RGB is clamped to [0, 1]."""
-    return _from_planes(_hsl_to_rgb(_to_planes(hsl)))
+    return _planewise(_hsl_to_rgb, hsl)
 
 
 def rgb_to_hsl_array(rgb) -> np.ndarray:
@@ -270,20 +269,18 @@ def _linear_to_lab(lin: np.ndarray) -> np.ndarray:
         t = _dot3(lin, m)  # (m0 r + m1 g + m2 b) / w
         t /= w
         # f = (24389 / 27 t + 16) / 116, or the CIE 1976 cube root above the toe at (6/29)^3
-        ft = np.multiply(t, 24389.0 / 27.0, out=_over(lab[k]))
+        ft = np.multiply(t, 24389.0 / 27.0, out=lab[k])
         ft += 16.0
         ft /= 116.0
-        ft = np.asarray(ft)  # 0-d for one color, and [()] makes that a scalar again
         np.cbrt(t, out=ft, where=t > 216.0 / 24389.0)
-        f.append(ft[()])
+        f.append(ft)
     fx, fy, fz = f
     fx -= fy  # a* = 500 (fx - fy)
     fx *= 500.0
-    fz = np.subtract(fy, fz, out=_over(fz))  # b* = 200 (fy - fz)
+    fz = np.subtract(fy, fz, out=fz)  # b* = 200 (fy - fz)
     fz *= 200.0
     fy *= 116.0  # L* = 116 fy - 16
     fy -= 16.0
-    lab[0], lab[1], lab[2] = fy, fx, fz  # stores one color's values; array planes are in lab already
     # the formula leaves rounding noise in a grey's a* and b*, which CIEDE2000's hue terms amplify
     np.copyto(lab[1:], 0.0, where=(r == g) & (g == b))
     return lab
@@ -291,7 +288,7 @@ def _linear_to_lab(lin: np.ndarray) -> np.ndarray:
 
 def linear_rgb_to_lab_array(lin) -> np.ndarray:
     """CIELAB of (r, g, b) rows of linear RGB (D65); greys get a* = b* = 0 exactly."""
-    return _from_planes(_linear_to_lab(_to_planes(lin)))
+    return _planewise(_linear_to_lab, lin)
 
 
 # CIEDE2000's T = 1 - 0.17 cos(h - 30) + 0.24 cos(2h) + 0.32 cos(3h + 6) - 0.20 cos(4h - 63) sums
@@ -323,14 +320,16 @@ def ciede2000_array(x, y) -> np.ndarray:
 
     Matches the published verification dataset to 1e-4.
     """
-    return _ciede2000(_to_planes(x), _to_planes(y))
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    d = _ciede2000(_to_planes(x), _to_planes(y))
+    return d[0] if x.ndim == y.ndim == 1 else d  # one pair gives a float64, as numpy's ufuncs do
 
 
 def _chroma(a: np.ndarray, bb: np.ndarray) -> np.ndarray:
     """sqrt(a a + bb), written over a fresh a a."""
     t = a * a
     t += bb
-    return np.sqrt(t, out=_over(t))
+    return np.sqrt(t, out=t)
 
 
 def _rc(c: np.ndarray) -> np.ndarray:
@@ -340,7 +339,7 @@ def _rc(c: np.ndarray) -> np.ndarray:
     p *= p
     p *= c
     p /= p + 25.0 ** 7
-    return np.sqrt(p, out=_over(p))
+    return np.sqrt(p, out=p)
 
 
 def _ciede2000(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -351,7 +350,7 @@ def _ciede2000(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     c_bar = _chroma(a1, bb1) + _chroma(a2, bb2)  # the broadcast shape
     c_bar /= 2.0
     g1 = _rc(c_bar)  # 1 + G = 1.5 - 0.5 rc(c_bar)
-    g1 = np.subtract(1.5, np.multiply(g1, 0.5, out=_over(g1)), out=_over(g1))
+    g1 = np.subtract(1.5, np.multiply(g1, 0.5, out=g1), out=g1)
     a1p, a2p = g1 * a1, g1
     a2p *= a2
     c1p, c2p = _chroma(a1p, bb1), _chroma(a2p, bb2)
@@ -371,22 +370,22 @@ def _ciede2000(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     far = np.abs(dhp) > np.pi / 2.0
     far &= cross < 0.0
     # v = tan(dh' / 4): sin(dh' / 2) = 2v / (1 + v^2); wrapping dh' by 2 pi flips v's sign
-    v = np.tan(np.divide(dhp, 4.0, out=_over(dhp)), out=_over(dhp))
+    v = np.tan(np.divide(dhp, 4.0, out=dhp), out=dhp)
     dHp = c1p * c2p  # dH' = (far ? -4 : 4) sqrt(c1' c2') v / (1 + v^2)
-    dHp = np.sqrt(dHp, out=_over(dHp))
+    dHp = np.sqrt(dHp, out=dHp)
     dHp *= np.where(far, -4.0, 4.0)
     dHp *= v
     v *= v
     v += 1.0
     dHp /= v
-    hbp = np.where(hsum < _TAU, _TAU, -_TAU)[()]  # a 0-d where() for one color gives a scalar
+    hbp = np.where(hsum < _TAU, _TAU, -_TAU)
     hbp *= far  # hbp = (h1' + h2' + far (h1' + h2' < 2 pi ? 2 pi : -2 pi)) / 2
     hbp += hsum
     hbp /= 2.0
 
     Lbp = (L1 + L2) / 2.0
     Cbp = (c1p + c2p) / 2.0
-    l50 = np.square(Lbp - 50.0)  # x x in one ufunc for any shape: a scalar's ** 2 is libm's pow
+    l50 = np.square(Lbp - 50.0)
     sL = 1.0 + 0.015 * l50 / np.sqrt(20.0 + l50)
     sC = 1.0 + 0.045 * Cbp
     sH = 1.0 + 0.015 * Cbp * _ciede_t(hbp)

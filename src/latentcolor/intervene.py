@@ -69,7 +69,7 @@ class PatchMask(tensorio.JsonRecord):
         return self._indices
 
     def to_json_dict(self) -> dict:
-        return {"L": self.L, "selected": sorted(self.selected)}
+        return {"L": self.L, "selected": self._indices.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PatchMask":

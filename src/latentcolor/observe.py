@@ -24,7 +24,6 @@ from .colorspace import (
     _from_planes,
     _to_planes,
 )
-from .intervene import PatchMask
 from .subspace import SubspaceModel
 from .timestats import StatsTable, _chart
 

@@ -345,9 +345,8 @@ def test_eval_of_grids_of_different_sizes_exits_2(tmp_path, capsys, ref_dims, ma
     PatchMask.full(64).save(mask_path)
     extra = ["--mask", str(mask_path)] if masked else []
     assert main(["eval", str(pred_path), str(ref_path), *extra, "--out", str(out)]) == 2
-    L = ref_dims[0] * ref_dims[1]
-    # the mask is checked against each grid it averages first; with none given, the grids against each other
-    says = f"mask is for L = 64 cells, grid has {L}" if masked and L != 64 else f"grid dims differ: 8x8 vs {ref_dims[0]}x{ref_dims[1]}"
+    # the grids are compared with each other before any mask is read, and both files are named
+    says = f"grid dims differ: {pred_path} is 8x8, {ref_path} is {ref_dims[0]}x{ref_dims[1]}"
     assert capsys.readouterr().err == f"error: {says}\n"
     assert not out.exists()
 

@@ -9,6 +9,7 @@ CIEDE2000, decode), or where sums run in another order (grid means), the
 tolerance is 1e-12, with hue compared circularly.
 """
 
+import contextlib
 import copy
 import hashlib
 import math
@@ -19,6 +20,8 @@ from hypothesis import example, given, strategies as st
 
 from latentcolor import (
     ColorGrid,
+    bicone,
+    colorspace,
     PatchMask,
     decode,
     decode_raw,
@@ -198,10 +201,74 @@ def test_ciede2000_array_matches_scalar(pairs):
 @given(st.lists(st.tuples(st.one_of(lab, blue_lab()), st.one_of(lab, blue_lab())), min_size=1, max_size=4))
 @example([((99.99999766394116, 0.0, 0.0), (100.0, 0.0, 0.0))])  # a pair whose L' - 50, squared by pow, is 1 ulp off
 def test_ciede2000_of_one_pair_has_the_bits_of_its_row_in_a_block(pairs):
-    # one pair runs on numpy scalars, a block on arrays; cli's intervene report relies on their bits agreeing
+    # one pair runs as a one-column block and comes back a float64; cli's intervene report relies on its bits
     x, y = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
     block = ciede2000_array(x, y)
-    assert [ciede2000_array(a, b).tobytes() for a, b in zip(x, y)] == [v.tobytes() for v in block]
+    singles = [ciede2000_array(a, b) for a, b in zip(x, y)]
+    assert all(type(d) is np.float64 for d in singles)
+    assert [d.tobytes() for d in singles] == [v.tobytes() for v in block]
+
+
+PLANE_KERNELS = ((colorspace, "_canonical"), (colorspace, "_hsl_to_rgb"), (colorspace, "_linear_to_lab"),
+                 (colorspace, "_ciede2000"), (bicone, "_decode_planes"))
+
+
+@contextlib.contextmanager
+def plane_kernel_operands():
+    """Inside the block, the list of every array or number a plane kernel is called with."""
+    seen = []
+    kernels = [(module, name, getattr(module, name)) for module, name in PLANE_KERNELS]
+
+    def spy(kernel):
+        def call(*args):
+            seen.extend(a for a in args if isinstance(a, (np.ndarray, np.generic, float)))
+            return kernel(*args)
+        return call
+
+    for module, name, kernel in kernels:
+        setattr(module, name, spy(kernel))
+    try:
+        yield seen
+    finally:
+        for module, name, kernel in kernels:
+            setattr(module, name, kernel)
+
+
+def bicone_coords(anchors, u: np.ndarray) -> np.ndarray:
+    """Subspace coordinates black + u0 axis + |axis| (u1 e1 + u2 e2) of (n, 3) rows u."""
+    r = float(np.linalg.norm(anchors.axis))
+    return anchors.black + u @ np.array([anchors.axis, r * anchors.e1, r * anchors.e2])
+
+
+color_value = st.one_of(st.floats(-2.0, 2.0), st.floats(0.0, 360.0), st.sampled_from([0.0, -0.0, 1.0, math.nan]))
+
+
+@given(st.lists(st.tuples(color_value, color_value, color_value), min_size=1, max_size=8))
+def test_one_color_has_the_bits_shape_and_type_of_its_row_in_a_block(anchors, rows):
+    block = np.array(rows)
+    cases = [(f, block) for f in (canonical_hsl, hsl_to_rgb_array, srgb_to_linear_array, linear_rgb_to_lab_array)]
+    cases.append((lambda c: decode_raw(c, anchors), bicone_coords(anchors, block)))
+    for f, colors in cases:
+        with plane_kernel_operands() as seen:
+            want = f(colors)
+            got = [f(c) for c in colors]
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and g.shape == w.shape and g.tobytes() == w.tobytes()
+        # a plane kernel sees (3, n) planes only, n = 1 for one color; never numpy scalars
+        assert all(type(a) is np.ndarray and a.ndim >= 2 for a in seen)
+
+
+bicone_value = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan]))
+
+
+@given(st.lists(st.tuples(bicone_value, bicone_value, bicone_value), min_size=1, max_size=16))
+def test_decode_is_canonical_hsl_of_decode_raw_bitwise(anchors, rows):
+    # the apexes, the axis between and beyond them, points outside the bicone, and NaN
+    coords = np.concatenate([bicone_coords(anchors, np.array(rows)), [anchors.black, anchors.white]])
+    assert_same_bits(decode(coords, anchors), canonical_hsl(decode_raw(coords, anchors)))
+    for c in coords:
+        y = decode(c, anchors)
+        assert_same_bits([y.h, y.s, y.l], canonical_hsl(decode_raw(c, anchors)))
 
 
 def reference_hue_sum(x, y) -> float:
@@ -856,7 +923,7 @@ def test_plane_adapters_are_moveaxis_bitwise(shape, data):
     colors = np.array(data.draw(st.lists(any_float, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
     for view in strided_views(colors, 0):
         planes = _to_planes(view)
-        assert planes.flags.c_contiguous and planes.shape == (3, *shape[:-1])
+        assert planes.flags.c_contiguous and planes.shape == (3, *(shape[:-1] or (1,)))  # one color: one column
         assert planes.tobytes() == moveaxis_to_planes(view).tobytes()
         for p in strided_views(planes, -1):  # the restack reads any layout
             back = _from_planes(p)
@@ -947,7 +1014,7 @@ def test_ciede2000_kernel_is_the_formula_bitwise(pairs, k):
     y_anti, y_double = x * [1.0, -1.0, -1.0], x * [1.0, -2.0, -2.0]
     x, y = np.concatenate([x, x, x, y]), np.concatenate([y, y_anti, y_double, x])
     assert_same_bits(ciede2000_array(x, y), formula_ciede2000(x, y))
-    for i in (0, -1):  # single colors, whose planes are numpy scalars
+    for i in (0, -1):  # single colors, run as one-column blocks
         assert_same_bits(ciede2000_array(x[i], y[i]), formula_ciede2000(x[i], y[i]))
         assert type(ciede2000_array(x[i], y[i])) is type(formula_ciede2000(x[i], y[i]))
         assert_same_bits(ciede2000_array(x, y[i]), formula_ciede2000(x, y[i]))
@@ -1023,11 +1090,11 @@ def check_read_path_kernels_leave_their_inputs_alone(anchors, model, toy_stats, 
     labs = _linear_to_lab(lin)
     calls = [
         (lambda c: _decode_planes(c, anchors), rng.normal(anchors.black + 0.5 * anchors.axis, 2.0, (n, 3)).T),
-        (_hsl_to_rgb, hsl), (_hsl_to_rgb, hsl[:, 0]),
+        (_hsl_to_rgb, hsl), (_hsl_to_rgb, hsl[:, :1]),
         (srgb_to_linear_array, lin), (srgb_to_linear_array, lin[:, 0]),
-        (_linear_to_lab, lin), (_linear_to_lab, lin[:, 0]),
-        (lambda y: _ciede2000(labs[:, ::-1], y), labs), (lambda x: _ciede2000(x, labs[:, 0]), labs),
-        (lambda x: _ciede2000(x, labs[:, :1]), labs[:, 0]), (lambda x: _ciede2000(x, labs[:, 0]), labs[:, 0]),
+        (_linear_to_lab, lin), (_linear_to_lab, lin[:, :1]),
+        (lambda y: _ciede2000(labs[:, ::-1], y), labs), (lambda x: _ciede2000(x, labs[:, :1]), labs),
+        (lambda y: _ciede2000(labs[:, :1], y), labs), (lambda x: _ciede2000(x, labs[:, :1]), labs[:, :1]),
     ]
     fixed = labs.tobytes()  # the other operand of the CIEDE2000 calls
     for kernel, arg in calls:
