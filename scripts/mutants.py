@@ -16,8 +16,9 @@ Before the mutants, the named tests run once on an unmutated copy, and
 must pass. The exit status is 0 when every mutant ends as expected, and
 1 when a mutant survives that should die, an equivalent mutant dies, a
 mutant's old text is not found exactly once, or pytest cannot run the
-named tests. Only the standard library and the test suite's own
-dependencies are needed.
+named tests. Pytest runs under the hypothesis profile "mutants" from
+tests/conftest.py, which leaves out shrinking. Only the standard
+library and the test suite's own dependencies are needed.
 """
 
 import argparse
@@ -396,6 +397,38 @@ MUTANTS = (
         "np.clip(hsl[..., 1:], 0.0, 1.0, out=hsl[..., 1:])", "np.clip(hsl[..., 1:2], 0.0, 1.0, out=hsl[..., 1:2])",
         ("tests/test_kernels.py::test_decode_is_canonical_hsl_of_decode_raw_bitwise",),
     ),
+    # type2 edits raw coordinates; the entry points refuse an overflow; one mask reader; no mean of nothing
+    Mutant(
+        "type2-clamps-before-encode", "src/latentcolor/intervene.py",
+        "return encode(raw + np.array([dh, ds, dl]), anchors)",
+        "return encode(np.clip(raw + np.array([dh, ds, dl]), [-np.inf, 0.0, 0.0], [np.inf, 1.0, 1.0]), anchors)",
+        (
+            "tests/test_intervene.py::test_a_no_op_type2_returns_every_row_off_the_apexes",
+            "tests/test_intervene.py::test_a_no_op_type2_is_the_identity_at_every_t",
+            "tests/test_kernels.py::test_type2_matches_per_patch_reference",
+        ),
+    ),
+    Mutant(
+        "observe-overflow-unraised", "src/latentcolor/observe.py",
+        'with np.errstate(over="raise", invalid="raise"):\n        hat, _', 'with np.errstate():\n        hat, _',
+        ("tests/test_observe.py::test_observe_refuses_a_model_value_that_overflows",),
+    ),
+    Mutant(
+        "intervene-overflow-unraised", "src/latentcolor/intervene.py",
+        'with np.errstate(over="raise", invalid="raise"):\n        return _intervene',
+        'with np.errstate():\n        return _intervene',
+        ("tests/test_intervene.py::test_apply_intervention_refuses_a_model_value_that_overflows",),
+    ),
+    Mutant(
+        "mask-load-reads-json-only", "src/latentcolor/intervene.py",
+        "return tensorio._read(path, _mask)", "return super().load(path)",
+        ("tests/test_intervene.py::test_a_mask_loads_equal_from_json_and_from_8_and_16_bit_pgm",),
+    ),
+    Mutant(
+        "mean-color-of-nothing", "src/latentcolor/observe.py",
+        "if planes.shape[-1] == 0:", "if False:",
+        ("tests/test_observe.py::test_mean_color_refuses_an_empty_block",),
+    ),
     # the interp blend's horizon
     Mutant(
         "interp-horizon-unchecked", "src/latentcolor/intervene.py",
@@ -597,7 +630,8 @@ def _copy_tree(dest: Path) -> None:
 
 def _pytest(tree: Path, tests) -> str:
     """'passed', 'failed' or 'timeout', or 'error: ...' when pytest could not run the tests."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    # the mutants profile skips hypothesis's shrinking: a kill needs only the first failing example
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", *tests]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)

@@ -15,7 +15,6 @@ from .intervene import (
     PatchMask,
     apply_intervention,
     interpolated,
-    load_mask,
     type1,
     type2,
 )
@@ -23,7 +22,6 @@ from .observe import (
     ColorGrid,
     grid_de00_mean_pixel,
     grid_de00_per_pixel,
-    masked_mean_color,
     observe,
     render_ppm,
 )

@@ -31,12 +31,11 @@ from .colorspace import (
     signed_hue_delta,
     srgb_to_linear_array,
 )
-from .intervene import MODES, PatchMask, _intervene, load_mask
+from .intervene import MODES, PatchMask, _intervene
 from .observe import (
     ColorGrid,
     grid_de00_mean_pixel,
     grid_de00_per_pixel,
-    masked_mean_color,
     mean_color,
     observe,
     render_ppm,
@@ -87,7 +86,7 @@ def _parse_target(args) -> HslColor:
 
 def _load_mask(path: str | None, L: int) -> PatchMask | None:
     """The --mask file, if one is given, checked against the L patches it selects from."""
-    mask = load_mask(path) if path else None
+    mask = PatchMask.load(path) if path else None
     if mask and (mask.L != L or not mask.selected):
         raise ValueError(f"{path}: mask selects {len(mask.selected)} of L = {mask.L} patches; the input has {L}")
     return mask
@@ -235,7 +234,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"grid dims differ: {args.pred} is {pred.height}x{pred.width}, {args.ref} is {ref.height}x{ref.width}")
     mask = _load_mask(args.mask, pred.height * pred.width)
     # the masked means stay in linear RGB for de00, as grid_de00_mean_pixel's do
-    masked = None if mask is None else [masked_mean_color(grid, mask) for grid in (pred, ref)]
+    masked = None if mask is None else [mean_color(grid.hsl.reshape(-1, 3)[mask.indices]) for grid in (pred, ref)]
     per_pixel, mean_pixel = grid_de00_per_pixel(pred, ref), grid_de00_mean_pixel(pred, ref)
     # with no mask, the means are the grids' mean colours that the comparison holds: an all-patches mask's bits
     lins = np.stack(masked or [grid._blocks[0][:, -1] for grid in (pred, ref)])

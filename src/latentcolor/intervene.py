@@ -19,8 +19,8 @@ from collections import Counter
 import numpy as np
 
 from . import tensorio
-from .bicone import AnchorSet, decode, encode
-from .colorspace import HslColor, canonical_hsl, circular_mean_hue, signed_hue_delta
+from .bicone import AnchorSet, decode_raw, encode
+from .colorspace import HslColor, circular_mean_hue, signed_hue_delta
 from .subspace import SubspaceModel
 from .timestats import StatsTable, _chart
 
@@ -30,7 +30,6 @@ __all__ = [
     "type2",
     "interpolated",
     "apply_intervention",
-    "load_mask",
 ]
 
 MODES = ("type1", "type2", "interp")
@@ -81,6 +80,11 @@ class PatchMask(tensorio.JsonRecord):
             raise ValueError(f"mask lists patch indices more than once: {repeated}")
         return cls(L=L, selected=frozenset(selected))
 
+    @classmethod
+    def load(cls, path) -> "PatchMask":
+        """Load a mask from JSON ({"L", "selected"}) or binary PGM (nonzero = selected)."""
+        return tensorio._read(path, _mask)
+
 
 _SEP = rb"(?:\s|#[^\n]*\n)"  # a whitespace byte, or a comment through its newline
 # binary PGM: magic, width, height and maxval as separated decimal tokens, then one whitespace byte before the raster
@@ -106,11 +110,6 @@ def _mask(raw: bytes) -> PatchMask:
     return _mask_from_pgm(raw) if raw[:2] == b"P5" else tensorio._record(raw, PatchMask.from_json_dict, "PatchMask")
 
 
-def load_mask(path) -> PatchMask:
-    """Load a mask from JSON ({"L", "selected"}) or binary PGM (nonzero = selected)."""
-    return tensorio._read(path, _mask)
-
-
 # ---------------------------------------------------------------------------
 # Primitive edits on normalized coordinate blocks
 # ---------------------------------------------------------------------------
@@ -129,18 +128,21 @@ def type1(coords: np.ndarray, target: HslColor, anchors: AnchorSet) -> np.ndarra
 
 
 def type2(coords: np.ndarray, target: HslColor, anchors: AnchorSet) -> np.ndarray:
-    """Decode each patch, apply one common HSL shift, and re-encode.
+    """Decode each patch unclamped, apply one common HSL shift, and re-encode.
 
     The hue shift is the minimal circular move from the patches' circular
     mean hue to the target hue; saturation and lightness shifts are
-    arithmetic, with each patch clamped to [0, 1] after shifting.
+    arithmetic, on the raw s and l, which encode inverts as they are, in
+    [0, 1] or not. So a zero shift returns every patch whose bicone factor
+    1 - |2l - 1| is at least 1e-6; at and beyond the apexes decode_raw
+    reads s as 0, and those patches move onto the axis.
     """
-    decoded = decode(_check_block(coords), anchors)
-    h, s, l = decoded.T
+    raw = decode_raw(_check_block(coords), anchors)
+    h, s, l = raw.T
     dh = signed_hue_delta(target.h, circular_mean_hue(h.tolist()))
     ds = target.s - float(np.mean(s))
     dl = target.l - float(np.mean(l))
-    return encode(canonical_hsl(decoded + np.array([dh, ds, dl])), anchors)
+    return encode(raw + np.array([dh, ds, dl]), anchors)
 
 
 def interpolated(
@@ -186,8 +188,10 @@ def apply_intervention(
     Unmasked patches are returned bitwise unchanged, and the orthogonal
     complement of every patch is preserved. mask = None edits all patches.
     The interp blend runs over the stats table's horizon 0..stats.T.
+    A float overflow or invalid value raises FloatingPointError.
     """
-    return _intervene(z, t, target, mask, model, anchors, stats, mode)[0]
+    with np.errstate(over="raise", invalid="raise"):
+        return _intervene(z, t, target, mask, model, anchors, stats, mode)[0]
 
 
 def _intervene(z, t, target, mask, model, anchors, stats, mode):

@@ -33,7 +33,6 @@ __all__ = [
     "grid_de00_per_pixel",
     "grid_de00_mean_pixel",
     "mean_color",
-    "masked_mean_color",
     "render_ppm",
 ]
 
@@ -156,7 +155,8 @@ def observe(
     """Decode every patch of z at timestep t into a color grid.
 
     grid_dims is (height, width) with height * width equal to the patch
-    count; patches are taken in row-major order.
+    count; patches are taken in row-major order. A float overflow or
+    invalid value raises FloatingPointError.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
@@ -164,8 +164,9 @@ def observe(
     height, width = grid_dims
     if height * width != z.shape[0]:
         raise ValueError(f"grid {height}x{width} does not cover {z.shape[0]} patches")
-    hat, _ = _chart(z, model, t, stats)
-    hsl = _decode_planes(hat.T, anchors).reshape(3, height, width)
+    with np.errstate(over="raise", invalid="raise"):
+        hat, _ = _chart(z, model, t, stats)
+        hsl = _decode_planes(hat.T, anchors).reshape(3, height, width)
     sl = hsl[1:]  # the hue is canonical already; s and l clamp in place, keeping -0.0 and NaN as HslColor does
     np.clip(sl, 0.0, 1.0, out=sl)
     return ColorGrid.__new__(ColorGrid)._set(hsl)
@@ -193,18 +194,13 @@ def grid_de00_mean_pixel(pred: ColorGrid, ref: ColorGrid) -> float:
 def mean_color(hsl: np.ndarray) -> np.ndarray:
     """Average color of a nonempty (n, 3) block of (h, s, l) rows, as linear RGB.
 
+    The rows may be any set of cells: a grid's masked cells are grid.hsl.reshape(-1, 3)[mask.indices].
     A (k, n, 3) stack of blocks gives the (k, 3) means, each with the bits of its own block's mean.
     """
-    return _from_planes(_mean_planes(srgb_to_linear_array(_hsl_to_rgb(_to_planes(hsl)))))
-
-
-def masked_mean_color(grid: ColorGrid, mask: PatchMask) -> np.ndarray:
-    """Average color of the masked cells, as linear RGB."""
-    if mask.L != grid.height * grid.width:
-        raise ValueError(f"mask is for L = {mask.L} cells, grid has {grid.height * grid.width}")
-    if not mask.selected:
-        raise ValueError("empty mask: no cells to average")
-    return _mean_planes(grid._blocks[0].take(mask.indices, axis=1))
+    planes = _to_planes(hsl)
+    if planes.shape[-1] == 0:
+        raise ValueError("empty block: no colors to average")
+    return _from_planes(_mean_planes(srgb_to_linear_array(_hsl_to_rgb(planes))))
 
 
 def render_ppm(grid: ColorGrid, cell_px: int = 1) -> bytes:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from latentcolor import (
     AttractorField,
@@ -20,6 +21,10 @@ from latentcolor import (
 )
 from latentcolor.colorspace import parse_hex, rgb_to_hsl
 from latentcolor.toyflow import TIMESTEP_PALETTE
+
+# scripts/mutants.py runs pytest with --hypothesis-profile=mutants: a killed mutant needs only the first
+# failing example, so shrinking it (and explaining it, which follows the shrink) is left out
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 
 EMBEDDER_SEED = 7
 NOISE_SEED = 11

@@ -12,8 +12,8 @@ PUBLIC_NAMES = [
     "AnchorSet", "AttractorField", "ColorGrid", "HslColor", "LabColor", "PatchMask", "StatsTable",
     "SubspaceModel", "TIMESTEP_PALETTE", "ToyEmbedder", "apply_intervention", "average_patches", "build_anchors",
     "builtin_flux_stats", "ciede2000", "decode", "decode_raw", "embed_image", "encode", "fit_pca", "fit_stats",
-    "generate", "grid_de00_mean_pixel", "grid_de00_per_pixel", "initial_noise", "interpolated", "load_mask",
-    "load_trajectory", "make_probe_set", "masked_mean_color", "normalize", "observe", "parse_hex", "project",
+    "generate", "grid_de00_mean_pixel", "grid_de00_per_pixel", "initial_noise", "interpolated",
+    "load_trajectory", "make_probe_set", "normalize", "observe", "parse_hex", "project",
     "read_latents", "render_ppm", "rgb_to_hsl", "sample_path", "save_trajectory", "solid_attractor", "toy_decode",
     "type1", "type2", "write_latents",
 ]
@@ -25,10 +25,9 @@ MODULE_ALL = {
         "canonical_hsl", "rgb_to_hsl_array", "hsl_to_rgb_array", "srgb_to_linear_array", "linear_to_srgb_array",
         "linear_rgb_to_lab_array", "ciede2000_array",
     ],
-    "intervene": ["PatchMask", "type1", "type2", "interpolated", "apply_intervention", "load_mask"],
+    "intervene": ["PatchMask", "type1", "type2", "interpolated", "apply_intervention"],
     "observe": [
-        "ColorGrid", "observe", "grid_de00_per_pixel", "grid_de00_mean_pixel", "mean_color", "masked_mean_color",
-        "render_ppm",
+        "ColorGrid", "observe", "grid_de00_per_pixel", "grid_de00_mean_pixel", "mean_color", "render_ppm",
     ],
     "subspace": ["SubspaceModel", "average_patches", "fit_pca", "project"],
     "tensorio": [

@@ -31,7 +31,7 @@ from latentcolor import (
     read_latents,
     write_latents,
 )
-from latentcolor import AnchorSet, SubspaceModel, StatsTable, load_mask, masked_mean_color, observe
+from latentcolor import AnchorSet, SubspaceModel, StatsTable, observe
 from latentcolor import cli, decode, intervene
 from latentcolor.cli import _report_lines, build_parser, main
 from latentcolor.colorspace import (
@@ -1300,9 +1300,10 @@ def test_intervene_report_matches_full_grid_observation(ws, tmp_path, capsys):
     model = SubspaceModel.load(ws["model"])
     anchors = AnchorSet.load(ws["anchors"])
     stats = StatsTable.load(ws["stats"])
-    mask = load_mask(mask_path)
+    mask = PatchMask.load(mask_path)
     target = rgb_to_hsl(parse_hex(BLUE_HEX))
-    means = [masked_mean_color(observe(read_latents(path), 12, model, anchors, stats, (8, 8)), mask) for path in (latent, out_path)]
+    grids = [observe(read_latents(path), 12, model, anchors, stats, (8, 8)) for path in (latent, out_path)]
+    means = [mean_color(grid.hsl.reshape(-1, 3)[mask.indices]) for grid in grids]
     assert lines[:2] == _report_lines(np.stack(means), target)
     assert [line.split(":")[0] for line in lines[:2]] == ["before", "after"]
 
@@ -1375,7 +1376,9 @@ def test_eval_masked_mean_de00_is_the_per_grid_computation_bitwise(ws, seed, sel
     mask.save(work / "mask.json")
     argv = ["eval", *map(str, paths), "--mask", str(work / "mask.json"), "--out", str(work / "metrics.json")]
     assert main(argv) == 0
-    want = float(ciede2000_array(*(linear_rgb_to_lab_array(masked_mean_color(g, mask)) for g in grids)))
+    # each masked mean composed afresh from the kernels on the grid's masked cells
+    lins = [srgb_to_linear_array(hsl_to_rgb_array(g.hsl.reshape(-1, 3)[mask.indices])).mean(axis=0) for g in grids]
+    want = float(ciede2000_array(*map(linear_rgb_to_lab_array, lins)))
     assert load_json(work / "metrics.json")["masked_mean"]["de00"].hex() == want.hex()
 
 

@@ -5,21 +5,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latentcolor import (
     PatchMask,
+    SubspaceModel,
     apply_intervention,
     decode,
+    decode_raw,
     encode,
     interpolated,
-    load_mask,
     project,
     type1,
     type2,
 )
 from latentcolor import intervene
-from latentcolor.colorspace import HslColor, signed_hue_delta
+from latentcolor.colorspace import HslColor, circular_mean_hue, signed_hue_delta
 from latentcolor.timestats import _chart, normalize
 
 TARGET = HslColor(210.0, 0.7, 0.45)
@@ -104,7 +105,7 @@ def test_mask_takes_numpy_integers(tmp_path):
     assert m.selected == frozenset({1, 2, 3})
     assert all(type(i) is int for i in (m.L, *m.selected))
     m.save(tmp_path / "mask.json")
-    assert load_mask(tmp_path / "mask.json") == m
+    assert PatchMask.load(tmp_path / "mask.json") == m
 
 
 @pytest.mark.parametrize("make", [lambda v: (i for i in v), iter, list], ids=["generator", "iterator", "list"])
@@ -121,7 +122,7 @@ def test_mask_json_roundtrip(tmp_path):
     m = PatchMask(L=9, selected=frozenset({0, 8, 3}))
     path = tmp_path / "mask.json"
     m.save(path)
-    back = load_mask(path)
+    back = PatchMask.load(path)
     assert back == m
 
 
@@ -139,8 +140,7 @@ def test_mask_from_pgm(tmp_path):
     path = tmp_path / "mask.pgm"
     for header, raster, L, selected in PGM_HEADERS:
         path.write_bytes(header + raster)
-        m = load_mask(path)
-        assert (m.L, m.selected) == (L, frozenset(selected)), header
+        assert PatchMask.load(path) == PatchMask(L, frozenset(selected)), header
 
 
 def test_mask_from_16bit_pgm(tmp_path):
@@ -149,9 +149,19 @@ def test_mask_from_16bit_pgm(tmp_path):
     raster = struct.pack(">4H", 0, 300, 0, 65535)
     path = tmp_path / "mask.pgm"
     path.write_bytes(b"P5 2 2 65535\n" + raster)
-    m = load_mask(path)
-    assert m.L == 4
-    assert m.selected == frozenset({1, 3})
+    assert PatchMask.load(path) == PatchMask(4, frozenset({1, 3}))
+
+
+@pytest.mark.parametrize("maxval", [1, 255, 256, 65535])
+def test_a_mask_loads_equal_from_json_and_from_8_and_16_bit_pgm(tmp_path, maxval):
+    # one reader for mask files: PatchMask.load sniffs the PGM magic, and reads anything else as JSON
+    m = PatchMask(L=12, selected=frozenset({0, 5, 6, 11}))
+    m.save(tmp_path / "mask.json")
+    px = np.zeros(12, dtype=">u2" if maxval > 255 else "u1")
+    px[m.indices] = maxval
+    (tmp_path / "mask.pgm").write_bytes(f"P5\n4 3\n{maxval}\n".encode() + px.tobytes())
+    assert PatchMask.load(tmp_path / "mask.json") == m
+    assert PatchMask.load(tmp_path / "mask.pgm") == m
 
 
 @pytest.mark.parametrize(
@@ -173,7 +183,7 @@ def test_malformed_pgm_rejected(tmp_path, raw):
     path = tmp_path / "mask.pgm"
     path.write_bytes(raw)
     with pytest.raises(ValueError) as info:
-        load_mask(path)
+        PatchMask.load(path)
     assert str(info.value).startswith(f"{path}: ")
 
 
@@ -181,7 +191,7 @@ def test_non_mask_file_rejected(tmp_path):
     path = tmp_path / "mask.bin"
     path.write_bytes(b"\x00\x01garbage")
     with pytest.raises(ValueError):
-        load_mask(path)
+        PatchMask.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +255,50 @@ def test_type2_preserves_relative_lightness(anchors):
     ls = sorted(decode(c, anchors).l for c in out)
     assert ls[0] == pytest.approx(0.5, abs=1e-9)
     assert ls[1] == pytest.approx(0.7, abs=1e-9)
+
+
+def test_a_no_op_type2_is_the_identity_at_every_t(palette_runs, model, anchors, toy_stats):
+    # each palette trajectory's charted patches at every t, the target their raw circular mean hue and mean s and l;
+    # early rows are amplified out of the bicone (the parent's clamping type2 moved them by up to 25 units at t = 5)
+    checked = 0
+    for frames in palette_runs.values():
+        for t in range(1, len(frames)):
+            hat, _ = _chart(frames[t], model, t, toy_stats)
+            h, s, l = decode_raw(hat, anchors).T
+            mean_s, mean_l = float(np.mean(s)), float(np.mean(l))
+            if not (0.0 <= mean_s <= 1.0 and 0.0 <= mean_l <= 1.0):
+                continue  # HslColor cannot hold the no-op target
+            out = type2(hat, HslColor(circular_mean_hue(h.tolist()), mean_s, mean_l), anchors)
+            kept = 1.0 - np.abs(2.0 * l - 1.0) >= 1e-6
+            np.testing.assert_allclose(out[kept], hat[kept], rtol=0.0, atol=1e-9)
+            checked += 1
+    assert checked >= 1100  # 1132 of the 26 x 50: only early steps leave their means outside [0, 1]
+
+
+# (h, s, l) rows inside the bicone, beside it (s > 1), beyond its apexes (l outside [0, 1]), at the apexes and greys
+raw_rows = st.lists(
+    st.tuples(
+        st.floats(0.0, 360.0),
+        st.one_of(st.floats(0.0, 1.3), st.just(0.0)),
+        st.one_of(st.floats(-0.2, 1.2), st.sampled_from([0.0, 1.0])),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@settings(deadline=None)
+@given(raw_rows)
+def test_a_no_op_type2_returns_every_row_off_the_apexes(anchors, rows):
+    # type2 edits the raw coordinates, so a zero shift moves no row whose bicone factor is at least 1e-6;
+    # at and beyond the apexes decode_raw reads s as 0, and only those rows may move
+    coords = encode(np.array(rows), anchors)
+    h, s, l = decode_raw(coords, anchors).T
+    mean_s, mean_l = float(np.mean(s)), float(np.mean(l))
+    assume(0.0 <= mean_s <= 1.0 and 0.0 <= mean_l <= 1.0)  # so HslColor holds the no-op target exactly
+    out = type2(coords, HslColor(circular_mean_hue(h.tolist()), mean_s, mean_l), anchors)
+    kept = 1.0 - np.abs(2.0 * l - 1.0) >= 1e-6
+    np.testing.assert_allclose(out[kept], coords[kept], rtol=0.0, atol=1e-9)
 
 
 def test_interpolated_endpoints_are_bitwise(anchors):
@@ -386,6 +440,16 @@ def test_apply_intervention_none_mask_edits_all(scene):
     z, model, anchors, stats = scene
     out = apply_intervention(z, 30, TARGET, None, model, anchors, stats)
     assert not np.any(np.all(out == z, axis=1))
+
+
+@pytest.mark.parametrize("mode", intervene.MODES)
+def test_apply_intervention_refuses_a_model_value_that_overflows(palette_runs, model, anchors, toy_stats, mode):
+    # the record checks pass and the chart stays finite; the edit overflows, and must not return non-finite rows
+    mean = model.mean.copy()
+    mean[0] = 1.7e308
+    huge = SubspaceModel(mean, model.basis, model.explained)
+    with pytest.raises(FloatingPointError):
+        apply_intervention(palette_runs["Bright red"][10], 10, TARGET, None, huge, anchors, toy_stats, mode)
 
 
 def test_apply_intervention_validation(scene):

@@ -28,7 +28,6 @@ from latentcolor import (
     encode,
     grid_de00_mean_pixel,
     grid_de00_per_pixel,
-    masked_mean_color,
     observe,
     render_ppm,
     type2,
@@ -56,7 +55,7 @@ from latentcolor.colorspace import (
     _to_planes,
 )
 from latentcolor.bicone import _decode_planes
-from latentcolor.observe import mean_color
+from latentcolor.observe import _mean_planes, mean_color
 from latentcolor.subspace import project
 from latentcolor.timestats import _chart, normalize
 from latentcolor.toyflow import _regular_anchors
@@ -359,14 +358,15 @@ def reference_decode_raw(c: np.ndarray, anchors) -> tuple[float, float, float]:
     return h, radius / (float(np.hypot(chord[0], chord[1])) * bicone), l
 
 
-def reference_encode(y: HslColor, anchors) -> np.ndarray:
-    """The per-color encode the array code replaced."""
-    k = min(int(y.h // 60.0), 5)
-    alpha = (y.h - 60.0 * k) / 60.0
+def reference_encode(y, anchors) -> np.ndarray:
+    """The per-color encode the array code replaced; y is an HslColor, or a raw (h, s, l) whose hue wraps mod 360."""
+    h, s, l = (y.h, y.s, y.l) if isinstance(y, HslColor) else (y[0] % 360.0, y[1], y[2])
+    k = min(int(h // 60.0), 5)
+    alpha = (h - 60.0 * k) / 60.0
     pts = anchors.chroma_points
     chord = pts[k] + alpha * (pts[(k + 1) % 6] - pts[k])
-    scale = y.s * (1.0 - abs(2.0 * y.l - 1.0))
-    return anchors.black + y.l * anchors.axis + scale * (chord[0] * anchors.e1 + chord[1] * anchors.e2)
+    scale = s * (1.0 - abs(2.0 * l - 1.0))
+    return anchors.black + l * anchors.axis + scale * (chord[0] * anchors.e1 + chord[1] * anchors.e2)
 
 
 def assert_hsl_close(got: np.ndarray, want: np.ndarray, tol: float = TOL) -> None:
@@ -453,11 +453,12 @@ def test_type2_matches_per_patch_reference(anchors):
     rng = np.random.default_rng(31)
     coords = encode(np.column_stack([rng.uniform(0, 360, 50), rng.uniform(0, 1.3, 50), rng.uniform(-0.1, 1.1, 50)]), anchors)
     target = HslColor(200.0, 0.6, 0.4)
-    decoded = [HslColor(*reference_decode_raw(c, anchors)) for c in coords]
-    dh = signed_hue_delta(target.h, circular_mean_hue([y.h for y in decoded]))
-    ds = target.s - float(np.mean([y.s for y in decoded]))
-    dl = target.l - float(np.mean([y.l for y in decoded]))
-    want = np.array([reference_encode(HslColor(y.h + dh, y.s + ds, y.l + dl), anchors) for y in decoded])
+    # type2 shifts the raw decoded (h, s, l), s and l unclamped, and encodes the sum as it is
+    raw = [reference_decode_raw(c, anchors) for c in coords]
+    dh = signed_hue_delta(target.h, circular_mean_hue([h for h, _, _ in raw]))
+    ds = target.s - float(np.mean([s for _, s, _ in raw]))
+    dl = target.l - float(np.mean([l for _, _, l in raw]))
+    want = np.array([reference_encode((h + dh, s + ds, l + dl), anchors) for h, s, l in raw])
     scale = float(np.abs(want).max())
     np.testing.assert_allclose(type2(coords, target, anchors), want, rtol=0.0, atol=TOL * scale)
 
@@ -524,7 +525,7 @@ def test_mean_color_matches_per_cell_reference(case):
     (h, w), a, _ = case
     grid = ColorGrid(h, w, [HslColor(*c) for c in a])
     picked = list(range(0, h * w, 2))
-    got = masked_mean_color(grid, PatchMask(h * w, frozenset(picked)))
+    got = mean_color(grid.hsl.reshape(-1, 3)[PatchMask(h * w, frozenset(picked)).indices])
     lin = reference_mean_linear_rgb([grid.cells[i] for i in picked])
     np.testing.assert_allclose(got, lin, rtol=0, atol=TOL)
     # as displayed, compared in RGB: the hue of a near-grey mean is ill-conditioned
@@ -539,10 +540,17 @@ def test_grid_means_are_the_axis0_mean_bitwise(h, w):
     rng = np.random.default_rng(h * 100 + w)
     for _ in range(20):
         hsl = np.column_stack([rng.uniform(0.0, 360.0, h * w), rng.uniform(0.0, 1.0, (h * w, 2)) ** 3.0])
+        hsl[rng.random(h * w) < 0.25, 1] = 0.0  # greys
         grid = ColorGrid.from_hsl(hsl.reshape(h, w, 3))
         want = srgb_to_linear_array(hsl_to_rgb_array(hsl)).mean(axis=0)
-        assert_same_bits(masked_mean_color(grid, PatchMask.full(h * w)), want)
+        assert_same_bits(grid._blocks[0][:, -1], want)
         assert_same_bits(mean_color(hsl), want)
+        # a masked mean of the grid's cells: the bits of the masked rows' own mean, and of the mean of the
+        # masked columns of the grid's cached linear RGB block
+        picked = PatchMask(h * w, frozenset(rng.choice(h * w, rng.integers(1, h * w + 1)).tolist())).indices
+        got = mean_color(grid.hsl.reshape(-1, 3)[picked])
+        assert_same_bits(got, srgb_to_linear_array(hsl_to_rgb_array(hsl[picked])).mean(axis=0))
+        assert_same_bits(got, _mean_planes(grid._blocks[0].take(picked, axis=1)))
         blocks = np.stack([hsl, hsl[::-1], hsl ** 0.5])  # a stack of blocks: each mean has its own block's bits
         assert_same_bits(mean_color(blocks), np.stack([mean_color(block) for block in blocks]))
 
@@ -621,8 +629,8 @@ def test_cached_conversions_match_fresh_kernels_bitwise(case, data):
     calls = {
         "per_pixel": lambda: grid_de00_per_pixel(pred, ref),
         "mean_pixel": lambda: grid_de00_mean_pixel(pred, ref),
-        "masked_pred": lambda: masked_mean_color(pred, mask),
-        "masked_ref": lambda: masked_mean_color(ref, mask),
+        "masked_pred": lambda: mean_color(pred.hsl.reshape(-1, 3)[mask.indices]),
+        "masked_ref": lambda: mean_color(ref.hsl.reshape(-1, 3)[mask.indices]),
         **{f"ppm{k}": (lambda k=k: render_ppm(pred, k)) for k in (1, 2, 3)},
     }
     order = data.draw(st.permutations(sorted(calls)), label="order")
@@ -653,8 +661,8 @@ def test_cached_conversions_match_fresh_kernels_bitwise_at_fixed_sizes(h, w):
     calls = {
         "per_pixel": lambda: grid_de00_per_pixel(pred, ref),
         "mean_pixel": lambda: grid_de00_mean_pixel(pred, ref),
-        "masked_pred": lambda: masked_mean_color(pred, mask),
-        "masked_ref": lambda: masked_mean_color(ref, mask),
+        "masked_pred": lambda: mean_color(pred.hsl.reshape(-1, 3)[mask.indices]),
+        "masked_ref": lambda: mean_color(ref.hsl.reshape(-1, 3)[mask.indices]),
         **{f"ppm{k}": (lambda k=k: render_ppm(pred, k)) for k in (1, 2, 3)},
     }
     order = sorted(calls)

@@ -9,15 +9,16 @@ import pytest
 from latentcolor import (
     ColorGrid,
     PatchMask,
+    SubspaceModel,
     encode,
     grid_de00_mean_pixel,
     grid_de00_per_pixel,
-    masked_mean_color,
     observe,
     project,
     render_ppm,
 )
 from latentcolor.colorspace import HslColor, linear_to_srgb_array, rgb_to_hsl_array, signed_hue_delta
+from latentcolor.observe import mean_color
 from colorref import (
     ciede2000,
     hsl_to_rgb,
@@ -87,6 +88,15 @@ def test_observe_rejects_mismatched_grid(embedder, model, anchors, toy_stats):
         observe(z, 35, model, anchors, toy_stats, (3, 3))
 
 
+def test_observe_refuses_a_model_value_that_overflows(palette_runs, model, anchors, toy_stats):
+    # the record checks pass and the chart stays finite; the decode overflows, and must not return a grid
+    mean = model.mean.copy()
+    mean[0] = 1.7e308
+    huge = SubspaceModel(mean, model.basis, model.explained)
+    with pytest.raises(FloatingPointError):
+        observe(palette_runs["Bright red"][10], 10, huge, anchors, toy_stats, (8, 8))
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -136,7 +146,7 @@ def test_metrics_reject_mismatched_dims():
 def test_masked_mean_color_oracle():
     grid = ColorGrid(1, 3, (RED, GREEN, HslColor(240.0, 1.0, 0.5)))
     mask = PatchMask(L=3, selected=frozenset({0, 1}))
-    got = masked_mean_color(grid, mask)
+    got = mean_color(grid.hsl.reshape(-1, 3)[mask.indices])
     lin = [
         tuple(srgb_channel_to_linear(v) for v in (1.0, 0.0, 0.0)),
         tuple(srgb_channel_to_linear(v) for v in (0.0, 1.0, 0.0)),
@@ -150,12 +160,13 @@ def test_masked_mean_color_oracle():
     assert got.l == pytest.approx(want.l, abs=1e-12)
 
 
-def test_masked_mean_color_validation():
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+def test_mean_color_refuses_an_empty_block(shape):
     grid = ColorGrid.solid(RED, 2, 2)
-    with pytest.raises(ValueError, match="empty mask"):
-        masked_mean_color(grid, PatchMask(L=4))
-    with pytest.raises(ValueError):
-        masked_mean_color(grid, PatchMask.full(5))
+    with pytest.raises(ValueError, match="^empty block: no colors to average$"):
+        mean_color(grid.hsl.reshape(-1, 3)[PatchMask(L=4).indices])
+    with pytest.raises(ValueError, match="^empty block: no colors to average$"):
+        mean_color(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

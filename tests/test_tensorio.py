@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latentcolor import (
-    ColorGrid, PatchMask, load_mask, load_trajectory, read_latents, save_trajectory, tensorio, write_latents
+    ColorGrid, PatchMask, load_trajectory, read_latents, save_trajectory, tensorio, write_latents
 )
 from latentcolor.colorspace import HslColor
 from latentcolor.tensorio import _finite_float, _refuse_constant, atomic_write_bytes, float_array, write_json
@@ -370,7 +370,7 @@ def test_a_record_file_in_the_indented_layout_loads_to_an_equal_record(model, an
     old.write_text(_indented(record.to_json_dict()))
     assert old.read_text().count("\n") > 1
     record.save(new)
-    back = load_mask(old) if kind == "mask" else type(record).load(old)
+    back = type(record).load(old)
     back.save(again)
     assert again.read_bytes() == new.read_bytes()  # the same value, bit for bit
     if kind in ("grid", "mask"):
