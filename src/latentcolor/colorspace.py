@@ -97,13 +97,13 @@ def signed_hue_delta(a: float, b: float) -> float:
     return d
 
 
-def circular_mean_hue(hues) -> float:
-    """Circular mean of hue angles in degrees, in [0, 360).
-
-    Returns 0 when the directions cancel and no mean is defined.
-    """
-    sx = sum(math.cos(math.radians(h)) for h in hues)
-    sy = sum(math.sin(math.radians(h)) for h in hues)
+def circular_mean_hue(hues, weights) -> float:
+    """Mean of hue angles in degrees, each unit vector times its weight, in [0, 360); 0 if they cancel or weigh 0."""
+    rad = np.radians(np.asarray(hues, dtype=np.float64))
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != rad.shape:
+        raise ValueError(f"expected one weight per hue, got {w.shape} weights for {rad.shape} hues")
+    sx, sy = float(np.sum(w * np.cos(rad))), float(np.sum(w * np.sin(rad)))  # np.sum, not @: no BLAS kernel
     if math.hypot(sx, sy) < 1e-12:
         return 0.0
     h = math.degrees(math.atan2(sy, sx)) % 360.0

@@ -131,15 +131,17 @@ def type2(coords: np.ndarray, target: HslColor, anchors: AnchorSet) -> np.ndarra
     """Decode each patch unclamped, apply one common HSL shift, and re-encode.
 
     The hue shift is the minimal circular move from the patches' circular
-    mean hue to the target hue; saturation and lightness shifts are
-    arithmetic, on the raw s and l, which encode inverts as they are, in
-    [0, 1] or not. So a zero shift returns every patch whose bicone factor
-    1 - |2l - 1| is at least 1e-6; at and beyond the apexes decode_raw
-    reads s as 0, and those patches move onto the axis.
+    mean hue to the target hue, each patch's hue weighted by its relative
+    chroma s (1 - |2l - 1|): greys and apex patches weigh 0, and a block
+    with no chromatic patch rotates from hue 0. Saturation and lightness
+    shifts are arithmetic, on the raw s and l, which encode inverts as they
+    are, in [0, 1] or not. So a zero shift returns every patch whose bicone
+    factor 1 - |2l - 1| is at least 1e-6; at and beyond the apexes
+    decode_raw reads s as 0, and those patches move onto the axis.
     """
     raw = decode_raw(_check_block(coords), anchors)
     h, s, l = raw.T
-    dh = signed_hue_delta(target.h, circular_mean_hue(h.tolist()))
+    dh = signed_hue_delta(target.h, circular_mean_hue(h, s * (1.0 - np.abs(2.0 * l - 1.0))))
     ds = target.s - float(np.mean(s))
     dl = target.l - float(np.mean(l))
     return encode(raw + np.array([dh, ds, dl]), anchors)

@@ -11,7 +11,8 @@ names the file. Every JSON file is written by write_json as one line of
 compact canonical JSON, and read in any layout, the older indented one
 included; the records kept one per file (model, anchors, stats, grid,
 mask) share JsonRecord's save and load. Each record reads every array it
-holds through float_array with the array's full declared shape. All
+holds through float_array with the array's full declared shape, and
+float_array refuses the infinity an overflowing literal parses to. All
 writers go through a temp-file-plus-rename, so no partial output is seen.
 """
 
@@ -19,9 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
-import re
 from pathlib import Path
 
 import numpy as np
@@ -86,20 +85,6 @@ def _refuse_constant(name: str):
     raise ValueError(f"non-finite number {name} is not valid JSON")
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if math.isinf(value):
-        raise ValueError(f"number {text} overflows a float")
-    return value
-
-
-# Digits to 0, E to e, signs deleted: a float literal that overflows leaves e000 (a 3-digit exponent) or a run
-# of 210 zeros (209 integer digits and a 2-digit exponent stay below 1e308), so only such a file, or one with
-# an N or an I (as a NaN or Infinity literal has; one memchr each), needs the hooks.
-_NUMBER_SCREEN = bytes.maketrans(b"123456789E", b"000000000e")
-_THREE_DIGIT_EXPONENT = re.compile(rb"e000").search  # `in` cannot skip ahead on bytes that are nearly all 0
-
-
 def _read(path, parse):
     """parse(the file's bytes); a ValueError or RecursionError it raises is restated naming the file."""
     with open(path, "rb") as f:
@@ -111,11 +96,8 @@ def _read(path, parse):
 
 
 def _json(raw: bytes):
-    """The JSON value of raw, refusing NaN, Infinity, -Infinity and float literals that overflow."""
-    screened = raw.translate(_NUMBER_SCREEN, b"+-")
-    if _THREE_DIGIT_EXPONENT(screened) or b"0" * 210 in screened or b"N" in raw or b"I" in raw:
-        return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant, parse_float=_finite_float)
-    return json.loads(raw.decode("utf-8"))  # text: json.loads would read UTF-16 and UTF-32 bytes too
+    """raw's JSON value, read as UTF-8 text (json.loads would take UTF-16 bytes too); NaN and infinities are refused."""
+    return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
 
 
 def _record(raw: bytes, convert, what: str):

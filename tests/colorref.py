@@ -201,3 +201,17 @@ def ciede2000(x: LabColor, y: LabColor) -> float:
     tC = dCp / (kC * sC)
     tH = dHp / (kH * sH)
     return math.sqrt(tL * tL + tC * tC + tH * tH + rT * tC * tH)
+
+
+# ---------------------------------------------------------------------------
+# Hue arithmetic
+# ---------------------------------------------------------------------------
+
+def circular_mean_hue(hues, weights) -> float:
+    """Circular mean of hues in degrees, each unit vector times its weight, one hue at a time; 0 if they cancel."""
+    sx = sum(w * math.cos(math.radians(h)) for h, w in zip(hues, weights))
+    sy = sum(w * math.sin(math.radians(h)) for h, w in zip(hues, weights))
+    if math.hypot(sx, sy) < 1e-12:
+        return 0.0
+    h = math.degrees(math.atan2(sy, sx)) % 360.0
+    return 0.0 if h == 360.0 else h

@@ -44,9 +44,10 @@ from latentcolor.colorspace import (
     signed_hue_delta,
     srgb_to_linear_array,
 )
-from latentcolor.bicone import HUE_DEGREES, HUE_LABELS
+from latentcolor.bicone import HUE_DEGREES, HUE_LABELS, encode
 from latentcolor.intervene import MODES
 from latentcolor.observe import mean_color
+from latentcolor.timestats import _chart
 from latentcolor.toyflow import probe_colors
 from test_bicone import TINY_CHROMA_AXIS, TINY_CHROMA_HUES
 from test_kernels import hue, unit
@@ -237,6 +238,23 @@ def test_intervene_accepts_hsl_target(ws, tmp_path):
         )
         assert code == 0
     assert (tmp_path / "steered.lt").read_bytes() == (tmp_path / "wrapped.lt").read_bytes()
+
+
+def test_a_type1_edit_read_back_from_float32_lands_within_the_storage_bound_at_every_t(ws, tmp_path, capsys):
+    # the written .lt holds float32: charted at t, its mean lands within gain x float32 eps x max|z| of the target
+    model, anchors, stats = SubspaceModel.load(ws["model"]), AnchorSet.load(ws["anchors"]), StatsTable.load(ws["stats"])
+    want = encode(HslColor(210.0, 0.7, 0.45), anchors)
+    out = tmp_path / "steered.lt"
+    for t in range(1, stats.T + 1):
+        argv = ["intervene", str(ws["root"] / "run-red" / f"t{t:03d}.lt"), "--t", str(t), "--mode", "type1"]
+        argv += ["--target-hsl", "210,0.7,0.45", "--out", str(out)]
+        argv += [f"--{k}={ws[k]}" for k in ("model", "anchors", "stats")]
+        assert main(argv) == 0
+        z = read_latents(out)
+        hat, gain = _chart(z, model, t, stats)
+        bound = gain * float(np.finfo(np.float32).eps) * float(np.abs(z).max())  # one bound per coordinate
+        assert (np.abs(hat.mean(axis=0) - want) <= bound).all()
+    capsys.readouterr()
 
 
 def test_eval_reports_metrics(ws, tmp_path):

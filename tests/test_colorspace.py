@@ -313,21 +313,40 @@ def test_hsl_error_uses_circular_hue_distance():
 
 
 def test_circular_mean_hue_wraps():
-    assert circular_mean_hue([350.0, 10.0]) == pytest.approx(0.0, abs=1e-9)
-    assert circular_mean_hue([10.0, 50.0]) == pytest.approx(30.0)
-    assert circular_mean_hue([90.0]) == pytest.approx(90.0)
+    assert circular_mean_hue([350.0, 10.0], [1.0, 1.0]) == pytest.approx(0.0, abs=1e-9)
+    assert circular_mean_hue([10.0, 50.0], [1.0, 1.0]) == pytest.approx(30.0)
+    assert circular_mean_hue([90.0], [1.0]) == pytest.approx(90.0)
 
 
 def test_circular_mean_hue_cancellation_defaults_to_zero():
-    assert circular_mean_hue([0.0, 180.0]) == 0.0
+    assert circular_mean_hue([0.0, 180.0], [1.0, 1.0]) == 0.0
+    assert circular_mean_hue([30.0, 210.0], [2.5, 2.5]) == 0.0  # the weighted vectors cancel
+    assert circular_mean_hue([90.0, 200.0], [0.0, 0.0]) == 0.0  # nothing weighs anything: an all-grey block
+    assert circular_mean_hue([], []) == 0.0
 
 
-@given(st.lists(hue, min_size=1, max_size=8), st.floats(-360.0, 360.0))
-def test_circular_mean_hue_rotation_equivariance(hues, rot):
-    base = circular_mean_hue(hues)
-    sx = sum(math.cos(math.radians(h)) for h in hues)
-    sy = sum(math.sin(math.radians(h)) for h in hues)
+def test_circular_mean_hue_counts_each_hue_by_its_weight():
+    assert circular_mean_hue([0.0, 90.0], [1.0, 0.0]) == 0.0
+    assert circular_mean_hue([0.0, 90.0], [0.0, 1.0]) == pytest.approx(90.0)
+    assert circular_mean_hue([0.0, 90.0], [3.0, 3.0]) == pytest.approx(45.0)
+    assert circular_mean_hue([30.0, 210.0], [2.0, 1.0]) == pytest.approx(30.0)  # the heavier side wins
+    assert circular_mean_hue([0.0, 120.0, 120.0], [2.0, 1.0, 1.0]) == pytest.approx(60.0)
+
+
+def test_circular_mean_hue_needs_one_weight_per_hue():
+    with pytest.raises(ValueError, match=r"^expected one weight per hue, got \(1,\) weights for \(2,\) hues$"):
+        circular_mean_hue([10.0, 20.0], [1.0])
+    with pytest.raises(TypeError):
+        circular_mean_hue([10.0, 20.0])  # the weights have no default
+
+
+@given(st.lists(st.tuples(hue, st.floats(0.0, 2.0)), min_size=1, max_size=8), st.floats(-360.0, 360.0))
+def test_circular_mean_hue_rotation_equivariance(rows, rot):
+    hues, weights = [h for h, _ in rows], [w for _, w in rows]
+    base = circular_mean_hue(hues, weights)
+    sx = sum(w * math.cos(math.radians(h)) for h, w in rows)
+    sy = sum(w * math.sin(math.radians(h)) for h, w in rows)
     if math.hypot(sx, sy) < 1e-6:  # near-cancelling sets have unstable means
         return
-    rotated = circular_mean_hue([h + rot for h in hues])
+    rotated = circular_mean_hue([h + rot for h in hues], weights)
     assert hues_equal(rotated, base + rot, 1e-6)

@@ -19,11 +19,18 @@ from latentcolor import (
     type1,
     type2,
 )
-from latentcolor import intervene
+from latentcolor import AnchorSet, intervene
 from latentcolor.colorspace import HslColor, circular_mean_hue, signed_hue_delta
 from latentcolor.timestats import _chart, normalize
+from latentcolor.toyflow import TIMESTEP_PALETTE, _regular_anchors
+from test_bicone import scaled_hexagon
 
 TARGET = HslColor(210.0, 0.7, 0.45)
+
+
+def chroma_weights(s, l):
+    """type2's weight for each row's hue: its relative chroma s (1 - |2l - 1|)."""
+    return s * (1.0 - np.abs(2.0 * l - 1.0))
 
 
 def random_block(anchors, n=12, seed=31):
@@ -258,8 +265,8 @@ def test_type2_preserves_relative_lightness(anchors):
 
 
 def test_a_no_op_type2_is_the_identity_at_every_t(palette_runs, model, anchors, toy_stats):
-    # each palette trajectory's charted patches at every t, the target their raw circular mean hue and mean s and l;
-    # early rows are amplified out of the bicone (the parent's clamping type2 moved them by up to 25 units at t = 5)
+    # each palette trajectory's charted patches at every t, the target their chroma-weighted circular mean hue and
+    # mean raw s and l; early rows are amplified out of the bicone (a type2 that clamped moved them by up to 25 units)
     checked = 0
     for frames in palette_runs.values():
         for t in range(1, len(frames)):
@@ -268,7 +275,7 @@ def test_a_no_op_type2_is_the_identity_at_every_t(palette_runs, model, anchors, 
             mean_s, mean_l = float(np.mean(s)), float(np.mean(l))
             if not (0.0 <= mean_s <= 1.0 and 0.0 <= mean_l <= 1.0):
                 continue  # HslColor cannot hold the no-op target
-            out = type2(hat, HslColor(circular_mean_hue(h.tolist()), mean_s, mean_l), anchors)
+            out = type2(hat, HslColor(circular_mean_hue(h, chroma_weights(s, l)), mean_s, mean_l), anchors)
             kept = 1.0 - np.abs(2.0 * l - 1.0) >= 1e-6
             np.testing.assert_allclose(out[kept], hat[kept], rtol=0.0, atol=1e-9)
             checked += 1
@@ -296,9 +303,56 @@ def test_a_no_op_type2_returns_every_row_off_the_apexes(anchors, rows):
     h, s, l = decode_raw(coords, anchors).T
     mean_s, mean_l = float(np.mean(s)), float(np.mean(l))
     assume(0.0 <= mean_s <= 1.0 and 0.0 <= mean_l <= 1.0)  # so HslColor holds the no-op target exactly
-    out = type2(coords, HslColor(circular_mean_hue(h.tolist()), mean_s, mean_l), anchors)
+    out = type2(coords, HslColor(circular_mean_hue(h, chroma_weights(s, l)), mean_s, mean_l), anchors)
     kept = 1.0 - np.abs(2.0 * l - 1.0) >= 1e-6
     np.testing.assert_allclose(out[kept], coords[kept], rtol=0.0, atol=1e-9)
+
+
+coloured_rows = st.lists(
+    st.tuples(st.floats(0.0, 360.0, exclude_max=True), st.floats(0.05, 1.0), st.floats(0.05, 0.95)),
+    min_size=1,
+    max_size=8,
+)
+# rows that weigh 0: greys from black to white (s = 0), and rows at and beyond the apexes, where decode_raw reads s as 0
+apex_or_beyond = st.sampled_from([0.0, 1.0]) | st.floats(1.0, 1.1) | st.floats(-0.1, 0.0)
+achromatic_rows = st.lists(
+    st.tuples(st.just(0.0), st.just(0.0), st.floats(0.0, 1.0))
+    | st.tuples(st.floats(0.0, 360.0), st.floats(0.0, 1.0), apex_or_beyond),
+    max_size=40,
+)
+
+
+@settings(deadline=None)
+@given(coloured_rows, achromatic_rows, st.floats(0.0, 360.0, exclude_max=True))
+def test_achromatic_rows_leave_the_hue_type2_gives_the_coloured_rows(anchors, coloured, achromatic, target_h):
+    def coloured_hues(rows):
+        coords = encode(np.array(rows, dtype=np.float64), anchors)
+        h, s, l = decode_raw(coords, anchors).T
+        mean_s, mean_l = float(np.mean(s)), float(np.mean(l))
+        assume(0.0 <= mean_s <= 1.0 and 0.0 <= mean_l <= 1.0)
+        # s and l shift by 0, so each coloured row keeps its place in the bicone and only the hue rotation moves it
+        out = type2(coords, HslColor(target_h, mean_s, mean_l), anchors)
+        n = len(coloured)
+        return decode_raw(out[:n], anchors)[:, 0], h[:n], chroma_weights(s, l)[:n]
+
+    alone, h, w = coloured_hues(coloured)
+    resultant = np.hypot(np.sum(w * np.cos(np.radians(h))), np.sum(w * np.sin(np.radians(h))))
+    assume(resultant >= 1e-3 * np.sum(w))  # near a cancellation the mean hue is ill-conditioned
+    with_achromatic, _, _ = coloured_hues(coloured + achromatic)
+    assert max(abs(signed_hue_delta(a, b)) for a, b in zip(alone.tolist(), with_achromatic.tolist())) <= 1e-9
+
+
+def test_grey_rows_do_not_pull_the_coloured_rows_toward_red():
+    # a green object on a light grey background: the object lands on the target hue whatever share the grey has
+    anchors = _regular_anchors(60.0, 30.0)
+    target = HslColor(200.0, 0.8, 0.5)
+    for greys in range(4):
+        rows = [(120.0, 0.8, 0.5)] * (4 - greys) + [(0.0, 0.0, 0.9)] * greys
+        out = decode_raw(type2(encode(np.array(rows), anchors), target, anchors), anchors)
+        np.testing.assert_allclose(out[: 4 - greys, 0], 200.0, rtol=0.0, atol=1e-9)
+    # an all-grey mask has no weighted mean hue: it rotates from hue 0, the hue decode_raw gives a grey
+    out = decode_raw(type2(encode(np.array([(0.0, 0.0, 0.9)] * 4), anchors), target, anchors), anchors)
+    np.testing.assert_allclose(out, [(200.0, 0.8, 0.5)] * 4, rtol=0.0, atol=1e-9)
 
 
 def test_interpolated_endpoints_are_bitwise(anchors):
@@ -354,6 +408,41 @@ def test_apply_intervention_type1_hits_target_mean(scene):
     out = apply_intervention(z, 30, TARGET, None, model, anchors, stats, mode="type1")
     hat = normalize(project(out, model), 30, stats)
     assert np.allclose(hat.mean(axis=0), encode(TARGET, anchors), atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(TIMESTEP_PALETTE)) | st.floats(-3.0, 3.0),  # a palette frame, or noise of 10 ** spread
+    st.integers(1, 50),
+    st.integers(0, 2**32 - 1),
+    st.floats(-3.0, 6.0),
+    st.lists(st.floats(-12.0, 0.0), min_size=6, max_size=6),
+    st.floats(-12.0, 0.0),
+    st.floats(-12.0, 0.0),
+    st.none() | st.floats(0.0, 1.0),  # no mask, or each patch selected with this chance
+    st.tuples(st.floats(0.0, 360.0, exclude_max=True), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_type1_lands_the_masked_mean_on_target_for_any_anchor_set_t_and_mask(
+    palette_runs, model, toy_stats, block, t, seed, log_scale, log_radii, log_axis, log_offset, share, target
+):
+    try:
+        anchors = AnchorSet(*scaled_hexagon(seed, log_scale, log_radii, log_axis, log_offset))
+    except ValueError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    if isinstance(block, str):
+        z = palette_runs[block][t]
+    else:
+        z = model.mean + rng.standard_normal((64, model.dim)) * 10.0**block
+    rows = np.arange(64) if share is None else np.flatnonzero(rng.random(64) < share)
+    assume(rows.size)
+    mask = None if share is None else PatchMask(64, frozenset(rows.tolist()))
+    out = apply_intervention(z, t, HslColor(*target), mask, model, anchors, toy_stats, mode="type1")
+    before, _ = _chart(z[rows], model, t, toy_stats)
+    after, _ = _chart(out[rows], model, t, toy_stats)
+    # the scale of the numbers in play: the anchor set's largest coordinate, or the charted block's if larger
+    scale = max(float(np.abs(v).max()) for v in (anchors.hue_anchors, anchors.black, anchors.white, before))
+    assert float(np.abs(after.mean(axis=0) - encode(HslColor(*target), anchors)).max()) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("mode, edit", [("type1", "type1"), ("type2", "type2"), ("interp", "interpolated")])

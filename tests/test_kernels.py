@@ -63,6 +63,7 @@ from colorref import (
     _M_XYZ as REF_M_XYZ,
     _WHITE as REF_WHITE,
     ciede2000,
+    circular_mean_hue as reference_circular_mean_hue,
     hsl_to_rgb,
     linear_channel_to_srgb,
     linear_rgb_to_lab,
@@ -453,14 +454,30 @@ def test_type2_matches_per_patch_reference(anchors):
     rng = np.random.default_rng(31)
     coords = encode(np.column_stack([rng.uniform(0, 360, 50), rng.uniform(0, 1.3, 50), rng.uniform(-0.1, 1.1, 50)]), anchors)
     target = HslColor(200.0, 0.6, 0.4)
-    # type2 shifts the raw decoded (h, s, l), s and l unclamped, and encodes the sum as it is
+    # type2 shifts the raw decoded (h, s, l), s and l unclamped, and encodes the sum as it is; the hue
+    # rotation starts from the mean hue weighted by relative chroma s (1 - |2l - 1|)
     raw = [reference_decode_raw(c, anchors) for c in coords]
-    dh = signed_hue_delta(target.h, circular_mean_hue([h for h, _, _ in raw]))
+    weights = [s * (1.0 - abs(2.0 * l - 1.0)) for _, s, l in raw]
+    dh = signed_hue_delta(target.h, reference_circular_mean_hue([h for h, _, _ in raw], weights))
     ds = target.s - float(np.mean([s for _, s, _ in raw]))
     dl = target.l - float(np.mean([l for _, _, l in raw]))
     want = np.array([reference_encode((h + dh, s + ds, l + dl), anchors) for h, s, l in raw])
     scale = float(np.abs(want).max())
     np.testing.assert_allclose(type2(coords, target, anchors), want, rtol=0.0, atol=TOL * scale)
+
+
+@given(
+    st.lists(st.tuples(hue, st.one_of(st.floats(0.0, 2.0), st.just(0.0))), min_size=1, max_size=32),
+    st.integers(-12, 12),
+)
+def test_circular_mean_hue_is_the_per_hue_reference(rows, log_weight):
+    # numpy's cos and sin may differ from math's in the last bit, and np.sum adds pairwise: a bound, not bits
+    hues, weights = [h for h, _ in rows], [w * 10.0**log_weight for _, w in rows]
+    got, want = circular_mean_hue(np.array(hues), np.array(weights)), reference_circular_mean_hue(hues, weights)
+    assert 0.0 <= got < 360.0
+    resultant = math.hypot(*(sum(w * f(math.radians(h)) for h, w in zip(hues, weights)) for f in (math.cos, math.sin)))
+    if resultant >= 1e-3 * sum(weights) and resultant >= 1e-11:  # far from a cancellation and from the 1e-12 cut
+        assert abs(signed_hue_delta(got, want)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latentcolor import (
-    ColorGrid, PatchMask, load_trajectory, read_latents, save_trajectory, tensorio, write_latents
+    ColorGrid, PatchMask, SubspaceModel, load_trajectory, read_latents, save_trajectory, tensorio, write_latents
 )
 from latentcolor.colorspace import HslColor
-from latentcolor.tensorio import _finite_float, _refuse_constant, atomic_write_bytes, float_array, write_json
+from latentcolor.tensorio import atomic_write_bytes, float_array, write_json
 
 
 def read_json(path):
-    """A JSON file's value as every record file's JSON is read: the one reader with the screened parse."""
+    """A JSON file's value as every record file's JSON is read: the one reader and the one parse."""
     return tensorio._read(path, tensorio._json)
 
 
@@ -385,14 +385,6 @@ def test_a_manifest_in_the_indented_layout_loads_the_same_trajectory(tmp_path):
     assert np.array_equal(load_trajectory(manifest), want)
 
 
-def _hooked_parse(text: str):
-    """The value, or the error message, of parsing with the per-literal overflow check."""
-    try:
-        return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
-    except ValueError as e:
-        return f"refused: {e}"
-
-
 def _read(path):
     try:
         return read_json(path)
@@ -400,85 +392,103 @@ def _read(path):
         return f"refused: {str(e).removeprefix(f'{path}: ')}"
 
 
-@pytest.mark.parametrize(
-    "literal, refused",
-    [
-        ("1e309", True),
-        ("2e308", True),
-        ("-1e999", True),
-        ("1" + "0" * 309 + ".0", True),
-        ("9" * 210 + "e99", True),  # 210 integer digits: the shortest run a 2-digit exponent can overflow with
-        ("1.7976931348623157e308", False),
-        ("1e-400", False),
-        ("1e+0308", False),
-        ("1" + "0" * 208 + "e99", False),  # 209 digits: 1e307
-        ("0.25", False),
-    ],
-)
-def test_read_json_refuses_exactly_the_float_literals_that_overflow(tmp_path, literal, refused):
-    path = tmp_path / "x.json"
-    text = f'{{"a": [0.5, {literal}]}}'
-    path.write_text(text)
-    got, expected = _read(path), _hooked_parse(text)
-    assert got == expected
-    assert isinstance(got, str) == refused
-    if refused:
-        assert got == f"refused: number {literal} overflows a float"
+OVERFLOWING = ["1e999", "-1e999", "9" * 210 + "e99"]  # the last: 210 integer digits and a 2-digit exponent
+
+
+def _number_sites(obj, site=()):
+    """(site, number) for each number (not bool) in a parsed JSON value; a site is the keys and indices to it."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _number_sites(value, site + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _number_sites(value, site + (i,))
+    elif type(obj) in (int, float):
+        yield site, obj
+
+
+def _text_with_literal_at(obj, site, literal) -> str:
+    """obj as JSON text with the number at site written as literal."""
+    obj = json.loads(json.dumps(obj))  # a copy to edit
+    parent = obj
+    for key in site[:-1]:
+        parent = parent[key]
+    parent[site[-1]] = "@site@"
+    return json.dumps(obj).replace('"@site@"', literal)
+
+
+def _record_of_kind(kind, model, anchors, toy_stats):
+    return {
+        "model": model,
+        "anchors": anchors,
+        "stats": toy_stats,
+        "grid": ColorGrid.from_hsl(np.array(_grid_cells()).reshape(8, 8, 3)),
+        "mask": PatchMask(70, frozenset({69, 0, 5})),
+    }[kind]
+
+
+@pytest.mark.parametrize("literal", OVERFLOWING, ids=["1e999", "-1e999", "210-digits-e99"])
+@pytest.mark.parametrize("kind", ["model", "anchors", "stats", "grid"])
+def test_each_record_refuses_an_overflowing_literal_at_every_float_site(
+    model, anchors, toy_stats, tmp_path, kind, literal
+):
+    # the parse reads the literal as an infinity; float_array, which reads every float a record holds, refuses it
+    record = _record_of_kind(kind, model, anchors, toy_stats)
+    obj, path = record.to_json_dict(), tmp_path / f"{kind}.json"
+    sites = [site for site, value in _number_sites(obj) if type(value) is float]
+    assert len(sites) == {"model": 67, "anchors": 30, "stats": 306, "grid": 192}[kind]
+    for site in sites:
+        path.write_text(_text_with_literal_at(obj, site, literal))
+        with pytest.raises(ValueError) as info:
+            type(record).load(path)
+        what = type(record).__name__
+        assert str(info.value) == f"{path}: bad {what}: expected finite numbers, found a non-finite value"
+
+
+# count sites: (record kind, site, the refusal with {v} for the literal's value once parsed)
+COUNT_SITES = {
+    "grid-height": ("grid", ("height",), "bad ColorGrid: grid height and width must be positive integers, got {v} and 8"),
+    "grid-width": ("grid", ("width",), "bad ColorGrid: grid height and width must be positive integers, got 8 and {v}"),
+    "stats-t": ("stats", ("rows", 3, "t"), "bad StatsTable: stats row t must be an integer"),
+    "mask-L": ("mask", ("L",), "bad PatchMask: mask L and selected indices must be integers"),
+    "mask-selected": ("mask", ("selected", 1), "bad PatchMask: mask L and selected indices must be integers"),
+    "manifest-T": ("manifest", ("T",), "bad manifest: 3 steps listed for T={v}"),
+    "manifest-dims": ("manifest", ("dims", 0), "bad manifest: bad dims [{v}, 5]"),
+    "manifest-t": ("manifest", ("steps", 1, "t"), "bad manifest: timesteps not the integers 0 to 2"),
+}
+
+
+@pytest.mark.parametrize("literal", OVERFLOWING, ids=["1e999", "-1e999", "210-digits-e99"])
+@pytest.mark.parametrize("case", list(COUNT_SITES))
+def test_every_count_site_refuses_an_overflowing_literal_as_a_non_integer(
+    model, anchors, toy_stats, tmp_path, case, literal
+):
+    kind, site, message = COUNT_SITES[case]
+    if kind == "manifest":
+        path = save_trajectory(tmp_path / "run", np.zeros((3, 4, 5)))
+        obj, load = read_json(path), load_trajectory
     else:
-        assert [np.float64(v).tobytes() for v in got["a"]] == [np.float64(v).tobytes() for v in expected["a"]]
+        record = _record_of_kind(kind, model, anchors, toy_stats)
+        path, obj, load = tmp_path / f"{kind}.json", record.to_json_dict(), type(record).load
+    path.write_text(_text_with_literal_at(obj, site, literal))
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: " + message.format(v=float(literal))
 
 
-@pytest.mark.parametrize("literal", ["1e999", "9" * 210 + "e99"])
-def test_read_json_screens_every_byte_it_read(tmp_path, literal):
-    # the overflowing literal sits on the last line of a 100 kB record, past any one read buffer
+def test_an_underflowing_literal_reads_as_zero(model, tmp_path):
     path = tmp_path / "x.json"
-    path.write_text('{"a": [\n' + "  0.5,\n" * 15000 + f"  {literal}\n]}}\n")
-    assert _read(path) == f"refused: number {literal} overflows a float"
+    path.write_text("[1e-400, -1e-400, 0.5]")
+    assert [np.float64(v).tobytes() for v in read_json(path)] == [np.float64(v).tobytes() for v in (0.0, -0.0, 0.5)]
+    path.write_text(_text_with_literal_at(model.to_json_dict(), ("mean", 0), "1e-400"))
+    assert SubspaceModel.load(path).mean[0] == 0.0
 
 
-@pytest.mark.parametrize("text", ['[1.5e-100, -2E-0100]', f'{{"s": "{"7" * 210}", "a": [0.5]}}', '{"e000": 1.5}'])
-def test_read_json_screen_hits_that_cannot_overflow_read_as_the_checked_parse(tmp_path, text):
-    path = tmp_path / "x.json"
-    path.write_text(text)
-    assert read_json(path) == _hooked_parse(text)
-
-
-_digits = st.text("0123456789", min_size=1, max_size=30)
-_number_literals = st.builds(
-    lambda sign, whole, frac, exp: sign + whole + frac + exp,
-    st.sampled_from(["", "-"]),
-    st.just("0") | st.builds(str.__add__, st.sampled_from("123456789"), st.text("0123456789", max_size=250)),
-    st.just("") | _digits.map(".".__add__),
-    st.just("") | st.builds(lambda e, sign, d: e + sign + d, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), _digits),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_number_literals, min_size=1, max_size=4))
-@example(["0.5", "1e999"])
-@example(["9" * 210 + "e99"])
-def test_read_json_reads_number_literals_as_the_checked_parse_does(json_dir, literals):
-    path = json_dir / "numbers.json"
-    text = "[" + ", ".join(literals) + "]"
-    path.write_text(text)
-    got, expected = _read(path), _hooked_parse(text)
-    assert got == expected
-    if not isinstance(expected, str):
-        assert [type(v) for v in got] == [type(v) for v in expected]
-        assert [np.float64(float(v)).tobytes() for v in got] == [np.float64(float(v)).tobytes() for v in expected]
-
-
-@settings(max_examples=100, deadline=None)
-@given(_number_literals)
-@example("1e999")  # the overflowing exponent is the file's last three bytes
-@example("-1E+0999")
-@example("1e308")
-def test_read_json_reads_a_bare_number_literal_as_the_checked_parse_does(json_dir, literal):
-    path = json_dir / "number.json"
-    path.write_text(literal)
-    got, expected = _read(path), _hooked_parse(literal)
-    assert got == expected
-    assert type(got) is type(expected)
+def test_an_overflowing_literal_under_a_key_no_record_reads_is_ignored(model, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model.to_json_dict(), "note": "@"}).replace('"@"', "1e999"))
+    assert read_json(path)["note"] == float("inf")
+    assert SubspaceModel.load(path).mean.tobytes() == model.mean.tobytes()
 
 
 def test_read_json_refuses_a_file_not_in_utf_8(tmp_path):
