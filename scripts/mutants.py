@@ -186,6 +186,19 @@ MUTANTS = (
         (MALFORMED,),
     ),
     Mutant(
+        "steps-yield-float32", "src/latentcolor/tensorio.py",
+        "yield frame.astype(np.float64)", "yield frame",
+        (
+            "tests/test_tensorio.py::test_trajectory_is_the_stacked_step_files_bitwise",
+            "tests/test_cli.py::test_stats_of_the_workspace_is_the_whole_trajectory_fit_bytewise",
+        ),
+    ),
+    Mutant(
+        "stats-reads-whole-trajectory-first", "src/latentcolor/cli.py",
+        "tensorio._steps(m)", "list(tensorio._steps(m))",
+        ("tests/test_cli.py::test_stats_refuses_a_wrong_width_at_step_0_before_reading_step_1",),
+    ),
+    Mutant(
         "latent-values-unchecked", "src/latentcolor/tensorio.py",
         'return _check_latents(np.frombuffer(body, dtype="<f4").reshape(L, d))', 'return np.frombuffer(body, dtype="<f4").reshape(L, d)',
         (
@@ -398,6 +411,14 @@ MUTANTS = (
         "type1-shifts-by-the-first-row", "src/latentcolor/intervene.py",
         "(encode(target, anchors) - coords.mean(axis=0))", "(encode(target, anchors) - coords[0])",
         ("tests/test_intervene.py::test_type1_lands_the_masked_mean_on_target_for_any_anchor_set_t_and_mask",),
+    ),
+    Mutant(
+        "circular-mean-absolute-cut", "src/latentcolor/colorspace.py",
+        "<= 1e-12 * float(np.sum(np.abs(w))):", "<= 1e-12:",
+        (
+            "tests/test_colorspace.py::test_circular_mean_hue_cut_is_relative_to_the_weights",
+            "tests/test_colorspace.py::test_circular_mean_hue_does_not_move_when_every_weight_is_scaled",
+        ),
     ),
     Mutant(
         "type2-weights-every-row-equally", "src/latentcolor/intervene.py",

@@ -37,6 +37,6 @@ from .toyflow import (
     solid_attractor,
     toy_decode,
 )
-from .tensorio import read_latents, write_latents, save_trajectory, load_trajectory
+from .tensorio import read_latents, write_latents
 
 __version__ = "0.1.0"

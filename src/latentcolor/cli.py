@@ -219,7 +219,8 @@ def cmd_stats(args) -> int:
     model = SubspaceModel.load(args.model)
     # project is affine, so the projected patch mean of each frame is the mean of its patches' projections
     tracks = [
-        project(_fitting(tensorio.load_trajectory(m), m, model, args.model).mean(axis=1), model) for m in args.manifests
+        project(np.stack([_fitting(z, m, model, args.model).mean(axis=0) for z in tensorio._steps(m)]), model)
+        for m in args.manifests
     ]
     stats = fit_stats(tracks)
     stats.save(args.out)

@@ -104,7 +104,7 @@ def circular_mean_hue(hues, weights) -> float:
     if w.shape != rad.shape:
         raise ValueError(f"expected one weight per hue, got {w.shape} weights for {rad.shape} hues")
     sx, sy = float(np.sum(w * np.cos(rad))), float(np.sum(w * np.sin(rad)))  # np.sum, not @: no BLAS kernel
-    if math.hypot(sx, sy) < 1e-12:
+    if math.hypot(sx, sy) <= 1e-12 * float(np.sum(np.abs(w))):  # relative; <= cuts all-zero weights too
         return 0.0
     h = math.degrees(math.atan2(sy, sx)) % 360.0
     return 0.0 if h == 360.0 else h  # tiny negative angles round up to 360.0

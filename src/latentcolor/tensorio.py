@@ -33,7 +33,6 @@ __all__ = [
     "write_latents",
     "read_latents",
     "save_trajectory",
-    "load_trajectory",
 ]
 
 _HEADER_DTYPE = "f32le"
@@ -228,8 +227,8 @@ def save_trajectory(dirpath, traj: np.ndarray) -> Path:
     return path
 
 
-def load_trajectory(manifest_path) -> np.ndarray:
-    """Read a trajectory manifest back into a (T+1, L, d) array."""
+def _steps(manifest_path):
+    """Yield a trajectory manifest's steps in order, each an (L, d) float64 array read when it is reached."""
     manifest_path = Path(manifest_path)
 
     def step_files(manifest) -> tuple[list[Path], tuple[int, int]]:
@@ -244,11 +243,8 @@ def load_trajectory(manifest_path) -> np.ndarray:
         return [by_t[t] for t in range(T + 1)], tuple(dims)
 
     files, dims = _read(manifest_path, lambda raw: _record(raw, step_files, "manifest"))
-    for t, path in enumerate(files):
+    for path in files:
         frame = _read(path, _latents)
         if frame.shape != dims:
             raise ValueError(f"{manifest_path}: dims {list(dims)}, but {path} holds {list(frame.shape)}")
-        if t == 0:  # sized by a step file that matched dims, so a manifest alone allocates nothing
-            traj = np.empty((len(files),) + dims)
-        traj[t] = frame  # float32 to float64 in place: one copy of the trajectory, not a list and a stack
-    return traj
+        yield frame.astype(np.float64)

@@ -208,10 +208,11 @@ def ciede2000(x: LabColor, y: LabColor) -> float:
 # ---------------------------------------------------------------------------
 
 def circular_mean_hue(hues, weights) -> float:
-    """Circular mean of hues in degrees, each unit vector times its weight, one hue at a time; 0 if they cancel."""
+    """Circular mean of hues in degrees, each unit vector times its weight, one hue at a time; 0 if they cancel
+    (a resultant of at most 1e-12 of the weights' total)."""
     sx = sum(w * math.cos(math.radians(h)) for h, w in zip(hues, weights))
     sy = sum(w * math.sin(math.radians(h)) for h, w in zip(hues, weights))
-    if math.hypot(sx, sy) < 1e-12:
+    if math.hypot(sx, sy) <= 1e-12 * sum(abs(w) for w in weights):
         return 0.0
     h = math.degrees(math.atan2(sy, sx)) % 360.0
     return 0.0 if h == 360.0 else h

@@ -13,8 +13,8 @@ PUBLIC_NAMES = [
     "SubspaceModel", "TIMESTEP_PALETTE", "ToyEmbedder", "apply_intervention", "average_patches", "build_anchors",
     "builtin_flux_stats", "ciede2000", "decode", "decode_raw", "embed_image", "encode", "fit_pca", "fit_stats",
     "generate", "grid_de00_mean_pixel", "grid_de00_per_pixel", "initial_noise", "interpolated",
-    "load_trajectory", "make_probe_set", "normalize", "observe", "parse_hex", "project",
-    "read_latents", "render_ppm", "rgb_to_hsl", "sample_path", "save_trajectory", "solid_attractor", "toy_decode",
+    "make_probe_set", "normalize", "observe", "parse_hex", "project",
+    "read_latents", "render_ppm", "rgb_to_hsl", "sample_path", "solid_attractor", "toy_decode",
     "type1", "type2", "write_latents",
 ]
 
@@ -32,7 +32,7 @@ MODULE_ALL = {
     "subspace": ["SubspaceModel", "average_patches", "fit_pca", "project"],
     "tensorio": [
         "atomic_write_bytes", "write_json", "JsonRecord", "float_array", "write_latents", "read_latents",
-        "save_trajectory", "load_trajectory",
+        "save_trajectory",
     ],
     "timestats": ["StatsTable", "builtin_flux_stats", "fit_stats", "normalize"],
     "toyflow": [

@@ -26,13 +26,12 @@ from latentcolor import (
     average_patches,
     embed_image,
     fit_stats,
-    load_trajectory,
     project,
     read_latents,
     write_latents,
 )
 from latentcolor import AnchorSet, SubspaceModel, StatsTable, observe
-from latentcolor import cli, decode, intervene
+from latentcolor import cli, decode, intervene, tensorio
 from latentcolor.cli import _report_lines, build_parser, main
 from latentcolor.colorspace import (
     HslColor,
@@ -51,6 +50,7 @@ from latentcolor.timestats import _chart
 from latentcolor.toyflow import probe_colors
 from test_bicone import TINY_CHROMA_AXIS, TINY_CHROMA_HUES
 from test_kernels import hue, unit
+from test_tensorio import stacked_steps
 
 RED_HEX = "#D81511"
 BLUE_HEX = "#1190D8"
@@ -117,7 +117,7 @@ def test_fit_reports_explained_variance(ws, capsys, tmp_path):
 
 
 def test_simulate_writes_contiguous_trajectory(ws):
-    traj = load_trajectory(ws["root"] / "run-red" / "manifest.json")
+    traj = stacked_steps(ws["root"] / "run-red" / "manifest.json")
     assert traj.shape == (21, 64, 16)
 
 
@@ -131,12 +131,68 @@ def test_stats_tracks_are_the_per_frame_projection_means_within_1e_13_of_scale(w
     # stats projects each frame's patch mean, which equals the mean of the patches' projections as project is
     # affine; the per-frame form is the reference, and the two differ by rounding only
     model = SubspaceModel.load(ws["model"])
-    trajs = [load_trajectory(ws["root"] / run / "manifest.json") for run in ("run-red", "run-blue")]
+    trajs = [stacked_steps(ws["root"] / run / "manifest.json") for run in ("run-red", "run-blue")]
     tracks = [np.stack([average_patches(project(frame, model)) for frame in traj]) for traj in trajs]
     want, got = fit_stats(tracks), StatsTable.load(ws["stats"])
     scale = max(float(np.abs(track).max()) for track in tracks)
     np.testing.assert_allclose(got.alpha, want.alpha, rtol=0.0, atol=1e-13 * scale)
     np.testing.assert_allclose(got.beta, want.beta, rtol=0.0, atol=1e-13 * scale)
+
+
+def _stats_bytes_from_whole_trajectories(trajs, model, out) -> bytes:
+    """stats.json as fitted from each whole (T+1, L, d) trajectory held in memory before its patch mean is taken."""
+    fit_stats([project(np.stack(steps).mean(axis=1), model) for steps in trajs]).save(out)
+    return out.read_bytes()
+
+
+def test_stats_of_the_workspace_is_the_whole_trajectory_fit_bytewise(ws, tmp_path):
+    trajs = [[read_latents(ws["root"] / run / f"t{t:03d}.lt") for t in range(21)] for run in ("run-red", "run-blue")]
+    model = SubspaceModel.load(ws["model"])
+    assert ws["stats"].read_bytes() == _stats_bytes_from_whole_trajectories(trajs, model, tmp_path / "want.json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.integers(2, 4), T=st.integers(0, 8), L=st.integers(1, 40), d=st.integers(3, 12),
+    scale=st.sampled_from([1e-3, 1.0, 40.0, 1e6]), rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_stats_read_a_step_at_a_time_is_the_whole_trajectory_fit_bytewise(runs, T, L, d, scale, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, 3)))
+    model = SubspaceModel(mean=rng.standard_normal(d) * scale, basis=basis, explained=(0.5, 0.3, 0.2))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        model.save(root / "model.json")
+        trajs = [rng.standard_normal((T + 1, L, d)) * scale for _ in range(runs)]
+        manifests = [tensorio.save_trajectory(root / f"run-{i}", traj) for i, traj in enumerate(trajs)]
+        out = root / "stats.json"
+        argv = ["stats", *map(str, manifests), "--model", str(root / "model.json"), "--out", str(out)]
+        stored = [traj.astype(np.float32).astype(np.float64) for traj in trajs]  # what the step files hold
+        try:
+            want = _stats_bytes_from_whole_trajectories(stored, model, root / "want.json")
+        except ValueError as e:  # the tracks do not separate: stats refuses them the same way
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(argv) == 2
+            assert err.getvalue() == f"error: {e}\n"
+            return
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert out.read_bytes() == want
+
+
+def test_stats_refuses_a_wrong_width_at_step_0_before_reading_step_1(ws, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(ws["root"] / "run-red", run)
+    (run / "t001.lt").write_bytes(b"garbage")  # a reader that looks past step 0 refuses this file instead
+    narrow = tmp_path / "narrow.json"
+    full = SubspaceModel.load(ws["model"])
+    SubspaceModel(mean=full.mean[:8], basis=np.eye(8, 3), explained=full.explained).save(narrow)
+    out = tmp_path / "stats.json"
+    argv = ["stats", str(run / "manifest.json"), str(ws["root"] / "run-blue" / "manifest.json")]
+    assert main(argv + ["--model", str(narrow), "--out", str(out)]) == 2
+    says = f"latent dim 16 does not match model dim 8 of {narrow}"
+    assert capsys.readouterr().err == f"error: {run / 'manifest.json'}: {says}\n"
+    assert not out.exists()
 
 
 def test_observe_final_frame_matches_attractor(ws, tmp_path):
@@ -1154,7 +1210,7 @@ def test_a_latent_of_another_width_than_the_model_exits_2_naming_both(ws, tmp_pa
 
 @pytest.mark.parametrize("case", ["nan-frame", "inf-frame", "d-below-3", "wider-than-the-model"])
 def test_stats_over_a_bad_trajectory_exits_2_naming_the_file(ws, tmp_path, capsys, case):
-    frames = load_trajectory(ws["root"] / "run-red" / "manifest.json")
+    frames = stacked_steps(ws["root"] / "run-red" / "manifest.json")
     bad = "t007.lt"
     if case in ("nan-frame", "inf-frame"):
         frames[7, 3, 5] = np.nan if case == "nan-frame" else -np.inf

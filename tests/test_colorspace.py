@@ -325,6 +325,30 @@ def test_circular_mean_hue_cancellation_defaults_to_zero():
     assert circular_mean_hue([], []) == 0.0
 
 
+def test_circular_mean_hue_cut_is_relative_to_the_weights():
+    assert circular_mean_hue([90.0], [1e-13]) == pytest.approx(90.0)  # tiny weights are no cancellation
+    assert circular_mean_hue([10.0, 190.0], [1e-300, 1e-300]) == 0.0  # opposite hues cancel at any scale
+    assert circular_mean_hue([10.0, 190.0], [1e300, 1e300]) == 0.0
+    assert circular_mean_hue([180.0], [0.0]) == 0.0
+    assert circular_mean_hue([200.0, 250.0], [0.0, 0.0]) == 0.0
+
+
+@given(
+    st.lists(st.tuples(hue, st.one_of(st.floats(1e-3, 2.0), st.just(0.0))), min_size=1, max_size=8),
+    st.integers(-300, 300),
+)
+def test_circular_mean_hue_does_not_move_when_every_weight_is_scaled(rows, k):
+    hues, weights = [h for h, _ in rows], [w for _, w in rows]
+    base, scaled = circular_mean_hue(hues, weights), circular_mean_hue(hues, [w * 10.0**k for w in weights])
+    resultant = math.hypot(*(sum(w * f(math.radians(h)) for h, w in rows) for f in (math.cos, math.sin)))
+    if resultant >= 1e-3 * sum(weights) > 0.0:  # a mean that rounding cannot swing
+        assert abs(signed_hue_delta(scaled, base)) <= 1e-9
+    elif sum(weights) == 0.0:
+        assert base == scaled == 0.0
+    halves = circular_mean_hue(hues + [h + 180.0 for h in hues], [w * 10.0**k for w in weights * 2])
+    assert halves == 0.0  # each hue and its opposite at equal weight: a cancellation at every scale
+
+
 def test_circular_mean_hue_counts_each_hue_by_its_weight():
     assert circular_mean_hue([0.0, 90.0], [1.0, 0.0]) == 0.0
     assert circular_mean_hue([0.0, 90.0], [0.0, 1.0]) == pytest.approx(90.0)

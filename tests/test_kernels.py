@@ -476,7 +476,7 @@ def test_circular_mean_hue_is_the_per_hue_reference(rows, log_weight):
     got, want = circular_mean_hue(np.array(hues), np.array(weights)), reference_circular_mean_hue(hues, weights)
     assert 0.0 <= got < 360.0
     resultant = math.hypot(*(sum(w * f(math.radians(h)) for h, w in zip(hues, weights)) for f in (math.cos, math.sin)))
-    if resultant >= 1e-3 * sum(weights) and resultant >= 1e-11:  # far from a cancellation and from the 1e-12 cut
+    if resultant >= 1e-3 * sum(weights):  # far from a cancellation and from the cut at 1e-12 of the weights' sum
         assert abs(signed_hue_delta(got, want)) <= 1e-9
 
 

@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latentcolor import (
-    ColorGrid, PatchMask, SubspaceModel, load_trajectory, read_latents, save_trajectory, tensorio, write_latents
-)
+from latentcolor import ColorGrid, PatchMask, SubspaceModel, read_latents, tensorio, write_latents
 from latentcolor.colorspace import HslColor
-from latentcolor.tensorio import atomic_write_bytes, float_array, write_json
+from latentcolor.tensorio import atomic_write_bytes, float_array, save_trajectory, write_json
 
 
 def read_json(path):
     """A JSON file's value as every record file's JSON is read: the one reader and the one parse."""
     return tensorio._read(path, tensorio._json)
+
+
+def stacked_steps(manifest):
+    """A trajectory's (T+1, L, d) array, stacked from the steps its one reader yields."""
+    return np.stack(list(tensorio._steps(manifest)))
 
 
 def test_latents_roundtrip_is_float32_exact(tmp_path):
@@ -135,7 +138,7 @@ def test_rejects_nonfinite_and_bad_shapes(tmp_path):
 def test_trajectory_roundtrip(tmp_path):
     traj = np.random.default_rng(4).standard_normal((6, 3, 4))
     manifest = save_trajectory(tmp_path / "run", traj)
-    back = load_trajectory(manifest)
+    back = stacked_steps(manifest)
     assert back.shape == (6, 3, 4)
     assert np.array_equal(back, traj.astype(np.float32).astype(np.float64))
     obj = read_json(manifest)
@@ -147,7 +150,7 @@ def test_trajectory_is_the_stacked_step_files_bitwise(tmp_path):
     traj = np.random.default_rng(5).standard_normal((7, 9, 5)) * 40.0
     manifest = save_trajectory(tmp_path / "run", traj)
     stacked = np.stack([read_latents(tmp_path / "run" / f"t{t:03d}.lt") for t in range(7)])
-    back = load_trajectory(manifest)
+    back = stacked_steps(manifest)
     assert back.dtype == np.float64 and back.flags.c_contiguous
     assert back.tobytes() == stacked.tobytes()
 
@@ -157,8 +160,9 @@ def test_trajectory_rejects_a_non_finite_step(tmp_path):
     step = tmp_path / "run" / "t002.lt"
     header, payload = step.read_bytes().split(b"\n", 1)
     step.write_bytes(header + b"\n" + np.float32(np.inf).tobytes() + payload[4:])
-    with pytest.raises(ValueError, match="non-finite"):
-        load_trajectory(manifest)
+    with pytest.raises(ValueError) as info:
+        stacked_steps(manifest)
+    assert str(info.value) == f"{step}: latent tensor contains non-finite values"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -171,7 +175,7 @@ def test_a_bad_manifest_is_refused_naming_it(tmp_path, edit, message):
     manifest = save_trajectory(tmp_path / "run", np.zeros((3, 2, 3)))
     write_json(manifest, edit(read_json(manifest)))
     with pytest.raises(ValueError) as info:
-        load_trajectory(manifest)
+        stacked_steps(manifest)
     assert str(info.value) == f"{manifest}: {message}"
 
 
@@ -188,15 +192,29 @@ def test_trajectory_rejects_gapped_steps(tmp_path):
     obj = read_json(manifest)
     obj["steps"][1]["t"] = 5
     write_json(manifest, obj)
-    with pytest.raises(ValueError):
-        load_trajectory(manifest)
+    with pytest.raises(ValueError) as info:
+        stacked_steps(manifest)
+    assert str(info.value) == f"{manifest}: bad manifest: timesteps not the integers 0 to 2"
 
 
 def test_trajectory_rejects_frame_shape_drift(tmp_path):
     manifest = save_trajectory(tmp_path / "run", np.zeros((3, 2, 3)))
     write_latents(tmp_path / "run" / "t001.lt", np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        load_trajectory(manifest)
+    with pytest.raises(ValueError) as info:
+        stacked_steps(manifest)
+    assert str(info.value) == f"{manifest}: dims [2, 3], but {tmp_path / 'run' / 't001.lt'} holds [4, 3]"
+
+
+def test_trajectory_steps_are_read_one_at_a_time(tmp_path):
+    traj = np.random.default_rng(6).standard_normal((3, 2, 3))
+    manifest = save_trajectory(tmp_path / "run", traj)
+    (tmp_path / "run" / "t001.lt").write_bytes(b"garbage")
+    steps = tensorio._steps(manifest)
+    first = next(steps)  # step 0 comes out before step 1 is opened
+    assert first.dtype == np.float64 and np.array_equal(first, traj[0].astype(np.float32))
+    with pytest.raises(ValueError) as info:
+        next(steps)
+    assert str(info.value) == f"{tmp_path / 'run' / 't001.lt'}: missing header line"
 
 
 def test_write_json_is_canonical(tmp_path):
@@ -380,9 +398,9 @@ def test_a_record_file_in_the_indented_layout_loads_to_an_equal_record(model, an
 def test_a_manifest_in_the_indented_layout_loads_the_same_trajectory(tmp_path):
     traj = np.random.default_rng(19).standard_normal((3, 4, 5))
     manifest = save_trajectory(tmp_path / "run", traj)
-    want = load_trajectory(manifest)
+    want = stacked_steps(manifest)
     manifest.write_text(_indented(read_json(manifest)))
-    assert np.array_equal(load_trajectory(manifest), want)
+    assert np.array_equal(stacked_steps(manifest), want)
 
 
 def _read(path):
@@ -466,7 +484,7 @@ def test_every_count_site_refuses_an_overflowing_literal_as_a_non_integer(
     kind, site, message = COUNT_SITES[case]
     if kind == "manifest":
         path = save_trajectory(tmp_path / "run", np.zeros((3, 4, 5)))
-        obj, load = read_json(path), load_trajectory
+        obj, load = read_json(path), stacked_steps
     else:
         record = _record_of_kind(kind, model, anchors, toy_stats)
         path, obj, load = tmp_path / f"{kind}.json", record.to_json_dict(), type(record).load
