@@ -138,6 +138,11 @@ MUTANTS = (
         "        if rest:\n            parser.error(", "        if False:\n            parser.error(",
         ("tests/test_cli.py::test_main_refuses_and_helps_as_the_full_parser",),
     ),
+    Mutant(
+        "targets-not-exclusive", "src/latentcolor/cli.py",
+        "target = i.add_mutually_exclusive_group()", "target = i",
+        ("tests/test_cli.py::test_intervene_takes_exactly_one_target",),
+    ),
     # the latent file format
     Mutant(
         "latents-big-endian", "src/latentcolor/tensorio.py",
@@ -184,6 +189,11 @@ MUTANTS = (
         "trajectory-no-dims-check", "src/latentcolor/tensorio.py",
         "if frame.shape != dims:", "if False:",
         (MALFORMED,),
+    ),
+    Mutant(
+        "manifest-step-file-any-path", "src/latentcolor/tensorio.py",
+        "        if stray:\n", "        if False:\n",
+        ("tests/test_tensorio.py::test_a_bad_manifest_is_refused_naming_it",),
     ),
     Mutant(
         "steps-yield-float32", "src/latentcolor/tensorio.py",
@@ -395,8 +405,14 @@ MUTANTS = (
         "np.clip(hsl[..., 1:], 0.0, 1.0, out=hsl[..., 1:])", "np.clip(hsl[..., 1:2], 0.0, 1.0, out=hsl[..., 1:2])",
         ("tests/test_kernels.py::test_decode_is_canonical_hsl_of_decode_raw_bitwise",),
     ),
+    # the round trip on extreme anchor sets
+    Mutant(
+        "decode-chroma-floor-raised", "src/latentcolor/bicone.py",
+        "chromatic = ~(radius < _MIN_CHROMA)", "chromatic = ~(radius < 1e-3)",
+        ("tests/test_bicone.py::test_encode_decode_round_trip_holds_on_extreme_anchor_sets",),
+    ),
     # type1 lands the mean; type2 edits raw coordinates and weighs hues by chroma; the entry points refuse an
-    # overflow; one mask reader; no mean of nothing
+    # overflow; one mask reader that checks repeats; no mean of nothing
     Mutant(
         "type2-clamps-before-encode", "src/latentcolor/intervene.py",
         "return encode(raw + np.array([dh, ds, dl]), anchors)",
@@ -442,8 +458,17 @@ MUTANTS = (
     ),
     Mutant(
         "mask-load-reads-json-only", "src/latentcolor/intervene.py",
-        "return tensorio._read(path, _mask)", "return super().load(path)",
+        'raw[:2] == b"P5"', "False",
         ("tests/test_intervene.py::test_a_mask_loads_equal_from_json_and_from_8_and_16_bit_pgm",),
+    ),
+    Mutant(
+        "mask-repeats-unchecked", "src/latentcolor/intervene.py",
+        "if len(mask.selected) != len(selected):", "if False:",
+        (
+            "tests/test_intervene.py::test_a_json_mask_refusal_says_what_is_wrong",
+            "tests/test_cli.py::test_eval_rejects_json_mask_repeating_an_index",
+            "tests/test_cli.py::test_a_record_edited_off_its_shape_exits_2_naming_it",
+        ),
     ),
     Mutant(
         "mean-color-of-nothing", "src/latentcolor/observe.py",
@@ -465,6 +490,12 @@ MUTANTS = (
         "interp-refuses-t-at-the-horizon", "src/latentcolor/intervene.py",
         "if not 0 <= t <= T:", "if not 0 <= t < T:",
         ("tests/test_intervene.py::test_gamma_is_linear_in_t",),
+    ),
+    # the three modes are positions on one blend
+    Mutant(
+        "type2-at-position-0", "src/latentcolor/intervene.py",
+        '"type2": stats.T', '"type2": 0',
+        (WRITE_BACK,),
     ),
     # one chart per intervene call
     Mutant(

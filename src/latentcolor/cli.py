@@ -289,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("intervene", help="steer masked patches toward a target color")
     i.add_argument("latent")
     i.add_argument("--t", type=int, required=True)
-    i.add_argument("--target", help="target color as #RRGGBB")
-    i.add_argument("--target-hsl", help="target color as h,s,l; s and l in [0, 1], h in degrees, wrapped mod 360")
+    target = i.add_mutually_exclusive_group()
+    target.add_argument("--target", help="target color as #RRGGBB")
+    target.add_argument("--target-hsl", help="target color as h,s,l; s and l in [0, 1], h in degrees, wrapped mod 360")
     i.add_argument("--mode", choices=MODES, default="interp")
     i.add_argument("--mask", help="mask file (JSON or PGM); default all patches")
     i.add_argument("--model", required=True)

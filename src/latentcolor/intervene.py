@@ -72,18 +72,18 @@ class PatchMask(tensorio.JsonRecord):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PatchMask":
-        L, selected = obj["L"], list(obj["selected"])
-        if not all(type(v) is int for v in (L, *selected)):  # no floats, and no bools (an int subclass)
-            raise ValueError("mask L and selected indices must be integers")
-        repeated = sorted(i for i, n in Counter(selected).items() if n > 1)  # a set would hide them
-        if repeated:
+        selected = list(obj["selected"])
+        mask = cls(obj["L"], selected)
+        if len(mask.selected) != len(selected):  # the set hides a repeat
+            repeated = sorted(i for i, n in Counter(selected).items() if n > 1)
             raise ValueError(f"mask lists patch indices more than once: {repeated}")
-        return cls(L=L, selected=frozenset(selected))
+        return mask
 
     @classmethod
     def load(cls, path) -> "PatchMask":
         """Load a mask from JSON ({"L", "selected"}) or binary PGM (nonzero = selected)."""
-        return tensorio._read(path, _mask)
+        return tensorio._read(path, lambda raw: _mask_from_pgm(raw) if raw[:2] == b"P5" else
+                              tensorio._record(raw, cls.from_json_dict, "PatchMask"))
 
 
 _SEP = rb"(?:\s|#[^\n]*\n)"  # a whitespace byte, or a comment through its newline
@@ -104,10 +104,6 @@ def _mask_from_pgm(raw: bytes) -> PatchMask:
         raise ValueError(f"expected {w * h * bpp} raster bytes, found {len(data)}")
     px = np.frombuffer(data, dtype=">u2" if bpp == 2 else "u1")
     return PatchMask(L=w * h, selected=frozenset(np.flatnonzero(px).tolist()))
-
-
-def _mask(raw: bytes) -> PatchMask:
-    return _mask_from_pgm(raw) if raw[:2] == b"P5" else tensorio._record(raw, PatchMask.from_json_dict, "PatchMask")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +185,8 @@ def apply_intervention(
 
     Unmasked patches are returned bitwise unchanged, and the orthogonal
     complement of every patch is preserved. mask = None edits all patches.
-    The interp blend runs over the stats table's horizon 0..stats.T.
+    Each mode is a position on the interpolated blend over the stats table's
+    horizon 0..stats.T: type1 at 0, type2 at stats.T and interp at t.
     A float overflow or invalid value raises FloatingPointError.
     """
     with np.errstate(over="raise", invalid="raise"):
@@ -211,12 +208,7 @@ def _intervene(z, t, target, mask, model, anchors, stats, mode):
 
     # every row: z itself, in the layout z[rows] would have (so the same bits), with no gather and no scatter
     hat, gain = _chart(np.ascontiguousarray(z) if rows is None else z[rows], model, t, stats)
-    if mode == "type1":
-        edited = type1(hat, target, anchors)
-    elif mode == "type2":
-        edited = type2(hat, target, anchors)
-    else:
-        edited = interpolated(hat, target, anchors, t, stats.T)
+    edited = interpolated(hat, target, anchors, {"type1": 0, "type2": stats.T, "interp": t}[mode], stats.T)
 
     # the chart's inverse on the change: back to step t's scale, then into the d-dim latent space
     if rows is None:

@@ -71,7 +71,10 @@ def _orient(basis: np.ndarray, mean: np.ndarray, orientation: Mapping[str, np.nd
 
     Component 1 points from the black probe toward the white probe,
     component 2 gives the red probe a positive coordinate, and component 3
-    is flipped so hue grows from red toward yellow.
+    the yellow probe. That is not "hue grows from red toward yellow": with
+    red at -70 and yellow at -10 degrees in the (c2, c3) plane, the rule
+    flips a counterclockwise turn. Decode does not depend on the sign, as
+    AnchorSet builds its own e2.
     """
     required = ("white", "black", "red", "yellow")
     missing = [k for k in required if k not in orientation]
@@ -83,7 +86,6 @@ def _orient(basis: np.ndarray, mean: np.ndarray, orientation: Mapping[str, np.nd
         basis[:, 0] = -basis[:, 0]
     if coords["red"][1] < 0:
         basis[:, 1] = -basis[:, 1]
-        coords["yellow"][1] = -coords["yellow"][1]
     if coords["yellow"][2] < 0:
         basis[:, 2] = -basis[:, 2]
     return basis

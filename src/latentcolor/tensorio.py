@@ -237,10 +237,14 @@ def _steps(manifest_path):
             raise ValueError(f"{len(steps)} steps listed for T={T}")
         if type(dims) is not list or [type(v) for v in dims] != [int, int]:
             raise ValueError(f"bad dims {dims!r}")
-        by_t = {step["t"]: manifest_path.parent / step["file"] for step in steps}
+        by_t = {step["t"]: step["file"] for step in steps}
         if sorted(by_t) != list(range(T + 1)) or {type(t) for t in by_t} != {int}:  # 1.0 and True equal 1
             raise ValueError(f"timesteps not the integers 0 to {T}")
-        return [by_t[t] for t in range(T + 1)], tuple(dims)
+        # Path(".").name is "", and open() would refuse a NUL byte without naming the manifest
+        stray = [f for f in by_t.values() if type(f) is not str or f in ("", "..") or "\0" in f or Path(f).name != f]
+        if stray:
+            raise ValueError(f"step file {stray[0]!r} is not a plain name in the manifest's directory")
+        return [manifest_path.parent / by_t[t] for t in range(T + 1)], tuple(dims)
 
     files, dims = _read(manifest_path, lambda raw: _record(raw, step_files, "manifest"))
     for path in files:

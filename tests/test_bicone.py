@@ -389,6 +389,32 @@ def test_encode_decode_identity_on_interior_points(anchors):
         assert np.max(np.abs(c2 - c)) <= 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 31.0),
+    st.lists(st.floats(-4.0, 0.0), min_size=6, max_size=6),
+    st.floats(-4.0, 0.0),
+    st.floats(-34.0, 4.0),
+)
+def test_encode_decode_round_trip_holds_on_extreme_anchor_sets(seed, log_scale, log_radii, log_axis, log_offset):
+    """encode(decode_raw(c)) gives back interior points c of scaled_hexagon sets, within 1e-10 of the set's scale.
+
+    The domain keeps clear of the floors where the round trip fails: every size is at least 1e-4 of
+    10 ** log_scale >= 1, and the offset at most 1e4 of it. So the axis and every anchor's chroma stay
+    at least about 1e-9 of the largest coordinate (the floors are 1e-14 and 1e-12), and an interior
+    point's chroma, s and 1 - |2l - 1| at least 0.05 and 0.1, stays far above the absolute 1e-9.
+    """
+    hue, black, white = scaled_hexagon(seed, log_scale, log_radii, log_axis, log_offset)
+    a = AnchorSet(hue, black, white)  # every set of the domain is accepted
+    rng = np.random.default_rng(seed)
+    corners = [[h, s, l] for h in (0.0, 30.0, 359.0) for s in (0.05, 0.95) for l in (0.05, 0.5, 0.95)]
+    hsl = np.vstack([corners, np.column_stack([rng.uniform(0.0, 360.0, 64), rng.uniform(0.05, 0.95, (64, 2))])])
+    c = encode(hsl, a)
+    scale = max(float(np.abs(v).max()) for v in (hue, black, white))
+    assert float(np.abs(encode(decode_raw(c, a), a) - c).max()) <= 1e-10 * scale
+
+
 def test_raw_decode_skips_clamping(ideal):
     outside = np.array([30.0, 45.0, 0.0])  # radius past the red anchor
     h, s, l = decode_raw(outside, ideal)

@@ -687,6 +687,22 @@ def test_intervene_refuses_a_bad_target_hsl_up_front(ws, tmp_path, capsys, mode,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given, says", [
+    ([], "error: one of --target or --target-hsl is required"),
+    (["--target", BLUE_HEX, "--target-hsl", "0,1,0.5"], "error: argument --target-hsl: not allowed with argument --target"),
+    (["--target-hsl", "0,1,0.5", "--target", BLUE_HEX], "error: argument --target: not allowed with argument --target-hsl"),
+], ids=["neither", "hex-then-hsl", "hsl-then-hex"])
+def test_intervene_takes_exactly_one_target(ws, tmp_path, capsys, given, says):
+    out = tmp_path / "x.lt"
+    argv = _world_argv(ws, "intervene", ws["root"] / "run-red" / "t010.lt", *given, "--out", str(out))
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's own refusals exit from the parser
+        code = e.code
+    assert code == 2 and says in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell_px", [10**6, 10**15])  # numpy refuses both sizes at once: no memory is touched
 def test_observe_refuses_a_raster_too_large_to_allocate_before_writing(ws, tmp_path, capsys, cell_px):
     out_json, out_ppm = tmp_path / "o.json", tmp_path / "o.ppm"
@@ -1546,6 +1562,8 @@ def test_main_parses_each_commands_arguments_as_the_full_parser(argv):
         ["observe", *REQUIRED, "--", "--t", "2"],
         ["observe", "x.lt", "--t", "1", "--out", "o.json"],  # --out could be --out-json or --out-ppm
         ["intervene", "--t", "1", "--model", "m.json", "-h"],
+        ["intervene", *REQUIRED, "--target", "#FF0000", "--target-hsl", "0,1,0.5", "--out", "y.lt"],
+        ["intervene", *REQUIRED, "--target-hsl", "0,1,0.5", "--target", "#FF0000", "--out", "y.lt"],
         ["stats", "--model", "m.json", "--help", "a.json"],
         ["simulate", "--colors", "#FF0000"],
         ["stats", "a.json", "--model", "m.json", "b.json"],  # a positional list cannot resume after an option
@@ -1566,7 +1584,8 @@ def test_main_refuses_and_helps_as_the_full_parser(argv, columns, monkeypatch):
 
 ARGV_TOKENS = [
     *COMMANDS, "--", "-h", "--t", "--t=2", "--T", "3", "-1", "x.lt", "p.json", "--model", "--mod", "--out", "--out-json",
-    "--mask=k.json", "--mode", "type1", "--target", "#00FF00", "--colors", "--anchors", "--bogus", "a.json", "--grid",
+    "--mask=k.json", "--mode", "type1", "--target", "#00FF00", "--target-hsl", "--colors", "--anchors", "--bogus",
+    "a.json", "--grid",
 ]
 
 

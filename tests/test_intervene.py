@@ -133,6 +133,17 @@ def test_mask_json_roundtrip(tmp_path):
     assert back == m
 
 
+@pytest.mark.parametrize("obj, says", [
+    ({"L": 4, "selected": [2, 1, 1, 2, 2, 0]}, r"^mask lists patch indices more than once: \[1, 2\]$"),
+    ({"L": 4, "selected": [3, 4, 3]}, "^mask indices out of range for L = 4$"),  # the range is checked before repeats
+    ({"L": 4, "selected": [1, 1, 2.0]}, "^mask L and selected indices must be integers$"),
+    ({"L": 4.0, "selected": [1, 1]}, "^mask L and selected indices must be integers$"),
+], ids=["repeats", "repeat-and-out-of-range", "repeat-and-float", "float-L-and-repeat"])
+def test_a_json_mask_refusal_says_what_is_wrong(obj, says):
+    with pytest.raises(ValueError, match=says):
+        PatchMask.from_json_dict(obj)
+
+
 # PGM headers accepted, each with its raster, L and the selected cells
 PGM_HEADERS = [
     (b"P5\n# comment line\n3 2\n255\n", bytes([0, 7, 0, 255, 0, 1]), 6, {1, 3, 5}),

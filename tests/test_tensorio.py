@@ -165,12 +165,33 @@ def test_trajectory_rejects_a_non_finite_step(tmp_path):
     assert str(info.value) == f"{step}: latent tensor contains non-finite values"
 
 
+def _step_file(manifest, name):
+    """manifest with step 1's file named name."""
+    steps = manifest["steps"]
+    return {**manifest, "steps": [steps[0], {**steps[1], "file": name}, *steps[2:]]}
+
+
+STRAY = "is not a plain name in the manifest's directory"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda o: {**o, "T": 3}, "bad manifest: 3 steps listed for T=3"),
     (lambda o: {**o, "T": -1}, "bad manifest: 3 steps listed for T=-1"),
     (lambda o: {**o, "dims": [2, "3"]}, "bad manifest: bad dims [2, '3']"),
     (lambda o: {**o, "dims": [2, 3, 1]}, "bad manifest: bad dims [2, 3, 1]"),
-], ids=["T-one-more", "T-negative", "string-dim", "three-dims"])
+    (lambda o: _step_file(o, "/elsewhere/t001.lt"), f"bad manifest: step file '/elsewhere/t001.lt' {STRAY}"),
+    (lambda o: _step_file(o, "../other/t001.lt"), f"bad manifest: step file '../other/t001.lt' {STRAY}"),
+    (lambda o: _step_file(o, "sub/t001.lt"), f"bad manifest: step file 'sub/t001.lt' {STRAY}"),
+    (lambda o: _step_file(o, ""), f"bad manifest: step file '' {STRAY}"),
+    (lambda o: _step_file(o, "."), f"bad manifest: step file '.' {STRAY}"),
+    (lambda o: _step_file(o, ".."), f"bad manifest: step file '..' {STRAY}"),
+    (lambda o: _step_file(o, "t\0.lt"), f"bad manifest: step file 't\\x00.lt' {STRAY}"),
+    (lambda o: _step_file(o, 1), f"bad manifest: step file 1 {STRAY}"),
+], ids=[
+    "T-one-more", "T-negative", "string-dim", "three-dims",
+    "absolute-file", "file-in-a-sibling-directory", "file-in-a-subdirectory", "empty-file", "dot-file", "dot-dot-file",
+    "nul-byte-file", "number-file",
+])
 def test_a_bad_manifest_is_refused_naming_it(tmp_path, edit, message):
     manifest = save_trajectory(tmp_path / "run", np.zeros((3, 2, 3)))
     write_json(manifest, edit(read_json(manifest)))
