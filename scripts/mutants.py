@@ -134,11 +134,6 @@ MUTANTS = (
         ("tests/test_cli.py::test_main_keeps_one_parser_that_acts_as_a_fresh_one",),
     ),
     Mutant(
-        "main-accepts-leftover-args", "src/latentcolor/cli.py",
-        "        if rest:\n            parser.error(", "        if False:\n            parser.error(",
-        ("tests/test_cli.py::test_main_refuses_and_helps_as_the_full_parser",),
-    ),
-    Mutant(
         "targets-not-exclusive", "src/latentcolor/cli.py",
         "target = i.add_mutually_exclusive_group()", "target = i",
         ("tests/test_cli.py::test_intervene_takes_exactly_one_target",),
@@ -322,6 +317,11 @@ MUTANTS = (
         "mask-indices-writable", "src/latentcolor/intervene.py",
         "        self._indices.flags.writeable = False\n", "",
         (MASK_INDICES,),
+    ),
+    Mutant(
+        "mask-keeps-numpy-integers", "src/latentcolor/intervene.py",
+        "frozenset(selected if types == {int} else map(int, selected))", "frozenset(selected)",
+        ("tests/test_intervene.py::test_mask_takes_numpy_integers",),
     ),
     # AnchorSet's constructor
     Mutant(
@@ -528,6 +528,17 @@ MUTANTS = (
         "cli-report-decode-unchecked", "src/latentcolor/cli.py",
         "hsl = _checked(args, decode, ", "hsl = decode(",
         (f"{OVERFLOWS}[type1-one-patch]",),
+    ),
+    # files that must agree with each other
+    Mutant(
+        "fit-probe-widths-unchecked", "src/latentcolor/cli.py",
+        "if means[f.stem].size != d:", "if False:",
+        ("tests/test_cli.py::test_fit_names_the_probe_whose_width_differs_and_writes_nothing",),
+    ),
+    Mutant(
+        "stats-horizons-unchecked", "src/latentcolor/cli.py",
+        "if len(track) != len(tracks[0]):", "if False:",
+        ("tests/test_cli.py::test_stats_names_the_manifests_whose_horizons_differ_and_writes_nothing",),
     ),
     Mutant(
         "cli-mask-not-fitted", "src/latentcolor/cli.py",

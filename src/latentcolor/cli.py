@@ -151,6 +151,10 @@ def cmd_fit(args) -> int:
     if not files:
         raise ValueError(f"no .lt latent files found in {probe_dir}")
     means = {f.stem: average_patches(tensorio.read_latents(f)) for f in files}
+    d = means[files[0].stem].size
+    for f in files:
+        if means[f.stem].size != d:
+            raise ValueError(f"{f}: latent dim {means[f.stem].size} does not match {files[0]}'s {d}")
     missing = [l for l in ANCHOR_LABELS if l not in means]
     if missing:
         raise ValueError(f"probe directory lacks labeled files: {missing}")
@@ -222,6 +226,9 @@ def cmd_stats(args) -> int:
         project(np.stack([_fitting(z, m, model, args.model).mean(axis=0) for z in tensorio._steps(m)]), model)
         for m in args.manifests
     ]
+    for m, track in zip(args.manifests, tracks):
+        if len(track) != len(tracks[0]):
+            raise ValueError(f"{m}: T={len(track) - 1} does not match {args.manifests[0]}'s T={len(tracks[0]) - 1}")
     stats = fit_stats(tracks)
     stats.save(args.out)
     print(f"fitted stats over t=0..{stats.T} from {len(tracks)} trajectories; wrote {args.out}")
@@ -275,28 +282,25 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--model-out", default="model.json")
     f.add_argument("--anchors-out", default="anchors.json")
 
-    o = sub.add_parser("observe", help="decode a latent into a color grid")
-    o.add_argument("latent")
-    o.add_argument("--t", type=int, required=True)
-    o.add_argument("--model", required=True)
-    o.add_argument("--anchors", required=True)
-    o.add_argument("--stats", default=BUILTIN_STATS, help=f"stats JSON path or '{BUILTIN_STATS}'")
+    world = argparse.ArgumentParser(add_help=False)  # what _load_world reads, for observe and intervene
+    world.add_argument("latent")
+    world.add_argument("--t", type=int, required=True)
+    world.add_argument("--model", required=True)
+    world.add_argument("--anchors", required=True)
+    world.add_argument("--stats", default=BUILTIN_STATS, help=f"stats JSON path or '{BUILTIN_STATS}'")
+
+    o = sub.add_parser("observe", parents=[world], help="decode a latent into a color grid")
     o.add_argument("--grid", help="HxW patch grid (default: square)")
     o.add_argument("--out-json")
     o.add_argument("--out-ppm")
     o.add_argument("--cell-px", type=int, default=1)
 
-    i = sub.add_parser("intervene", help="steer masked patches toward a target color")
-    i.add_argument("latent")
-    i.add_argument("--t", type=int, required=True)
+    i = sub.add_parser("intervene", parents=[world], help="steer masked patches toward a target color")
     target = i.add_mutually_exclusive_group()
     target.add_argument("--target", help="target color as #RRGGBB")
     target.add_argument("--target-hsl", help="target color as h,s,l; s and l in [0, 1], h in degrees, wrapped mod 360")
     i.add_argument("--mode", choices=MODES, default="interp")
     i.add_argument("--mask", help="mask file (JSON or PGM); default all patches")
-    i.add_argument("--model", required=True)
-    i.add_argument("--anchors", required=True)
-    i.add_argument("--stats", default=BUILTIN_STATS)
     i.add_argument("--out", required=True)
 
     s = sub.add_parser("simulate", help="run the toy flow toward solid-color attractors")
@@ -323,24 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # main's one parser per process, with its command parsers by name: parsing leaves a parser as it
-    # was, and help and usage are formatted when printed, so COLUMNS applies on each call
-    p = build_parser()
-    return p, next(a for a in p._actions if a.dest == "command").choices
+def _parser() -> argparse.ArgumentParser:
+    # main's one parser per process: parsing leaves a parser as it was, and help and usage are
+    # formatted when printed, so COLUMNS applies on each call
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    parser, commands = _parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        # what argparse's subparser action does with a command's arguments, without the top-level
-        # parser's own scan of all of them first
-        args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if rest:
-            parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    else:
-        args = parser.parse_args(argv)  # help, usage and invalid choices
+    args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a rebound cmd_* takes effect
     except (ValueError, OSError, KeyError) as e:

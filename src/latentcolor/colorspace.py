@@ -51,7 +51,7 @@ class HslColor:
 
     def __post_init__(self) -> None:
         h = float(self.h) % 360.0
-        if h == 360.0:  # -0.0 % 360.0 can yield 360.0 on some platforms
+        if h == 360.0:  # a tiny negative hue rounds up: -1e-20 % 360.0 == 360.0
             h = 0.0
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "s", _clamp01(float(self.s)))

@@ -48,7 +48,7 @@ class PatchMask(tensorio.JsonRecord):
             raise ValueError("mask L and selected indices must be integers")
         if L < 1:
             raise ValueError("mask needs L >= 1")
-        sel = selected if types == {int} and type(selected) is frozenset else frozenset(map(int, selected))
+        sel = frozenset(selected if types == {int} else map(int, selected))  # a frozenset comes back as itself
         order = sorted(sel)
         if order and (order[0] < 0 or order[-1] >= L):
             raise ValueError(f"mask indices out of range for L = {L}")

@@ -445,6 +445,17 @@ def test_fit_missing_labels_exits_2(ws, tmp_path, capsys):
     assert "lacks labeled files" in capsys.readouterr().err
 
 
+def test_fit_names_the_probe_whose_width_differs_and_writes_nothing(ws, tmp_path, capsys):
+    probes = tmp_path / "probes"
+    shutil.copytree(ws["probes"], probes)
+    write_latents(probes / "blue.lt", read_latents(probes / "blue.lt")[:, :8])
+    first = sorted(probes.glob("*.lt"))[0]
+    model, anchors = tmp_path / "m.json", tmp_path / "a.json"
+    assert main(["fit", str(probes), "--model-out", str(model), "--anchors-out", str(anchors)]) == 2
+    assert capsys.readouterr().err == f"error: {probes / 'blue.lt'}: latent dim 8 does not match {first}'s 16\n"
+    assert not model.exists() and not anchors.exists()
+
+
 def test_observe_malformed_latent_exits_2(ws, tmp_path, capsys):
     bad = tmp_path / "bad.lt"
     bad.write_bytes(b'{"dims": [4, 4], "dtype": "f32le"}\n' + b"\x00" * 7)
@@ -775,6 +786,18 @@ def test_stats_with_single_trajectory_exits_2(ws, capsys):
     )
     assert code == 2
     assert "at least 2" in capsys.readouterr().err
+
+
+def test_stats_names_the_manifests_whose_horizons_differ_and_writes_nothing(ws, tmp_path, capsys):
+    manifests = []
+    for T in (5, 7):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--out", str(tmp_path / f"run-{T}"), "--colors", RED_HEX, "--T", str(T)]) == 0
+        manifests.append(tmp_path / f"run-{T}" / "manifest.json")
+    out = tmp_path / "stats.json"
+    assert main(["stats", *map(str, manifests), "--model", str(ws["model"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {manifests[1]}: T=7 does not match {manifests[0]}'s T=5\n"
+    assert not out.exists()
 
 
 def test_observe_rejects_anchors_winding_twice(ws, tmp_path, capsys):
