@@ -127,6 +127,17 @@ MUTANTS = (
         "    ppm = render_ppm(grid, args.cell_px) if args.out_ppm else None\n",
         (CLI_PPM_TOO_LARGE,),
     ),
+    # the CLI's exit codes
+    Mutant(
+        "main-key-error-is-input-error", "src/latentcolor/cli.py",
+        "except (ValueError, OSError) as e:", "except (ValueError, OSError, KeyError) as e:",
+        ("tests/test_cli.py::test_main_exits_1_on_a_key_error",),
+    ),
+    Mutant(
+        "simulate-allocation-error-unmapped", "src/latentcolor/cli.py",
+        "except MemoryError as err:", "except () as err:",
+        ("tests/test_cli.py::test_simulate_refuses_a_grid_or_dim_too_large_to_allocate",),
+    ),
     # the CLI parser
     Mutant(
         "parser-not-cached", "src/latentcolor/cli.py",
@@ -355,14 +366,14 @@ MUTANTS = (
         (WHOLE_ARRAY_FRAME,),
     ),
     Mutant(
-        "anchor-label-repeat-unchecked", "src/latentcolor/bicone.py",
-        "        if repeated:\n            raise", "        if False:\n            raise",
-        (f"{MALFORMED}[anchors-red-twice]",),
+        "anchor-label-count-unchecked", "src/latentcolor/bicone.py",
+        "if len(labels) != len(HUE_LABELS) or any(", "if any(",
+        (f"{MALFORMED}[anchors-orange]",),
     ),
     Mutant(
-        "anchor-unknown-label-unchecked", "src/latentcolor/bicone.py",
-        "        if unknown:\n", "        if False:\n",
-        (f"{MALFORMED}[anchors-orange]",),
+        "anchor-label-repeat-unchecked", "src/latentcolor/bicone.py",
+        " or any(labels.count(l) != 1 for l in HUE_LABELS):", ":",
+        ("tests/test_bicone.py::test_anchor_file_lists_the_six_hue_labels_once_each[repeat-among-six]",),
     ),
     Mutant(
         "anchor-theta-unchecked", "src/latentcolor/bicone.py",

@@ -16,7 +16,6 @@ hue and decode its exact inverse everywhere in the interior.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Mapping
 
 import numpy as np
@@ -116,15 +115,8 @@ class AnchorSet(tensorio.JsonRecord):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AnchorSet":
         labels = [e["label"] for e in obj["hue_anchors"]]
-        unknown = [l for l in labels if l not in HUE_LABELS]
-        if unknown:
-            raise ValueError(f"unknown hue labels: {unknown}")
-        repeated = sorted(l for l, n in Counter(labels).items() if n > 1)
-        if repeated:
-            raise ValueError(f"hue labels listed more than once: {repeated}")
-        missing = [l for l in HUE_LABELS if l not in labels]
-        if missing:
-            raise ValueError(f"anchor file missing hue labels: {missing}")
+        if len(labels) != len(HUE_LABELS) or any(labels.count(l) != 1 for l in HUE_LABELS):
+            raise ValueError(f"expected the hue labels {list(HUE_LABELS)} once each, got {labels}")
         entries = [obj["hue_anchors"][labels.index(l)] for l in HUE_LABELS]
         thetas = tensorio.float_array([e["theta"] for e in entries], (6,)).tolist()
         if thetas != list(HUE_DEGREES):  # each label's hue is fixed; a file cannot move it
@@ -140,12 +132,8 @@ def build_anchors(probe_latents: Mapping[str, np.ndarray], model: SubspaceModel)
     black, white to a d-dimensional latent vector. Input order is
     irrelevant; anchors are stored by increasing assigned hue.
     """
-    missing = [l for l in ANCHOR_LABELS if l not in probe_latents]
-    if missing:
-        raise ValueError(f"missing probe labels: {missing}")
-    extra = [l for l in probe_latents if l not in ANCHOR_LABELS]
-    if extra:
-        raise ValueError(f"unknown probe labels: {sorted(extra)}")
+    if set(probe_latents) != set(ANCHOR_LABELS):
+        raise ValueError(f"expected the probe labels {list(ANCHOR_LABELS)}, got {sorted(probe_latents)}")
     proj = {l: project(np.asarray(probe_latents[l], dtype=np.float64), model) for l in ANCHOR_LABELS}
     if any(v.shape != (3,) for v in proj.values()):
         raise ValueError(f"expected one (d,) latent per probe label, got shapes {[v.shape for v in proj.values()]}")

@@ -205,14 +205,16 @@ def cmd_intervene(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    e = ToyEmbedder.create(seed=args.toy_seed, d=args.dim)
     dims = _parse_grid(args.grid)
     colors = [rgb_to_hsl(parse_hex(c)) for c in args.colors.split(",") if c]
     if not colors:
         raise ValueError("need at least one attractor color")
-    attractors = tuple(solid_attractor(c, e, dims) for c in colors)
-    field = AttractorField(attractors=attractors, T=args.T, embedder=e)
-    z0 = initial_noise(dims[0] * dims[1], args.dim, args.seed)
+    try:
+        e = ToyEmbedder.create(seed=args.toy_seed, d=args.dim)
+        field = AttractorField(attractors=[solid_attractor(c, e, dims) for c in colors], T=args.T, embedder=e)
+        z0 = initial_noise(dims[0] * dims[1], args.dim, args.seed)
+    except MemoryError as err:
+        raise ValueError(f"--grid {dims[0]}x{dims[1]} at --dim {args.dim} is too large to allocate") from err
     traj = generate(z0, field)
     manifest = tensorio.save_trajectory(args.out, traj)
     print(f"simulated T={args.T} trajectory with {len(colors)} attractor(s); wrote {manifest}")
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a rebound cmd_* takes effect
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # invariant violations and bugs

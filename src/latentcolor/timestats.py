@@ -211,13 +211,9 @@ def fit_stats(trajectories) -> StatsTable:
     shapes = {t.shape for t in tracks}
     if len(shapes) != 1:
         raise ValueError(f"mismatched trajectory grids: {sorted(shapes)}")
-    stacked = np.stack(tracks)  # (N, T+1, 3)
-    if stacked.ndim != 3 or stacked.shape[2] != 3:
-        raise ValueError(f"expected (T+1, 3) tracks, got shape {stacked.shape[1:]}")
+    stacked = np.stack(tracks)  # (N, T+1, 3); StatsTable refuses any other track shape, and a zero scale
     alpha = stacked.mean(axis=0)
     beta = np.abs(stacked - alpha).mean(axis=0)
-    if np.any(beta[1:] <= _MIN_SCALE):
-        raise ValueError("zero scale: trajectories do not separate after t = 0")
     return StatsTable(alpha=alpha, beta=beta)
 
 

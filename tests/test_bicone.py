@@ -64,10 +64,14 @@ def test_build_anchors_from_probes(probe_set, model, anchors):
         assert got.l == pytest.approx(0.5, abs=1e-9)
 
 
+PROBE_LABELS_SAID = "expected the probe labels ['red', 'yellow', 'green', 'cyan', 'blue', 'magenta', 'black', 'white'], got "
+
+
 def test_build_anchors_requires_all_labels(probe_set, model):
     probes = {k: v for k, v in probe_set.labeled.items() if k != "cyan"}
-    with pytest.raises(ValueError, match="cyan"):
+    with pytest.raises(ValueError) as info:
         build_anchors(probes, model)
+    assert str(info.value) == PROBE_LABELS_SAID + str(sorted(set(ANCHOR_LABELS) - {"cyan"}))
 
 
 def test_coincident_black_white_rejected(probe_set, model):
@@ -88,7 +92,7 @@ def test_build_anchors_refuses_an_unknown_label(probe_set, model):
     probes = {**probe_set.labeled, "orange": probe_set.labeled["red"]}
     with pytest.raises(ValueError) as info:
         build_anchors(probes, model)
-    assert str(info.value) == "unknown probe labels: ['orange']"
+    assert str(info.value) == PROBE_LABELS_SAID + str(sorted([*ANCHOR_LABELS, "orange"]))
 
 
 def test_build_anchors_refuses_a_latent_that_is_not_one_vector(probe_set, model):
@@ -541,6 +545,32 @@ def test_anchor_file_refuses_points_of_the_wrong_shape(anchors, field, value):
         obj = {**obj, field: value}
     with pytest.raises(ValueError, match=r"^expected an array of shape \((6, 3|3,)\), found .+ on axis [01]$"):
         AnchorSet.from_json_dict(obj)
+
+
+def _relabeled(obj, labels):
+    return {**obj, "hue_anchors": [{**e, "label": l} for e, l in zip(obj["hue_anchors"], labels)]}
+
+
+@pytest.mark.parametrize("edit, labels", [
+    (lambda o: _relabeled(o, ["orange", *HUE_LABELS[1:]]), ["orange", *HUE_LABELS[1:]]),
+    (lambda o: _relabeled(o, ["red", "red", *HUE_LABELS[2:]]), ["red", "red", *HUE_LABELS[2:]]),
+    (lambda o: {**o, "hue_anchors": o["hue_anchors"][:5]}, list(HUE_LABELS[:5])),
+    (lambda o: {**o, "hue_anchors": [*o["hue_anchors"], {**o["hue_anchors"][0], "label": "orange"}]}, [*HUE_LABELS, "orange"]),
+    (lambda o: {**o, "hue_anchors": [*o["hue_anchors"], o["hue_anchors"][0]]}, [*HUE_LABELS, "red"]),
+    (lambda o: _relabeled(o, [["red"], *HUE_LABELS[1:]]), [["red"], *HUE_LABELS[1:]]),
+], ids=["unknown", "repeat-among-six", "missing", "seventh-entry", "seventh-repeat", "unhashable"])
+def test_anchor_file_lists_the_six_hue_labels_once_each(anchors, edit, labels):
+    with pytest.raises(ValueError) as info:
+        AnchorSet.from_json_dict(edit(anchors.to_json_dict()))
+    assert str(info.value) == f"expected the hue labels {list(HUE_LABELS)} once each, got {labels}"
+
+
+def test_anchor_set_refuses_points_that_are_not_eight_3_vectors(ideal):
+    with pytest.raises(ValueError) as info:
+        AnchorSet(ideal.hue_anchors[:5], ideal.black, ideal.white)
+    assert str(info.value) == "expected six hue anchors, black and white as 3-vectors, got shape (7, 3)"
+    with pytest.raises(ValueError, match=r"got shape \(8, 2\)$"):
+        AnchorSet(ideal.hue_anchors[:, :2], ideal.black[:2], ideal.white[:2])
 
 
 def test_anchor_labels_are_complete():

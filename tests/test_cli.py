@@ -760,6 +760,18 @@ def test_simulate_refuses_a_trajectory_too_large_to_allocate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size, says", [
+    (["--grid", "10000000x10000000"], "--grid 10000000x10000000 at --dim 16"),
+    (["--dim", "100000000000000"], "--grid 8x8 at --dim 100000000000000"),
+], ids=["grid", "dim"])
+def test_simulate_refuses_a_grid_or_dim_too_large_to_allocate(tmp_path, capsys, size, says):
+    # 2.1 PiB or more is refused by the allocator at once, so no memory is touched
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--colors", "#FF0000", "--T", "2", *size]) == 2
+    assert capsys.readouterr().err == f"error: {says} is too large to allocate\n"
+    assert not out.exists()
+
+
 def test_intervene_requires_a_target(ws, tmp_path, capsys):
     code = main(
         [
@@ -1018,6 +1030,9 @@ MALFORMED = {
     "stats-overflowing-float": ("stats", lambda o: _with_literal(o, "rows", "9" * 210 + "e99")),
     "anchors-red-twice": ("anchors", lambda o: _plus_anchor(o, coords=[1.0, 2.0, 3.0])),
     "anchors-orange": ("anchors", lambda o: _plus_anchor(o, label="orange", theta=30.0)),
+    "anchors-orange-for-red": ("anchors", lambda o: _with_anchor(o, 0, label="orange")),
+    "anchors-red-for-yellow": ("anchors", lambda o: _with_anchor(o, 1, label="red")),
+    "anchors-no-magenta": ("anchors", lambda o: {**o, "hue_anchors": o["hue_anchors"][:5]}),
     "anchors-yellow-at-90": ("anchors", lambda o: _with_anchor(o, 1, theta=90.0)),
     "anchors-null-theta": ("anchors", lambda o: _with_anchor(o, 2, theta=None)),
     "anchors-bool-theta": ("anchors", lambda o: _with_anchor(o, 0, theta=False)),
@@ -1665,6 +1680,16 @@ def test_main_exits_1_on_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_eval", broken)
     assert main(["eval", "p.json", "r.json"]) == 1
     assert capsys.readouterr().err == "internal error: AssertionError: an invariant broke\n"
+
+
+def test_main_exits_1_on_a_key_error(monkeypatch, capsys):
+    # a record's KeyError is refused where the record is read, so one that reaches main is a bug
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    assert main(["eval", "p.json", "r.json"]) == 1
+    assert capsys.readouterr().err == "internal error: KeyError: 'x'\n"
 
 
 def test_python_m_latentcolor_runs_the_cli(monkeypatch, capsys):

@@ -88,6 +88,12 @@ def test_observe_rejects_mismatched_grid(embedder, model, anchors, toy_stats):
         observe(z, 35, model, anchors, toy_stats, (3, 3))
 
 
+def test_observe_refuses_a_latent_that_is_not_2_d(embedder, model, anchors, toy_stats):
+    with pytest.raises(ValueError) as info:
+        observe(np.zeros(embedder.dim), 35, model, anchors, toy_stats, (1, 1))
+    assert str(info.value) == f"expected an (L, d) latent tensor, got shape ({embedder.dim},)"
+
+
 def test_observe_refuses_a_model_value_that_overflows(palette_runs, model, anchors, toy_stats):
     # the record checks pass and the chart stays finite; the decode overflows, and must not return a grid
     mean = model.mean.copy()

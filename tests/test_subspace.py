@@ -98,6 +98,24 @@ def test_project_accepts_single_vectors(model):
     assert np.allclose(single, stacked[0], atol=0)
 
 
+@pytest.mark.parametrize("samples, says", [
+    (np.ones(8), "expected (N, d) samples, got shape (8,)"),
+    (np.ones((2, 5, 8)), "expected (N, d) samples, got shape (2, 5, 8)"),
+    (np.where(np.eye(10, 8) > 0, np.nan, 1.0), "samples contain non-finite values"),
+    (np.where(np.eye(10, 8) > 0, np.inf, 1.0), "samples contain non-finite values"),
+], ids=["1-d", "3-d", "nan", "inf"])
+def test_fit_refuses_samples_that_are_not_a_finite_2_d_block(samples, says):
+    with pytest.raises(ValueError) as info:
+        fit_pca(samples, k=3, orientation=fixed_probes(8))
+    assert str(info.value) == says
+
+
+def test_project_refuses_latents_of_another_width(model):
+    with pytest.raises(ValueError) as info:
+        project(np.zeros((4, model.dim + 1)), model)
+    assert str(info.value) == f"latent dim {model.dim + 1} does not match model dim {model.dim}"
+
+
 def test_fit_rejects_degenerate_input():
     with pytest.raises(ValueError, match="at least"):
         fit_pca(np.zeros((3, 8)), k=3, orientation=fixed_probes(8))

@@ -98,8 +98,15 @@ def test_fit_stats_needs_two_tracks():
 
 def test_fit_stats_rejects_identical_tracks():
     track = np.linspace(0.0, 1.0, 12).reshape(4, 3)
-    with pytest.raises(ValueError, match="zero scale"):
+    with pytest.raises(ValueError) as info:
         fit_stats([track, track.copy()])
+    assert str(info.value) == "zero scale: beta must be positive for t >= 1"  # the table's own refusal
+
+
+def test_fit_stats_refuses_tracks_that_are_not_3_columns_wide():
+    with pytest.raises(ValueError) as info:
+        fit_stats([np.zeros((4, 4)), np.ones((4, 4))])
+    assert str(info.value) == "expected matching (T+1, 3) tables, got (4, 4) and (4, 4)"
 
 
 def test_fit_stats_rejects_mismatched_grids():
@@ -127,6 +134,12 @@ def test_normalize_accepts_blocks_and_vectors(builtin):
     block = np.arange(12.0).reshape(4, 3)
     rows = np.stack([normalize(block[i], 10, builtin) for i in range(4)])
     assert np.allclose(normalize(block, 10, builtin), rows, atol=0)
+
+
+def test_normalize_refuses_coordinates_without_3_columns(builtin):
+    with pytest.raises(ValueError) as info:
+        normalize(np.zeros((4, 2)), 10, builtin)
+    assert str(info.value) == "expected 3 coordinate columns, got shape (4, 2)"
 
 
 def test_degenerate_scale_is_rejected(toy_stats):

@@ -383,6 +383,21 @@ def test_generate_refuses_a_wrong_shaped_edit(embedder, result):
     assert str(info.value) == f"edit at t=2 returned shape {want_shape}, expected the state's {att.shape}"
 
 
+def test_generate_refuses_a_z0_of_another_shape(embedder):
+    att = solid_attractor(RED, embedder, (2, 2))
+    field = AttractorField(attractors=(att,), T=5, embedder=embedder)
+    with pytest.raises(ValueError) as info:
+        generate(initial_noise(3, embedder.dim, seed=73), field)
+    assert str(info.value) == f"z0 shape (3, {embedder.dim}) does not match attractors (4, {embedder.dim})"
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (15,), ()], ids=["block", "short", "scalar"])
+def test_toy_decode_refuses_anything_but_one_latent_vector(embedder, shape):
+    with pytest.raises(ValueError) as info:
+        toy_decode(np.zeros(shape), embedder)
+    assert str(info.value) == f"expected a ({embedder.dim},) latent vector, got shape {shape}"
+
+
 def test_generate_refuses_a_trajectory_too_large_to_allocate(embedder):
     # 1e11 + 1 frames of 64 x 16 float64 is 745 TiB: the allocation is refused at once, nothing is touched
     att = solid_attractor(RED, embedder, (8, 8))
